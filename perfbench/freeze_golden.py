@@ -33,7 +33,7 @@ FREEZE_LIMIT_S = 120.0
 
 def main() -> int:
     install_time_limit()
-    solve = limited(solver.gh_exact, FREEZE_LIMIT_S)
+    solve = limited(solver.gh_exact, FREEZE_LIMIT_S, lambda: 1.0)  # plain seconds
     entries = []
     for batch in solve_corpus_pairs(DEFAULT_SEED):
         for pair in batch:

@@ -46,15 +46,17 @@ class Tracer:
         return traced
 
     def self_times(
-        self, group: Callable[[str | None], str]
+        self,
+        group: Callable[[str | None], str],
+        seconds: Callable[[float, float], float] = lambda start, end: end - start,
     ) -> tuple[dict[str, float], dict[str, int]]:
         """Busy time and calls per span name, and per `name.<group(item)>`.
 
-        A span's busy time is its duration less the time covered by its
-        child spans; children run one after another, so that is the sum of
-        their durations.
+        A span's busy time is its duration, `seconds(start, end)`, less the
+        time covered by its child spans; children run one after another, so
+        that is the sum of their durations.
         """
-        duration = [end - start for _, start, end, _, _ in self.spans]
+        duration = [seconds(start, end) for _, start, end, _, _ in self.spans]
         own = list(duration)
         for index, (_, _, _, parent, _) in enumerate(self.spans):
             if parent >= 0:

@@ -24,33 +24,41 @@ import statistics
 import sys
 from pathlib import Path
 from time import perf_counter
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # imported after set-up, which it is not part of
+    from calibrate import Speed
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 RESULTS = HERE / "results"
-MIN_SWEEPS = 3
+SETUP_KERNEL_RUNS = 5  # reference kernel runs that rescale one set-up time
 
 
 class Outcomes:
-    """Items attempted, left undecided by a time limit, and failed, with the
-    seconds of every run of every item."""
+    """Items attempted, left undecided by a time limit, and failed, and the
+    start and end of every run of every item."""
 
     def __init__(self) -> None:
         self.attempted = 0
         self.undecided = 0
         self.failures: list[str] = []
-        self.item_seconds: dict[str, list[float]] = {}
-        self.pass_seconds: list[float] = []
+        self.item_runs: dict[str, list[tuple[float, float]]] = {}
+        self.passes = 0
+
+    def item_seconds(self, seconds) -> dict[str, list[float]]:
+        """Every run's `seconds(start, end)`, by item."""
+        return {i: [seconds(*run) for run in r] for i, r in self.item_runs.items()}
 
 
-def run_pass(items, lib, tally, outcomes: Outcomes, tracer=None) -> float:
+def run_pass(items, lib, tally, outcomes: Outcomes, tracer=None) -> None:
+    """Run every item once."""
     from workloads import TimeLimit
 
     # Free the last pass's garbage first, outside the timings: thread_limit
     # leaves a reference cycle that keeps its thread list alive until a full
     # collection, and left alone those lists pile up into peak_rss_mb.
     gc.collect()
-    start = perf_counter()
     for item in items:
         run = item.run
         if tracer is not None:
@@ -63,52 +71,56 @@ def run_pass(items, lib, tally, outcomes: Outcomes, tracer=None) -> float:
             outcomes.undecided += 1
         except Exception as exc:  # a crash or a wrong exact output: the item failed
             outcomes.failures.append(f"{item.id}: {type(exc).__name__}: {exc}"[:300])
-        outcomes.item_seconds.setdefault(item.id, []).append(perf_counter() - began)
+        outcomes.item_runs.setdefault(item.id, []).append((began, perf_counter()))
         outcomes.attempted += 1
-    elapsed = perf_counter() - start
-    outcomes.pass_seconds.append(elapsed)
-    return elapsed
+    outcomes.passes += 1
 
 
-def sweep(passes, lib, tally, outcomes: Outcomes, tracer=None) -> list[float]:
-    """Run every pass of a workload once; returns the pass times."""
-    return [run_pass(items, lib, tally, outcomes, tracer) for items in passes]
+def pass_times(passes, item_seconds: dict[str, list[float]]) -> list[float]:
+    """Each pass's time with every item at the median of its runs."""
+    typical = {i: statistics.median(t) for i, t in item_seconds.items()}
+    return [sum(typical[item.id] for item in items) for items in passes]
 
 
-def timed_run(passes, seconds: float):
-    """Sweep the workload at least MIN_SWEEPS times and until the next sweep
-    would end past `seconds`, then time every item by the median of its runs.
+def timed_run(passes, seconds: float, speed: Speed, min_sweeps: int):
+    """Sweep the workload at least `min_sweeps` times and until the next sweep
+    would end past `seconds`, then time every item by the median of its runs,
+    in reference seconds, with the kernel ticking throughout (calibrate.py).
 
-    On a shared 2-CPU machine the same code runs up to 1.5 times slower for
-    stretches of 10-20 s.  Sweeps of about a third of the run space an
-    item's runs a sweep apart, so a slow stretch rarely holds most of them.
+    Sweeps of about a third of the run space an item's runs a sweep apart,
+    so a slow stretch of a shared machine that the kernel misses rarely
+    holds most of them.
     """
     from tracing import no_trace
     from workloads import Tally, bind
 
-    lib, tally, outcomes = bind(no_trace), Tally(), Outcomes()
+    lib, tally, outcomes = bind(no_trace, speed.scale), Tally(), Outcomes()
     start = perf_counter()
     sweeps = 0
-    while True:
-        began = perf_counter()
-        sweep(passes, lib, tally, outcomes)
-        sweeps += 1
-        now = perf_counter()
-        if sweeps >= MIN_SWEEPS and now - start + (now - began) > seconds:
-            break
-    typical = {i: statistics.median(t) for i, t in outcomes.item_seconds.items()}
-    times = list(typical.values())
+    with speed.ticking():
+        while True:
+            began = perf_counter()
+            for items in passes:
+                run_pass(items, lib, tally, outcomes)
+            sweeps += 1
+            now = perf_counter()
+            if sweeps >= min_sweeps and now - start + (now - began) > seconds:
+                break
+    reference = outcomes.item_seconds(speed.reference_seconds)
+    times = [statistics.median(t) for t in reference.values()]
     metrics = {
-        "wall_s": statistics.median(
-            sum(typical[item.id] for item in items) for items in passes
-        ),
+        "wall_ref_s": statistics.fmean(pass_times(passes, reference)),
+        "item_ref_ms.p90": 1000
+        * statistics.quantiles(times, n=10, method="inclusive")[8],
         "decided_ratio": (outcomes.attempted - outcomes.undecided) / outcomes.attempted,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     # Printed and recorded, but not gated; the docstring of run.py says why.
+    work = outcomes.item_seconds(speed.work_seconds)
     latency = {
-        "item_ms.p50": 1000 * statistics.median(times),
-        "item_ms.p90": 1000 * statistics.quantiles(times, n=10, method="inclusive")[8],
+        "wall_s": statistics.fmean(pass_times(passes, work)),
+        "item_ref_ms.p50": 1000 * statistics.median(times),
+        "machine_scale": speed.scale(start, perf_counter()),
     }
     return metrics, latency, tally, outcomes
 
@@ -119,18 +131,31 @@ def src_lines() -> int:
     )
 
 
-def traced_run(passes):
+def traced_run(passes, speed: Speed):
     from ghkit.verification import suite_names
     from tracing import Tracer, no_trace
     from workloads import FAMILIES, Tally, bind
 
-    outcomes = Outcomes()
-    plain = sweep(passes, bind(no_trace), Tally(), outcomes)
-    tracer, tally = Tracer(), Tally()
-    traced = sweep(passes, bind(tracer.wrap), tally, outcomes, tracer)
+    lib, plain = bind(no_trace, speed.scale), Outcomes()
+    tracer, tally, outcomes = Tracer(), Tally(), Outcomes()
+    with speed.ticking():
+        for items in passes:
+            run_pass(items, lib, Tally(), plain)
+        lib = bind(tracer.wrap, speed.scale)
+        for items in passes:
+            run_pass(items, lib, tally, outcomes, tracer)
+    traced = pass_times(passes, outcomes.item_seconds(speed.reference_seconds))
+    untraced = pass_times(passes, plain.item_seconds(speed.reference_seconds))
+    overhead = statistics.fmean(traced) - statistics.fmean(untraced)
+    outcomes.attempted += plain.attempted
+    outcomes.undecided += plain.undecided
+    outcomes.failures += plain.failures
+    outcomes.passes += plain.passes
 
     family = {item.id: item.family for items in passes for item in items}
-    seconds, calls = tracer.self_times(lambda item_id: family[item_id])
+    seconds, calls = tracer.self_times(
+        lambda item_id: family[item_id], speed.reference_seconds
+    )
 
     def s(name: str) -> float:
         return seconds.get(name, 0.0)
@@ -168,7 +193,7 @@ def traced_run(passes):
         },
         "verification.failed_checks": tally.get("verification.failed_checks"),
         "repo.src_lines": src_lines(),
-        "trace.overhead_s": statistics.median(traced) - statistics.median(plain),
+        "trace.overhead_s": overhead,
     }
     return metrics, tally, outcomes, tracer
 
@@ -196,20 +221,27 @@ def main() -> int:
     args = parser.parse_args()
 
     began = perf_counter()
-    from workloads import SOLVE_LIMIT_S, WORKLOADS, install_time_limit
+    from workloads import MIN_SWEEPS, SOLVE_LIMIT_S, WORKLOADS, install_time_limit
 
     passes = WORKLOADS[args.workload](args.seed)
     setup_s = perf_counter() - began
+    from calibrate import Speed
+
+    speed = Speed()
+    speed.sample(SETUP_KERNEL_RUNS)
+    setup_ref_s = setup_s / speed.scale()
     if args.setup_only:
-        print(json.dumps({"setup_s": setup_s}))
+        print(json.dumps({"setup_ref_s": setup_ref_s, "setup_s": setup_s}))
         return 0
 
     install_time_limit()
     tracer, latency = None, {}
     if args.trace:
-        metrics, tally, outcomes, tracer = traced_run(passes)
+        metrics, tally, outcomes, tracer = traced_run(passes, speed)
     else:
-        metrics, latency, tally, outcomes = timed_run(passes, args.seconds)
+        metrics, latency, tally, outcomes = timed_run(
+            passes, args.seconds, speed, MIN_SWEEPS[args.workload]
+        )
 
     RESULTS.mkdir(exist_ok=True)
     stem = f"{args.workload}-seed{args.seed}-trace{args.trace}"
@@ -217,13 +249,16 @@ def main() -> int:
         "environment": environment(args),
         "solve_limit_s": SOLVE_LIMIT_S,
         "setup_s": setup_s,
+        "setup_ref_s": setup_ref_s,
+        "kernel_runs": list(zip(speed.starts, speed.took)),
         "metrics": metrics,
         "latency": latency,
         "attempted": outcomes.attempted,
         "undecided": outcomes.undecided,
         "failures": outcomes.failures,
-        "pass_seconds": outcomes.pass_seconds,
-        "item_seconds": outcomes.item_seconds,
+        "passes": outcomes.passes,
+        "item_seconds": outcomes.item_seconds(speed.work_seconds),
+        "item_reference_seconds": outcomes.item_seconds(speed.reference_seconds),
         "counts": tally.counts,
         "instances": tally.instances,
     }
@@ -239,8 +274,9 @@ def main() -> int:
                 "failed": len(outcomes.failures),
                 "metrics": metrics,
                 "latency": latency,
+                "setup_ref_s": setup_ref_s,
                 "setup_s": setup_s,
-                "passes": len(outcomes.pass_seconds),
+                "passes": outcomes.passes,
                 "failures": outcomes.failures[:5],
             }
         )

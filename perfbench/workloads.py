@@ -46,12 +46,14 @@ from ghkit.spaces import STRICT, FiniteMetricSpace
 DEFAULT_SEED = 7  # the seed the golden file is frozen at
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "solve-corpus-seed7.json"
 
+# Time limits, in reference seconds (see calibrate.py):
 SOLVE_LIMIT_S = 0.1  # per gh_exact call on solve-corpus
 CONSTRUCT_LIMIT_S = 10.0  # per construction call on construct
 CHECK_LIMIT_S = 60.0  # per run_check call on verify-suite
 
 FAMILIES = ("random", "near_scaled", "hedgehog")
-# Each workload's sweep takes about 10 s on a 2-CPU machine, a third of a run.
+# A solve-corpus or construct sweep takes about 10 s on a 2-CPU machine, a
+# third of a run; a verify-suite sweep takes about 30 s.
 SOLVE_BATCHES = 24  # passes in the solve-corpus sweep
 SOLVE_ROUNDS = 2  # pairs of each family and size in one pass
 SOLVE_SIZES = (6, 7, 8)  # points per space, all within DEFAULT_SIZE_CAP
@@ -60,6 +62,8 @@ TREES_PER_PASS = 4
 CENTER_TRIALS_PER_PASS = 10
 TUZHILIN_N, TUZHILIN_K = 10, 20
 CHAIN_DEPTH = 16  # 3 points, 2 successors each: 3 * 2**15 = 98304 threads
+CHECK_SEEDS = 3  # verify-suite passes, each the whole suite at one seed
+CHECK_SEED_STRIDE = 100_003  # apart, so no two workload seeds share a check seed
 
 
 class TimeLimit(BaseException):
@@ -83,15 +87,17 @@ def install_time_limit() -> None:
     signal.signal(signal.SIGALRM, _raise_time_limit)
 
 
-def limited(fn: Callable, seconds: float) -> Callable:
-    """`fn` aborted with `TimeLimit` once it has run `seconds` of wall time.
+def limited(fn: Callable, seconds: float, scale: Callable[[], float]) -> Callable:
+    """`fn` aborted with `TimeLimit` once it has run `seconds` reference
+    seconds: `seconds * scale()` of wall time, where `scale()` is how many
+    times slower than nominal the machine runs now (see calibrate.py).
 
     Safe for the pure library functions used here: an aborted call leaves no
     state behind.
     """
 
     def call(*args, **kwargs):
-        signal.setitimer(signal.ITIMER_REAL, seconds)
+        signal.setitimer(signal.ITIMER_REAL, seconds * scale())
         try:
             return fn(*args, **kwargs)
         finally:
@@ -105,33 +111,40 @@ def expect(condition: bool, message: str) -> None:
         raise WrongOutput(message)
 
 
-def bind(wrap: Callable[[str, Callable], Callable]) -> SimpleNamespace:
-    """The library calls the items make, each bound through `wrap(name, fn)`."""
+def bind(
+    wrap: Callable[[str, Callable], Callable], scale: Callable[[], float]
+) -> SimpleNamespace:
+    """The library calls the items make, each bound through `wrap(name, fn)`;
+    `scale` stretches the time limits (see `limited`)."""
     return SimpleNamespace(
         parse_space=wrap("io.parse_space", io.parse_space),
-        gh_exact=wrap("solver.gh_exact", limited(solver.gh_exact, SOLVE_LIMIT_S)),
+        gh_exact=wrap(
+            "solver.gh_exact", limited(solver.gh_exact, SOLVE_LIMIT_S, scale)
+        ),
         distortion=wrap("correspondences.distortion", correspondences.distortion),
         validate=wrap("spaces.validate", spaces.validate),
         hausdorff=wrap("spaces.hausdorff", spaces.hausdorff),
         glue_tree=wrap(
-            "gluing.glue_tree", limited(gluing.glue_tree, CONSTRUCT_LIMIT_S)
+            "gluing.glue_tree", limited(gluing.glue_tree, CONSTRUCT_LIMIT_S, scale)
         ),
         part=wrap("gluing.part", gluing.GluedSpace.part),
         compile_hedgehog=wrap("hedgehogs.compile", hedgehogs.compile_hedgehog),
         check_center_location=wrap(
             "hedgehogs.center_location",
-            limited(hedgehogs.check_center_location, CONSTRUCT_LIMIT_S),
+            limited(hedgehogs.check_center_location, CONSTRUCT_LIMIT_S, scale),
         ),
         tuzhilin_isometry=wrap(
-            "tuzhilin.isometry", limited(tuzhilin.tuzhilin_isometry, CONSTRUCT_LIMIT_S)
+            "tuzhilin.isometry",
+            limited(tuzhilin.tuzhilin_isometry, CONSTRUCT_LIMIT_S, scale),
         ),
         thread_limit=wrap(
-            "dynamics.thread_limit", limited(dynamics.thread_limit, CONSTRUCT_LIMIT_S)
+            "dynamics.thread_limit",
+            limited(dynamics.thread_limit, CONSTRUCT_LIMIT_S, scale),
         ),
         run_check={
             name: wrap(
                 f"verification.{name}",
-                limited(verification.run_check, CHECK_LIMIT_S),
+                limited(verification.run_check, CHECK_LIMIT_S, scale),
             )
             for name in verification.suite_names("all")
         },
@@ -536,11 +549,25 @@ def _check(name: str, seed: int, lib, tally: Tally) -> None:
 
 
 def verify_suite(seed: int) -> Sweep:
-    items = [
-        Item(name, name, partial(_check, name, seed))
-        for name in verification.suite_names("all")
-    ]
-    return [items]
+    """One pass per check seed: the suite at the workload seed, then at
+    CHECK_SEEDS - 1 seeds further on.
+
+    A check draws its instances from its seed, and over seeds 1-5
+    diameter-identities alone took 0.27 to 1.44 reference seconds of a
+    10-second suite; one check seed per run spread the suite's time by 0.105
+    (interquartile range over median) over ten seeds.  Three check seeds,
+    each a pass, averaged, make a run less hostage to one seed.
+    """
+    passes = []
+    for k in range(CHECK_SEEDS):
+        check_seed = seed + k * CHECK_SEED_STRIDE
+        passes.append(
+            [
+                Item(f"{name}@{check_seed}", name, partial(_check, name, check_seed))
+                for name in verification.suite_names("all")
+            ]
+        )
+    return passes
 
 
 WORKLOADS = {
@@ -548,3 +575,6 @@ WORKLOADS = {
     "construct": construct,
     "verify-suite": verify_suite,
 }
+# Sweeps a timed run makes at least: enough that each item's median runs lie
+# a sweep apart.  A verify-suite sweep, three suites, already takes a run.
+MIN_SWEEPS = {"solve-corpus": 3, "construct": 3, "verify-suite": 1}
