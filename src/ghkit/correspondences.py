@@ -1,16 +1,23 @@
-"""Correspondences (both-ways surjective relations) and their distortion."""
+"""Correspondences (both-ways surjective relations) and their distortion.
+
+Distortions are exact `Fraction`s at the API; they are computed on the two
+spaces' cached integer grids rescaled to one shared denominator, which is
+also the form the solver and the enumeration oracle search on.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import TooLarge
 from .spaces import FiniteMetricSpace
 
 ENUMERATION_CELL_GUARD = 20
+
+IntRows = Sequence[Sequence[int]]  # distances times a shared denominator
 
 
 @dataclass(frozen=True)
@@ -42,16 +49,24 @@ class Correspondence:
 
 def distortion(rel: Correspondence) -> Fraction:
     """max over matched pairs (x,y), (x',y') of | |xx'| - |yy'| |."""
-    dx, dy = rel.left.dist, rel.right.dist
-    pairs = rel.sorted_pairs()
-    worst = Fraction(0)
-    for a in range(len(pairs)):
-        i, j = pairs[a]
-        for b in range(a, len(pairs)):
-            k, l = pairs[b]
-            gap = abs(dx[i][k] - dy[j][l])
+    denom, dx, dy = scaled_integer_matrices(rel.left, rel.right)
+    return Fraction(grid_distortion(dx, dy, rel.pairs), denom)
+
+
+def grid_distortion(
+    dx: IntRows, dy: IntRows, pairs: Iterable[tuple[int, int]]
+) -> int:
+    """Distortion of a pair set on integer rows sharing one denominator."""
+    pairs = sorted(pairs)
+    worst = 0
+    for a, (i, j) in enumerate(pairs):
+        row_x, row_y = dx[i], dy[j]
+        for k, l in pairs[a:]:
+            gap = row_x[k] - row_y[l]
             if gap > worst:
                 worst = gap
+            elif -gap > worst:
+                worst = -gap
     return worst
 
 
@@ -71,20 +86,38 @@ def inverse(rel: Correspondence) -> Correspondence:
 
 def scaled_integer_matrices(
     x: FiniteMetricSpace, y: FiniteMetricSpace
-) -> tuple[int, list[list[int]], list[list[int]]]:
-    """Rescale both distance matrices to a shared integer grid.
+) -> tuple[int, IntRows, IntRows]:
+    """Both cached grids on their shared denominator L = lcm(Lx, Ly).
 
-    Returns (denominator L, X matrix * L, Y matrix * L); exact, and lets hot
-    search loops run on machine integers instead of Fractions.
+    Returns (L, X matrix * L, Y matrix * L); exact, and lets hot search
+    loops run on machine integers instead of Fractions.  A grid already on L
+    is returned as cached, not copied.
     """
-    denom = 1
-    for space in (x, y):
-        for row in space.dist:
-            for value in row:
-                denom = denom * value.denominator // math.gcd(denom, value.denominator)
-    dx = [[int(value * denom) for value in row] for row in x.dist]
-    dy = [[int(value * denom) for value in row] for row in y.dist]
-    return denom, dx, dy
+    (lx, gx), (ly, gy) = x.grid, y.grid
+    denom = math.lcm(lx, ly)
+    return denom, rescaled(gx, denom // lx), rescaled(gy, denom // ly)
+
+
+def rescaled(rows: IntRows, factor: int) -> IntRows:
+    """Integer rows multiplied by `factor`; the same rows when it is 1."""
+    if factor == 1:
+        return rows
+    return tuple([tuple([value * factor for value in row]) for row in rows])
+
+
+def cell_gap_table(n: int, m: int, dx: IntRows, dy: IntRows) -> list[int]:
+    """Flat |dx - dy| table over pairs of cells of the n x m grid.
+
+    Cell c = i*m + j stands for the pair (i, j); entry c*n*m + c' is
+    |dx[i][k] - dy[j][l]| for c = (i, j), c' = (k, l).
+    """
+    table: list[int] = []
+    for i in range(n):
+        row_x = dx[i]
+        for j in range(m):
+            row_y = dy[j]
+            table.extend(abs(row_x[k] - row_y[l]) for k in range(n) for l in range(m))
+    return table
 
 
 def _guard_cells(n: int, m: int, max_cells: int) -> None:
@@ -141,11 +174,7 @@ def min_distortion_by_enumeration(
     denom, dx, dy = scaled_integer_matrices(x, y)
     cells = [(i, j) for i in range(n) for j in range(m)]
     nm = n * m
-    # flat |dx - dy| table over cell pairs
-    diff = [0] * (nm * nm)
-    for a, (i, j) in enumerate(cells):
-        for b, (k, l) in enumerate(cells):
-            diff[a * nm + b] = abs(dx[i][k] - dy[j][l])
+    diff = cell_gap_table(n, m, dx, dy)
     row_masks = [0] * n
     col_masks = [0] * m
     for bit, (i, j) in enumerate(cells):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from .correspondences import Correspondence, distortion
 from .errors import BrokenLink, ThreadCapExceeded
@@ -131,23 +131,25 @@ def thread_limit(chain: ThreadChain, cap: int = THREAD_CAP) -> ThreadLimitResult
     if total > cap:
         raise ThreadCapExceeded(total, cap)
 
+    # depth-first in lexicographic order, without recursion: stack[n] walks
+    # the choices at layer n + 1 after path[:n], and the last layer is
+    # drained in one loop
     threads: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def grow(layer: int) -> None:
-        if layer == k:
-            threads.append(tuple(prefix))
-            return
-        if layer == 0:
-            choices: Iterable[int] = range(len(spaces[0]))
+    path = [0] * k
+    stack: list[Iterator[int]] = [iter(range(len(spaces[0])))]
+    while stack:
+        layer = len(stack) - 1
+        if layer == k - 1:
+            for p in stack.pop():
+                path[layer] = p
+                threads.append(tuple(path))
+            continue
+        p = next(stack[-1], None)
+        if p is None:
+            stack.pop()
         else:
-            choices = successors[layer - 1][prefix[-1]]
-        for p in choices:
-            prefix.append(p)
-            grow(layer + 1)
-            prefix.pop()
-
-    grow(0)
+            path[layer] = p
+            stack.append(iter(successors[layer][p]))
 
     last = spaces[-1]
     reps, assignment = _zero_classes(last)

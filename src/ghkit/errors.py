@@ -9,6 +9,10 @@ class GhkitError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvariantBroken(GhkitError):
+    """An internal invariant failed: a defect in ghkit, not in the input."""
+
+
 # ---------------------------------------------------------------------------
 # metric validation
 

@@ -5,17 +5,25 @@ Two spaces joined by a correspondence R get the cross metric
 Hausdorff distance between the two copies is then exactly (1/2) dis R.
 Trees of spaces extend this edge metric along unique paths, relaying through
 intermediate spaces.
+
+The min-plus passes run on integers: every vertex grid is rescaled to one
+denominator 2L (L the lcm of the vertex denominators), on which each
+(1/2) dis R is integral too.  The carrier's exact `Fraction` distances are
+built once at the end, with that grid cached on it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import add
 from typing import Sequence
 
-from .correspondences import Correspondence, distortion
+from .correspondences import Correspondence, distortion, grid_distortion, rescaled
 from .errors import DistortionBudgetExceeded, NotATree, ZeroDistortion
-from .spaces import STRICT, FiniteMetricSpace, SubsetRef, as_fraction
+from .spaces import STRICT, FiniteMetricSpace, SubsetRef, as_fraction, from_grid
 
 
 @dataclass(frozen=True)
@@ -66,37 +74,31 @@ class GluedSpace:
     carrier: FiniteMetricSpace
     provenance: tuple[tuple[int, int], ...]  # carrier index -> (vertex, local index)
 
+    @cached_property
+    def _index(self) -> dict[tuple[int, int], int]:
+        return {point: g for g, point in enumerate(self.provenance)}
+
+    @cached_property
+    def _parts(self) -> dict[int, SubsetRef]:
+        members: dict[int, list[int]] = {}
+        for g, (v, _) in enumerate(self.provenance):
+            members.setdefault(v, []).append(g)
+        return {
+            v: SubsetRef(self.carrier, frozenset(indices))
+            for v, indices in members.items()
+        }
+
     def part(self, vertex: int) -> SubsetRef:
-        indices = frozenset(
-            g for g, (v, _) in enumerate(self.provenance) if v == vertex
-        )
-        if not indices:
-            raise ValueError(f"no vertex {vertex} in this gluing")
-        return SubsetRef(self.carrier, indices)
+        try:
+            return self._parts[vertex]
+        except KeyError:
+            raise ValueError(f"no vertex {vertex} in this gluing") from None
 
     def locate(self, vertex: int, local: int) -> int:
-        for g, (v, p) in enumerate(self.provenance):
-            if v == vertex and p == local:
-                return g
-        raise ValueError(f"no point ({vertex}, {local}) in this gluing")
-
-
-def _cross_matrix(
-    x: FiniteMetricSpace,
-    y: FiniteMetricSpace,
-    pairs: frozenset[tuple[int, int]],
-    omega: Fraction,
-) -> list[list[Fraction]]:
-    """Pair-gluing distances: c[p][q] = min over (x',y') of |px'| + omega + |y'q|."""
-    dx, dy = x.dist, y.dist
-    pair_list = sorted(pairs)
-    return [
-        [
-            min(dx[p][i] + omega + dy[j][q] for i, j in pair_list)
-            for q in range(len(y))
-        ]
-        for p in range(len(x))
-    ]
+        try:
+            return self._index[vertex, local]
+        except KeyError:
+            raise ValueError(f"no point ({vertex}, {local}) in this gluing") from None
 
 
 def glue_pair(
@@ -118,12 +120,16 @@ def glue_tree(tree: GluingTree) -> GluedSpace:
             raise ValueError("gluing is defined for strict spaces")
 
     v = len(tree.vertices)
-    adjacency: dict[int, list[tuple[int, Correspondence, bool]]] = {
+    adjacency: dict[int, list[tuple[int, frozenset[tuple[int, int]]]]] = {
         i: [] for i in range(v)
     }
     for u, w, rel in tree.edges:
-        adjacency[u].append((w, rel, False))
-        adjacency[w].append((u, rel, True))
+        adjacency[u].append((w, rel.pairs))
+        adjacency[w].append((u, frozenset((j, i) for i, j in rel.pairs)))
+
+    grids = [space.grid for space in tree.vertices]
+    denom = 2 * math.lcm(*(d for d, _ in grids))
+    rows = [rescaled(g, denom // d) for d, g in grids]
 
     provenance: list[tuple[int, int]] = []
     offsets: dict[int, int] = {}
@@ -133,45 +139,43 @@ def glue_tree(tree: GluingTree) -> GluedSpace:
         provenance.extend((vertex, p) for p in range(len(tree.vertices[vertex])))
 
     place(0)
-    dist: list[list[Fraction]] = [list(row) for row in tree.vertices[0].dist]
+    dist: list[list[int]] = [list(row) for row in rows[0]]
 
     frontier = [0]
     attached = {0}
     while frontier:
         u = frontier.pop(0)
-        for w, rel, flipped in adjacency[u]:
+        for w, pairs in adjacency[u]:
             if w in attached:
                 continue
             attached.add(w)
             frontier.append(w)
-            omega = distortion(rel) / 2
-            pairs = (
-                frozenset((j, i) for i, j in rel.pairs) if flipped else rel.pairs
-            )
-            cross = _cross_matrix(tree.vertices[u], tree.vertices[w], pairs, omega)
-            base = offsets[u]
-            nu = len(tree.vertices[u])
-            old = len(provenance)
-            place(w)
-            nw = len(tree.vertices[w])
-            for row in dist:
-                row.extend([Fraction(0)] * nw)
-            dw = tree.vertices[w].dist
-            for q in range(nw):
-                new_row = [
-                    min(dist[z][base + p] + cross[p][q] for p in range(nu))
-                    for z in range(old)
+            du, dw = rows[u], rows[w]
+            omega = grid_distortion(du, dw, pairs) // 2
+            nu, nw = len(du), len(dw)
+            # cross[q][p] = min over (x', y') of |p x'| + omega + |y' q|
+            cross = [
+                [
+                    omega + min([du[p][i] + dw[j][q] for i, j in pairs])
+                    for p in range(nu)
                 ]
-                for z in range(old):
-                    dist[z][old + q] = new_row[z]
-                dist.append(new_row + list(dw[q]))
+                for q in range(nw)
+            ]
+            base = offsets[u]
+            place(w)
+            columns = [
+                [min(map(add, row[base : base + nu], cross_q)) for row in dist]
+                for cross_q in cross
+            ]
+            for z, row in enumerate(dist):
+                row.extend(column[z] for column in columns)
+            for q in range(nw):
+                dist.append(columns[q] + list(dw[q]))
 
     labels = tuple(
         f"{vtx}.{tree.vertices[vtx].labels[p]}" for vtx, p in provenance
     )
-    carrier = FiniteMetricSpace(
-        labels, tuple(tuple(row) for row in dist), STRICT
-    )
+    carrier = from_grid(labels, denom, tuple([tuple(row) for row in dist]), STRICT)
     return GluedSpace(carrier, tuple(provenance))
 
 

@@ -18,7 +18,7 @@ from typing import Iterable
 from .correspondences import Correspondence
 from .errors import BucketMismatch, PremiseViolated
 from .gluing import GluedSpace, glue_pair
-from .spaces import STRICT, FiniteMetricSpace, as_fraction
+from .spaces import STRICT, FiniteMetricSpace, as_fraction, from_grid
 
 CENTER_LABEL = "0"
 
@@ -88,21 +88,14 @@ def compile_hedgehog(spec: HedgehogSpec) -> FiniteMetricSpace:
             for copy in range(1, mult + 1):
                 labels.append(f"{length}#{copy}")
                 lengths.append(length)
-    n = len(labels)
+    denom = math.lcm(*(length.denominator for length, _ in spec.needles))
+    grid = [x.numerator * (denom // x.denominator) for x in lengths]
     rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(Fraction(0))
-            elif i == 0:
-                row.append(lengths[j])
-            elif j == 0:
-                row.append(lengths[i])
-            else:
-                row.append(lengths[i] + lengths[j])
+    for i, a in enumerate(grid):
+        row = list(map(a.__add__, grid))  # through the center, which sits at 0
+        row[i] = 0
         rows.append(tuple(row))
-    return FiniteMetricSpace(tuple(labels), tuple(rows), STRICT)
+    return from_grid(tuple(labels), denom, tuple(rows), STRICT)
 
 
 def hedgehog_isometric(a: HedgehogSpec, b: HedgehogSpec) -> bool:
@@ -247,14 +240,19 @@ def check_center_location(
             f"lengths >= 2M: {[str(x) for x in big]}",
         )
 
-    glued = glue_pair(compiled_a, compiled_b, rel)
-    na = len(compiled_a)
-    carrier = glued.carrier
-    a_global = [glued.locate(0, i) for i in range(na)]
-    b_global = [glued.locate(1, j) for j in range(len(compiled_b))]
+    # the relation re-based on the spaces just compiled: the gluing then
+    # reads their grids only, and leaves the caller's spaces as they were
+    glued = glue_pair(
+        compiled_a, compiled_b, Correspondence(compiled_a, compiled_b, rel.pairs)
+    )
+    na, nb = len(compiled_a), len(compiled_b)
+    denom, grid = glued.carrier.grid
+    # carrier rows of the first copy's points, restricted to the second copy
+    b_global = [glued.locate(1, j) for j in range(nb)]
+    to_b = [[grid[glued.locate(0, i)][g] for g in b_global] for i in range(na)]
 
     for i in range(na):
-        closest = min(carrier.dist[a_global[i]][g] for g in b_global)
+        closest = Fraction(min(to_b[i]), denom)
         if closest >= m:
             raise PremiseViolated(
                 "first copy not inside the open M-neighborhood of the second",
@@ -263,20 +261,20 @@ def check_center_location(
 
     lengths_a = _compiled_lengths(a)
     lengths_b = _compiled_lengths(b)
-    center_distance = carrier.dist[a_global[0]][b_global[0]]
+    center_distance = Fraction(to_b[0][0], denom)
+
+    def nearest_needle(i: int) -> int:
+        """First non-center point of the second copy closest to point i."""
+        row = to_b[i]
+        return min(range(1, nb), key=row.__getitem__)
 
     far = []
     coverage_ok = True
     for i in range(1, na):
         if lengths_a[i] < 5 * m:
             continue
-        dist_to_center = carrier.dist[a_global[i]][b_global[0]]
-        best_j, best_d = None, None
-        for j in range(1, len(compiled_b)):
-            dval = carrier.dist[a_global[i]][b_global[j]]
-            if best_d is None or dval < best_d:
-                best_j, best_d = j, dval
-        assert best_j is not None and best_d is not None
+        best_j = nearest_needle(i)
+        best_d = Fraction(to_b[i][best_j], denom)
         witness = FarNeedleWitness(
             label=compiled_a.labels[i],
             length=lengths_a[i],
@@ -284,7 +282,7 @@ def check_center_location(
             partner_length=lengths_b[best_j],
             carrier_distance=best_d,
             within_m=best_d < m,
-            center_excluded=dist_to_center >= m,
+            center_excluded=Fraction(to_b[i][0], denom) >= m,
         )
         far.append(witness)
         if not (witness.within_m and witness.center_excluded):
@@ -299,12 +297,7 @@ def check_center_location(
         for i in range(1, na):
             if lengths_a[i] < 2 * eps:
                 continue
-            best_j, best_d = None, None
-            for j in range(1, len(compiled_b)):
-                dval = carrier.dist[a_global[i]][b_global[j]]
-                if best_d is None or dval < best_d:
-                    best_j, best_d = j, dval
-            assert best_j is not None
+            best_j = nearest_needle(i)
             gap = lengths_a[i] - lengths_b[best_j]
             witness = NearNeedleWitness(
                 label=compiled_a.labels[i],

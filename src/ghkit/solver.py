@@ -15,8 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .correspondences import Correspondence, distortion, scaled_integer_matrices
-from .errors import SizeLimitExceeded
+from .correspondences import (
+    Correspondence,
+    IntRows,
+    cell_gap_table,
+    distortion,
+    scaled_integer_matrices,
+)
+from .errors import InvariantBroken, SizeLimitExceeded
 from .spaces import STRICT, FiniteMetricSpace, diameter
 
 DEFAULT_SIZE_CAP = 8
@@ -70,7 +76,7 @@ def gh_exact(
 
 
 def _search_min_distortion(
-    n: int, m: int, dx: list[list[int]], dy: list[list[int]], lb: int
+    n: int, m: int, dx: IntRows, dy: IntRows, lb: int
 ) -> tuple[int, int]:
     """Branch-and-bound over (f, g) assignment pairs; returns (min dis, nodes)."""
     order_x = sorted(range(n), key=lambda i: (-max(dx[i]), i))
@@ -115,12 +121,13 @@ def _search_min_distortion(
                 return
 
     search(0, 0)
-    assert best is not None
+    if best is None:
+        raise InvariantBroken("branch-and-bound reached no full assignment")
     return best, nodes
 
 
 def _lex_min_witness(
-    n: int, m: int, dx: list[list[int]], dy: list[list[int]], target: int
+    n: int, m: int, dx: IntRows, dy: IntRows, target: int
 ) -> frozenset[tuple[int, int]]:
     """Lexicographically smallest correspondence with distortion <= target.
 
@@ -132,10 +139,7 @@ def _lex_min_witness(
     """
     nm = n * m
     cells = [(i, j) for i in range(n) for j in range(m)]
-    diff = [0] * (nm * nm)
-    for a, (i, j) in enumerate(cells):
-        for b, (k, l) in enumerate(cells):
-            diff[a * nm + b] = abs(dx[i][k] - dy[j][l])
+    diff = cell_gap_table(n, m, dx, dy)
 
     def compatible(cell: int, members: list[int]) -> bool:
         base = cell * nm
@@ -180,7 +184,8 @@ def _lex_min_witness(
                     best_cands = cands
                     if not cands:
                         return False
-            assert best_cands is not None
+            if best_cands is None:
+                raise InvariantBroken("no uncovered row or column to extend")
             for c in best_cands:
                 chosen.append(c)
                 if extend():
@@ -199,7 +204,10 @@ def _lex_min_witness(
             continue
         if feasible(chosen + [cell], cell + 1):
             chosen.append(cell)
-    assert covers(chosen), "optimal value admits no witness (solver bug)"
+    if not covers(chosen):
+        raise InvariantBroken(
+            f"grid distortion {target} admits no correspondence (solver bug)"
+        )
     return frozenset(cells[c] for c in chosen)
 
 

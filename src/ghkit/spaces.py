@@ -1,14 +1,20 @@
 """Finite metric and pseudometric spaces with exact rational distances.
 
-Every distance is a `fractions.Fraction`, so the identities the rest of the
-package relies on (diameter scaling, realized Hausdorff distances, gluing
-weights) are checked with equality, never with tolerances.
+Every distance is a `fractions.Fraction` at the API, so the identities the
+rest of the package relies on (diameter scaling, realized Hausdorff
+distances, gluing weights) are checked with equality, never with tolerances.
+Hot loops run on each space's cached integer grid instead: one denominator L
+and int rows with dist[i][j] == Fraction(rows[i][j], L), which is exact and
+compares and adds at machine-integer speed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -34,6 +40,24 @@ def as_fraction(value: int | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
+Grid = tuple[int, tuple[tuple[int, ...], ...]]
+
+
+def _grid(rows: Sequence[Sequence[int | Fraction]]) -> Grid:
+    """(L, int rows) with rows[i][j] / L exact; L is the lcm of the denominators."""
+    denom = math.lcm(*{value.denominator for row in rows for value in row})
+    # Rows are frozen from lists, here and in every other row builder:
+    # tuple(list) allocates at the final size, while a tuple grown from a
+    # generator is resized and, once freed, parked on CPython's per-size
+    # tuple free lists, which then hold thousands of dead rows.
+    return denom, tuple(
+        [
+            tuple([value.numerator * (denom // value.denominator) for value in row])
+            for row in rows
+        ]
+    )
 
 
 @dataclass(frozen=True)
@@ -73,6 +97,32 @@ class FiniteMetricSpace:
     def index_of(self, label: str) -> int:
         return self.labels.index(label)
 
+    @cached_property
+    def grid(self) -> Grid:
+        """The integer view (L, rows): dist[i][j] == Fraction(rows[i][j], L)."""
+        return _grid(self.dist)
+
+
+def from_grid(
+    labels: tuple[str, ...],
+    denom: int,
+    rows: tuple[tuple[int, ...], ...],
+    mode: str = STRICT,
+) -> FiniteMetricSpace:
+    """The space with distances rows[i][j] / denom, its grid already cached.
+
+    One `Fraction` is built per distinct value and shared by every entry
+    holding it.
+    """
+    values = {value: Fraction(value, denom) for value in set().union(*rows)}
+    dist = tuple([tuple([values[value] for value in row]) for row in rows])
+    return _primed(FiniteMetricSpace(labels, dist, mode), (denom, rows))
+
+
+def _primed(space: FiniteMetricSpace, grid: Grid) -> FiniteMetricSpace:
+    space.__dict__["grid"] = grid  # what the cached property would store
+    return space
+
 
 def validate(
     matrix: Sequence[Sequence[int | Fraction]],
@@ -98,31 +148,39 @@ def validate(
     else:
         labels = tuple(labels)
 
+    grid = _grid(rows)
+    _, g = grid
+    cols = tuple(zip(*g))
     violations: list = []
     for i in range(n):
-        if rows[i][i] != 0:
+        if g[i][i] != 0:
             violations.append(NonzeroDiagonal(i))
     for i in range(n):
         for j in range(n):
-            if i != j and rows[i][j] < 0:
+            if i != j and g[i][j] < 0:
                 violations.append(NegativeEntry(i, j))
     for i in range(n):
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
+            if g[i][j] != g[j][i]:
                 violations.append(AsymmetricEntry(i, j))
     if mode == STRICT:
         for i in range(n):
             for j in range(i + 1, n):
-                if rows[i][j] == 0:
+                if g[i][j] == 0:
                     violations.append(ZeroDistanceDistinctPoints(i, j))
     for i in range(n):
+        row = g[i]
         for j in range(i + 1, n):
+            direct = row[j]
+            # no detour, not even through i or j, undercuts the direct value
+            if direct <= min(map(add, row, cols[j])):
+                continue
             for k in range(n):
-                if k != i and k != j and rows[i][j] > rows[i][k] + rows[k][j]:
+                if k != i and k != j and direct > row[k] + g[k][j]:
                     violations.append(TriangleViolation(i, j, k))
     if violations:
         raise MetricValidationError(violations)
-    return FiniteMetricSpace(labels, rows, mode)
+    return _primed(FiniteMetricSpace(labels, rows, mode), grid)
 
 
 def diameter(space: FiniteMetricSpace) -> Fraction:
@@ -174,9 +232,10 @@ def hausdorff(a: SubsetRef, b: SubsetRef) -> Fraction:
     """
     if a.space is not b.space and a.space != b.space:
         raise DifferentAmbientSpaces("subsets live in different spaces")
-    d = a.space.dist
+    denom, g = a.space.grid
 
-    def directed(src: frozenset[int], dst: frozenset[int]) -> Fraction:
-        return max(min(d[i][j] for j in dst) for i in src)
+    def directed(src: frozenset[int], dst: frozenset[int]) -> int:
+        return max(min([g[i][j] for j in dst]) for i in src)
 
-    return max(directed(a.indices, b.indices), directed(b.indices, a.indices))
+    value = max(directed(a.indices, b.indices), directed(b.indices, a.indices))
+    return Fraction(value, denom)

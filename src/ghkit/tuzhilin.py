@@ -13,12 +13,14 @@ against the first space, witnessed by the pair (m, 1) vs (m, 1 + 1/m).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .correspondences import scaled_integer_matrices
 from .errors import IndexOutOfRange
-from .spaces import STRICT, FiniteMetricSpace, SubsetRef, hausdorff
+from .spaces import STRICT, FiniteMetricSpace, SubsetRef, from_grid, hausdorff
 
 INF_NEEDLE = "inf"
 
@@ -41,20 +43,32 @@ def _coords(depth: int) -> list[Fraction]:
     return [1 + Fraction(1, k) for k in range(1, depth + 1)]
 
 
+def _on_grid(points: Sequence[Point]) -> tuple[int, list[tuple[str, int, Fraction]]]:
+    """The coordinates' common denominator D, and the distinct points sorted
+    by (needle, coordinate) as (needle, coordinate * D, coordinate)."""
+    denom = math.lcm(*{coord.denominator for _, coord in points})
+    distinct = {
+        (needle, coord.numerator * (denom // coord.denominator)): coord
+        for needle, coord in points
+    }
+    return denom, sorted((needle, v, coord) for (needle, v), coord in distinct.items())
+
+
 def needle_space(points: Sequence[Point]) -> FiniteMetricSpace:
     """Metric space on labeled needle points: same needle |x-x'|, else x+x'."""
-    seen = sorted(set(points), key=lambda p: (p[0], p[1]))
-    labels = tuple(f"{needle}:{coord}" for needle, coord in seen)
+    denom, placed = _on_grid(points)
+    labels = tuple(f"{needle}:{coord}" for needle, _, coord in placed)
+    coords = [v for _, v, _ in placed]
+    span: dict[str, list[int]] = {}  # needle -> [first, last + 1] position
+    for g, (needle, _, _) in enumerate(placed):
+        span.setdefault(needle, [g, g])[1] = g + 1
     rows = []
-    for a_needle, a_coord in seen:
-        row = []
-        for b_needle, b_coord in seen:
-            if a_needle == b_needle:
-                row.append(abs(a_coord - b_coord))
-            else:
-                row.append(a_coord + b_coord)
+    for needle, a, _ in placed:
+        row = list(map(a.__add__, coords))  # through the center
+        first, end = span[needle]
+        row[first:end] = [abs(a - b) for b in coords[first:end]]
         rows.append(tuple(row))
-    return FiniteMetricSpace(labels, tuple(rows), STRICT)
+    return from_grid(labels, denom, tuple(rows), STRICT)
 
 
 def _x_points(cfg: TuzhilinConfig) -> list[Point]:
@@ -107,33 +121,28 @@ def tuzhilin_isometry(cfg: TuzhilinConfig, m: int) -> TuzhilinEmbedding:
     y_points = _y_points(cfg)
     y_space = needle_space(y_points)
     image_points = [_relocate(cfg, m, p) for p in y_points]
-
-    ambient_points = sorted(set(x_points) | set(image_points))
-    ambient = needle_space(ambient_points)
+    ambient = needle_space(x_points + image_points)
+    index = {label: g for g, label in enumerate(ambient.labels)}
 
     def locate(p: Point) -> int:
-        return ambient.index_of(f"{p[0]}:{p[1]}")
+        return index[f"{p[0]}:{p[1]}"]
 
     x_part = SubsetRef(ambient, frozenset(locate(p) for p in x_points))
     image_part = SubsetRef(ambient, frozenset(locate(p) for p in image_points))
 
-    y_sorted = sorted(set(y_points), key=lambda p: (p[0], p[1]))
+    # ambient index of the image of each point of y_space, in its order
+    image = [
+        locate(_relocate(cfg, m, (needle, coord)))
+        for needle, _, coord in _on_grid(y_points)[1]
+    ]
     mapping = tuple(
-        (f"{p[0]}:{p[1]}", f"{q[0]}:{q[1]}")
-        for p, q in ((p, _relocate(cfg, m, p)) for p in y_sorted)
+        (label, ambient.labels[g]) for label, g in zip(y_space.labels, image)
     )
 
-    preserved = True
-    for i, p in enumerate(y_sorted):
-        gi = locate(_relocate(cfg, m, p))
-        for j in range(i + 1, len(y_sorted)):
-            q = y_sorted[j]
-            gj = locate(_relocate(cfg, m, q))
-            if y_space.dist[i][j] != ambient.dist[gi][gj]:
-                preserved = False
-                break
-        if not preserved:
-            break
+    _, gy, ga = scaled_integer_matrices(y_space, ambient)
+    preserved = all(
+        tuple(map(ga[g].__getitem__, image)) == row for g, row in zip(image, gy)
+    )
 
     return TuzhilinEmbedding(
         ambient=ambient,

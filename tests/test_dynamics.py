@@ -140,6 +140,17 @@ def test_thread_space_is_pseudometric(base_space):
             assert pseudo.dist[t1][t2] == result.approx.dist[c1][c2]
 
 
+def test_deep_chain_of_points_has_one_thread():
+    # deeper than the default recursion limit
+    points = tuple(one_point_space(f"p{n}") for n in range(1500))
+    links = tuple(
+        Correspondence(points[n], points[n + 1], frozenset({(0, 0)}))
+        for n in range(1499)
+    )
+    result = thread_limit(ThreadChain(points, links))
+    assert result.threads == ((0,) * 1500,)
+
+
 def test_thread_cap(base_space):
     x = base_space
     full = Correspondence(

@@ -1,0 +1,334 @@
+"""The integer grid behind every space against plain-Fraction references.
+
+Each reference below is the textbook definition written on `Fraction`s, with
+no grid anywhere, so the grid-based library must agree with it exactly on
+spaces whose distances mix denominators.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ghkit.correspondences import Correspondence, distortion
+from ghkit.errors import (
+    AsymmetricEntry,
+    MetricValidationError,
+    NegativeEntry,
+    NonzeroDiagonal,
+    TriangleViolation,
+    ZeroDistanceDistinctPoints,
+)
+from ghkit.gluing import GluingTree, glue_tree
+from ghkit.spaces import (
+    PSEUDO,
+    STRICT,
+    FiniteMetricSpace,
+    SubsetRef,
+    hausdorff,
+    scale,
+    validate,
+)
+from ghkit.tuzhilin import (
+    TuzhilinConfig,
+    needle_space,
+    tuzhilin_isometry,
+    tuzhilin_spaces,
+)
+
+DENOMINATORS = (1, 2, 3, 5, 7, 12)
+examples = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def mixed_spaces(draw, min_points=1, max_points=8):
+    """Sup distance on lattice points whose three axes have their own unit
+    1/d, so one space mixes denominators."""
+    n = draw(st.integers(min_points, max_points))
+    units = draw(st.lists(st.sampled_from(DENOMINATORS), min_size=3, max_size=3))
+    points = draw(
+        st.lists(
+            st.tuples(*(st.integers(0, 12) for _ in range(3))),
+            min_size=n,
+            max_size=n,
+            unique=True,
+        )
+    )
+    rows = tuple(
+        tuple(max(F(abs(a - b), d) for a, b, d in zip(p, q, units)) for q in points)
+        for p in points
+    )
+    return FiniteMetricSpace(tuple(f"p{i}" for i in range(n)), rows, STRICT)
+
+
+def nonempty_subset(draw, n):
+    return frozenset(
+        draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    )
+
+
+@st.composite
+def correspondences(draw, x, y):
+    n, m = len(x), len(y)
+    pairs = {(i, draw(st.integers(0, m - 1))) for i in range(n)}
+    pairs |= {(draw(st.integers(0, n - 1)), j) for j in range(m)}
+    pairs |= set(
+        draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))))
+    )
+    return Correspondence(x, y, frozenset(pairs))
+
+
+def assert_grid_exact(space: FiniteMetricSpace) -> None:
+    denom, rows = space.grid
+    assert isinstance(denom, int) and denom > 0
+    assert all(type(v) is int for row in rows for v in row)
+    assert space.dist == tuple(tuple(F(v, denom) for v in row) for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# plain-Fraction references
+
+
+def reference_violations(rows, mode):
+    n = len(rows)
+    found = [NonzeroDiagonal(i) for i in range(n) if rows[i][i] != 0]
+    found += [
+        NegativeEntry(i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and rows[i][j] < 0
+    ]
+    found += [
+        AsymmetricEntry(i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rows[i][j] != rows[j][i]
+    ]
+    if mode == STRICT:
+        found += [
+            ZeroDistanceDistinctPoints(i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rows[i][j] == 0
+        ]
+    found += [
+        TriangleViolation(i, j, k)
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(n)
+        if k not in (i, j) and rows[i][j] > rows[i][k] + rows[k][j]
+    ]
+    return found
+
+
+def reference_hausdorff(dist, a, b):
+    def directed(src, dst):
+        return max(min(dist[i][j] for j in dst) for i in src)
+
+    return max(directed(a, b), directed(b, a))
+
+
+def reference_distortion(x, y, pairs):
+    return max(
+        abs(x.dist[i][k] - y.dist[j][l]) for i, j in pairs for k, l in pairs
+    )
+
+
+def reference_glued(tree, order):
+    """Shortest paths over the disjoint union: each vertex metric, plus every
+    edge's cross distances |xx'| + dis R / 2 + |y'y| at its best pair; rows
+    and columns in `order`, a list of (vertex, local index)."""
+    offsets, total = [], 0
+    for space in tree.vertices:
+        offsets.append(total)
+        total += len(space)
+    dist = [[None] * total for _ in range(total)]
+    for v, space in enumerate(tree.vertices):
+        for p in range(len(space)):
+            for q in range(len(space)):
+                dist[offsets[v] + p][offsets[v] + q] = space.dist[p][q]
+    for u, w, rel in tree.edges:
+        x, y = tree.vertices[u], tree.vertices[w]
+        omega = reference_distortion(x, y, rel.pairs) / 2
+        for p in range(len(x)):
+            for q in range(len(y)):
+                value = min(x.dist[p][i] + omega + y.dist[j][q] for i, j in rel.pairs)
+                dist[offsets[u] + p][offsets[w] + q] = value
+                dist[offsets[w] + q][offsets[u] + p] = value
+    for k in range(total):
+        for i in range(total):
+            if dist[i][k] is None:
+                continue
+            for j in range(total):
+                if dist[k][j] is None:
+                    continue
+                through = dist[i][k] + dist[k][j]
+                if dist[i][j] is None or through < dist[i][j]:
+                    dist[i][j] = through
+    at = [offsets[v] + p for v, p in order]
+    return tuple(tuple(dist[a][b] for b in at) for a in at)
+
+
+def reference_needle_rows(points):
+    placed = sorted(set(points))
+    return tuple(
+        tuple(abs(a - b) if na == nb else a + b for nb, b in placed)
+        for na, a in placed
+    )
+
+
+# ---------------------------------------------------------------------------
+# exactness against the references
+
+
+@st.composite
+def perturbed_matrices(draw):
+    """A metric with up to four entries overwritten, some by plain ints."""
+    space = draw(mixed_spaces())
+    n = len(space)
+    rows = [list(row) for row in space.dist]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(
+            st.integers(-2, 12)
+            | st.builds(F, st.integers(-3, 30), st.sampled_from(DENOMINATORS))
+        )
+    return rows, draw(st.sampled_from([STRICT, PSEUDO]))
+
+
+@examples
+@given(perturbed_matrices())
+def test_validate_matches_reference(case):
+    rows, mode = case
+    expected = reference_violations([[F(v) for v in row] for row in rows], mode)
+    try:
+        space = validate(rows, mode)
+    except MetricValidationError as exc:
+        assert list(exc.violations) == expected
+    else:
+        assert expected == []
+        assert space.dist == tuple(tuple(F(v) for v in row) for row in rows)
+        assert_grid_exact(space)
+
+
+@examples
+@given(st.data())
+def test_hausdorff_matches_reference(data):
+    space = data.draw(mixed_spaces())
+    a = nonempty_subset(data.draw, len(space))
+    b = nonempty_subset(data.draw, len(space))
+    value = hausdorff(SubsetRef(space, a), SubsetRef(space, b))
+    assert type(value) is F
+    assert value == reference_hausdorff(space.dist, a, b)
+
+
+@examples
+@given(st.data())
+def test_distortion_matches_reference(data):
+    x = data.draw(mixed_spaces())
+    y = data.draw(mixed_spaces())
+    rel = data.draw(correspondences(x, y))
+    value = distortion(rel)
+    assert type(value) is F
+    assert value == reference_distortion(x, y, rel.pairs)
+
+
+@st.composite
+def gluing_trees(draw):
+    count = draw(st.integers(1, 4))
+    vertices = tuple(draw(mixed_spaces(max_points=4)) for _ in range(count))
+    edges = []
+    for w in range(1, count):
+        u = draw(st.integers(0, w - 1))
+        rel = draw(correspondences(vertices[u], vertices[w]))
+        assume(reference_distortion(vertices[u], vertices[w], rel.pairs) > 0)
+        edges.append((u, w, rel))
+    return GluingTree(vertices, tuple(edges))
+
+
+@examples
+@given(gluing_trees())
+def test_glue_tree_carrier_matches_reference(tree):
+    glued = glue_tree(tree)
+    assert glued.carrier.dist == reference_glued(tree, glued.provenance)
+    assert_grid_exact(glued.carrier)
+
+
+needle_points = st.lists(
+    st.tuples(
+        st.sampled_from(["1", "2", "inf"]),
+        st.builds(F, st.integers(1, 30), st.sampled_from(DENOMINATORS)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@examples
+@given(needle_points)
+def test_needle_space_matches_reference(points):
+    space = needle_space(points)
+    assert space.dist == reference_needle_rows(points)
+    assert space.labels == tuple(f"{n}:{c}" for n, c in sorted(set(points)))
+    assert_grid_exact(space)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_needle_shift_across_grid_denominators(n):
+    # with k = n the first space's extra needle n + 1 puts the ambient space
+    # on a finer grid than the second space
+    cfg = TuzhilinConfig(n, n)
+    second = tuzhilin_spaces(cfg)[1]
+    for m in range(1, n + 1):
+        embedding = tuzhilin_isometry(cfg, m)
+        assert embedding.ambient.grid[0] != second.grid[0]
+        assert embedding.distance_preserving
+        assert embedding.hausdorff_value == F(1, m)
+
+
+# ---------------------------------------------------------------------------
+# the invariant on every kind of space, and identity untouched by the cache
+
+
+@examples
+@given(mixed_spaces(), st.builds(F, st.integers(1, 20), st.sampled_from(DENOMINATORS)))
+def test_grid_invariant_on_validated_and_scaled(space, factor):
+    validated = validate(space.dist, STRICT, space.labels)
+    assert_grid_exact(validated)
+    assert_grid_exact(scale(validated, factor))
+    assert_grid_exact(space)  # computed on first read
+
+
+def test_grid_invariant_on_needle_space_with_int_coordinates():
+    space = needle_space([("a", 1), ("a", F(3, 2)), ("b", 2)])
+    assert_grid_exact(space)
+    assert space.dist[0][2] == 3
+
+
+@examples
+@given(mixed_spaces())
+def test_equality_and_hash_ignore_the_cached_grid(space):
+    twin = FiniteMetricSpace(space.labels, space.dist, space.mode)
+    before = hash(space)
+    space.grid
+    assert hash(space) == before == hash(twin)
+    assert space == twin and twin == space
+    validated = validate(space.dist, STRICT, space.labels)  # grid primed
+    assert validated == twin and hash(validated) == before
+
+
+def test_glued_space_lookups():
+    x = validate([[0, 1], [1, 0]])
+    y = validate([[0, F(5, 2)], [F(5, 2), 0]])
+    glued = glue_tree(
+        GluingTree((x, y), ((0, 1, Correspondence(x, y, frozenset({(0, 0), (1, 1)}))),))
+    )
+    assert [glued.locate(1, p) for p in range(2)] == [2, 3]
+    assert glued.part(0).indices == frozenset({0, 1})
+    with pytest.raises(ValueError):
+        glued.locate(1, 2)
+    with pytest.raises(ValueError):
+        glued.locate(2, 0)
+    with pytest.raises(ValueError):
+        glued.part(2)

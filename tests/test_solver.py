@@ -185,3 +185,15 @@ def test_nodes_explored_deterministic(gap_pair):
     second = gh_exact(x, y)
     assert first.nodes_explored == second.nodes_explored
     assert first.witness == second.witness
+
+
+def test_lex_min_witness_below_the_optimum_raises_typed_error():
+    # every correspondence of {0,1} at distance 1 with {0,1} at distance 3
+    # has distortion 2, so a budget of 1 admits none; pytest.raises keeps the
+    # check alive under python -O
+    from ghkit.errors import InvariantBroken
+    from ghkit.solver import _lex_min_witness
+
+    dx, dy = ((0, 1), (1, 0)), ((0, 3), (3, 0))
+    with pytest.raises(InvariantBroken):
+        _lex_min_witness(2, 2, dx, dy, 1)
