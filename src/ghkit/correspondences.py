@@ -112,11 +112,9 @@ def cell_gap_table(n: int, m: int, dx: IntRows, dy: IntRows) -> list[int]:
     |dx[i][k] - dy[j][l]| for c = (i, j), c' = (k, l).
     """
     table: list[int] = []
-    for i in range(n):
-        row_x = dx[i]
-        for j in range(m):
-            row_y = dy[j]
-            table.extend(abs(row_x[k] - row_y[l]) for k in range(n) for l in range(m))
+    for row_x in dx:
+        for row_y in dy:
+            table.extend([abs(a - b) for a in row_x for b in row_y])
     return table
 
 
@@ -165,7 +163,7 @@ def min_distortion_by_enumeration(
 ) -> tuple[Fraction, Correspondence]:
     """Exact minimum distortion over ALL correspondences, by full sweep.
 
-    Independent oracle for the branch-and-bound solver: visits every
+    Independent oracle for the threshold-search solver: visits every
     both-ways surjective relation and tracks the minimum (first minimizer in
     mask order wins ties). Same n*m <= max_cells guard as the enumerators.
     """

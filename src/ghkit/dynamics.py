@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .correspondences import Correspondence, distortion
-from .errors import BrokenLink, ThreadCapExceeded
+from .errors import BrokenLink, SizeLimitExceeded, ThreadCapExceeded
 from .hedgehogs import HedgehogSpec, hedgehog_isometric
-from .solver import DEFAULT_SIZE_CAP, gh_exact
+from .solver import DEFAULT_SIZE_CAP, are_isometric, gh_exact
 from .spaces import PSEUDO, STRICT, FiniteMetricSpace, as_fraction, scale
 
 THREAD_CAP = 10**6
@@ -342,9 +342,9 @@ def stabilizer_finite(
 
     Only ratios of realized positive values can permute a finite set, so the
     candidates are those ratios plus the sampled factors.  Hedgehogs are
-    decided by needle-multiset equality, general spaces by an exact solver
-    run.  For any finite space of positive diameter the answer is {1}; a
-    one-point space accepts every factor.
+    decided by needle-multiset equality, general strict spaces of at most
+    `cap` points by an isometry search.  For any finite space of positive
+    diameter the answer is {1}; a one-point space accepts every factor.
     """
     sampled_factors = tuple(as_fraction(x) for x in sampled)
 
@@ -355,10 +355,14 @@ def stabilizer_finite(
             return hedgehog_isometric(obj.scaled(lam), obj)
 
     else:
+        if obj.mode != STRICT:
+            raise ValueError("stabilizer_finite requires a strict space")
+        if len(obj) > cap:
+            raise SizeLimitExceeded(f"{len(obj)} points exceed cap {cap}")
         values = sorted({x for row in obj.dist for x in row if x > 0})
 
         def accepts(lam: Fraction) -> bool:
-            return gh_exact(scale(obj, lam), obj, cap=cap).value == 0
+            return are_isometric(scale(obj, lam), obj)
 
     ratios = {b / a for a in values for b in values}
     candidates = sorted(ratios | set(sampled_factors) | {Fraction(1)})

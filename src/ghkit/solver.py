@@ -1,19 +1,26 @@
 """Exact Gromov-Hausdorff distance between finite strict metric spaces.
 
-d_GH(X, Y) = (1/2) min over correspondences R of dis R.  The minimum is
-searched over pairs of total maps (f: X -> Y, g: Y -> X) with
-R = graph(f) u graph(g)^-1: every correspondence contains such a
-sub-correspondence of no larger distortion, and every such union is itself a
-correspondence, so the minimum is preserved while the search space shrinks
-from 2^(nm) to m^n * n^m.  Branch-and-bound assigns images for points in
-decreasing-eccentricity order and prunes any partial assignment whose
-distortion already reaches the incumbent.
+d_GH(X, Y) = (1/2) min over correspondences R of dis R, and dis R is always
+one of the gaps |d_X(x, x') - d_Y(y, y')|.  One decision procedure,
+`_extend`, answers "is there a correspondence of distortion <= t that
+contains these chosen cells and otherwise uses only these allowed cells?"
+on Python-int bitsets over the n*m cells (i, j).  `gh_exact` asks it at the
+smallest gap at or above the diameter-gap lower bound first (the bound is
+tight on scaled copies), then binary-searches the larger gaps; the largest
+is the full correspondence's distortion, so it is never asked.  The
+lexicographically smallest optimal witness comes from the same procedure,
+asked once per cell in index order.  Isometries have their own exact
+backtracking search.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import or_
+from typing import Iterator
 
 from .correspondences import (
     Correspondence,
@@ -53,7 +60,9 @@ def gh_exact(
 
     The witness is the lexicographically smallest pair set among all
     correspondences attaining the minimum distortion, so repeated runs (and
-    snapshot tests) see one canonical answer.
+    snapshot tests) see one canonical answer.  `nodes_explored` counts the
+    branches of the feasibility search over every threshold probe and the
+    witness scan.
     """
     if x.mode != STRICT or y.mode != STRICT:
         raise ValueError("gh_exact requires strict spaces")
@@ -62,153 +71,136 @@ def gh_exact(
         raise SizeLimitExceeded(f"sizes {n}x{m} exceed cap {cap}")
 
     denom, dx, dy = scaled_integer_matrices(x, y)
-    lb_int = abs(max(max(r) for r in dx) - max(max(r) for r in dy))
-
-    best, nodes = _search_min_distortion(n, m, dx, dy, lb_int)
-    witness_pairs = _lex_min_witness(n, m, dx, dy, best)
-    witness = Correspondence(x, y, witness_pairs)
+    lb_int = abs(max(map(max, dx)) - max(map(max, dy)))
+    gaps = cell_gap_table(n, m, dx, dy)
+    table = _threshold_masks(gaps, n * m)
+    lines = _line_masks(n, m)
+    everything = (1 << (n * m)) - 1
+    tally = [0]
+    levels = sorted(gap for gap in set(gaps) if gap >= lb_int)
+    lo, hi = 0, len(levels) - 1  # levels[hi] is always feasible
+    probe = lo  # the bound first
+    while lo < hi:
+        compat = _compat(table, levels[probe])
+        if _extend(compat, lines, 0, everything, tally):
+            hi = probe
+        else:
+            lo = probe + 1
+        probe = (lo + hi) // 2
+    best = levels[hi]
+    witness_pairs = _lex_min_cells(_compat(table, best), lines, m, tally)
     return GHResult(
         value=Fraction(best, 2 * denom),
-        witness=witness,
+        witness=Correspondence(x, y, witness_pairs),
         lower_bound=Fraction(lb_int, 2 * denom),
-        nodes_explored=nodes,
+        nodes_explored=tally[0],
     )
 
 
-def _search_min_distortion(
-    n: int, m: int, dx: IntRows, dy: IntRows, lb: int
-) -> tuple[int, int]:
-    """Branch-and-bound over (f, g) assignment pairs; returns (min dis, nodes)."""
-    order_x = sorted(range(n), key=lambda i: (-max(dx[i]), i))
-    order_y = sorted(range(m), key=lambda j: (-max(dy[j]), j))
-    slots = [(0, p) for p in order_x] + [(1, p) for p in order_y]
-    total = len(slots)
+def _line_masks(n: int, m: int) -> list[int]:
+    """Cell masks of the rows, then of the columns; cell c = i*m + j is bit c."""
+    row = (1 << m) - 1
+    column = sum(1 << (i * m) for i in range(n))
+    return [row << (i * m) for i in range(n)] + [column << j for j in range(m)]
 
-    assigned: list[tuple[int, int]] = []  # (x index, y index)
-    best = None
-    nodes = 0
 
-    def search(slot: int, current: int) -> None:
-        nonlocal best, nodes
-        if best is not None and best <= lb:
-            return
-        if slot == total:
-            best = current  # pruning guarantees current < best here
-            return
-        side, p = slots[slot]
-        choices = range(m) if side == 0 else range(n)
-        ranked = []
-        for q in choices:
-            pair = (p, q) if side == 0 else (q, p)
-            worst = current
-            for a, b in assigned:
-                gap = dx[pair[0]][a] - dy[pair[1]][b]
-                if gap < 0:
-                    gap = -gap
-                if gap > worst:
-                    worst = gap
-            if best is None or worst < best:
-                ranked.append((worst, q, pair))
-        ranked.sort()
-        for worst, _, pair in ranked:
-            if best is not None and worst >= best:
-                break
-            nodes += 1
-            assigned.append(pair)
-            search(slot + 1, worst)
-            assigned.pop()
-            if best is not None and best <= lb:
-                return
+def _threshold_masks(gaps: list[int], nm: int) -> list[tuple[list[int], list[int]]]:
+    """Per cell: its gaps in ascending order, and the mask of the cells up to each."""
+    bits = [1 << k for k in range(nm)]
+    table = []
+    for base in range(0, nm * nm, nm):
+        row = gaps[base : base + nm]
+        order = sorted(range(nm), key=row.__getitem__)
+        ascending = list(map(row.__getitem__, order))
+        table.append((ascending, list(accumulate(map(bits.__getitem__, order), or_))))
+    return table
 
-    search(0, 0)
-    if best is None:
-        raise InvariantBroken("branch-and-bound reached no full assignment")
-    return best, nodes
+
+def _compat(table: list[tuple[list[int], list[int]]], t: int) -> list[int]:
+    """compat[c] is the mask of the cells whose gap with cell c is <= t.
+
+    Never empty: a cell's gap with itself is 0.
+    """
+    return [masks[bisect_right(ascending, t) - 1] for ascending, masks in table]
+
+
+def _extend(
+    compat: list[int], lines: list[int], chosen: int, avail: int, tally: list[int]
+) -> int:
+    """A correspondence within budget containing `chosen`, else 0.
+
+    The budget is the one `compat` was built for; cells outside `chosen`
+    come from `avail`, which the caller keeps inside the compat masks of the
+    chosen cells.  Branches on the uncovered row or column with the fewest
+    candidates and fails as soon as one has none; a candidate that fails is
+    dropped for its siblings.  Returns the correspondence's cell mask and
+    counts one node per branch in `tally[0]`.
+    """
+    fewest, count = 0, 0
+    for line in lines:
+        if not chosen & line:
+            candidates = avail & line
+            if not candidates:
+                return 0
+            if not fewest or candidates.bit_count() < count:
+                fewest, count = candidates, candidates.bit_count()
+    if not fewest:
+        return chosen
+    while fewest:
+        bit = fewest & -fewest
+        fewest ^= bit
+        tally[0] += 1
+        narrowed = avail & compat[bit.bit_length() - 1]
+        found = _extend(compat, lines, chosen | bit, narrowed, tally)
+        if found:
+            return found
+        avail ^= bit
+    return 0
 
 
 def _lex_min_witness(
     n: int, m: int, dx: IntRows, dy: IntRows, target: int
 ) -> frozenset[tuple[int, int]]:
-    """Lexicographically smallest correspondence with distortion <= target.
+    """Lexicographically smallest correspondence with distortion <= target."""
+    table = _threshold_masks(cell_gap_table(n, m, dx, dy), n * m)
+    compat = _compat(table, target)
+    return _lex_min_cells(compat, _line_masks(n, m), m, [0])
+
+
+def _lex_min_cells(
+    compat: list[int], lines: list[int], m: int, tally: list[int]
+) -> frozenset[tuple[int, int]]:
+    """Lexicographically smallest correspondence within the budget of `compat`.
 
     Cells are scanned in index order; a cell joins the witness whenever the
     prefix (chosen cells, earlier cells excluded) still extends to a full
-    correspondence within the distortion budget.  Prefix-closed comparison:
-    once the chosen set covers both sides, any extension sorts later, so the
-    scan stops.
+    correspondence.  `found` is the last such extension: it holds the chosen
+    cells and none of the excluded ones, so a cell of it joins with no new
+    search.  Prefix-closed comparison: once the chosen set covers both
+    sides, any extension sorts later, so the scan stops.
     """
-    nm = n * m
-    cells = [(i, j) for i in range(n) for j in range(m)]
-    diff = cell_gap_table(n, m, dx, dy)
-
-    def compatible(cell: int, members: list[int]) -> bool:
-        base = cell * nm
-        return all(diff[base + other] <= target for other in members)
-
-    def covers(members: list[int]) -> bool:
-        rows = {cells[c][0] for c in members}
-        cols = {cells[c][1] for c in members}
-        return len(rows) == n and len(cols) == m
-
-    def feasible(members: list[int], start: int) -> bool:
-        """Can `members` extend to a full correspondence using cells >= start?"""
-        chosen = list(members)
-        available = [
-            c for c in range(start, nm) if compatible(c, chosen)
-        ]
-
-        def extend() -> bool:
-            need_rows = set(range(n)) - {cells[c][0] for c in chosen}
-            need_cols = set(range(m)) - {cells[c][1] for c in chosen}
-            if not need_rows and not need_cols:
-                return True
-            # most-constrained row or column first
-            best_cands: list[int] | None = None
-            for r in sorted(need_rows):
-                cands = [
-                    c
-                    for c in available
-                    if cells[c][0] == r and compatible(c, chosen)
-                ]
-                if best_cands is None or len(cands) < len(best_cands):
-                    best_cands = cands
-                    if not cands:
-                        return False
-            for col in sorted(need_cols):
-                cands = [
-                    c
-                    for c in available
-                    if cells[c][1] == col and compatible(c, chosen)
-                ]
-                if best_cands is None or len(cands) < len(best_cands):
-                    best_cands = cands
-                    if not cands:
-                        return False
-            if best_cands is None:
-                raise InvariantBroken("no uncovered row or column to extend")
-            for c in best_cands:
-                chosen.append(c)
-                if extend():
-                    chosen.pop()
-                    return True
-                chosen.pop()
-            return False
-
-        return extend()
-
-    chosen: list[int] = []
-    for cell in range(nm):
-        if covers(chosen):
-            break
-        if not compatible(cell, chosen):
-            continue
-        if feasible(chosen + [cell], cell + 1):
-            chosen.append(cell)
-    if not covers(chosen):
+    avail = (1 << len(compat)) - 1
+    found = _extend(compat, lines, 0, avail, tally)
+    if not found:
         raise InvariantBroken(
-            f"grid distortion {target} admits no correspondence (solver bug)"
+            "the distortion budget admits no correspondence (solver bug)"
         )
-    return frozenset(cells[c] for c in chosen)
+    chosen = 0
+    for cell, masks in enumerate(compat):
+        if all(chosen & line for line in lines):
+            break
+        bit = 1 << cell
+        if not found & bit:
+            trial = avail & bit and _extend(
+                compat, lines, chosen | bit, avail & masks, tally
+            )
+            if not trial:
+                avail &= ~bit
+                continue
+            found = trial
+        chosen |= bit
+        avail &= masks
+    return frozenset(divmod(c, m) for c in range(len(compat)) if chosen >> c & 1)
 
 
 def isometric_bijections(
@@ -216,62 +208,43 @@ def isometric_bijections(
 ) -> list[tuple[int, ...]]:
     """All distance-preserving bijections X -> Y, as image tuples.
 
-    Exhaustive backtracking with exact mismatch pruning: a partial map is
-    abandoned the moment one pair of distances disagrees, which never skips a
-    genuine isometry.  Empty result means the spaces are not isometric.
+    Empty result means the spaces are not isometric.
     """
-    n = len(x)
-    if n != len(y):
-        return []
-    dx, dy = x.dist, y.dist
-    found: list[tuple[int, ...]] = []
-    image: list[int] = []
-    used = [False] * n
-
-    def place(i: int) -> None:
-        if i == n:
-            found.append(tuple(image))
-            return
-        for j in range(n):
-            if used[j]:
-                continue
-            ok = True
-            for a in range(i):
-                if dx[i][a] != dy[j][image[a]]:
-                    ok = False
-                    break
-            if ok:
-                used[j] = True
-                image.append(j)
-                place(i + 1)
-                image.pop()
-                used[j] = False
-
-    place(0)
-    return found
+    return list(_isometries(x, y))
 
 
 def are_isometric(x: FiniteMetricSpace, y: FiniteMetricSpace) -> bool:
+    return next(_isometries(x, y), None) is not None
+
+
+def _isometries(
+    x: FiniteMetricSpace, y: FiniteMetricSpace
+) -> Iterator[tuple[int, ...]]:
+    """Distance-preserving bijections X -> Y in lexicographic order.
+
+    Depth-first backtracking on the shared integer grid with exact mismatch
+    pruning: a partial map is abandoned the moment one pair of distances
+    disagrees, which never skips a genuine isometry.
+    """
     n = len(x)
     if n != len(y):
-        return False
-    dx, dy = x.dist, y.dist
+        return
+    _, dx, dy = scaled_integer_matrices(x, y)
     image: list[int] = []
-    used = [False] * n
-
-    def place(i: int) -> bool:
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j]:
-                continue
-            if all(dx[i][a] == dy[j][image[a]] for a in range(i)):
-                used[j] = True
+    j = 0  # next image to try for point len(image)
+    while True:
+        if len(image) == n:
+            yield tuple(image)
+        else:
+            row = dx[len(image)]
+            while j < n and (
+                j in image or any(row[a] != dy[j][b] for a, b in enumerate(image))
+            ):
+                j += 1
+            if j < n:
                 image.append(j)
-                if place(i + 1):
-                    return True
-                image.pop()
-                used[j] = False
-        return False
-
-    return place(0)
+                j = 0
+                continue
+        if not image:
+            return
+        j = image.pop() + 1

@@ -9,9 +9,7 @@ module both run this suite.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -505,24 +503,5 @@ def suite_names(selector: str = "all") -> list[str]:
     return names
 
 
-def worker_count() -> int:
-    raw = os.environ.get("GHKIT_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def run_suite(
-    selector: str = "all",
-    seed: int = DEFAULT_SEED,
-    workers: int | None = None,
-) -> SuiteReport:
-    names = suite_names(selector)
-    workers = worker_count() if workers is None else max(1, workers)
-    if workers == 1 or len(names) <= 1:
-        results = [run_check(name, seed) for name in names]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda name: run_check(name, seed), names))
-    return SuiteReport(tuple(results))
+def run_suite(selector: str = "all", seed: int = DEFAULT_SEED) -> SuiteReport:
+    return SuiteReport(tuple(run_check(name, seed) for name in suite_names(selector)))

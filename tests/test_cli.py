@@ -3,6 +3,7 @@ import pytest
 from ghkit import io
 from ghkit.cli import main
 from ghkit.correspondences import Correspondence, identity_correspondence
+from ghkit.generate import random_metric_space, rng_from_seed
 from ghkit.spaces import validate
 
 
@@ -165,6 +166,17 @@ def test_stab_on_space_and_hedgehog(gap_files, tmp_path, capsys):
     rows = capsys.readouterr().out.strip().splitlines()
     assert "1,true,true" in rows
     assert "2,false,false" in rows
+
+
+def test_stab_rejects_pseudo_spaces_and_spaces_above_the_cap(tmp_path, capsys):
+    pseudo = tmp_path / "p.msp"
+    pseudo.write_text("points 3 pseudo\na b c\n0 0 1\n0 0 1\n1 1 0\n")
+    assert main(["stab", str(pseudo)]) == 2
+    big = tmp_path / "big.msp"
+    io.save_space(random_metric_space(rng_from_seed(4), 9), big)
+    assert main(["stab", str(big)]) == 2
+    assert "cap" in capsys.readouterr().err
+    assert main(["stab", str(big), "--cap", "9"]) == 0
 
 
 def test_generate_deterministic(tmp_path):

@@ -13,12 +13,13 @@ from ghkit.dynamics import (
     stabilizer_finite,
     thread_limit,
 )
-from ghkit.errors import ThreadCapExceeded
+from ghkit.errors import SizeLimitExceeded, ThreadCapExceeded
 from ghkit.generate import random_metric_space, rng_from_seed
 from ghkit.hedgehogs import HedgehogSpec
 from ghkit.solver import gh_exact, gh_upper_from
 from ghkit.spaces import (
     PSEUDO,
+    FiniteMetricSpace,
     diameter,
     one_point_space,
     scale,
@@ -219,6 +220,20 @@ def test_stabilizer_of_point_accepts_everything():
     for lam in DEFAULT_SAMPLED_FACTORS:
         assert lam in report.accepted
     assert report.zero_distance_sampled == DEFAULT_SAMPLED_FACTORS
+
+
+def test_stabilizer_rejects_pseudo_spaces_and_spaces_above_the_cap():
+    pseudo = FiniteMetricSpace(
+        ("a", "b", "c"),
+        ((F(0), F(0), F(1)), (F(0), F(0), F(1)), (F(1), F(1), F(0))),
+        PSEUDO,
+    )
+    with pytest.raises(ValueError):
+        stabilizer_finite(pseudo)
+    space = random_metric_space(rng_from_seed(4), 9)
+    with pytest.raises(SizeLimitExceeded):
+        stabilizer_finite(space)
+    assert stabilizer_finite(space, cap=9).accepted == (F(1),)
 
 
 def test_d_lambda_matches_closed_form(base_space):

@@ -20,6 +20,7 @@ from ghkit.solver import (
 )
 from ghkit.spaces import (
     PSEUDO,
+    STRICT,
     FiniteMetricSpace,
     diameter,
     one_point_space,
@@ -197,3 +198,99 @@ def test_lex_min_witness_below_the_optimum_raises_typed_error():
     dx, dy = ((0, 1), (1, 0)), ((0, 3), (3, 0))
     with pytest.raises(InvariantBroken):
         _lex_min_witness(2, 2, dx, dy, 1)
+
+
+def test_solves_and_isometry_searches_leave_no_reference_cycles():
+    import gc
+
+    rng = rng_from_seed(3)
+    x = random_metric_space(rng, 6, label_prefix="x")
+    y = random_metric_space(rng, 6, label_prefix="y")
+    gc.collect()
+    gc.disable()
+    try:
+        gh_exact(x, y)
+        isometric_bijections(x, x)
+        are_isometric(x, y)
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0
+
+
+# 8 to 10 points, past the reach of the n*m <= 20 enumeration oracle
+
+
+def _sup_space(points, denominator, prefix):
+    rows = tuple(
+        tuple(F(max(abs(a - b) for a, b in zip(p, q)), denominator) for q in points)
+        for p in points
+    )
+    return FiniteMetricSpace(
+        tuple(f"{prefix}{i}" for i in range(len(points))), rows, STRICT
+    )
+
+
+def _relabelled(space, order):
+    return FiniteMetricSpace(
+        tuple(space.labels[p] for p in order),
+        tuple(tuple(space.dist[p][q] for q in order) for p in order),
+        space.mode,
+    )
+
+
+def _large_pairs():
+    """Random pairs and near-scaled pairs (5X with one point moved one unit)."""
+    rng = rng_from_seed(2026)
+    pairs = []
+    for n, m in ((8, 10), (9, 9), (10, 8), (10, 10)):
+        x = random_metric_space(rng, n, label_prefix="x")
+        pairs.append((x, random_metric_space(rng, m, label_prefix="y")))
+    for n in (8, 9, 10):
+        points = rng.sample([(a, b) for a in range(12) for b in range(12)], n)
+        moved = [(5 * a, 5 * b) for a, b in points]
+        moved[0] = (moved[0][0] + 1, moved[0][1])
+        pairs.append((_sup_space(points, 3, "x"), _sup_space(moved, 3, "y")))
+    return pairs
+
+
+LARGE_PAIRS = _large_pairs()
+
+
+@pytest.mark.parametrize("x, y", LARGE_PAIRS)
+def test_large_witness_attains_the_value(x, y):
+    result = gh_exact(x, y, cap=10)
+    assert distortion(result.witness) == 2 * result.value
+    assert result.lower_bound <= result.value
+
+
+@pytest.mark.parametrize("x, y", LARGE_PAIRS)
+def test_large_symmetry(x, y):
+    assert gh_exact(x, y, cap=10).value == gh_exact(y, x, cap=10).value
+
+
+@pytest.mark.parametrize("x, y", LARGE_PAIRS)
+def test_large_relabelling_invariance(x, y):
+    import random
+
+    rng = random.Random(len(x) * 100 + len(y))
+    value = gh_exact(x, y, cap=10).value
+    x_order = rng.sample(range(len(x)), len(x))
+    y_order = rng.sample(range(len(y)), len(y))
+    assert gh_exact(_relabelled(x, x_order), y, cap=10).value == value
+    assert gh_exact(x, _relabelled(y, y_order), cap=10).value == value
+
+
+@pytest.mark.parametrize("x, y", LARGE_PAIRS)
+def test_large_scaling_equivariance(x, y):
+    value = gh_exact(x, y, cap=10).value
+    for lam in (F(2), F(1, 3)):
+        assert gh_exact(scale(x, lam), scale(y, lam), cap=10).value == lam * value
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_large_scaled_copy_closed_form(n):
+    x = random_metric_space(rng_from_seed(n), n)
+    for lam in (F(1, 2), F(3, 2), F(5)):
+        value = gh_exact(x, scale(x, lam), cap=10).value
+        assert value == abs(1 - lam) * diameter(x) / 2

@@ -1,6 +1,6 @@
 import pytest
 
-from ghkit.verification import CHECKS, run_check, run_suite, suite_names
+from ghkit.verification import CHECKS, run_check, suite_names
 
 
 def test_suite_names_selection():
@@ -11,16 +11,6 @@ def test_suite_names_selection():
     ]
     with pytest.raises(KeyError):
         suite_names("nope")
-
-
-def test_parallel_run_matches_sequential():
-    selector = "bucket-construction,thread-limits,hedgehog-rigidity"
-    sequential = run_suite(selector, seed=7, workers=1)
-    parallel = run_suite(selector, seed=7, workers=3)
-    strip = lambda report: [
-        (r.name, r.passed, r.witness) for r in report.results
-    ]
-    assert strip(sequential) == strip(parallel)
 
 
 def test_check_results_carry_claims():
