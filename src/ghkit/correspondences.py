@@ -3,6 +3,14 @@
 Distortions are exact `Fraction`s at the API; they are computed on the two
 spaces' cached integer grids rescaled to one shared denominator, which is
 also the form the solver and the enumeration oracle search on.
+
+This module owns the cell encoding both searches share: on an n x m grid,
+the pair (i, j) is cell c = i*m + j and a set of pairs is the int with bit c
+set for each cell.  `line_masks` gives each row's and column's cells,
+`covering_masks` sweeps the cell sets meeting all of them, and
+`decode_cells` turns a mask back into pairs.  The enumeration oracle fills
+a table of every cell set's distortion by a subset recurrence and takes the
+first covering minimizer.
 """
 
 from __future__ import annotations
@@ -125,26 +133,39 @@ def _guard_cells(n: int, m: int, max_cells: int) -> None:
         raise TooLarge(f"{n}x{m} grid has {n * m} cells, guard is {max_cells}")
 
 
+def line_masks(n: int, m: int) -> list[int]:
+    """Cell masks of the rows, then of the columns, of the n x m grid."""
+    row = (1 << m) - 1
+    column = sum(1 << (i * m) for i in range(n))
+    return [row << (i * m) for i in range(n)] + [column << j for j in range(m)]
+
+
+def covering_masks(
+    n: int, m: int, max_cells: int = ENUMERATION_CELL_GUARD
+) -> Iterator[int]:
+    """Cell masks of every both-ways surjective relation, in ascending order.
+
+    Sweeps all 2^(n*m) masks and keeps those meeting every row and column.
+    The n*m <= max_cells guard runs here, before the sweep is iterated.
+    """
+    _guard_cells(n, m, max_cells)
+    lines = line_masks(n, m)
+    return (mask for mask in range(1, 1 << (n * m)) if all(map(mask.__and__, lines)))
+
+
+def decode_cells(mask: int, m: int) -> frozenset[tuple[int, int]]:
+    """The pairs (i, j) whose cells i*m + j are set in `mask`."""
+    return frozenset(divmod(c, m) for c in range(mask.bit_length()) if mask >> c & 1)
+
+
 def enumerate_pair_sets(
     n: int, m: int, max_cells: int = ENUMERATION_CELL_GUARD
 ) -> Iterator[frozenset[tuple[int, int]]]:
     """Yield every both-ways surjective relation on an n x m grid exactly once.
 
-    Bitmask sweep over all 2^(n*m) subsets, filtered by row/column coverage;
-    guarded by n*m <= max_cells.
+    Decodes `covering_masks`, so it is guarded by n*m <= max_cells.
     """
-    _guard_cells(n, m, max_cells)
-    cells = [(i, j) for i in range(n) for j in range(m)]
-    row_masks = [0] * n
-    col_masks = [0] * m
-    for bit, (i, j) in enumerate(cells):
-        row_masks[i] |= 1 << bit
-        col_masks[j] |= 1 << bit
-    for mask in range(1, 1 << (n * m)):
-        if all(mask & rm for rm in row_masks) and all(mask & cm for cm in col_masks):
-            yield frozenset(
-                cells[bit] for bit in range(n * m) if mask & (1 << bit)
-            )
+    return (decode_cells(mask, m) for mask in covering_masks(n, m, max_cells))
 
 
 def enumerate_correspondences(
@@ -152,8 +173,8 @@ def enumerate_correspondences(
     y: FiniteMetricSpace,
     max_cells: int = ENUMERATION_CELL_GUARD,
 ) -> Iterator[Correspondence]:
-    for pairs in enumerate_pair_sets(len(x), len(y), max_cells):
-        yield Correspondence(x, y, pairs)
+    pair_sets = enumerate_pair_sets(len(x), len(y), max_cells)
+    return (Correspondence(x, y, pairs) for pairs in pair_sets)
 
 
 def min_distortion_by_enumeration(
@@ -163,55 +184,27 @@ def min_distortion_by_enumeration(
 ) -> tuple[Fraction, Correspondence]:
     """Exact minimum distortion over ALL correspondences, by full sweep.
 
-    Independent oracle for the threshold-search solver: visits every
-    both-ways surjective relation and tracks the minimum (first minimizer in
-    mask order wins ties). Same n*m <= max_cells guard as the enumerators.
+    Independent oracle for the threshold-search solver.  The distortion of
+    every cell set s, covering or not, follows in increasing order from
+    smaller sets: a pair of cells of s avoids its lowest cell, or avoids its
+    highest, or is those two, so
+
+        dis[s] = max(dis[s ^ lowest], dis[s ^ highest], gap(lowest, highest)).
+
+    The answer is the first minimizer of dis over `covering_masks`, so ties
+    go to the smallest mask.  Same n*m <= max_cells guard as the
+    enumerators, checked before anything is allocated.  The table has one
+    entry per cell set, so at the default guard of 20 cells it is a 2^20-entry
+    list (about 8 MB) and the sweep takes about 2 s.
     """
     n, m = len(x), len(y)
-    _guard_cells(n, m, max_cells)
+    masks = covering_masks(n, m, max_cells)
     denom, dx, dy = scaled_integer_matrices(x, y)
-    cells = [(i, j) for i in range(n) for j in range(m)]
     nm = n * m
-    diff = cell_gap_table(n, m, dx, dy)
-    row_masks = [0] * n
-    col_masks = [0] * m
-    for bit, (i, j) in enumerate(cells):
-        row_masks[i] |= 1 << bit
-        col_masks[j] |= 1 << bit
-
-    full_mask = (1 << nm) - 1
-
-    def relation_distortion(mask: int, cutoff: int) -> int:
-        """Distortion of the relation; returns cutoff as soon as it is reached."""
-        bits = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            bits.append(low.bit_length() - 1)
-            rest ^= low
-        worst = 0
-        for a_idx, a in enumerate(bits):
-            base = a * nm
-            for b_idx in range(a_idx, len(bits)):
-                gap = diff[base + bits[b_idx]]
-                if gap > worst:
-                    worst = gap
-                    if worst >= cutoff:
-                        return cutoff
-        return worst
-
-    best = relation_distortion(full_mask, 1 << 62)
-    best_mask = full_mask
-    for mask in range(1, full_mask):
-        if not all(mask & rm for rm in row_masks):
-            continue
-        if not all(mask & cm for cm in col_masks):
-            continue
-        dis = relation_distortion(mask, best)
-        if dis < best:
-            best = dis
-            best_mask = mask
-    witness = frozenset(
-        cells[bit] for bit in range(nm) if best_mask & (1 << bit)
-    )
-    return Fraction(best, denom), Correspondence(x, y, witness)
+    gaps = cell_gap_table(n, m, dx, dy)
+    dis = [0] * (1 << nm)
+    for s in range(1, 1 << nm):
+        low, high = (s & -s).bit_length() - 1, s.bit_length() - 1
+        dis[s] = max(dis[s ^ (1 << low)], dis[s ^ (1 << high)], gaps[low * nm + high])
+    best = min(masks, key=dis.__getitem__)
+    return Fraction(dis[best], denom), Correspondence(x, y, decode_cells(best, m))

@@ -190,23 +190,39 @@ def load_gluing_tree(path: str | Path) -> GluingTree:
     path = Path(path)
     base = path.parent
     vertices: dict[int, FiniteMetricSpace] = {}
-    raw_edges: list[tuple[int, int, str]] = []
+    raw_edges: list[tuple[int, int, int, str]] = []
     for lineno, line in _content_lines(path.read_text()):
         tokens = line.split()
         if tokens[0] == "vertex" and len(tokens) == 3:
-            vertices[int(tokens[1])] = load_space(base / tokens[2])
+            (vertex,) = _vertex_ids(path, lineno, tokens[1:2])
+            if vertex in vertices:
+                raise ParseError(path, lineno, f"vertex {vertex} is defined twice")
+            vertices[vertex] = load_space(base / tokens[2])
         elif tokens[0] == "edge" and len(tokens) == 4:
-            raw_edges.append((int(tokens[1]), int(tokens[2]), tokens[3]))
+            u, v = _vertex_ids(path, lineno, tokens[1:3])
+            raw_edges.append((lineno, u, v, tokens[3]))
         else:
             raise ParseError(path, lineno, "expected vertex/edge line")
     if sorted(vertices) != list(range(len(vertices))):
         raise ParseError(path, 1, "vertex ids must be 0..n-1")
+    for lineno, u, v, _ in raw_edges:
+        if u not in vertices or v not in vertices:
+            raise ParseError(path, lineno, f"edge ({u}, {v}) names an undefined vertex")
     ordered = tuple(vertices[i] for i in range(len(vertices)))
     edges = tuple(
         (u, v, load_correspondence(base / rel_path, ordered[u], ordered[v]))
-        for u, v, rel_path in raw_edges
+        for _, u, v, rel_path in raw_edges
     )
     return GluingTree(ordered, edges)
+
+
+def _vertex_ids(path: Path, lineno: int, tokens: list[str]) -> list[int]:
+    try:
+        return [int(token) for token in tokens]
+    except ValueError:
+        raise ParseError(
+            path, lineno, f"vertex ids must be integers, got {' '.join(tokens)}"
+        ) from None
 
 
 def load_chain(path: str | Path) -> ThreadChain:

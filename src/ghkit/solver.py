@@ -24,9 +24,10 @@ from typing import Iterator
 
 from .correspondences import (
     Correspondence,
-    IntRows,
     cell_gap_table,
+    decode_cells,
     distortion,
+    line_masks,
     scaled_integer_matrices,
 )
 from .errors import InvariantBroken, SizeLimitExceeded
@@ -74,7 +75,7 @@ def gh_exact(
     lb_int = abs(max(map(max, dx)) - max(map(max, dy)))
     gaps = cell_gap_table(n, m, dx, dy)
     table = _threshold_masks(gaps, n * m)
-    lines = _line_masks(n, m)
+    lines = line_masks(n, m)
     everything = (1 << (n * m)) - 1
     tally = [0]
     levels = sorted(gap for gap in set(gaps) if gap >= lb_int)
@@ -95,13 +96,6 @@ def gh_exact(
         lower_bound=Fraction(lb_int, 2 * denom),
         nodes_explored=tally[0],
     )
-
-
-def _line_masks(n: int, m: int) -> list[int]:
-    """Cell masks of the rows, then of the columns; cell c = i*m + j is bit c."""
-    row = (1 << m) - 1
-    column = sum(1 << (i * m) for i in range(n))
-    return [row << (i * m) for i in range(n)] + [column << j for j in range(m)]
 
 
 def _threshold_masks(gaps: list[int], nm: int) -> list[tuple[list[int], list[int]]]:
@@ -158,15 +152,6 @@ def _extend(
     return 0
 
 
-def _lex_min_witness(
-    n: int, m: int, dx: IntRows, dy: IntRows, target: int
-) -> frozenset[tuple[int, int]]:
-    """Lexicographically smallest correspondence with distortion <= target."""
-    table = _threshold_masks(cell_gap_table(n, m, dx, dy), n * m)
-    compat = _compat(table, target)
-    return _lex_min_cells(compat, _line_masks(n, m), m, [0])
-
-
 def _lex_min_cells(
     compat: list[int], lines: list[int], m: int, tally: list[int]
 ) -> frozenset[tuple[int, int]]:
@@ -200,7 +185,7 @@ def _lex_min_cells(
             found = trial
         chosen |= bit
         avail &= masks
-    return frozenset(divmod(c, m) for c in range(len(compat)) if chosen >> c & 1)
+    return decode_cells(chosen, m)
 
 
 def isometric_bijections(

@@ -13,6 +13,7 @@ from ghkit.correspondences import (
     min_distortion_by_enumeration,
 )
 from ghkit.errors import TooLarge
+from ghkit.generate import random_metric_space, rng_from_seed
 from ghkit.spaces import diameter, validate
 
 
@@ -103,3 +104,28 @@ def test_min_distortion_by_enumeration_matches_sweep(gap_pair):
     value, witness = min_distortion_by_enumeration(x, y)
     assert value == F(2)
     assert distortion(witness) == value
+
+
+# every size pair up to 3x4 and 4x3, then a few 4x4 draws
+ORACLE_SIZES = [(n, m) for n in range(1, 5) for m in range(1, 5) if n * m <= 12]
+
+
+@pytest.mark.parametrize(
+    "n,m,seed", [(n, m, 0) for n, m in ORACLE_SIZES] + [(4, 4, s) for s in (1, 2)]
+)
+def test_oracle_returns_the_first_minimizer_in_enumeration_order(n, m, seed):
+    # integer coordinates up to 3 make tied distortions common, so this pins
+    # the tie-break as well as the value
+    rng = rng_from_seed(100 * n + 10 * m + seed)
+    for _ in range(3 if n * m <= 12 else 1):
+        x = random_metric_space(rng, n, denominator=1, coord_max=3)
+        y = random_metric_space(rng, m, denominator=1, coord_max=3)
+        first = min(enumerate_correspondences(x, y), key=distortion)
+        assert min_distortion_by_enumeration(x, y) == (distortion(first), first)
+
+
+@pytest.mark.parametrize("size", [5, 8])
+def test_oracle_guard_runs_before_the_table_is_allocated(size):
+    x = random_metric_space(rng_from_seed(size), size)
+    with pytest.raises(TooLarge, match="guard is 20"):
+        min_distortion_by_enumeration(x, x)

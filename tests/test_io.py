@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from ghkit import io
+from ghkit.cli import main
 from ghkit.correspondences import Correspondence, identity_correspondence
 from ghkit.errors import MetricValidationError
 from ghkit.generate import random_correspondence, random_metric_space, rng_from_seed
@@ -110,6 +112,46 @@ def test_gluing_tree_loader(tmp_path):
     tree = io.load_gluing_tree(tmp_path / "t.tree")
     assert tree.vertices == (x, y)
     assert tree.edges[0][2] == rel
+
+
+@pytest.fixture
+def tree_files(tmp_path):
+    x = validate([[0, 1], [1, 0]])
+    y = validate([[0, 3], [3, 0]])
+    io.save_space(x, tmp_path / "a.msp")
+    io.save_space(y, tmp_path / "b.msp")
+    rel = Correspondence(x, y, frozenset({(0, 0), (1, 1)}))
+    io.save_correspondence(rel, tmp_path / "r.corr")
+    return tmp_path / "t.tree"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (
+            "vertex 0 a.msp\nvertex 0 b.msp\nvertex 1 b.msp\nedge 0 1 r.corr\n",
+            "t.tree:2: vertex 0 is defined twice",
+        ),
+        (
+            "vertex 0 a.msp\nvertex one b.msp\nedge 0 1 r.corr\n",
+            "t.tree:2: vertex ids must be integers, got one",
+        ),
+        (
+            "vertex 0 a.msp\nvertex 1 b.msp\n# a comment\nedge 0 1.5 r.corr\n",
+            "t.tree:4: vertex ids must be integers, got 0 1.5",
+        ),
+        (
+            "vertex 0 a.msp\nvertex 1 b.msp\nedge 0 5 r.corr\n",
+            "t.tree:3: edge (0, 5) names an undefined vertex",
+        ),
+    ],
+)
+def test_gluing_tree_id_errors_name_the_line(tree_files, capsys, text, message):
+    tree_files.write_text(text)
+    with pytest.raises(io.ParseError, match=re.escape(message)):
+        io.load_gluing_tree(tree_files)
+    assert main(["glue", "--tree", str(tree_files)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_chain_loader(tmp_path):

@@ -192,12 +192,14 @@ def test_lex_min_witness_below_the_optimum_raises_typed_error():
     # every correspondence of {0,1} at distance 1 with {0,1} at distance 3
     # has distortion 2, so a budget of 1 admits none; pytest.raises keeps the
     # check alive under python -O
+    from ghkit.correspondences import cell_gap_table, line_masks
     from ghkit.errors import InvariantBroken
-    from ghkit.solver import _lex_min_witness
+    from ghkit.solver import _compat, _lex_min_cells, _threshold_masks
 
     dx, dy = ((0, 1), (1, 0)), ((0, 3), (3, 0))
+    compat = _compat(_threshold_masks(cell_gap_table(2, 2, dx, dy), 4), 1)
     with pytest.raises(InvariantBroken):
-        _lex_min_witness(2, 2, dx, dy, 1)
+        _lex_min_cells(compat, line_masks(2, 2), 2, [0])
 
 
 def test_solves_and_isometry_searches_leave_no_reference_cycles():
