@@ -395,16 +395,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (io.ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except MetricValidationError as exc:
         print(f"error: input space is not a valid metric: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except GhkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as exc:
+    except (GhkitError, ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -48,9 +48,6 @@ class Correspondence:
         if {j for _, j in self.pairs} != set(range(m)):
             raise ValueError("not surjective onto the right space")
 
-    def image(self, i: int) -> frozenset[int]:
-        return frozenset(j for a, j in self.pairs if a == i)
-
     def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.pairs))
 
@@ -126,11 +123,13 @@ def cell_gap_table(n: int, m: int, dx: IntRows, dy: IntRows) -> list[int]:
     return table
 
 
-def _guard_cells(n: int, m: int, max_cells: int) -> None:
+def _guard_cells(n: int, m: int) -> None:
     if n < 1 or m < 1:
         raise ValueError("sizes must be positive")
-    if n * m > max_cells:
-        raise TooLarge(f"{n}x{m} grid has {n * m} cells, guard is {max_cells}")
+    if n * m > ENUMERATION_CELL_GUARD:
+        raise TooLarge(
+            f"{n}x{m} grid has {n * m} cells, guard is {ENUMERATION_CELL_GUARD}"
+        )
 
 
 def line_masks(n: int, m: int) -> list[int]:
@@ -140,15 +139,14 @@ def line_masks(n: int, m: int) -> list[int]:
     return [row << (i * m) for i in range(n)] + [column << j for j in range(m)]
 
 
-def covering_masks(
-    n: int, m: int, max_cells: int = ENUMERATION_CELL_GUARD
-) -> Iterator[int]:
+def covering_masks(n: int, m: int) -> Iterator[int]:
     """Cell masks of every both-ways surjective relation, in ascending order.
 
     Sweeps all 2^(n*m) masks and keeps those meeting every row and column.
-    The n*m <= max_cells guard runs here, before the sweep is iterated.
+    The n*m <= ENUMERATION_CELL_GUARD check runs here, before the sweep is
+    iterated.
     """
-    _guard_cells(n, m, max_cells)
+    _guard_cells(n, m)
     lines = line_masks(n, m)
     return (mask for mask in range(1, 1 << (n * m)) if all(map(mask.__and__, lines)))
 
@@ -158,29 +156,23 @@ def decode_cells(mask: int, m: int) -> frozenset[tuple[int, int]]:
     return frozenset(divmod(c, m) for c in range(mask.bit_length()) if mask >> c & 1)
 
 
-def enumerate_pair_sets(
-    n: int, m: int, max_cells: int = ENUMERATION_CELL_GUARD
-) -> Iterator[frozenset[tuple[int, int]]]:
+def enumerate_pair_sets(n: int, m: int) -> Iterator[frozenset[tuple[int, int]]]:
     """Yield every both-ways surjective relation on an n x m grid exactly once.
 
-    Decodes `covering_masks`, so it is guarded by n*m <= max_cells.
+    Decodes `covering_masks`, so it is guarded by n*m <= ENUMERATION_CELL_GUARD.
     """
-    return (decode_cells(mask, m) for mask in covering_masks(n, m, max_cells))
+    return (decode_cells(mask, m) for mask in covering_masks(n, m))
 
 
 def enumerate_correspondences(
-    x: FiniteMetricSpace,
-    y: FiniteMetricSpace,
-    max_cells: int = ENUMERATION_CELL_GUARD,
+    x: FiniteMetricSpace, y: FiniteMetricSpace
 ) -> Iterator[Correspondence]:
-    pair_sets = enumerate_pair_sets(len(x), len(y), max_cells)
+    pair_sets = enumerate_pair_sets(len(x), len(y))
     return (Correspondence(x, y, pairs) for pairs in pair_sets)
 
 
 def min_distortion_by_enumeration(
-    x: FiniteMetricSpace,
-    y: FiniteMetricSpace,
-    max_cells: int = ENUMERATION_CELL_GUARD,
+    x: FiniteMetricSpace, y: FiniteMetricSpace
 ) -> tuple[Fraction, Correspondence]:
     """Exact minimum distortion over ALL correspondences, by full sweep.
 
@@ -192,13 +184,13 @@ def min_distortion_by_enumeration(
         dis[s] = max(dis[s ^ lowest], dis[s ^ highest], gap(lowest, highest)).
 
     The answer is the first minimizer of dis over `covering_masks`, so ties
-    go to the smallest mask.  Same n*m <= max_cells guard as the
-    enumerators, checked before anything is allocated.  The table has one
-    entry per cell set, so at the default guard of 20 cells it is a 2^20-entry
-    list (about 8 MB) and the sweep takes about 2 s.
+    go to the smallest mask.  Same n*m <= ENUMERATION_CELL_GUARD check as
+    the enumerators, run before anything is allocated.  The table has one
+    entry per cell set, so at the guard of 20 cells it is a 2^20-entry list
+    (about 8 MB) and the sweep takes about 2 s.
     """
     n, m = len(x), len(y)
-    masks = covering_masks(n, m, max_cells)
+    masks = covering_masks(n, m)
     denom, dx, dy = scaled_integer_matrices(x, y)
     nm = n * m
     gaps = cell_gap_table(n, m, dx, dy)

@@ -20,11 +20,12 @@ from typing import Iterator, Sequence
 
 from .correspondences import Correspondence, distortion
 from .errors import BrokenLink, SizeLimitExceeded, ThreadCapExceeded
-from .hedgehogs import HedgehogSpec, hedgehog_isometric
+from .hedgehogs import HedgehogSpec, hedgehog_scale_isometry_check
 from .solver import DEFAULT_SIZE_CAP, are_isometric, gh_exact
 from .spaces import PSEUDO, STRICT, FiniteMetricSpace, as_fraction, scale
 
 THREAD_CAP = 10**6
+THREAD_SPACE_CAP = 2000  # threads `thread_space` will lay out as a matrix
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,11 @@ class ThreadLimitResult:
         space = self.chain.spaces[layer - 1]
         return space.dist[self.threads[t1][layer - 1]][self.threads[t2][layer - 1]]
 
-    def thread_space(self, cap: int = 2000) -> FiniteMetricSpace:
+    def thread_space(self) -> FiniteMetricSpace:
         """The pre-quotient pseudometric space of all threads (small chains only)."""
         count = len(self.threads)
-        if count > cap:
-            raise ThreadCapExceeded(count, cap)
+        if count > THREAD_SPACE_CAP:
+            raise ThreadCapExceeded(count, THREAD_SPACE_CAP)
         last = self.chain.spaces[-1]
         labels = tuple(
             "|".join(
@@ -103,7 +104,7 @@ def _zero_classes(space: FiniteMetricSpace) -> tuple[list[int], list[int]]:
     return reps, assignment
 
 
-def thread_limit(chain: ThreadChain, cap: int = THREAD_CAP) -> ThreadLimitResult:
+def thread_limit(chain: ThreadChain) -> ThreadLimitResult:
     """Enumerate threads, quotient by zero distance, certify every layer."""
     spaces = chain.spaces
     links = chain.links
@@ -128,8 +129,8 @@ def thread_limit(chain: ThreadChain, cap: int = THREAD_CAP) -> ThreadLimitResult
                 nxt[j] += counts[i]
         counts = nxt
     total = sum(counts)
-    if total > cap:
-        raise ThreadCapExceeded(total, cap)
+    if total > THREAD_CAP:
+        raise ThreadCapExceeded(total, THREAD_CAP)
 
     # depth-first in lexicographic order, without recursion: stack[n] walks
     # the choices at layer n + 1 after path[:n], and the last layer is
@@ -255,10 +256,7 @@ class GeometricBoundReport:
 
 
 def geometric_bound_check(
-    space: FiniteMetricSpace,
-    lam: int | Fraction,
-    nmax: int,
-    cap: int = DEFAULT_SIZE_CAP,
+    space: FiniteMetricSpace, lam: int | Fraction, nmax: int
 ) -> GeometricBoundReport:
     """Check d(lam^n) <= (1 - lam^n)/(1 - lam) * d(lam) < d(lam)/(1 - lam) exactly."""
     lam = as_fraction(lam)
@@ -266,12 +264,12 @@ def geometric_bound_check(
         raise ValueError("lambda must lie strictly between 0 and 1")
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    base = d_lambda(space, lam, cap=cap)
+    values = [d_lambda(space, lam**n) for n in range(1, nmax + 1)]
+    base = values[0]  # d(lam) is row n = 1
     strict_cap = base / (1 - lam)
     rows = []
-    for n in range(1, nmax + 1):
+    for n, lhs in enumerate(values, start=1):
         power = lam**n
-        lhs = d_lambda(space, power, cap=cap)
         bound = (1 - power) / (1 - lam) * base
         rows.append(
             GeometricBoundRow(
@@ -352,7 +350,7 @@ def stabilizer_finite(
         values = sorted({length for length, _ in obj.needles})
 
         def accepts(lam: Fraction) -> bool:
-            return hedgehog_isometric(obj.scaled(lam), obj)
+            return hedgehog_scale_isometry_check(obj, lam)
 
     else:
         if obj.mode != STRICT:
@@ -367,7 +365,7 @@ def stabilizer_finite(
     ratios = {b / a for a in values for b in values}
     candidates = sorted(ratios | set(sampled_factors) | {Fraction(1)})
     accepted = tuple(lam for lam in candidates if accepts(lam))
-    zero_sampled = tuple(lam for lam in sampled_factors if accepts(lam))
+    zero_sampled = tuple(lam for lam in sampled_factors if lam in accepted)
     note = (
         "zero-distance stabilizer is {1} for positive diameter, everything "
         "for a one-point space; every factor keeps a finite space at finite distance"

@@ -28,18 +28,24 @@ def random_metric_space(
     n: int,
     denominator: int = 6,
     coord_max: int = 60,
-    dims: int = 3,
     distinct_distances: bool = False,
     label_prefix: str = "p",
 ) -> FiniteMetricSpace:
-    """n points in a rational box under the sup metric; strict by construction."""
+    """n distinct points of the box {0..coord_max}^3 scaled by 1/denominator,
+    under the sup metric; strict by construction."""
     if n < 1:
         raise ValueError("need at least one point")
+    if coord_max < 0 or denominator < 1:
+        raise ValueError("need coord_max >= 0 and denominator >= 1")
+    if n > (coord_max + 1) ** 3:
+        raise ValueError(f"the box holds only {(coord_max + 1) ** 3} points")
+    if distinct_distances and n * (n - 1) // 2 > coord_max:
+        raise ValueError(f"only {coord_max} distinct distances are possible")
     for _ in range(1000):
         points = []
         seen = set()
         while len(points) < n:
-            candidate = tuple(rng.randrange(coord_max + 1) for _ in range(dims))
+            candidate = tuple(rng.randrange(coord_max + 1) for _ in range(3))
             if candidate in seen:
                 continue
             seen.add(candidate)
@@ -59,41 +65,36 @@ def random_metric_space(
         return FiniteMetricSpace(
             labels, tuple(tuple(row) for row in rows), STRICT
         )
-    raise RuntimeError("could not sample a space with the requested properties")
+    raise ValueError("could not sample a space with the requested properties")
 
 
 def random_correspondence(
     rng: random.Random,
     x: FiniteMetricSpace,
     y: FiniteMetricSpace,
-    extra_prob: float = 0.25,
-    require_positive_distortion: bool = True,
 ) -> Correspondence:
-    """Random covering relation: a map each way plus sprinkled extra pairs."""
+    """Random covering relation of positive distortion: a map each way plus
+    each other pair with probability 1/4."""
     n, m = len(x), len(y)
     for _ in range(1000):
         pairs = {(i, rng.randrange(m)) for i in range(n)}
         pairs.update((rng.randrange(n), j) for j in range(m))
         for i in range(n):
             for j in range(m):
-                if rng.random() < extra_prob:
+                if rng.random() < 0.25:
                     pairs.add((i, j))
         rel = Correspondence(x, y, frozenset(pairs))
-        if not require_positive_distortion or distortion(rel) > 0:
+        if distortion(rel) > 0:
             return rel
-    raise RuntimeError("could not sample a correspondence with positive distortion")
+    raise ValueError("could not sample a correspondence with positive distortion")
 
 
-def random_gluing_tree(
-    rng: random.Random,
-    n_vertices: int,
-    space_size: int = 3,
-) -> GluingTree:
-    """Random tree shape with random spaces and random edge correspondences."""
+def random_gluing_tree(rng: random.Random, n_vertices: int) -> GluingTree:
+    """Random tree shape with random 3-point spaces and edge correspondences."""
     if n_vertices < 2:
         raise ValueError("need at least two vertices")
     vertices = tuple(
-        random_metric_space(rng, space_size, label_prefix=f"v{i}p")
+        random_metric_space(rng, 3, label_prefix=f"v{i}p")
         for i in range(n_vertices)
     )
     edges = []
@@ -120,18 +121,16 @@ def dense_hedgehog_spec(
     rng: random.Random,
     count: int,
     max_length: int | Fraction,
-    denominator: int = 8,
-    max_multiplicity: int = 2,
 ) -> HedgehogSpec:
-    """Random spec with `count` distinct needle lengths on a rational grid."""
+    """Random spec with `count` distinct needle lengths on the 1/8 grid, each
+    of multiplicity 1 or 2."""
     max_length = as_fraction(max_length)
-    grid_size = int(max_length * denominator)
+    grid_size = int(max_length * 8)
     if count > grid_size:
         raise ValueError("not enough grid points for the requested count")
     numerators = rng.sample(range(1, grid_size + 1), count)
     return HedgehogSpec.from_pairs(
-        (Fraction(num, denominator), rng.randrange(1, max_multiplicity + 1))
-        for num in numerators
+        (Fraction(num, 8), rng.randrange(1, 3)) for num in numerators
     )
 
 
@@ -139,10 +138,10 @@ def perturbed_hedgehog(
     rng: random.Random,
     spec: HedgehogSpec,
     delta: int | Fraction,
-    denominator: int = 64,
 ) -> tuple[HedgehogSpec, Correspondence]:
-    """Nudge every needle by less than delta; return the perturbed spec and
-    the needle-to-needle correspondence (centers matched) on compiled spaces.
+    """Nudge every needle by a multiple of delta/64 smaller than delta;
+    return the perturbed spec and the needle-to-needle correspondence
+    (centers matched) on compiled spaces.
 
     Both compilations list needles ascending and sorted matching minimizes
     the bottleneck gap on a line, so identity index pairing matches every
@@ -157,7 +156,7 @@ def perturbed_hedgehog(
     for _ in range(1000):
         moved = []
         for x in lengths:
-            step = Fraction(rng.randrange(-denominator + 1, denominator), denominator)
+            step = Fraction(rng.randrange(-63, 64), 64)
             shift = step * delta
             if x + shift <= 0:
                 shift = -shift
@@ -168,4 +167,4 @@ def perturbed_hedgehog(
         rel = Correspondence(compiled, compiled_other, pairs)
         if distortion(rel) > 0:
             return other, rel
-    raise RuntimeError("could not build a positive-distortion perturbation")
+    raise ValueError("could not build a positive-distortion perturbation")

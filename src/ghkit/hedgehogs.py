@@ -64,9 +64,6 @@ class HedgehogSpec:
             length for length, mult in self.needles for _ in range(mult)
         )
 
-    def distinct_length_count(self) -> int:
-        return len(self.needles)
-
     def scaled(self, factor: int | Fraction) -> "HedgehogSpec":
         lam = as_fraction(factor)
         if lam <= 0:

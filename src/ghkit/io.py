@@ -70,6 +70,8 @@ def parse_space(text: str, source: str | Path = "<string>") -> FiniteMetricSpace
         n = int(parts[1])
     except ValueError:
         raise ParseError(source, lineno, f"bad point count {parts[1]!r}") from None
+    if n < 1:
+        raise ParseError(source, lineno, f"point count {n} is below 1")
     mode = parts[2]
     if mode not in (STRICT, PSEUDO):
         raise ParseError(source, lineno, f"unknown mode {mode!r}")

@@ -196,6 +196,25 @@ def test_generate_deterministic(tmp_path):
     io.load_space(out1)  # generated files always validate
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--n", "100", "--coord-max", "1"], "the box holds only 8 points"),
+        (["--n", "3", "--denominator", "0"], "denominator >= 1"),
+        (["--n", "3", "--coord-max", "-1"], "coord_max >= 0"),
+        (
+            ["--n", "30", "--coord-max", "3", "--distinct-distances"],
+            "only 3 distinct distances are possible",
+        ),
+    ],
+)
+def test_generate_rejects_impossible_requests(tmp_path, capsys, flags, message):
+    out = tmp_path / "g.msp"
+    assert main(["generate", "random-metric", *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_grid_hedgehog(tmp_path):
     out = tmp_path / "g.hh"
     assert main(

@@ -5,6 +5,8 @@ import pytest
 from ghkit.correspondences import Correspondence, identity_correspondence
 from ghkit.dynamics import (
     DEFAULT_SAMPLED_FACTORS,
+    THREAD_CAP,
+    THREAD_SPACE_CAP,
     ThreadChain,
     center_iterate,
     d_lambda,
@@ -152,14 +154,26 @@ def test_deep_chain_of_points_has_one_thread():
     assert result.threads == ((0,) * 1500,)
 
 
-def test_thread_cap(base_space):
-    x = base_space
+def full_chain(space, depth):
     full = Correspondence(
-        x, x, frozenset((i, j) for i in range(3) for j in range(3))
+        space, space, frozenset((i, j) for i in range(3) for j in range(3))
     )
-    chain = ThreadChain((x, x, x), (full, full))
-    with pytest.raises(ThreadCapExceeded):
-        thread_limit(chain, cap=10)  # 27 threads
+    return ThreadChain((space,) * depth, (full,) * (depth - 1))
+
+
+def test_thread_cap(base_space):
+    # 3^13 threads: the count refuses the chain before any thread is built
+    with pytest.raises(ThreadCapExceeded) as caught:
+        thread_limit(full_chain(base_space, 13))
+    assert (caught.value.count, caught.value.cap) == (3**13, THREAD_CAP)
+
+
+def test_thread_space_cap(base_space):
+    result = thread_limit(full_chain(base_space, 8))
+    assert len(result.threads) == 3**8
+    with pytest.raises(ThreadCapExceeded) as caught:
+        result.thread_space()
+    assert (caught.value.count, caught.value.cap) == (3**8, THREAD_SPACE_CAP)
 
 
 def test_d_lambda_probe_identities(base_space):
@@ -179,6 +193,24 @@ def test_geometric_bound_is_tight_for_two_points():
     assert row.lhs == F(7, 16)
     assert row.bound == F(7, 16)  # the bound is attained exactly
     assert report.passed
+
+
+def test_geometric_bound_report_matches_direct_solves(base_space):
+    lam, nmax = F(2, 3), 4
+    report = geometric_bound_check(base_space, lam, nmax)
+    d = [
+        gh_exact(base_space, scale(base_space, lam**n)).value
+        for n in range(nmax + 1)
+    ]
+    strict_cap = d[1] / (1 - lam)
+    assert (report.space, report.lam, report.base) == (base_space, lam, d[1])
+    assert len(report.rows) == nmax
+    for n, row in enumerate(report.rows, start=1):
+        bound = (1 - lam**n) / (1 - lam) * d[1]
+        assert (row.n, row.lhs, row.bound) == (n, d[n], bound)
+        assert row.strict_cap == strict_cap
+        assert row.within_bound == (d[n] <= bound)
+        assert row.below_cap == (bound < strict_cap)
 
 
 def test_geometric_bound_argument_validation(base_space):
@@ -234,6 +266,39 @@ def test_stabilizer_rejects_pseudo_spaces_and_spaces_above_the_cap():
     with pytest.raises(SizeLimitExceeded):
         stabilizer_finite(space)
     assert stabilizer_finite(space, cap=9).accepted == (F(1),)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        HedgehogSpec.from_pairs(((1, 2), (F(3, 2), 1), (3, 1))),
+        one_point_space(),
+        validate([[0, 1, F(1, 2)], [1, 0, F(3, 4)], [F(1, 2), F(3, 4), 0]]),
+        validate([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+    ],
+)
+def test_stabilizer_report_matches_direct_decisions(obj):
+    sampled = (F(2), F(1, 2), F(1), F(2, 3), F(2))
+    report = stabilizer_finite(obj, sampled)
+    if isinstance(obj, HedgehogSpec):
+        values = {length for length, _ in obj.needles}
+
+        def isometric(lam):
+            return obj.scaled(lam).needles == obj.needles
+
+    else:
+        values = {x for row in obj.dist for x in row if x > 0}
+
+        def isometric(lam):
+            return gh_exact(scale(obj, lam), obj).value == 0
+
+    candidates = sorted({b / a for a in values for b in values} | set(sampled) | {1})
+    assert report.candidates == tuple(candidates)
+    assert report.accepted == tuple(lam for lam in candidates if isometric(lam))
+    assert report.zero_distance_sampled == tuple(
+        lam for lam in sampled if isometric(lam)
+    )
+    assert report.finite_sampled == sampled
 
 
 def test_d_lambda_matches_closed_form(base_space):

@@ -46,6 +46,12 @@ def test_random_correspondence_covers_and_distorts():
     assert distortion(rel) > 0
 
 
+def test_random_correspondence_gives_up_with_value_error():
+    point = validate([[0]])
+    with pytest.raises(ValueError, match="positive distortion"):
+        random_correspondence(rng_from_seed(6), point, point)
+
+
 def test_random_gluing_tree_glues():
     tree = random_gluing_tree(rng_from_seed(8), 4)
     glued = glue_tree(tree)

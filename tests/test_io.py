@@ -65,6 +65,17 @@ def test_space_parse_errors():
         io.parse_space("points 2 fuzzy\na b\n0 1\n1 0\n")  # unknown mode
 
 
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_point_count_below_one_is_parse_error(tmp_path, capsys, count):
+    path = tmp_path / "s.msp"
+    path.write_text(f"points {count} strict\n")
+    message = f"s.msp:1: point count {count} is below 1"
+    with pytest.raises(io.ParseError, match=re.escape(message)):
+        io.load_space(path)
+    assert main(["validate", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_space_file_violations_surface():
     with pytest.raises(MetricValidationError):
         io.parse_space("points 2 strict\na b\n0 1\n2 0\n")
