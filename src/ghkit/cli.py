@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 when a check fails (verify failures, metric-axiom
 violations, oracle mismatches, refused bucket matchings), 2 on usage or input
-errors.  Rationals are read and written as `p/q` or bare integers everywhere.
+errors, 3 on an internal error (a broken ghkit invariant or any other
+unexpected exception: a defect in ghkit, not in the input).  Rationals are
+read and written as `p/q` or bare integers everywhere.
 """
 
 from __future__ import annotations
@@ -21,7 +23,12 @@ from .dynamics import (
     stabilizer_finite,
     thread_limit,
 )
-from .errors import BucketMismatch, GhkitError, MetricValidationError
+from .errors import (
+    BucketMismatch,
+    GhkitError,
+    InvariantBroken,
+    MetricValidationError,
+)
 from .generate import (
     DEFAULT_SEED,
     dense_hedgehog_spec,
@@ -35,7 +42,7 @@ from .solver import DEFAULT_SIZE_CAP, gh_exact, gh_upper_from
 from .tuzhilin import TuzhilinConfig, tuzhilin_isometry, tuzhilin_spaces
 from .verification import run_suite, suite_names
 
-PASS, CHECK_FAILED, USAGE_ERROR = 0, 1, 2
+PASS, CHECK_FAILED, USAGE_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
 
 def _fraction(token: str) -> Fraction:
@@ -398,9 +405,15 @@ def main(argv: list[str] | None = None) -> int:
     except MetricValidationError as exc:
         print(f"error: input space is not a valid metric: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except InvariantBroken as exc:  # a GhkitError, but a defect, not an input error
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     except (GhkitError, ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:  # KeyboardInterrupt is not an Exception
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

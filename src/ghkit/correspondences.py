@@ -9,8 +9,14 @@ the pair (i, j) is cell c = i*m + j and a set of pairs is the int with bit c
 set for each cell.  `line_masks` gives each row's and column's cells,
 `covering_masks` sweeps the cell sets meeting all of them, and
 `decode_cells` turns a mask back into pairs.  The enumeration oracle fills
-a table of every cell set's distortion by a subset recurrence and takes the
-first covering minimizer.
+a table of every cell set's distortion one highest cell at a time and takes
+the first covering minimizer.
+
+Both exhaustive loops hand the per-mask work to CPython's C code.  The
+table grows in blocks: the 2^h sets whose highest cell is h are the sets
+below them with cell h added, so each block is one list comprehension.  The
+covering sweep ORs one table of line bits over the low half of the cells
+with one over the high half, and keeps the masks whose OR is every line.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, cycle, repeat
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import TooLarge
@@ -142,13 +150,31 @@ def line_masks(n: int, m: int) -> list[int]:
 def covering_masks(n: int, m: int) -> Iterator[int]:
     """Cell masks of every both-ways surjective relation, in ascending order.
 
-    Sweeps all 2^(n*m) masks and keeps those meeting every row and column.
-    The n*m <= ENUMERATION_CELL_GUARD check runs here, before the sweep is
-    iterated.
+    Cell (i, j) has the line bits 1 << i | 1 << (n + j); a mask covers when
+    the OR of its cells' line bits is all n + m lines.  Those ORs come from
+    two tables built by doubling, one over the low half of the cells and one
+    over the high half, so the sweep of all 2^(n*m) masks runs in C: each
+    high entry is repeated once per low entry, the low table is cycled.
+    The n*m <= ENUMERATION_CELL_GUARD check runs here, before anything is
+    allocated.
     """
     _guard_cells(n, m)
-    lines = line_masks(n, m)
-    return (mask for mask in range(1, 1 << (n * m)) if all(map(mask.__and__, lines)))
+    nm = n * m
+    bits = [1 << i | 1 << (n + j) for i in range(n) for j in range(m)]
+    k = nm // 2
+    low, high = _or_table(bits[:k]), _or_table(bits[k:])
+    each_high = chain.from_iterable(map(repeat, high, repeat(len(low))))
+    all_lines = (1 << (n + m)) - 1
+    covered = map(all_lines.__eq__, map(or_, cycle(low), each_high))
+    return compress(range(1 << nm), covered)
+
+
+def _or_table(bits: Sequence[int]) -> list[int]:
+    """The OR of `bits` over every subset, indexed by the subset's mask."""
+    table = [0]
+    for b in bits:
+        table += [t | b for t in table]
+    return table
 
 
 def decode_cells(mask: int, m: int) -> frozenset[tuple[int, int]]:
@@ -177,26 +203,34 @@ def min_distortion_by_enumeration(
     """Exact minimum distortion over ALL correspondences, by full sweep.
 
     Independent oracle for the threshold-search solver.  The distortion of
-    every cell set s, covering or not, follows in increasing order from
-    smaller sets: a pair of cells of s avoids its lowest cell, or avoids its
-    highest, or is those two, so
+    every cell set, covering or not, is built one highest cell h at a time:
+    a pair of cells of s | 1 << h (for s < 2^h) lies in s or involves h, so
 
-        dis[s] = max(dis[s ^ lowest], dis[s ^ highest], gap(lowest, highest)).
+        dis[s | 1 << h] = max(dis[s], reach[s]),
+
+    where reach[s] is the largest gap between cell h and a cell of s.  The
+    reach block doubles over the cells below h, the dis block extends the
+    table, and both are list comprehensions.
 
     The answer is the first minimizer of dis over `covering_masks`, so ties
     go to the smallest mask.  Same n*m <= ENUMERATION_CELL_GUARD check as
     the enumerators, run before anything is allocated.  The table has one
-    entry per cell set, so at the guard of 20 cells it is a 2^20-entry list
-    (about 8 MB) and the sweep takes about 2 s.
+    entry per cell set and each block builds a half-size list next to it:
+    a 4x4 pair takes about 20 ms and 1 MB, and at the guard of 20 cells the
+    2^20-entry table peaks at about 17 MB and the call takes about 0.3 s
+    (measured on a 2-CPU x86-64 VM under CPython 3.11).
     """
     n, m = len(x), len(y)
     masks = covering_masks(n, m)
     denom, dx, dy = scaled_integer_matrices(x, y)
     nm = n * m
     gaps = cell_gap_table(n, m, dx, dy)
-    dis = [0] * (1 << nm)
-    for s in range(1, 1 << nm):
-        low, high = (s & -s).bit_length() - 1, s.bit_length() - 1
-        dis[s] = max(dis[s ^ (1 << low)], dis[s ^ (1 << high)], gaps[low * nm + high])
+    dis = [0]
+    for h in range(nm):
+        reach = [0]
+        for g in gaps[h * nm : h * nm + h]:
+            reach += [r if r > g else g for r in reach]
+        dis += [d if d > r else r for d, r in zip(dis, reach)]
+    del reach
     best = min(masks, key=dis.__getitem__)
     return Fraction(dis[best], denom), Correspondence(x, y, decode_cells(best, m))

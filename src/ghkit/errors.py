@@ -95,7 +95,8 @@ class DifferentAmbientSpaces(GhkitError):
 
 
 class TooLarge(GhkitError):
-    """Correspondence enumeration refused: n*m exceeds the guard."""
+    """Refused by a fixed size guard: enumeration above n*m cells, or a
+    hedgehog above its point cap."""
 
 
 class SizeLimitExceeded(GhkitError):

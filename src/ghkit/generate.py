@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Iterable
 
 from .correspondences import Correspondence, distortion
 from .gluing import GluingTree
@@ -32,7 +33,11 @@ def random_metric_space(
     label_prefix: str = "p",
 ) -> FiniteMetricSpace:
     """n distinct points of the box {0..coord_max}^3 scaled by 1/denominator,
-    under the sup metric; strict by construction."""
+    under the sup metric; strict by construction.
+
+    With `distinct_distances`, a draw with a repeated distance is redrawn; the
+    test runs on the integer sup distances and stops at the first repeat, and
+    only the accepted draw becomes `Fraction`s."""
     if n < 1:
         raise ValueError("need at least one point")
     if coord_max < 0 or denominator < 1:
@@ -50,22 +55,30 @@ def random_metric_space(
                 continue
             seen.add(candidate)
             points.append(candidate)
-        rows = [
-            [
-                Fraction(max(abs(a - b) for a, b in zip(p, q)), denominator)
-                for q in points
-            ]
-            for p in points
-        ]
-        if distinct_distances:
-            values = [rows[i][j] for i in range(n) for j in range(i + 1, n)]
-            if len(set(values)) != len(values):
-                continue
+        if distinct_distances and not _distinct(
+            _sup(p, q) for i, p in enumerate(points) for q in points[i + 1 :]
+        ):
+            continue
         labels = tuple(f"{label_prefix}{i}" for i in range(n))
-        return FiniteMetricSpace(
-            labels, tuple(tuple(row) for row in rows), STRICT
+        rows = tuple(
+            tuple(Fraction(_sup(p, q), denominator) for q in points) for p in points
         )
+        return FiniteMetricSpace(labels, rows, STRICT)
     raise ValueError("could not sample a space with the requested properties")
+
+
+def _sup(p: tuple[int, ...], q: tuple[int, ...]) -> int:
+    return max(abs(a - b) for a, b in zip(p, q))
+
+
+def _distinct(values: Iterable[int]) -> bool:
+    """No value repeats; stops at the first repeat."""
+    seen: set[int] = set()
+    for value in values:
+        if value in seen:
+            return False
+        seen.add(value)
+    return True
 
 
 def random_correspondence(

@@ -16,11 +16,12 @@ from fractions import Fraction
 from typing import Iterable
 
 from .correspondences import Correspondence
-from .errors import BucketMismatch, PremiseViolated
+from .errors import BucketMismatch, PremiseViolated, TooLarge
 from .gluing import GluedSpace, glue_pair
 from .spaces import STRICT, FiniteMetricSpace, as_fraction, from_grid
 
 CENTER_LABEL = "0"
+HEDGEHOG_POINT_CAP = 2000  # points `compile_hedgehog` will lay out as a matrix
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,15 @@ class HedgehogSpec:
 
 
 def compile_hedgehog(spec: HedgehogSpec) -> FiniteMetricSpace:
-    """Center plus one point per needle copy, intrinsic metric through the center."""
+    """Center plus one point per needle copy, intrinsic metric through the center.
+
+    Refuses with `TooLarge`, before building anything, a spec of more than
+    HEDGEHOG_POINT_CAP points.
+    """
+    if spec.point_count > HEDGEHOG_POINT_CAP:
+        raise TooLarge(
+            f"hedgehog has {spec.point_count} points, cap is {HEDGEHOG_POINT_CAP}"
+        )
     labels = [CENTER_LABEL]
     lengths = [Fraction(0)]
     for length, mult in spec.needles:

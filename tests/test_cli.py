@@ -1,9 +1,13 @@
+import tracemalloc
+
 import pytest
 
-from ghkit import io
+from ghkit import cli, hedgehogs, io
 from ghkit.cli import main
 from ghkit.correspondences import Correspondence, identity_correspondence
+from ghkit.errors import InvariantBroken, TooLarge
 from ghkit.generate import random_metric_space, rng_from_seed
+from ghkit.hedgehogs import HedgehogSpec
 from ghkit.spaces import validate
 
 
@@ -133,6 +137,56 @@ def test_hedgehog_bucket(tmp_path, capsys):
     c = tmp_path / "c.hh"
     c.write_text("1/8 1\n1/4 1\n")  # two needles in the first quarter bucket
     assert main(["hedgehog", "bucket", str(a), str(c), "--eps", "1/4"]) == 1
+
+
+def test_hedgehog_compile_refuses_above_point_cap(tmp_path, capsys, monkeypatch):
+    cap = hedgehogs.HEDGEHOG_POINT_CAP  # read first: an unguarded build would not end
+    assert cap == 2000
+    spec = tmp_path / "huge.hh"
+    spec.write_text("1 10000000\n")
+
+    def no_build(*args):
+        raise AssertionError("the refusal must come before any space is built")
+
+    monkeypatch.setattr(hedgehogs, "from_grid", no_build)
+    tracemalloc.start()
+    try:
+        assert main(["hedgehog", "compile", str(spec)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "hedgehog has 10000001 points, cap is 2000" in capsys.readouterr().err
+    assert peak < 2**20
+
+
+def test_hedgehog_point_cap_boundary(monkeypatch):
+    monkeypatch.setattr(hedgehogs, "HEDGEHOG_POINT_CAP", 3)
+    assert len(hedgehogs.compile_hedgehog(HedgehogSpec.from_pairs([(1, 2)]))) == 3
+    with pytest.raises(TooLarge):
+        hedgehogs.compile_hedgehog(HedgehogSpec.from_pairs([(1, 2), (2, 1)]))
+
+
+@pytest.mark.parametrize(
+    "defect", [InvariantBroken("lost a witness"), RuntimeError("lost a witness")]
+)
+def test_internal_errors_exit_3(monkeypatch, capsys, defect):
+    def broken(args):
+        raise defect
+
+    monkeypatch.setitem(cli._HANDLERS, "tuzhilin", broken)
+    assert main(["tuzhilin", "--n", "3", "--k", "4", "--m", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "lost a witness" in err
+    assert "Traceback" not in err
+
+
+def test_keyboard_interrupt_propagates(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._HANDLERS, "tuzhilin", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["tuzhilin", "--n", "3", "--k", "4", "--m", "2"])
 
 
 def test_tuzhilin_csv(capsys):

@@ -1,19 +1,23 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
 from ghkit.correspondences import (
     Correspondence,
+    covering_masks,
     distortion,
     enumerate_correspondences,
     enumerate_pair_sets,
     full_correspondence,
     identity_correspondence,
     inverse,
+    line_masks,
     min_distortion_by_enumeration,
 )
 from ghkit.errors import TooLarge
 from ghkit.generate import random_metric_space, rng_from_seed
+from ghkit.solver import gh_exact
 from ghkit.spaces import diameter, validate
 
 
@@ -129,3 +133,31 @@ def test_oracle_guard_runs_before_the_table_is_allocated(size):
     x = random_metric_space(rng_from_seed(size), size)
     with pytest.raises(TooLarge, match="guard is 20"):
         min_distortion_by_enumeration(x, x)
+
+
+SMALL_SHAPES = [(n, m) for n in range(1, 13) for m in range(1, 13) if n * m <= 12]
+
+
+@pytest.mark.parametrize("n,m", SMALL_SHAPES)
+def test_covering_masks_match_the_naive_line_test(n, m):
+    lines = line_masks(n, m)
+    naive = [s for s in range(1, 1 << (n * m)) if all(s & line for line in lines)]
+    assert list(covering_masks(n, m)) == naive
+
+
+@pytest.mark.parametrize("n,m", [(4, 5), (5, 4), (2, 10)])
+def test_covering_mask_count_at_the_guard(n, m):
+    # 0/1 matrices with no empty row or column, by inclusion-exclusion on rows
+    expected = sum(
+        (-1) ** k * comb(n, k) * (2 ** (n - k) - 1) ** m for k in range(n + 1)
+    )
+    assert sum(1 for _ in covering_masks(n, m)) == expected
+
+
+@pytest.mark.parametrize("n,m,seed", [(4, 5, 45), (2, 10, 210)])
+def test_oracle_matches_the_solver_at_the_guard(n, m, seed):
+    rng = rng_from_seed(seed)
+    x, y = random_metric_space(rng, n), random_metric_space(rng, m)
+    value, witness = min_distortion_by_enumeration(x, y)
+    assert value == 2 * gh_exact(x, y, cap=10).value
+    assert distortion(witness) == value

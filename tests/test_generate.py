@@ -36,6 +36,25 @@ def test_random_space_distinct_distances():
     assert len(set(values)) == len(values)
 
 
+def test_seeded_draws_are_unchanged():
+    # pinned values: seeded spaces must not change.  The distinct draw is
+    # accepted on its fourth attempt, so rejected draws must consume the
+    # generator the same way.
+    rng = rng_from_seed(2024)
+    x = random_metric_space(rng, 4, coord_max=12, distinct_distances=True)
+    y = random_metric_space(rng, 4, denominator=5)
+    assert x.labels == ("p0", "p1", "p2", "p3")
+    assert x.dist == tuple(
+        tuple(F(d, 6) for d in row)
+        for row in [[0, 7, 11, 5], [7, 0, 9, 3], [11, 9, 0, 10], [5, 3, 10, 0]]
+    )
+    assert y.dist == tuple(
+        tuple(F(d, 5) for d in row)
+        for row in [[0, 27, 25, 43], [27, 0, 27, 42], [25, 27, 0, 26], [43, 42, 26, 0]]
+    )
+    assert rng.randrange(10**6) == 447539
+
+
 def test_random_correspondence_covers_and_distorts():
     rng = rng_from_seed(6)
     x = random_metric_space(rng, 3, label_prefix="x")

@@ -102,6 +102,14 @@ def test_triangle_inequality(x, y, z):
     assert gh_exact(x, z).value <= gh_exact(x, y).value + gh_exact(y, z).value
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_triangle_inequality_at_6_to_10_points(seed):
+    rng = rng_from_seed(600 + seed)
+    x, y, z = (random_metric_space(rng, rng.randint(6, 10)) for _ in range(3))
+    xy, yz, xz = (gh_exact(a, b, cap=10).value for a, b in ((x, y), (y, z), (x, z)))
+    assert xz <= xy + yz and xy <= xz + yz and yz <= xy + xz
+
+
 @settings(max_examples=25, deadline=None)
 @given(sup_metric_spaces(max_points=3), sup_metric_spaces(max_points=3))
 def test_bound_sandwich(x, y):
