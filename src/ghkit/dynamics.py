@@ -14,9 +14,10 @@ iteration with a certified Cauchy tail, and finite stabilizers.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import cached_property
 
 from .correspondences import Correspondence, distortion
 from .errors import BrokenLink, SizeLimitExceeded, ThreadCapExceeded
@@ -55,14 +56,83 @@ class ThreadChain:
         return len(self.spaces)
 
 
+class Threads(Sequence):
+    """A chain's threads in lexicographic order.
+
+    `len()` is the thread count by dynamic programming.  Indexing,
+    iteration, `==` and `hash` read one tuple of all threads, enumerated on
+    first use; `repr` does not enumerate.
+    """
+
+    def __init__(self, width: int, successors: list[list[list[int]]], count: int):
+        self._width = width  # points of the first layer
+        self._successors = successors  # per link: point -> sorted successors
+        self._count = count
+
+    @cached_property
+    def _all(self) -> tuple[tuple[int, ...], ...]:
+        return _enumerate_threads(self._width, self._successors)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._all[index]
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self._all)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Threads):
+            other = other._all
+        return self._all == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._all)
+
+    def __repr__(self) -> str:
+        return f"Threads(count={self._count})"
+
+
+def _enumerate_threads(
+    width: int, successors: list[list[list[int]]]
+) -> tuple[tuple[int, ...], ...]:
+    """Every thread, depth-first in lexicographic order, without recursion:
+    stack[n] walks the choices at layer n + 1 after path[:n], and the last
+    layer is drained in one loop."""
+    k = len(successors) + 1
+    threads: list[tuple[int, ...]] = []
+    path = [0] * k
+    stack: list[Iterator[int]] = [iter(range(width))]
+    while stack:
+        layer = len(stack) - 1
+        if layer == k - 1:
+            for p in stack.pop():
+                path[layer] = p
+                threads.append(tuple(path))
+            continue
+        p = next(stack[-1], None)
+        if p is None:
+            stack.pop()
+        else:
+            path[layer] = p
+            stack.append(iter(successors[layer][p]))
+    return tuple(threads)
+
+
 @dataclass(frozen=True)
 class ThreadLimitResult:
     chain: ThreadChain
-    threads: tuple[tuple[int, ...], ...]
-    thread_classes: tuple[int, ...]  # thread index -> limit class
+    threads: Threads
     approx: FiniteMetricSpace
     projections: tuple[Correspondence, ...]  # limit -> layer n relation
     certificates: tuple[Fraction, ...]  # half distortion of each projection
+
+    @cached_property
+    def thread_classes(self) -> tuple[int, ...]:
+        """Thread index -> limit class, the zero class of its last point."""
+        _, assignment = _zero_classes(self.chain.spaces[-1])
+        return tuple([assignment[thread[-1]] for thread in self.threads])
 
     def layer_distance(self, t1: int, t2: int, layer: int) -> Fraction:
         """Pseudodistance between two threads read off at a 1-based layer."""
@@ -105,7 +175,10 @@ def _zero_classes(space: FiniteMetricSpace) -> tuple[list[int], list[int]]:
 
 
 def thread_limit(chain: ThreadChain) -> ThreadLimitResult:
-    """Enumerate threads, quotient by zero distance, certify every layer."""
+    """Count threads, quotient by zero distance, certify every layer.
+
+    The threads themselves are enumerated only when first read.
+    """
     spaces = chain.spaces
     links = chain.links
     k = len(spaces)
@@ -120,7 +193,7 @@ def thread_limit(chain: ThreadChain) -> ThreadLimitResult:
         if reached != set(range(len(spaces[n + 1]))):
             raise BrokenLink(n + 1)
 
-    # thread count by dynamic programming, before any materialization
+    # thread count by dynamic programming; no thread is built here
     counts = [1] * len(spaces[0])
     for n, table in enumerate(successors):
         nxt = [0] * len(spaces[n + 1])
@@ -132,29 +205,8 @@ def thread_limit(chain: ThreadChain) -> ThreadLimitResult:
     if total > THREAD_CAP:
         raise ThreadCapExceeded(total, THREAD_CAP)
 
-    # depth-first in lexicographic order, without recursion: stack[n] walks
-    # the choices at layer n + 1 after path[:n], and the last layer is
-    # drained in one loop
-    threads: list[tuple[int, ...]] = []
-    path = [0] * k
-    stack: list[Iterator[int]] = [iter(range(len(spaces[0])))]
-    while stack:
-        layer = len(stack) - 1
-        if layer == k - 1:
-            for p in stack.pop():
-                path[layer] = p
-                threads.append(tuple(path))
-            continue
-        p = next(stack[-1], None)
-        if p is None:
-            stack.pop()
-        else:
-            path[layer] = p
-            stack.append(iter(successors[layer][p]))
-
     last = spaces[-1]
     reps, assignment = _zero_classes(last)
-    thread_classes = tuple(assignment[t[-1]] for t in threads)
     approx = FiniteMetricSpace(
         labels=tuple(last.labels[r] for r in reps),
         dist=tuple(tuple(last.dist[a][b] for b in reps) for a in reps),
@@ -186,8 +238,7 @@ def thread_limit(chain: ThreadChain) -> ThreadLimitResult:
 
     return ThreadLimitResult(
         chain=chain,
-        threads=tuple(threads),
-        thread_classes=thread_classes,
+        threads=Threads(len(spaces[0]), successors, total),
         approx=approx,
         projections=tuple(projections),
         certificates=tuple(certificates),

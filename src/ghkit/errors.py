@@ -96,7 +96,7 @@ class DifferentAmbientSpaces(GhkitError):
 
 class TooLarge(GhkitError):
     """Refused by a fixed size guard: enumeration above n*m cells, or a
-    hedgehog above its point cap."""
+    hedgehog or a Tuzhilin pair above its point cap."""
 
 
 class SizeLimitExceeded(GhkitError):

@@ -189,12 +189,21 @@ def diameter(space: FiniteMetricSpace) -> Fraction:
 
 
 def scale(space: FiniteMetricSpace, factor: int | Fraction) -> FiniteMetricSpace:
-    """Multiply every distance by a positive factor (similarity)."""
+    """Multiply every distance by a positive factor (similarity).
+
+    Works on the integer grid: rows * p / (L * q), reduced by the gcd of the
+    new denominator and every entry, is again the grid `_grid` would build.
+    """
     lam = as_fraction(factor)
     if lam <= 0:
         raise NonpositiveScale(f"scale factor must be positive, got {lam}")
-    rows = tuple(tuple(x * lam for x in row) for row in space.dist)
-    return FiniteMetricSpace(space.labels, rows, space.mode)
+    denom, rows = space.grid
+    p, q = lam.numerator, lam.denominator
+    common = math.gcd(denom * q, p * math.gcd(*set().union(*rows)))
+    scaled = tuple(
+        [tuple([value * p // common for value in row]) for row in rows]
+    )
+    return from_grid(space.labels, denom * q // common, scaled, space.mode)
 
 
 def one_point_space(label: str = "pt") -> FiniteMetricSpace:

@@ -19,10 +19,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .correspondences import scaled_integer_matrices
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, TooLarge
 from .spaces import STRICT, FiniteMetricSpace, SubsetRef, from_grid, hausdorff
 
 INF_NEEDLE = "inf"
+TUZHILIN_POINT_CAP = 2000  # points of both spaces together
 
 Point = tuple[str, Fraction]  # (needle id, coordinate)
 
@@ -37,6 +38,17 @@ class TuzhilinConfig:
             raise ValueError("n must be at least 2")
         if self.k < self.n:
             raise ValueError("k must be at least n")
+        if self.point_count > TUZHILIN_POINT_CAP:
+            raise TooLarge(
+                f"Tuzhilin spaces have {self.point_count} points, "
+                f"cap is {TUZHILIN_POINT_CAP}"
+            )
+
+    @property
+    def point_count(self) -> int:
+        """|X| + |Y|: (n+1)(n+2)/2 points in the first space, n(n+1)/2 + k + 1
+        in the second."""
+        return (self.n + 1) ** 2 + self.k + 1
 
 
 def _coords(depth: int) -> list[Fraction]:

@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from ghkit import cli, hedgehogs, io
+from ghkit import cli, hedgehogs, io, tuzhilin
 from ghkit.cli import main
 from ghkit.correspondences import Correspondence, identity_correspondence
 from ghkit.errors import InvariantBroken, TooLarge
@@ -156,6 +156,21 @@ def test_hedgehog_compile_refuses_above_point_cap(tmp_path, capsys, monkeypatch)
     finally:
         tracemalloc.stop()
     assert "hedgehog has 10000001 points, cap is 2000" in capsys.readouterr().err
+    assert peak < 2**20
+
+
+def test_tuzhilin_refuses_above_point_cap(capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("the refusal must come before any space is built")
+
+    monkeypatch.setattr(tuzhilin, "from_grid", no_build)
+    tracemalloc.start()
+    try:
+        assert main(["tuzhilin", "--n", "100", "--k", "100", "--m", "1"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "Tuzhilin spaces have 10302 points, cap is 2000" in capsys.readouterr().err
     assert peak < 2**20
 
 

@@ -1,7 +1,10 @@
+import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
+from ghkit import dynamics
 from ghkit.correspondences import Correspondence, identity_correspondence
 from ghkit.dynamics import (
     DEFAULT_SAMPLED_FACTORS,
@@ -44,6 +47,21 @@ def contraction_chain(space, lam, depth):
         identity_link(spaces[i], spaces[i + 1]) for i in range(depth - 1)
     )
     return ThreadChain(spaces, links)
+
+
+def fan_chain(space):
+    y = scale(space, F(1, 2))
+    fan = Correspondence(space, y, frozenset({(0, 0), (0, 1), (1, 1), (2, 2)}))
+    return ThreadChain((space, y), (fan,))
+
+
+def point_chain(depth):
+    points = tuple(one_point_space(f"p{n}") for n in range(depth))
+    links = tuple(
+        Correspondence(points[n], points[n + 1], frozenset({(0, 0)}))
+        for n in range(depth - 1)
+    )
+    return ThreadChain(points, links)
 
 
 def test_chain_validation(base_space):
@@ -108,11 +126,7 @@ def test_certificates_bound_exact_distance(base_space):
 
 
 def test_thread_enumeration_and_layers(base_space):
-    x = base_space
-    y = scale(x, F(1, 2))
-    fan = Correspondence(x, y, frozenset({(0, 0), (0, 1), (1, 1), (2, 2)}))
-    chain = ThreadChain((x, y), (fan,))
-    result = thread_limit(chain)
+    result = thread_limit(fan_chain(base_space))
     assert result.threads == ((0, 0), (0, 1), (1, 1), (2, 2))
     # layer pseudodistances obey the triangle inequality at every layer
     t = range(len(result.threads))
@@ -127,10 +141,7 @@ def test_thread_enumeration_and_layers(base_space):
 
 
 def test_thread_space_is_pseudometric(base_space):
-    x = base_space
-    y = scale(x, F(1, 2))
-    fan = Correspondence(x, y, frozenset({(0, 0), (0, 1), (1, 1), (2, 2)}))
-    result = thread_limit(ThreadChain((x, y), (fan,)))
+    result = thread_limit(fan_chain(base_space))
     pseudo = result.thread_space()
     assert pseudo.mode == PSEUDO
     # threads (0,1) and (1,1) share the last point: distance zero, quotient merges
@@ -145,12 +156,7 @@ def test_thread_space_is_pseudometric(base_space):
 
 def test_deep_chain_of_points_has_one_thread():
     # deeper than the default recursion limit
-    points = tuple(one_point_space(f"p{n}") for n in range(1500))
-    links = tuple(
-        Correspondence(points[n], points[n + 1], frozenset({(0, 0)}))
-        for n in range(1499)
-    )
-    result = thread_limit(ThreadChain(points, links))
+    result = thread_limit(point_chain(1500))
     assert result.threads == ((0,) * 1500,)
 
 
@@ -168,12 +174,137 @@ def test_thread_cap(base_space):
     assert (caught.value.count, caught.value.cap) == (3**13, THREAD_CAP)
 
 
-def test_thread_space_cap(base_space):
+def test_thread_space_cap(base_space, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("the refusal must come before any thread is built")
+
+    monkeypatch.setattr(dynamics, "_enumerate_threads", no_build)
     result = thread_limit(full_chain(base_space, 8))
     assert len(result.threads) == 3**8
     with pytest.raises(ThreadCapExceeded) as caught:
         result.thread_space()
     assert (caught.value.count, caught.value.cap) == (3**8, THREAD_SPACE_CAP)
+
+
+# lazy threads: checked against an enumeration that shares no code with
+# thread_limit
+
+
+def reference_threads(chain):
+    """Every thread, extended one layer at a time and sorted."""
+    threads = [(p,) for p in range(len(chain.spaces[0]))]
+    for link in chain.links:
+        threads = sorted(
+            thread + (j,) for thread in threads for i, j in link.pairs if i == thread[-1]
+        )
+    return tuple(threads)
+
+
+def reference_classes(chain, threads):
+    """Classes numbered in the order of their smallest last-layer point."""
+    last = chain.spaces[-1]
+    first = [
+        min(q for q in range(len(last)) if last.dist[p][q] == 0)
+        for p in range(len(last))
+    ]
+    order = sorted(set(first))
+    return tuple(order.index(first[thread[-1]]) for thread in threads)
+
+
+def branching_chain(space, seed, depth=7):
+    """Halving copies, each point linked to itself and to one seeded other
+    point; the last layer is a pseudometric copy with point 0 doubled."""
+    rng = random.Random(seed)
+    layers = [scale(space, F(1, 2**n)) for n in range(depth - 1)]
+    top = layers[-1]
+    order = (0, 0, 1, 2)
+    layers.append(
+        FiniteMetricSpace(
+            ("a", "a'", "b", "c"),
+            tuple(tuple(top.dist[p][q] for q in order) for p in order),
+            PSEUDO,
+        )
+    )
+    links = []
+    for n in range(depth - 2):
+        extra = frozenset((p, (p + rng.randint(1, 2)) % 3) for p in range(3))
+        pairs = frozenset((p, p) for p in range(3)) | extra
+        links.append(Correspondence(layers[n], layers[n + 1], pairs))
+    pairs = {(0, 0), (0, 1), (1, 2), (2, 3), (rng.randrange(3), rng.randrange(4))}
+    links.append(Correspondence(layers[-2], layers[-1], frozenset(pairs)))
+    return ThreadChain(tuple(layers), tuple(links))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        fan_chain,
+        lambda space: branching_chain(space, 1),
+        lambda space: branching_chain(space, 2),
+        lambda space: branching_chain(space, 3, depth=9),
+        lambda space: point_chain(1500),
+    ],
+    ids=["fan", "branching-1", "branching-2", "branching-3-deeper", "points-1500"],
+)
+def test_lazy_threads_match_reference_enumeration(base_space, make):
+    chain = make(base_space)
+    expected = reference_threads(chain)
+    result = thread_limit(chain)
+    assert len(result.threads) == len(expected)
+    assert tuple(result.threads) == expected
+    assert result.thread_classes == reference_classes(chain, expected)
+    assert result.threads == expected and expected == result.threads
+    assert hash(result.threads) == hash(expected)
+    assert result.threads[-1] == expected[-1]
+    assert list(result.threads) == list(expected)
+
+
+def test_count_and_repr_build_no_thread(base_space, monkeypatch):
+    calls = []
+    enumerate_threads = dynamics._enumerate_threads
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_threads(*args)
+
+    monkeypatch.setattr(dynamics, "_enumerate_threads", counted)
+    result = thread_limit(branching_chain(base_space, 2))
+    assert len(result.threads) == len(reference_threads(result.chain))
+    assert f"Threads(count={len(result.threads)})" in repr(result)
+    assert result.certificates and len(result.approx) == 3  # a, a' merge
+    assert calls == []
+    result.threads[0], list(result.threads), hash(result.threads)
+    assert result.threads == result.threads and result.thread_classes
+    assert len(calls) == 1  # one cached tuple serves every read
+
+
+def test_thread_count_and_certificates_stay_small():
+    # the benchmark chain's shape: 16 halving layers of 3 points, 2
+    # successors per point, 3 * 2^15 threads
+    rng = random.Random(7)
+    base = random_metric_space(rng, 3, denominator=120)
+    spaces = tuple(scale(base, F(1, 2**n)) for n in range(1, 17))
+    links = tuple(
+        Correspondence(
+            spaces[n],
+            spaces[n + 1],
+            frozenset((p, p) for p in range(3))
+            | frozenset((p, (p + rng.randint(1, 2)) % 3) for p in range(3)),
+        )
+        for n in range(15)
+    )
+    chain = ThreadChain(spaces, links)
+    tracemalloc.start()
+    try:
+        result = thread_limit(chain)
+        count = len(result.threads)
+        certificates = result.certificates
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 3 * 2**15
+    assert all(cert <= F(1, 2 ** (n - 1)) for n, cert in enumerate(certificates, 1))
+    assert peak < 2**20
 
 
 def test_d_lambda_probe_identities(base_space):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,8 @@ from ghkit.correspondences import (
     min_distortion_by_enumeration,
 )
 from ghkit.errors import SizeLimitExceeded
-from ghkit.generate import random_metric_space, rng_from_seed
+from ghkit.generate import perturbed_hedgehog, random_metric_space, rng_from_seed
+from ghkit.hedgehogs import HedgehogSpec, compile_hedgehog
 from ghkit.solver import (
     are_isometric,
     gh_exact,
@@ -281,8 +283,6 @@ def test_large_symmetry(x, y):
 
 @pytest.mark.parametrize("x, y", LARGE_PAIRS)
 def test_large_relabelling_invariance(x, y):
-    import random
-
     rng = random.Random(len(x) * 100 + len(y))
     value = gh_exact(x, y, cap=10).value
     x_order = rng.sample(range(len(x)), len(x))
@@ -296,6 +296,65 @@ def test_large_scaling_equivariance(x, y):
     value = gh_exact(x, y, cap=10).value
     for lam in (F(2), F(1, 3)):
         assert gh_exact(scale(x, lam), scale(y, lam), cap=10).value == lam * value
+
+
+# 6 to 8 points in the benchmark corpus's three families
+
+
+def _box_points(rng, n, coord_max=60):
+    points = []
+    while len(points) < n:
+        point = tuple(rng.randrange(coord_max + 1) for _ in range(3))
+        if point not in points:
+            points.append(point)
+    return points
+
+
+def _corpus_pairs():
+    """Per size n: a random n x m pair, X against 5X with one coordinate
+    moved one unit, and a hedgehog against a copy with every needle nudged
+    by less than 1/4."""
+    rng = rng_from_seed(6078)
+    pairs = []
+    for n, m in ((6, 8), (6, 7), (7, 6), (7, 8), (8, 6), (8, 7)):
+        x = random_metric_space(rng, n, label_prefix="x")
+        pairs.append((x, random_metric_space(rng, m, label_prefix="y")))
+        points = _box_points(rng, n)
+        moved = [[5 * c for c in point] for point in points]
+        moved[rng.randrange(n)][rng.randrange(3)] += rng.choice((-1, 1))
+        pairs.append(
+            (_sup_space(points, 6, "x"), _sup_space([tuple(p) for p in moved], 6, "y"))
+        )
+        spec = HedgehogSpec.from_pairs(
+            (F(rng.randint(1, 24), 8), 1) for _ in range(n - 1)
+        )
+        other, _ = perturbed_hedgehog(rng, spec, F(1, 4))
+        pairs.append((compile_hedgehog(spec), compile_hedgehog(other)))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    _corpus_pairs(),
+    ids=[
+        f"{family}-{n}{round}"
+        for n in (6, 7, 8)
+        for round in "ab"
+        for family in ("random", "near-scaled", "hedgehog")
+    ],
+)
+def test_corpus_symmetry_relabelling_and_witness(x, y):
+    result = gh_exact(x, y)
+    assert distortion(result.witness) == 2 * result.value
+    swapped = gh_exact(y, x)
+    assert swapped.value == result.value
+    assert distortion(swapped.witness) == 2 * result.value
+    rng = random.Random(len(x) * 100 + len(y))
+    x_order = rng.sample(range(len(x)), len(x))
+    y_order = rng.sample(range(len(y)), len(y))
+    relabelled = gh_exact(_relabelled(x, x_order), _relabelled(y, y_order))
+    assert relabelled.value == result.value
+    assert distortion(relabelled.witness) == 2 * result.value
 
 
 @pytest.mark.parametrize("n", [8, 9, 10])

@@ -2,9 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from ghkit.errors import IndexOutOfRange
+from ghkit import tuzhilin
+from ghkit.errors import IndexOutOfRange, TooLarge
 from ghkit.spaces import STRICT, validate
 from ghkit.tuzhilin import (
+    TUZHILIN_POINT_CAP,
     TuzhilinConfig,
     needle_set_hausdorff,
     needle_space,
@@ -19,6 +21,26 @@ def test_config_invariants():
     with pytest.raises(ValueError):
         TuzhilinConfig(3, 2)
     TuzhilinConfig(2, 2)
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 4), (5, 9), (10, 20)])
+def test_point_count_is_both_sizes(n, k):
+    cfg = TuzhilinConfig(n, k)
+    x, y = tuzhilin_spaces(cfg)
+    assert cfg.point_count == len(x) + len(y) == (n + 1) ** 2 + k + 1
+
+
+def test_config_refuses_above_point_cap(monkeypatch):
+    assert TUZHILIN_POINT_CAP == 2000
+    with pytest.raises(TooLarge, match="10302 points, cap is 2000"):
+        TuzhilinConfig(100, 100)
+    TuzhilinConfig(43, 63)  # 44^2 + 64 = 2000 points, exactly at the cap
+    with pytest.raises(TooLarge):
+        TuzhilinConfig(43, 64)
+    monkeypatch.setattr(tuzhilin, "TUZHILIN_POINT_CAP", 12)
+    TuzhilinConfig(2, 2)  # 6 + 6 points
+    with pytest.raises(TooLarge):
+        TuzhilinConfig(2, 3)
 
 
 def test_small_spaces_have_expected_sizes():
