@@ -31,7 +31,6 @@ from .dynamics import (
     thread_limit,
 )
 from .errors import (
-    BrokenLink,
     BucketMismatch,
     DifferentAmbientSpaces,
     DistortionBudgetExceeded,

@@ -20,13 +20,14 @@ from fractions import Fraction
 from functools import cached_property
 
 from .correspondences import Correspondence, distortion
-from .errors import BrokenLink, SizeLimitExceeded, ThreadCapExceeded
+from .errors import SizeLimitExceeded, ThreadCapExceeded, TooLarge
 from .hedgehogs import HedgehogSpec, hedgehog_scale_isometry_check
 from .solver import DEFAULT_SIZE_CAP, are_isometric, gh_exact
 from .spaces import PSEUDO, STRICT, FiniteMetricSpace, as_fraction, scale
 
 THREAD_CAP = 10**6
 THREAD_SPACE_CAP = 2000  # threads `thread_space` will lay out as a matrix
+CENTER_POWER_BITS = 10_000  # bits lam^n may take in `center_iterate`: ~3,000 digits
 
 
 @dataclass(frozen=True)
@@ -189,9 +190,6 @@ def thread_limit(chain: ThreadChain) -> ThreadLimitResult:
         for i, j in sorted(link.pairs):
             table[i].append(j)
         successors.append(table)
-        reached = {j for outs in table for j in outs}
-        if reached != set(range(len(spaces[n + 1]))):
-            raise BrokenLink(n + 1)
 
     # thread count by dynamic programming; no thread is built here
     counts = [1] * len(spaces[0])
@@ -348,12 +346,20 @@ def center_iterate(
     n: int,
     cap: int = DEFAULT_SIZE_CAP,
 ) -> CenterIterate:
-    """n-th contraction iterate with the Cauchy tail certifying convergence."""
+    """n-th contraction iterate with the Cauchy tail certifying convergence.
+
+    Refuses with `TooLarge`, before solving or computing any power, an n at
+    which lam^n could take more than CENTER_POWER_BITS bits.
+    """
     lam = as_fraction(lam)
     if not (0 < lam < 1):
         raise ValueError("lambda must lie strictly between 0 and 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
+    # p^n and q^n have at most n * bit_length bits each
+    bits = n * max(lam.numerator.bit_length(), lam.denominator.bit_length())
+    if bits > CENTER_POWER_BITS:
+        raise TooLarge(f"lambda^n may need {bits} bits, cap is {CENTER_POWER_BITS}")
     base = d_lambda(space, lam, cap=cap)
     return CenterIterate(
         iterate=scale(space, lam**n),

@@ -95,8 +95,9 @@ class DifferentAmbientSpaces(GhkitError):
 
 
 class TooLarge(GhkitError):
-    """Refused by a fixed size guard: enumeration above n*m cells, or a
-    hedgehog or a Tuzhilin pair above its point cap."""
+    """Refused by a fixed size guard: enumeration above n*m cells, a
+    hedgehog, a Tuzhilin pair or a gluing tree above its point cap, or a
+    center iterate whose power lam^n could exceed its bit cap."""
 
 
 class SizeLimitExceeded(GhkitError):
@@ -136,12 +137,6 @@ class PremiseViolated(GhkitError):
 
 class IndexOutOfRange(GhkitError):
     pass
-
-
-class BrokenLink(GhkitError):
-    def __init__(self, layer: int) -> None:
-        self.layer = layer
-        super().__init__(f"link {layer} does not reach every point of the next space")
 
 
 class ThreadCapExceeded(GhkitError):

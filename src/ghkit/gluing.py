@@ -15,56 +15,73 @@ built once at the end, with that grid cached on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import add
 from typing import Sequence
 
-from .correspondences import Correspondence, distortion, grid_distortion, rescaled
-from .errors import DistortionBudgetExceeded, NotATree, ZeroDistortion
+from .correspondences import Correspondence, distortion, rescaled
+from .errors import DistortionBudgetExceeded, NotATree, TooLarge, ZeroDistortion
 from .spaces import STRICT, FiniteMetricSpace, SubsetRef, as_fraction, from_grid
+
+GLUED_POINT_CAP = 2000  # points `glue_tree` will lay out as one carrier
 
 
 @dataclass(frozen=True)
 class GluingTree:
-    """Spaces at the vertices, correspondences (with positive distortion) on edges."""
+    """Spaces at the vertices, correspondences (with positive distortion) on edges.
+
+    The constructor checks the tree once, walking it breadth-first from
+    vertex 0.  It keeps each edge's weight (1/2) dis R in `weights` and the
+    order in which `glue_tree` attaches the vertices: (placed vertex, new
+    vertex, pairs oriented from the placed one, weight).
+    """
 
     vertices: tuple[FiniteMetricSpace, ...]
     edges: tuple[tuple[int, int, Correspondence], ...]
+    weights: tuple[Fraction, ...] = field(init=False, compare=False)
+    _attach: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         v = len(self.vertices)
         if v == 0:
             raise ValueError("a gluing tree needs at least one vertex")
+        points = sum(map(len, self.vertices))
+        if points > GLUED_POINT_CAP:
+            raise TooLarge(f"gluing tree has {points} points, cap is {GLUED_POINT_CAP}")
         if len(self.edges) != v - 1:
             raise NotATree(f"{v} vertices need {v - 1} edges, got {len(self.edges)}")
-        adjacency: dict[int, list[int]] = {i: [] for i in range(v)}
+        weights = []
+        adjacency: list[list] = [[] for _ in range(v)]
         for u, w, rel in self.edges:
             if not (0 <= u < v and 0 <= w < v) or u == w:
                 raise NotATree(f"bad edge ({u}, {w})")
             if rel.left != self.vertices[u] or rel.right != self.vertices[w]:
                 raise ValueError(f"edge ({u}, {w}): correspondence spaces do not match")
-            if distortion(rel) == 0:
+            weight = distortion(rel) / 2
+            if weight == 0:
                 raise ZeroDistortion(
                     f"edge ({u}, {w}) has distortion 0; such copies must be "
                     "merged, not glued"
                 )
-            adjacency[u].append(w)
-            adjacency[w].append(u)
-        stack = [0]
-        seen = {0}
-        while stack:
-            node = stack.pop()
-            for nxt in adjacency[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != v:
+            weights.append(weight)
+            adjacency[u].append((w, rel.pairs, weight))
+            adjacency[w].append((u, frozenset((j, i) for i, j in rel.pairs), weight))
+        order, placed, attach = [0], {0}, []
+        for u in order:  # grows while it is read: a breadth-first queue
+            for w, pairs, weight in adjacency[u]:
+                if w not in placed:
+                    placed.add(w)
+                    order.append(w)
+                    attach.append((u, w, pairs, weight))
+        if len(order) != v:
             raise NotATree("edge set is not connected")
+        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "_attach", tuple(attach))
 
     def weight(self, edge_index: int) -> Fraction:
-        return distortion(self.edges[edge_index][2]) / 2
+        return self.weights[edge_index]
 
 
 @dataclass(frozen=True)
@@ -113,64 +130,44 @@ def glue_tree(tree: GluingTree) -> GluedSpace:
 
     Distances between points of distant vertices relay through the unique
     tree path; the minimum over relay points factorizes, so each new vertex
-    is attached with one min-plus pass against everything already placed.
+    is attached, in the order the tree recorded, with one min-plus pass
+    against everything already placed.
     """
     for v_space in tree.vertices:
         if v_space.mode != STRICT:
             raise ValueError("gluing is defined for strict spaces")
 
-    v = len(tree.vertices)
-    adjacency: dict[int, list[tuple[int, frozenset[tuple[int, int]]]]] = {
-        i: [] for i in range(v)
-    }
-    for u, w, rel in tree.edges:
-        adjacency[u].append((w, rel.pairs))
-        adjacency[w].append((u, frozenset((j, i) for i, j in rel.pairs)))
-
     grids = [space.grid for space in tree.vertices]
     denom = 2 * math.lcm(*(d for d, _ in grids))
     rows = [rescaled(g, denom // d) for d, g in grids]
 
-    provenance: list[tuple[int, int]] = []
-    offsets: dict[int, int] = {}
-
-    def place(vertex: int) -> None:
-        offsets[vertex] = len(provenance)
-        provenance.extend((vertex, p) for p in range(len(tree.vertices[vertex])))
-
-    place(0)
+    provenance = [(0, p) for p in range(len(rows[0]))]
+    offsets = {0: 0}
     dist: list[list[int]] = [list(row) for row in rows[0]]
-
-    frontier = [0]
-    attached = {0}
-    while frontier:
-        u = frontier.pop(0)
-        for w, pairs in adjacency[u]:
-            if w in attached:
-                continue
-            attached.add(w)
-            frontier.append(w)
-            du, dw = rows[u], rows[w]
-            omega = grid_distortion(du, dw, pairs) // 2
-            nu, nw = len(du), len(dw)
-            # cross[q][p] = min over (x', y') of |p x'| + omega + |y' q|
-            cross = [
-                [
-                    omega + min([du[p][i] + dw[j][q] for i, j in pairs])
-                    for p in range(nu)
-                ]
-                for q in range(nw)
+    for u, w, pairs, weight in tree._attach:
+        # (1/2) dis R has a denominator dividing 2L, so omega is exact
+        omega = weight.numerator * (denom // weight.denominator)
+        du, dw = rows[u], rows[w]
+        nu, nw = len(du), len(dw)
+        # cross[q][p] = min over (x', y') of |p x'| + omega + |y' q|
+        cross = [
+            [
+                omega + min([du[p][i] + dw[j][q] for i, j in pairs])
+                for p in range(nu)
             ]
-            base = offsets[u]
-            place(w)
-            columns = [
-                [min(map(add, row[base : base + nu], cross_q)) for row in dist]
-                for cross_q in cross
-            ]
-            for z, row in enumerate(dist):
-                row.extend(column[z] for column in columns)
-            for q in range(nw):
-                dist.append(columns[q] + list(dw[q]))
+            for q in range(nw)
+        ]
+        base = offsets[u]
+        offsets[w] = len(provenance)
+        provenance.extend((w, p) for p in range(nw))
+        columns = [
+            [min(map(add, row[base : base + nu], cross_q)) for row in dist]
+            for cross_q in cross
+        ]
+        for z, row in enumerate(dist):
+            row.extend(column[z] for column in columns)
+        for q in range(nw):
+            dist.append(columns[q] + list(dw[q]))
 
     labels = tuple(
         f"{vtx}.{tree.vertices[vtx].labels[p]}" for vtx, p in provenance
@@ -190,19 +187,15 @@ def glue_star(
     """
     if not leaves:
         raise ValueError("a star needs at least one leaf")
-    vertices = [center]
-    edges = []
-    for index, (space, rel, budget) in enumerate(leaves):
+    tree = GluingTree(
+        (center, *(space for space, _, _ in leaves)),
+        tuple((0, index + 1, rel) for index, (_, rel, _) in enumerate(leaves)),
+    )
+    for index, ((_, _, budget), weight) in enumerate(zip(leaves, tree.weights)):
         bound = as_fraction(budget)
-        dis = distortion(rel)
-        if dis == 0:
-            raise ZeroDistortion(f"leaf {index}: distortion 0")
-        if dis >= 2 * bound:
+        if weight >= bound:
             raise DistortionBudgetExceeded(
-                index, f"leaf {index}: dis R = {dis} is not below 2M = {2 * bound}"
+                index,
+                f"leaf {index}: dis R = {2 * weight} is not below 2M = {2 * bound}",
             )
-        if rel.left != center or rel.right != space:
-            raise ValueError(f"leaf {index}: correspondence spaces do not match")
-        vertices.append(space)
-        edges.append((0, index + 1, rel))
-    return glue_tree(GluingTree(tuple(vertices), tuple(edges)))
+    return glue_tree(tree)

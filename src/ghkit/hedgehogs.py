@@ -51,6 +51,9 @@ class HedgehogSpec:
     ) -> "HedgehogSpec":
         merged: dict[Fraction, int] = {}
         for length, mult in pairs:
+            # checked per pair: a merged sum can hide a zero or negative count
+            if mult < 1:
+                raise ValueError("multiplicities must be positive")
             key = as_fraction(length)
             merged[key] = merged.get(key, 0) + int(mult)
         return cls(tuple(sorted(merged.items())))
@@ -115,10 +118,7 @@ def hedgehog_scale_isometry_check(spec: HedgehogSpec, factor: int | Fraction) ->
     For a finite nonempty spec this holds only at factor 1: scaling must fix
     both the largest and smallest needle length.
     """
-    lam = as_fraction(factor)
-    if lam <= 0:
-        raise ValueError("scale factor must be positive")
-    return hedgehog_isometric(spec.scaled(lam), spec)
+    return hedgehog_isometric(spec.scaled(factor), spec)
 
 
 def bucket_index(length: Fraction, eps: Fraction) -> int:
@@ -246,11 +246,7 @@ def check_center_location(
             f"lengths >= 2M: {[str(x) for x in big]}",
         )
 
-    # the relation re-based on the spaces just compiled: the gluing then
-    # reads their grids only, and leaves the caller's spaces as they were
-    glued = glue_pair(
-        compiled_a, compiled_b, Correspondence(compiled_a, compiled_b, rel.pairs)
-    )
+    glued = glue_pair(rel.left, rel.right, rel)
     na, nb = len(compiled_a), len(compiled_b)
     denom, grid = glued.carrier.grid
     # carrier rows of the first copy's points, restricted to the second copy

@@ -136,20 +136,11 @@ def validate(
     Pseudo mode permits zero distances between distinct points.
     """
     rows = tuple(tuple(as_fraction(x) for x in row) for row in matrix)
-    n = len(rows)
-    if n == 0:
-        raise ValueError("matrix must be nonempty")
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     if labels is None:
-        labels = tuple(str(i) for i in range(n))
-    else:
-        labels = tuple(labels)
-
-    grid = _grid(rows)
-    _, g = grid
+        labels = [str(i) for i in range(len(rows))]
+    space = FiniteMetricSpace(tuple(labels), rows, mode)
+    _, g = space.grid
+    n = len(g)
     cols = tuple(zip(*g))
     violations: list = []
     for i in range(n):
@@ -180,7 +171,7 @@ def validate(
                     violations.append(TriangleViolation(i, j, k))
     if violations:
         raise MetricValidationError(violations)
-    return _primed(FiniteMetricSpace(labels, rows, mode), grid)
+    return space
 
 
 def diameter(space: FiniteMetricSpace) -> Fraction:

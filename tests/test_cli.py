@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from ghkit import cli, hedgehogs, io, tuzhilin
+from ghkit import cli, dynamics, gluing, hedgehogs, io, tuzhilin
 from ghkit.cli import main
 from ghkit.correspondences import Correspondence, identity_correspondence
 from ghkit.errors import InvariantBroken, TooLarge
@@ -172,6 +172,41 @@ def test_tuzhilin_refuses_above_point_cap(capsys, monkeypatch):
         tracemalloc.stop()
     assert "Tuzhilin spaces have 10302 points, cap is 2000" in capsys.readouterr().err
     assert peak < 2**20
+
+
+def test_glue_tree_refuses_above_point_cap(gap_files, tmp_path, capsys, monkeypatch):
+    assert gluing.GLUED_POINT_CAP == 2000
+    x, y, _, _ = gap_files
+    rel = Correspondence(x, y, frozenset({(0, 0), (1, 1)}))
+    io.save_correspondence(rel, tmp_path / "r.corr")
+    leaves = range(1, 1001)  # a star of 1001 two-point vertices: 2002 points
+    tree = tmp_path / "star.tree"
+    tree.write_text(
+        "vertex 0 x.msp\n"
+        + "".join(f"vertex {v} y.msp\n" for v in leaves)
+        + "".join(f"edge 0 {v} r.corr\n" for v in leaves)
+    )
+
+    def no_build(*args):
+        raise AssertionError("the refusal must come before the carrier is built")
+
+    monkeypatch.setattr(gluing, "from_grid", no_build)
+    assert main(["glue", "--tree", str(tree)]) == 2
+    assert "gluing tree has 2002 points, cap is 2000" in capsys.readouterr().err
+
+
+def test_center_refuses_a_power_above_the_bit_cap(gap_files, capsys, monkeypatch):
+    _, _, xp, _ = gap_files
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the refusal must come before any solve or power")
+
+    monkeypatch.setattr(dynamics, "d_lambda", no_work)
+    monkeypatch.setattr(dynamics, "scale", no_work)
+    for lam, n, bits in (("1/2", "100000", 200000), ("2/3", "10000000", 20000000)):
+        assert main(["center", str(xp), "--lambda", lam, "--n", n]) == 2
+        err = capsys.readouterr().err
+        assert f"lambda^n may need {bits} bits, cap is 10000" in err
 
 
 def test_hedgehog_point_cap_boundary(monkeypatch):

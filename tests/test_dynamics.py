@@ -18,14 +18,16 @@ from ghkit.dynamics import (
     stabilizer_finite,
     thread_limit,
 )
-from ghkit.errors import SizeLimitExceeded, ThreadCapExceeded
+from ghkit.errors import SizeLimitExceeded, ThreadCapExceeded, TooLarge
 from ghkit.generate import random_metric_space, rng_from_seed
+from ghkit.gluing import GluingTree, glue_tree
 from ghkit.hedgehogs import HedgehogSpec
 from ghkit.solver import gh_exact, gh_upper_from
 from ghkit.spaces import (
     PSEUDO,
     FiniteMetricSpace,
     diameter,
+    hausdorff,
     one_point_space,
     scale,
     validate,
@@ -361,6 +363,36 @@ def test_center_iterate_zero_and_tail(base_space):
         actual = gh_exact(state.iterate, scale(base_space, lam**m)).value
         assert actual == (lam**n - lam**m) * diameter(base_space) / 2
         assert actual <= state.tail_bound
+
+
+def test_center_iterate_power_bit_cap_boundary(base_space):
+    assert dynamics.CENTER_POWER_BITS == 10_000
+    state = center_iterate(base_space, F(1, 2), 5000)  # 5000 * 2 bits: allowed
+    assert state.tail_bound == F(1, 2**5000) * state.step_distance * 2
+    str(state.tail_bound)  # printable: below CPython's int-to-str digit limit
+    with pytest.raises(TooLarge, match="10002 bits, cap is 10000"):
+        center_iterate(base_space, F(1, 2), 5001)
+    str(center_iterate(base_space, F(1, 2**9999), 1).tail_bound)  # 10000 bits
+    with pytest.raises(TooLarge, match="10001 bits, cap is 10000"):
+        center_iterate(base_space, F(1, 2**10000), 1)
+
+
+@pytest.mark.parametrize("seed", [13, 29, 41])
+def test_budget_chain_glued_as_a_path_tree(seed):
+    # the completeness proof's gluing: consecutive layers sit exactly half a
+    # link distortion apart, and layer n lies within the remaining weights of
+    # the last layer
+    base = random_metric_space(rng_from_seed(seed), 4, coord_max=6)
+    chain = contraction_chain(base, F(1, 2), 8)
+    assert chain.budget_checked
+    tree = GluingTree(
+        chain.spaces, tuple((n, n + 1, link) for n, link in enumerate(chain.links))
+    )
+    glued = glue_tree(tree)
+    last = glued.part(chain.depth - 1)
+    for n in range(chain.depth - 1):
+        assert hausdorff(glued.part(n), glued.part(n + 1)) == tree.weight(n)
+        assert hausdorff(glued.part(n), last) <= sum(tree.weights[n:])
 
 
 def test_stabilizer_of_needle_pair():

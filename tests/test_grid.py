@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ghkit.correspondences import Correspondence, distortion
+from ghkit.correspondences import Correspondence, distortion, inverse
 from ghkit.errors import (
     AsymmetricEntry,
     MetricValidationError,
@@ -243,8 +243,9 @@ def gluing_trees(draw):
         u = draw(st.integers(0, w - 1))
         rel = draw(correspondences(vertices[u], vertices[w]))
         assume(reference_distortion(vertices[u], vertices[w], rel.pairs) > 0)
-        edges.append((u, w, rel))
-    return GluingTree(vertices, tuple(edges))
+        # some edges listed child-first, so the walk must turn their pairs round
+        edges.append((w, u, inverse(rel)) if draw(st.booleans()) else (u, w, rel))
+    return GluingTree(vertices, tuple(draw(st.permutations(edges))))
 
 
 @examples
@@ -253,6 +254,9 @@ def test_glue_tree_carrier_matches_reference(tree):
     glued = glue_tree(tree)
     assert glued.carrier.dist == reference_glued(tree, glued.provenance)
     assert_grid_exact(glued.carrier)
+    for e, (u, w, rel) in enumerate(tree.edges):
+        x, y = tree.vertices[u], tree.vertices[w]
+        assert tree.weight(e) == reference_distortion(x, y, rel.pairs) / 2
 
 
 needle_points = st.lists(

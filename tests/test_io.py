@@ -109,6 +109,18 @@ def test_hedgehog_default_multiplicity():
     assert spec.needles == ((F(1, 2), 1), (F(3), 2))
 
 
+@pytest.mark.parametrize("text", ["1 2\n1 -1\n", "1 1\n1 0\n"])
+def test_hedgehog_multiplicity_below_one_is_refused_before_merging(
+    tmp_path, capsys, text
+):
+    with pytest.raises(io.ParseError, match="multiplicities must be positive"):
+        io.parse_hedgehog(text)
+    path = tmp_path / "bad.hh"
+    path.write_text(text)
+    assert main(["hedgehog", "compile", str(path)]) == 2
+    assert "multiplicities must be positive" in capsys.readouterr().err
+
+
 def test_gluing_tree_loader(tmp_path):
     rng = rng_from_seed(2)
     x = random_metric_space(rng, 2, label_prefix="x")
