@@ -36,6 +36,8 @@ class HedgehogSpec:
         lengths = [length for length, _ in self.needles]
         if any(length <= 0 for length in lengths):
             raise ValueError("needle lengths must be positive")
+        if not all(isinstance(mult, int) for _, mult in self.needles):
+            raise ValueError("multiplicities must be integers")
         if any(mult < 1 for _, mult in self.needles):
             raise ValueError("multiplicities must be positive")
         if lengths != sorted(set(lengths)):
@@ -52,10 +54,12 @@ class HedgehogSpec:
         merged: dict[Fraction, int] = {}
         for length, mult in pairs:
             # checked per pair: a merged sum can hide a zero or negative count
+            if not isinstance(mult, int):
+                raise ValueError("multiplicities must be integers")
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
             key = as_fraction(length)
-            merged[key] = merged.get(key, 0) + int(mult)
+            merged[key] = merged.get(key, 0) + mult
         return cls(tuple(sorted(merged.items())))
 
     @property

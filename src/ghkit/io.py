@@ -84,14 +84,18 @@ def parse_space(text: str, source: str | Path = "<string>") -> FiniteMetricSpace
     if len(labels) != n:
         raise ParseError(source, label_lineno, f"expected {n} labels")
     matrix = []
+    values: dict[str, Fraction] = {}  # each distinct token parsed once
     for lineno, row_line in lines[2:]:
         tokens = row_line.split()
         if len(tokens) != n:
             raise ParseError(source, lineno, f"expected {n} entries")
         try:
-            matrix.append([parse_fraction(tok) for tok in tokens])
+            for tok in tokens:
+                if tok not in values:
+                    values[tok] = parse_fraction(tok)
         except ValueError as exc:
             raise ParseError(source, lineno, str(exc)) from None
+        matrix.append(list(map(values.__getitem__, tokens)))
     return validate(matrix, mode=mode, labels=labels)
 
 

@@ -4,22 +4,21 @@ d_GH(X, Y) = (1/2) min over correspondences R of dis R, and dis R is always
 one of the gaps |d_X(x, x') - d_Y(y, y')|.  One decision procedure,
 `_extend`, answers "is there a correspondence of distortion <= t that
 contains these chosen cells and otherwise uses only these allowed cells?"
-on Python-int bitsets over the n*m cells (i, j).  `gh_exact` asks it at the
-smallest gap at or above the diameter-gap lower bound first (the bound is
-tight on scaled copies), then binary-searches the larger gaps; the largest
-is the full correspondence's distortion, so it is never asked.  The
-lexicographically smallest optimal witness comes from the same procedure,
-asked once per cell in index order.  Isometries have their own exact
-backtracking search.
+on Python-int bitsets over the n*m cells (i, j); the mask of the cells
+compatible with a cell at t is built the first time the search reads it.
+`gh_exact` asks it at the smallest gap at or above the diameter-gap lower
+bound first (tight on scaled copies), then binary-searches the larger gaps;
+the largest is the full correspondence's distortion, so it is never asked.
+The lexicographically smallest optimal witness comes from the same
+procedure on the last feasible probe's masks, asked once per cell in index
+order.  Isometries have their own exact backtracking search.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import or_
+from itertools import compress
 from typing import Iterator
 
 from .correspondences import (
@@ -74,22 +73,24 @@ def gh_exact(
     denom, dx, dy = scaled_integer_matrices(x, y)
     lb_int = abs(max(map(max, dx)) - max(map(max, dy)))
     gaps = cell_gap_table(n, m, dx, dy)
-    table = _threshold_masks(gaps, n * m)
+    nm = n * m
+    bits = [1 << k for k in range(nm)]
     lines = line_masks(n, m)
-    everything = (1 << (n * m)) - 1
+    everything = (1 << nm) - 1
     tally = [0]
     levels = sorted(gap for gap in set(gaps) if gap >= lb_int)
     lo, hi = 0, len(levels) - 1  # levels[hi] is always feasible
     probe = lo  # the bound first
+    compat = _Compat(gaps, bits, levels[hi])  # always the masks at levels[hi]
     while lo < hi:
-        compat = _compat(table, levels[probe])
-        if _extend(compat, lines, 0, everything, tally):
-            hi = probe
+        trial = _Compat(gaps, bits, levels[probe])
+        if _extend(trial, lines, 0, everything, tally):
+            hi, compat = probe, trial
         else:
             lo = probe + 1
         probe = (lo + hi) // 2
     best = levels[hi]
-    witness_pairs = _lex_min_cells(_compat(table, best), lines, m, tally)
+    witness_pairs = _lex_min_cells(compat, nm, lines, m, tally)
     return GHResult(
         value=Fraction(best, 2 * denom),
         witness=Correspondence(x, y, witness_pairs),
@@ -98,28 +99,26 @@ def gh_exact(
     )
 
 
-def _threshold_masks(gaps: list[int], nm: int) -> list[tuple[list[int], list[int]]]:
-    """Per cell: its gaps in ascending order, and the mask of the cells up to each."""
-    bits = [1 << k for k in range(nm)]
-    table = []
-    for base in range(0, nm * nm, nm):
-        row = gaps[base : base + nm]
-        order = sorted(range(nm), key=row.__getitem__)
-        ascending = list(map(row.__getitem__, order))
-        table.append((ascending, list(accumulate(map(bits.__getitem__, order), or_))))
-    return table
+class _Compat(dict):
+    """compat[c] is the mask of the cells whose gap with cell c is <= t,
+    built from c's row of the flat gap table on first read, so cells the
+    search never reaches cost nothing.  Never empty: a cell's gap with itself
+    is 0."""
 
+    __slots__ = ("gaps", "bits", "t")
 
-def _compat(table: list[tuple[list[int], list[int]]], t: int) -> list[int]:
-    """compat[c] is the mask of the cells whose gap with cell c is <= t.
+    def __init__(self, gaps: list[int], bits: list[int], t: int) -> None:
+        self.gaps, self.bits, self.t = gaps, bits, t
 
-    Never empty: a cell's gap with itself is 0.
-    """
-    return [masks[bisect_right(ascending, t) - 1] for ascending, masks in table]
+    def __missing__(self, cell: int) -> int:
+        nm = len(self.bits)
+        row = self.gaps[cell * nm : cell * nm + nm]
+        self[cell] = mask = sum(compress(self.bits, map(self.t.__ge__, row)))
+        return mask
 
 
 def _extend(
-    compat: list[int], lines: list[int], chosen: int, avail: int, tally: list[int]
+    compat: _Compat, lines: list[int], chosen: int, avail: int, tally: list[int]
 ) -> int:
     """A correspondence within budget containing `chosen`, else 0.
 
@@ -153,7 +152,7 @@ def _extend(
 
 
 def _lex_min_cells(
-    compat: list[int], lines: list[int], m: int, tally: list[int]
+    compat: _Compat, nm: int, lines: list[int], m: int, tally: list[int]
 ) -> frozenset[tuple[int, int]]:
     """Lexicographically smallest correspondence within the budget of `compat`.
 
@@ -164,27 +163,27 @@ def _lex_min_cells(
     search.  Prefix-closed comparison: once the chosen set covers both
     sides, any extension sorts later, so the scan stops.
     """
-    avail = (1 << len(compat)) - 1
+    avail = (1 << nm) - 1
     found = _extend(compat, lines, 0, avail, tally)
     if not found:
         raise InvariantBroken(
             "the distortion budget admits no correspondence (solver bug)"
         )
     chosen = 0
-    for cell, masks in enumerate(compat):
+    for cell in range(nm):
         if all(chosen & line for line in lines):
             break
         bit = 1 << cell
         if not found & bit:
             trial = avail & bit and _extend(
-                compat, lines, chosen | bit, avail & masks, tally
+                compat, lines, chosen | bit, avail & compat[cell], tally
             )
             if not trial:
                 avail &= ~bit
                 continue
             found = trial
         chosen |= bit
-        avail &= masks
+        avail &= compat[cell]
     return decode_cells(chosen, m)
 
 

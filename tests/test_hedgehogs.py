@@ -31,6 +31,18 @@ def test_spec_normalization_and_validation():
         HedgehogSpec(())
 
 
+def test_non_integer_multiplicities_are_refused():
+    # from_pairs used to truncate with int(): 3/2 gave one needle, 2.7 two
+    for mult in (F(3, 2), 2.7, 2.0, F(2), "2"):
+        with pytest.raises(ValueError, match="integers"):
+            HedgehogSpec.from_pairs([(F(1), mult)])
+        with pytest.raises(ValueError, match="integers"):
+            HedgehogSpec(((F(1), mult),))
+    # refused per pair, before two halves could merge into a whole count
+    with pytest.raises(ValueError, match="integers"):
+        HedgehogSpec.from_pairs([(F(1), F(1, 2)), (F(1), F(1, 2))])
+
+
 def test_compile_single_needle():
     space = compile_hedgehog(HedgehogSpec.of(1))
     assert space.dist == ((F(0), F(1)), (F(1), F(0)))

@@ -65,6 +65,26 @@ def test_space_parse_errors():
         io.parse_space("points 2 fuzzy\na b\n0 1\n1 0\n")  # unknown mode
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the bad token's first line, counted with the comment line
+        (
+            "points 3 strict\na b c\n# note\n0 1 1/2\n1 0 x\n1/2 x 0\n",
+            "s.msp:5: bad rational 'x'",
+        ),
+        (
+            "points 3 strict\na b c\n0 1 2/0\n1 0 1\n2/0 1 0\n",
+            "s.msp:3: bad rational '2/0'",
+        ),
+    ],
+)
+def test_bad_token_reported_at_its_first_line(text, message):
+    with pytest.raises(io.ParseError) as caught:
+        io.parse_space(text, "s.msp")
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("count", ["-1", "0"])
 def test_point_count_below_one_is_parse_error(tmp_path, capsys, count):
     path = tmp_path / "s.msp"

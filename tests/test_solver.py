@@ -204,12 +204,79 @@ def test_lex_min_witness_below_the_optimum_raises_typed_error():
     # check alive under python -O
     from ghkit.correspondences import cell_gap_table, line_masks
     from ghkit.errors import InvariantBroken
-    from ghkit.solver import _compat, _lex_min_cells, _threshold_masks
+    from ghkit.solver import _Compat, _lex_min_cells
 
     dx, dy = ((0, 1), (1, 0)), ((0, 3), (3, 0))
-    compat = _compat(_threshold_masks(cell_gap_table(2, 2, dx, dy), 4), 1)
+    compat = _Compat(cell_gap_table(2, 2, dx, dy), [1 << k for k in range(4)], 1)
     with pytest.raises(InvariantBroken):
-        _lex_min_cells(compat, line_masks(2, 2), 2, [0])
+        _lex_min_cells(compat, 4, line_masks(2, 2), 2, [0])
+
+
+def _mask_pairs():
+    """Seeded pairs from 1x1 to 12x12, square and not, random and scaled."""
+    rng = rng_from_seed(41)
+    pairs = []
+    for n, m in ((1, 1), (1, 4), (3, 2), (5, 5), (6, 9), (8, 8), (11, 7), (12, 12)):
+        x = random_metric_space(rng, n, label_prefix="x")
+        y = random_metric_space(rng, m, label_prefix="y")
+        pairs.append(pytest.param(x, y, id=f"{n}x{m}"))
+    x = random_metric_space(rng, 10, label_prefix="x")
+    pairs.append(pytest.param(x, scale(x, F(3, 2)), id="10x10-scaled"))
+    return pairs
+
+
+def _gap_levels(x, y):
+    from ghkit.correspondences import cell_gap_table, scaled_integer_matrices
+
+    denom, dx, dy = scaled_integer_matrices(x, y)
+    gaps = cell_gap_table(len(x), len(y), dx, dy)
+    return denom, gaps, sorted(set(gaps))
+
+
+def _eager_compat(gaps, nm, t):
+    # reference: every cell's mask at t, straight from the flat gap table
+    return [
+        sum(1 << k for k in range(nm) if gaps[c * nm + k] <= t) for c in range(nm)
+    ]
+
+
+@pytest.mark.parametrize("x, y", _mask_pairs())
+def test_lazy_masks_equal_an_eager_reference_at_every_level(x, y):
+    from ghkit.solver import _Compat
+
+    nm = len(x) * len(y)
+    bits = [1 << k for k in range(nm)]
+    _, gaps, levels = _gap_levels(x, y)
+    for t in levels:
+        lazy, eager = _Compat(gaps, bits, t), _eager_compat(gaps, nm, t)
+        assert len(lazy) == 0
+        assert lazy[nm - 1] == eager[nm - 1]
+        assert len(lazy) == 1  # reading one cell builds that cell's mask only
+        assert [lazy[c] for c in range(nm)] == eager
+
+
+@pytest.mark.parametrize("x, y", _mask_pairs())
+def test_search_and_witness_scan_agree_with_eager_masks(x, y):
+    from ghkit.correspondences import line_masks
+    from ghkit.solver import _Compat, _extend, _lex_min_cells
+
+    n, m = len(x), len(y)
+    nm = n * m
+    bits, lines = [1 << k for k in range(nm)], line_masks(n, m)
+    denom, gaps, levels = _gap_levels(x, y)
+    feasible = []
+    for t in levels:
+        lazy, eager = _Compat(gaps, bits, t), _eager_compat(gaps, nm, t)
+        lazy_tally, eager_tally = [0], [0]
+        found = _extend(lazy, lines, 0, (1 << nm) - 1, lazy_tally)
+        assert found == _extend(eager, lines, 0, (1 << nm) - 1, eager_tally)
+        assert lazy_tally == eager_tally
+        if found:
+            feasible.append(t)
+            witness = _lex_min_cells(lazy, nm, lines, m, lazy_tally)
+            assert witness == _lex_min_cells(eager, nm, lines, m, eager_tally)
+            assert lazy_tally == eager_tally
+    assert gh_exact(x, y, cap=12).value == F(feasible[0], 2 * denom)
 
 
 def test_solves_and_isometry_searches_leave_no_reference_cycles():
