@@ -5,7 +5,9 @@ consecutive points linked).  The last-layer distance is a pseudometric on
 threads; its zero-distance quotient is the chain's finite limit, and each
 layer n gets a certificate: half the distortion of the relation matching
 limit classes to layer-n points.  Under the budget dis R_n < 1/2^n the
-certificate at layer n is below 1/2^(n-1).
+certificate at layer n is below 1/2^(n-1).  `thread_limit` reads all of
+this off one backward pass over the links and builds no thread; the threads
+are enumerated on first read, up to THREAD_CAP of them.
 
 The scaling side probes d(lam) = d_GH(X, lam*X), its inversion and
 subdivision identities, the geometric-series bound for d(lam^n), center
@@ -23,10 +25,17 @@ from .correspondences import Correspondence, distortion
 from .errors import SizeLimitExceeded, ThreadCapExceeded, TooLarge
 from .hedgehogs import HedgehogSpec, hedgehog_scale_isometry_check
 from .solver import DEFAULT_SIZE_CAP, are_isometric, gh_exact
-from .spaces import PSEUDO, STRICT, FiniteMetricSpace, as_fraction, scale
+from .spaces import (
+    POINT_CAP,
+    PSEUDO,
+    STRICT,
+    FiniteMetricSpace,
+    as_fraction,
+    from_grid,
+    scale,
+)
 
-THREAD_CAP = 10**6
-THREAD_SPACE_CAP = 2000  # threads `thread_space` will lay out as a matrix
+THREAD_CAP = 10**6  # threads `Threads` will enumerate
 CENTER_POWER_BITS = 10_000  # bits lam^n may take in `center_iterate`: ~3,000 digits
 
 
@@ -60,9 +69,9 @@ class ThreadChain:
 class Threads(Sequence):
     """A chain's threads in lexicographic order.
 
-    `len()` is the thread count by dynamic programming.  Indexing,
-    iteration, `==` and `hash` read one tuple of all threads, enumerated on
-    first use; `repr` does not enumerate.
+    `len()` is the thread count from `thread_limit`.  Indexing, iteration,
+    `==` and `hash` read one tuple of all threads, enumerated on first use
+    and refused above THREAD_CAP; `repr` does not enumerate.
     """
 
     def __init__(self, width: int, successors: list[list[list[int]]], count: int):
@@ -72,6 +81,8 @@ class Threads(Sequence):
 
     @cached_property
     def _all(self) -> tuple[tuple[int, ...], ...]:
+        if self._count > THREAD_CAP:
+            raise ThreadCapExceeded(self._count, THREAD_CAP)
         return _enumerate_threads(self._width, self._successors)
 
     def __len__(self) -> int:
@@ -143,8 +154,8 @@ class ThreadLimitResult:
     def thread_space(self) -> FiniteMetricSpace:
         """The pre-quotient pseudometric space of all threads (small chains only)."""
         count = len(self.threads)
-        if count > THREAD_SPACE_CAP:
-            raise ThreadCapExceeded(count, THREAD_SPACE_CAP)
+        if count > POINT_CAP:
+            raise ThreadCapExceeded(count, POINT_CAP)
         last = self.chain.spaces[-1]
         labels = tuple(
             "|".join(
@@ -160,86 +171,59 @@ class ThreadLimitResult:
 
 
 def _zero_classes(space: FiniteMetricSpace) -> tuple[list[int], list[int]]:
-    """(representative index per class, class id per point) for d = 0 grouping."""
-    assignment = [-1] * len(space)
-    reps: list[int] = []
-    for i in range(len(space)):
-        if assignment[i] >= 0:
-            continue
-        cls = len(reps)
-        reps.append(i)
-        assignment[i] = cls
-        for j in range(i + 1, len(space)):
-            if assignment[j] < 0 and space.dist[i][j] == 0:
-                assignment[j] = cls
-    return reps, assignment
+    """(representative index per class, class id per point) for d = 0 grouping.
+
+    Zero distance is transitive in a pseudometric, so the first zero in a
+    grid row is the smallest point of that row's class: its representative.
+    """
+    first = [row.index(0) for row in space.grid[1]]
+    reps = [p for p, rep in enumerate(first) if p == rep]
+    number = {rep: cls for cls, rep in enumerate(reps)}
+    return reps, [number[rep] for rep in first]
 
 
 def thread_limit(chain: ThreadChain) -> ThreadLimitResult:
     """Count threads, quotient by zero distance, certify every layer.
 
-    The threads themselves are enumerated only when first read.
+    One backward pass over the links carries, for each layer-n point, the
+    number of threads that start there and the set of limit classes they
+    end in; the layer-n projection pairs each point with that set.  The
+    threads themselves are enumerated only when first read.
     """
     spaces = chain.spaces
-    links = chain.links
-    k = len(spaces)
+    last = spaces[-1]
+    reps, assignment = _zero_classes(last)
+    denom, rows = last.grid
+    approx = from_grid(
+        tuple([last.labels[r] for r in reps]),
+        denom,
+        tuple([tuple([rows[a][b] for b in reps]) for a in reps]),
+    )
 
     successors: list[list[list[int]]] = []
-    for n, link in enumerate(links):
+    for n, link in enumerate(chain.links):
         table: list[list[int]] = [[] for _ in range(len(spaces[n]))]
         for i, j in sorted(link.pairs):
             table[i].append(j)
         successors.append(table)
 
-    # thread count by dynamic programming; no thread is built here
-    counts = [1] * len(spaces[0])
-    for n, table in enumerate(successors):
-        nxt = [0] * len(spaces[n + 1])
-        for i, outs in enumerate(table):
-            for j in outs:
-                nxt[j] += counts[i]
-        counts = nxt
-    total = sum(counts)
-    if total > THREAD_CAP:
-        raise ThreadCapExceeded(total, THREAD_CAP)
-
-    last = spaces[-1]
-    reps, assignment = _zero_classes(last)
-    approx = FiniteMetricSpace(
-        labels=tuple(last.labels[r] for r in reps),
-        dist=tuple(tuple(last.dist[a][b] for b in reps) for a in reps),
-        mode=STRICT,
-    )
-
-    # realized (layer-n point, last-layer point) pairs via backward composition;
-    # identical to reading the pairs off all threads, without the quadratic sweep
+    counts = [1] * len(last)
+    ends = [{c} for c in assignment]
     projections = []
-    certificates = []
-    composed: list[set[tuple[int, int]]] = [set() for _ in range(k)]
-    composed[k - 1] = {(p, p) for p in range(len(last))}
-    for n in range(k - 2, -1, -1):
-        table = successors[n]
-        nxt = composed[n + 1]
-        by_left: dict[int, set[int]] = {}
-        for a, b in nxt:
-            by_left.setdefault(a, set()).add(b)
-        composed[n] = {
-            (i, b) for i, outs in enumerate(table) for j in outs for b in by_left[j]
-        }
-    for n in range(k):
-        pairs = frozenset(
-            (assignment[b], i) for i, b in composed[n]
-        )
-        projection = Correspondence(approx, spaces[n], pairs)
-        projections.append(projection)
-        certificates.append(distortion(projection) / 2)
+    for n in range(len(spaces) - 1, -1, -1):
+        if n < len(successors):
+            counts = [sum([counts[j] for j in outs]) for outs in successors[n]]
+            ends = [set().union(*[ends[j] for j in outs]) for outs in successors[n]]
+        pairs = frozenset([(c, p) for p, classes in enumerate(ends) for c in classes])
+        projections.append(Correspondence(approx, spaces[n], pairs))
+    projections.reverse()
 
     return ThreadLimitResult(
         chain=chain,
-        threads=Threads(len(spaces[0]), successors, total),
+        threads=Threads(len(spaces[0]), successors, sum(counts)),
         approx=approx,
         projections=tuple(projections),
-        certificates=tuple(certificates),
+        certificates=tuple([distortion(p) / 2 for p in projections]),
     )
 
 

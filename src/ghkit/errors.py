@@ -95,9 +95,9 @@ class DifferentAmbientSpaces(GhkitError):
 
 
 class TooLarge(GhkitError):
-    """Refused by a fixed size guard: enumeration above n*m cells, a
-    hedgehog, a Tuzhilin pair or a gluing tree above its point cap, or a
-    center iterate whose power lam^n could exceed its bit cap."""
+    """Refused by a fixed size guard: enumeration above n*m cells, a dense
+    layout or generator request above POINT_CAP points, or a center iterate
+    whose power lam^n could exceed its bit cap."""
 
 
 class SizeLimitExceeded(GhkitError):

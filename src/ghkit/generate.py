@@ -4,6 +4,8 @@ Random metric spaces are built by sampling points with rational coordinates
 and taking the sup-distance, which satisfies the triangle inequality by
 construction; everything downstream is therefore valid without rejection.
 All generators are deterministic functions of the supplied Random instance.
+A request whose output could have more than POINT_CAP points is refused with
+`TooLarge` before sampling, so every generated file fits the readers' guards.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from fractions import Fraction
 from typing import Iterable
 
 from .correspondences import Correspondence, distortion
+from .errors import TooLarge
 from .gluing import GluingTree
 from .hedgehogs import HedgehogSpec, compile_hedgehog
-from .spaces import STRICT, FiniteMetricSpace, as_fraction
+from .spaces import POINT_CAP, STRICT, FiniteMetricSpace, as_fraction
 
 DEFAULT_SEED = 7
 
@@ -40,6 +43,8 @@ def random_metric_space(
     only the accepted draw becomes `Fraction`s."""
     if n < 1:
         raise ValueError("need at least one point")
+    if n > POINT_CAP:
+        raise TooLarge(f"space has {n} points, cap is {POINT_CAP}")
     if coord_max < 0 or denominator < 1:
         raise ValueError("need coord_max >= 0 and denominator >= 1")
     if n > (coord_max + 1) ** 3:
@@ -127,6 +132,8 @@ def grid_hedgehog(eps: int | Fraction, diam: int | Fraction) -> HedgehogSpec:
     steps = diam / eps
     if steps.denominator != 1:
         raise ValueError("diam must be an integer multiple of eps")
+    if steps.numerator + 1 > POINT_CAP:
+        raise TooLarge(f"hedgehog has {steps.numerator + 1} points, cap is {POINT_CAP}")
     return HedgehogSpec.from_pairs((eps * k, 1) for k in range(1, steps.numerator + 1))
 
 
@@ -136,7 +143,9 @@ def dense_hedgehog_spec(
     max_length: int | Fraction,
 ) -> HedgehogSpec:
     """Random spec with `count` distinct needle lengths on the 1/8 grid, each
-    of multiplicity 1 or 2."""
+    of multiplicity 1 or 2, so up to 1 + 2*count points."""
+    if 1 + 2 * count > POINT_CAP:
+        raise TooLarge(f"hedgehog may have {1 + 2 * count} points, cap is {POINT_CAP}")
     max_length = as_fraction(max_length)
     grid_size = int(max_length * 8)
     if count > grid_size:

@@ -23,9 +23,14 @@ from typing import Sequence
 
 from .correspondences import Correspondence, distortion, rescaled
 from .errors import DistortionBudgetExceeded, NotATree, TooLarge, ZeroDistortion
-from .spaces import STRICT, FiniteMetricSpace, SubsetRef, as_fraction, from_grid
-
-GLUED_POINT_CAP = 2000  # points `glue_tree` will lay out as one carrier
+from .spaces import (
+    POINT_CAP,
+    STRICT,
+    FiniteMetricSpace,
+    SubsetRef,
+    as_fraction,
+    from_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -48,8 +53,8 @@ class GluingTree:
         if v == 0:
             raise ValueError("a gluing tree needs at least one vertex")
         points = sum(map(len, self.vertices))
-        if points > GLUED_POINT_CAP:
-            raise TooLarge(f"gluing tree has {points} points, cap is {GLUED_POINT_CAP}")
+        if points > POINT_CAP:
+            raise TooLarge(f"gluing tree has {points} points, cap is {POINT_CAP}")
         if len(self.edges) != v - 1:
             raise NotATree(f"{v} vertices need {v - 1} edges, got {len(self.edges)}")
         weights = []

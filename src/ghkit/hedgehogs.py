@@ -18,10 +18,9 @@ from typing import Iterable
 from .correspondences import Correspondence
 from .errors import BucketMismatch, PremiseViolated, TooLarge
 from .gluing import GluedSpace, glue_pair
-from .spaces import STRICT, FiniteMetricSpace, as_fraction, from_grid
+from .spaces import POINT_CAP, STRICT, FiniteMetricSpace, as_fraction, from_grid
 
 CENTER_LABEL = "0"
-HEDGEHOG_POINT_CAP = 2000  # points `compile_hedgehog` will lay out as a matrix
 
 
 @dataclass(frozen=True)
@@ -85,11 +84,11 @@ def compile_hedgehog(spec: HedgehogSpec) -> FiniteMetricSpace:
     """Center plus one point per needle copy, intrinsic metric through the center.
 
     Refuses with `TooLarge`, before building anything, a spec of more than
-    HEDGEHOG_POINT_CAP points.
+    POINT_CAP points.
     """
-    if spec.point_count > HEDGEHOG_POINT_CAP:
+    if spec.point_count > POINT_CAP:
         raise TooLarge(
-            f"hedgehog has {spec.point_count} points, cap is {HEDGEHOG_POINT_CAP}"
+            f"hedgehog has {spec.point_count} points, cap is {POINT_CAP}"
         )
     labels = [CENTER_LABEL]
     lengths = [Fraction(0)]

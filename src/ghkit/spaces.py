@@ -32,6 +32,7 @@ STRICT = "strict"
 PSEUDO = "pseudo"
 
 _MODES = (STRICT, PSEUDO)
+POINT_CAP = 2000  # points one distance matrix may have
 
 
 def as_fraction(value: int | Fraction) -> Fraction:

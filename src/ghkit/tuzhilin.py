@@ -20,10 +20,9 @@ from typing import Sequence
 
 from .correspondences import scaled_integer_matrices
 from .errors import IndexOutOfRange, TooLarge
-from .spaces import STRICT, FiniteMetricSpace, SubsetRef, from_grid, hausdorff
+from .spaces import POINT_CAP, FiniteMetricSpace, SubsetRef, from_grid, hausdorff
 
 INF_NEEDLE = "inf"
-TUZHILIN_POINT_CAP = 2000  # points of both spaces together
 
 Point = tuple[str, Fraction]  # (needle id, coordinate)
 
@@ -38,10 +37,10 @@ class TuzhilinConfig:
             raise ValueError("n must be at least 2")
         if self.k < self.n:
             raise ValueError("k must be at least n")
-        if self.point_count > TUZHILIN_POINT_CAP:
+        if self.point_count > POINT_CAP:
             raise TooLarge(
                 f"Tuzhilin spaces have {self.point_count} points, "
-                f"cap is {TUZHILIN_POINT_CAP}"
+                f"cap is {POINT_CAP}"
             )
 
     @property
@@ -80,7 +79,7 @@ def needle_space(points: Sequence[Point]) -> FiniteMetricSpace:
         first, end = span[needle]
         row[first:end] = [abs(a - b) for b in coords[first:end]]
         rows.append(tuple(row))
-    return from_grid(labels, denom, tuple(rows), STRICT)
+    return from_grid(labels, denom, tuple(rows))
 
 
 def _x_points(cfg: TuzhilinConfig) -> list[Point]:
@@ -104,7 +103,7 @@ def tuzhilin_spaces(
     return needle_space(_x_points(cfg)), needle_space(_y_points(cfg))
 
 
-def _relocate(cfg: TuzhilinConfig, m: int, point: Point) -> Point:
+def _relocate(m: int, point: Point) -> Point:
     needle, coord = point
     if needle == INF_NEEDLE:
         return (str(m), coord)
@@ -132,7 +131,7 @@ def tuzhilin_isometry(cfg: TuzhilinConfig, m: int) -> TuzhilinEmbedding:
     x_points = _x_points(cfg)
     y_points = _y_points(cfg)
     y_space = needle_space(y_points)
-    image_points = [_relocate(cfg, m, p) for p in y_points]
+    image_points = [_relocate(m, p) for p in y_points]
     ambient = needle_space(x_points + image_points)
     index = {label: g for g, label in enumerate(ambient.labels)}
 
@@ -144,7 +143,7 @@ def tuzhilin_isometry(cfg: TuzhilinConfig, m: int) -> TuzhilinEmbedding:
 
     # ambient index of the image of each point of y_space, in its order
     image = [
-        locate(_relocate(cfg, m, (needle, coord)))
+        locate(_relocate(m, (needle, coord)))
         for needle, _, coord in _on_grid(y_points)[1]
     ]
     mapping = tuple(

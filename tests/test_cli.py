@@ -1,8 +1,9 @@
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from ghkit import cli, dynamics, gluing, hedgehogs, io, tuzhilin
+from ghkit import cli, dynamics, generate, gluing, hedgehogs, io, spaces, tuzhilin
 from ghkit.cli import main
 from ghkit.correspondences import Correspondence, identity_correspondence
 from ghkit.errors import InvariantBroken, TooLarge
@@ -140,8 +141,8 @@ def test_hedgehog_bucket(tmp_path, capsys):
 
 
 def test_hedgehog_compile_refuses_above_point_cap(tmp_path, capsys, monkeypatch):
-    cap = hedgehogs.HEDGEHOG_POINT_CAP  # read first: an unguarded build would not end
-    assert cap == 2000
+    cap = hedgehogs.POINT_CAP  # read first: an unguarded build would not end
+    assert cap is spaces.POINT_CAP == 2000
     spec = tmp_path / "huge.hh"
     spec.write_text("1 10000000\n")
 
@@ -175,7 +176,7 @@ def test_tuzhilin_refuses_above_point_cap(capsys, monkeypatch):
 
 
 def test_glue_tree_refuses_above_point_cap(gap_files, tmp_path, capsys, monkeypatch):
-    assert gluing.GLUED_POINT_CAP == 2000
+    assert gluing.POINT_CAP is spaces.POINT_CAP == 2000
     x, y, _, _ = gap_files
     rel = Correspondence(x, y, frozenset({(0, 0), (1, 1)}))
     io.save_correspondence(rel, tmp_path / "r.corr")
@@ -210,7 +211,7 @@ def test_center_refuses_a_power_above_the_bit_cap(gap_files, capsys, monkeypatch
 
 
 def test_hedgehog_point_cap_boundary(monkeypatch):
-    monkeypatch.setattr(hedgehogs, "HEDGEHOG_POINT_CAP", 3)
+    monkeypatch.setattr(hedgehogs, "POINT_CAP", 3)
     assert len(hedgehogs.compile_hedgehog(HedgehogSpec.from_pairs([(1, 2)]))) == 3
     with pytest.raises(TooLarge):
         hedgehogs.compile_hedgehog(HedgehogSpec.from_pairs([(1, 2), (2, 1)]))
@@ -254,6 +255,32 @@ def test_limit_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "threads 2" in out
     assert "certificate[1] 0" in out
+
+
+def test_limit_certifies_a_chain_above_the_thread_cap(
+    halving_chain, tmp_path, capsys, monkeypatch
+):
+    def no_build(*args):
+        raise AssertionError("no thread may be built")
+
+    monkeypatch.setattr(dynamics, "_enumerate_threads", no_build)
+    chain = halving_chain(60)  # 3 * 2^59 threads, within the 1/2^n budget
+    lines = []
+    for n, space in enumerate(chain.spaces):
+        if n:
+            io.save_correspondence(chain.links[n - 1], tmp_path / f"r{n}.corr")
+            lines.append(f"link r{n}.corr")
+        io.save_space(space, tmp_path / f"x{n}.msp")
+        lines.append(f"space x{n}.msp")
+    path = tmp_path / "deep.chain"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["limit", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["threads 1729382256910270464", "budget_checked true"]
+    for n, line in enumerate(out[2:62], start=1):
+        label, value = line.split()
+        assert label == f"certificate[{n}]"
+        assert io.parse_fraction(value) <= Fraction(1, 2 ** (n - 1))
 
 
 def test_probe_csv(gap_files, capsys):
@@ -315,6 +342,39 @@ def test_generate_deterministic(tmp_path):
 def test_generate_rejects_impossible_requests(tmp_path, capsys, flags, message):
     out = tmp_path / "g.msp"
     assert main(["generate", "random-metric", *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+class NoSampling:
+    def __getattr__(self, name):
+        raise AssertionError("the refusal must come before any sampling")
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        (["random-metric", "--n", "2001"], "space has 2001 points, cap is 2000"),
+        (
+            ["grid-hedgehog", "--eps", "1/20000", "--diam", "1"],
+            "hedgehog has 20001 points, cap is 2000",
+        ),
+        (
+            ["dense-spec", "--count", "1000", "--max-length", "1000"],
+            "hedgehog may have 2001 points, cap is 2000",
+        ),
+    ],
+)
+def test_generate_refuses_above_the_point_cap(
+    tmp_path, capsys, monkeypatch, command, message
+):
+    def no_build(*args):
+        raise AssertionError("the refusal must come before any needle is built")
+
+    monkeypatch.setattr(cli, "rng_from_seed", lambda seed: NoSampling())
+    monkeypatch.setattr(generate.HedgehogSpec, "from_pairs", no_build)
+    out = tmp_path / "g.out"
+    assert main(["generate", *command, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 

@@ -9,7 +9,6 @@ from ghkit.correspondences import Correspondence, identity_correspondence
 from ghkit.dynamics import (
     DEFAULT_SAMPLED_FACTORS,
     THREAD_CAP,
-    THREAD_SPACE_CAP,
     ThreadChain,
     center_iterate,
     d_lambda,
@@ -24,6 +23,7 @@ from ghkit.gluing import GluingTree, glue_tree
 from ghkit.hedgehogs import HedgehogSpec
 from ghkit.solver import gh_exact, gh_upper_from
 from ghkit.spaces import (
+    POINT_CAP,
     PSEUDO,
     FiniteMetricSpace,
     diameter,
@@ -169,23 +169,36 @@ def full_chain(space, depth):
     return ThreadChain((space,) * depth, (full,) * (depth - 1))
 
 
-def test_thread_cap(base_space):
-    # 3^13 threads: the count refuses the chain before any thread is built
-    with pytest.raises(ThreadCapExceeded) as caught:
-        thread_limit(full_chain(base_space, 13))
-    assert (caught.value.count, caught.value.cap) == (3**13, THREAD_CAP)
+def no_build(*args):
+    raise AssertionError("the refusal must come before any thread is built")
+
+
+def test_thread_cap(base_space, monkeypatch):
+    # 3^13 threads: the limit is certified, and the cap refuses reading them
+    monkeypatch.setattr(dynamics, "_enumerate_threads", no_build)
+    result = thread_limit(full_chain(base_space, 13))
+    assert len(result.threads) == 3**13
+    assert len(result.approx) == 3
+    # a full link matches every point to every class; the last layer is exact
+    assert result.certificates == (F(1, 2),) * 12 + (0,)
+    reads = (
+        lambda: result.threads[0],
+        lambda: list(result.threads),
+        lambda: result.thread_classes,
+    )
+    for read in reads:
+        with pytest.raises(ThreadCapExceeded) as caught:
+            read()
+        assert (caught.value.count, caught.value.cap) == (3**13, THREAD_CAP)
 
 
 def test_thread_space_cap(base_space, monkeypatch):
-    def no_build(*args):
-        raise AssertionError("the refusal must come before any thread is built")
-
     monkeypatch.setattr(dynamics, "_enumerate_threads", no_build)
     result = thread_limit(full_chain(base_space, 8))
     assert len(result.threads) == 3**8
     with pytest.raises(ThreadCapExceeded) as caught:
         result.thread_space()
-    assert (caught.value.count, caught.value.cap) == (3**8, THREAD_SPACE_CAP)
+    assert (caught.value.count, caught.value.cap) == (3**8, POINT_CAP)
 
 
 # lazy threads: checked against an enumeration that shares no code with
@@ -237,7 +250,7 @@ def branching_chain(space, seed, depth=7):
     return ThreadChain(tuple(layers), tuple(links))
 
 
-@pytest.mark.parametrize(
+reference_chains = pytest.mark.parametrize(
     "make",
     [
         fan_chain,
@@ -248,6 +261,9 @@ def branching_chain(space, seed, depth=7):
     ],
     ids=["fan", "branching-1", "branching-2", "branching-3-deeper", "points-1500"],
 )
+
+
+@reference_chains
 def test_lazy_threads_match_reference_enumeration(base_space, make):
     chain = make(base_space)
     expected = reference_threads(chain)
@@ -259,6 +275,36 @@ def test_lazy_threads_match_reference_enumeration(base_space, make):
     assert hash(result.threads) == hash(expected)
     assert result.threads[-1] == expected[-1]
     assert list(result.threads) == list(expected)
+
+
+def reference_quotient(space):
+    """The zero-distance quotient on each class's smallest point, in order."""
+    reps = [p for p in range(len(space)) if all(space.dist[q][p] for q in range(p))]
+    return FiniteMetricSpace(
+        tuple(space.labels[p] for p in reps),
+        tuple(tuple(space.dist[a][b] for b in reps) for a in reps),
+    )
+
+
+@reference_chains
+def test_projections_match_their_definition(base_space, make):
+    # layer n's projection relates each thread's limit class to its layer-n
+    # point, and its certificate is half that relation's distortion
+    chain = make(base_space)
+    threads = reference_threads(chain)
+    classes = reference_classes(chain, threads)
+    result = thread_limit(chain)
+    assert result.approx == reference_quotient(chain.spaces[-1])
+    limit = result.approx.dist
+    for n, space in enumerate(chain.spaces):
+        pairs = {(c, thread[n]) for c, thread in zip(classes, threads)}
+        assert result.projections[n].pairs == pairs
+        dis = max(
+            abs(limit[c][c2] - space.dist[p][p2])
+            for c, p in pairs
+            for c2, p2 in pairs
+        )
+        assert result.certificates[n] == dis / 2
 
 
 def test_count_and_repr_build_no_thread(base_space, monkeypatch):
@@ -280,22 +326,9 @@ def test_count_and_repr_build_no_thread(base_space, monkeypatch):
     assert len(calls) == 1  # one cached tuple serves every read
 
 
-def test_thread_count_and_certificates_stay_small():
-    # the benchmark chain's shape: 16 halving layers of 3 points, 2
-    # successors per point, 3 * 2^15 threads
-    rng = random.Random(7)
-    base = random_metric_space(rng, 3, denominator=120)
-    spaces = tuple(scale(base, F(1, 2**n)) for n in range(1, 17))
-    links = tuple(
-        Correspondence(
-            spaces[n],
-            spaces[n + 1],
-            frozenset((p, p) for p in range(3))
-            | frozenset((p, (p + rng.randint(1, 2)) % 3) for p in range(3)),
-        )
-        for n in range(15)
-    )
-    chain = ThreadChain(spaces, links)
+def test_thread_count_and_certificates_stay_small(halving_chain):
+    # the benchmark chain: 16 halving layers of 3 points, 3 * 2^15 threads
+    chain = halving_chain(16)
     tracemalloc.start()
     try:
         result = thread_limit(chain)

@@ -2,7 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from ghkit import generate, spaces
 from ghkit.correspondences import distortion
+from ghkit.errors import TooLarge
 from ghkit.generate import (
     dense_hedgehog_spec,
     grid_hedgehog,
@@ -84,6 +86,25 @@ def test_grid_hedgehog_quarters():
     ]
     with pytest.raises(ValueError):
         grid_hedgehog(F(1, 4), F(1, 3))
+
+
+class NoSampling:
+    def __getattr__(self, name):
+        raise AssertionError("the refusal must come before any sampling")
+
+
+def test_generator_point_cap_boundary(monkeypatch):
+    assert generate.POINT_CAP is spaces.POINT_CAP == 2000
+    monkeypatch.setattr(generate, "POINT_CAP", 5)
+    assert len(random_metric_space(rng_from_seed(1), 5)) == 5
+    assert grid_hedgehog(1, 4).point_count == 5
+    assert dense_hedgehog_spec(rng_from_seed(1), 2, 1).point_count <= 5
+    with pytest.raises(TooLarge):
+        random_metric_space(NoSampling(), 6)
+    with pytest.raises(TooLarge):
+        grid_hedgehog(1, 5)
+    with pytest.raises(TooLarge):
+        dense_hedgehog_spec(NoSampling(), 3, 1)
 
 
 def test_dense_spec_counts():

@@ -2,11 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from ghkit import tuzhilin
+from ghkit import spaces, tuzhilin
 from ghkit.errors import IndexOutOfRange, TooLarge
 from ghkit.spaces import STRICT, validate
 from ghkit.tuzhilin import (
-    TUZHILIN_POINT_CAP,
     TuzhilinConfig,
     needle_set_hausdorff,
     needle_space,
@@ -31,13 +30,13 @@ def test_point_count_is_both_sizes(n, k):
 
 
 def test_config_refuses_above_point_cap(monkeypatch):
-    assert TUZHILIN_POINT_CAP == 2000
+    assert tuzhilin.POINT_CAP is spaces.POINT_CAP == 2000
     with pytest.raises(TooLarge, match="10302 points, cap is 2000"):
         TuzhilinConfig(100, 100)
     TuzhilinConfig(43, 63)  # 44^2 + 64 = 2000 points, exactly at the cap
     with pytest.raises(TooLarge):
         TuzhilinConfig(43, 64)
-    monkeypatch.setattr(tuzhilin, "TUZHILIN_POINT_CAP", 12)
+    monkeypatch.setattr(tuzhilin, "POINT_CAP", 12)
     TuzhilinConfig(2, 2)  # 6 + 6 points
     with pytest.raises(TooLarge):
         TuzhilinConfig(2, 3)
