@@ -110,20 +110,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="d(lambda) = d(X, lambda X) on a grid")
     p.add_argument("space", type=Path)
     p.add_argument("--lambdas", type=_fraction_list, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP)
     p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("center", help="contraction iterate with a Cauchy tail bound")
     p.add_argument("space", type=Path)
     p.add_argument("--lambda", dest="lam", type=_fraction, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP)
     p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("stab", help="finite stabilizer report (.msp or .hh input)")
     p.add_argument("target", type=Path)
     p.add_argument("--lambdas", type=_fraction_list, default=None)
-    p.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP)
     p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("generate", help="seeded generators for input files")
@@ -292,7 +289,7 @@ def _cmd_limit(args) -> int:
 
 def _cmd_probe(args) -> int:
     space = io.load_space(args.space)
-    probe = d_lambda_probe(space, args.lambdas, cap=args.cap)
+    probe = d_lambda_probe(space, args.lambdas)
     for lam, value in probe.samples:
         if args.csv:
             print(f"{lam},{value}")
@@ -303,7 +300,7 @@ def _cmd_probe(args) -> int:
 
 def _cmd_center(args) -> int:
     space = io.load_space(args.space)
-    state = center_iterate(space, args.lam, args.n, cap=args.cap)
+    state = center_iterate(space, args.lam, args.n)
     if args.csv:
         print(f"{args.n},{args.lam},{state.step_distance},{state.tail_bound}")
     else:
@@ -319,7 +316,7 @@ def _cmd_stab(args) -> int:
         target = io.load_hedgehog(args.target)
     else:
         target = io.load_space(args.target)
-    report = stabilizer_finite(target, sampled, cap=args.cap)
+    report = stabilizer_finite(target, sampled)
     if args.csv:
         for lam in report.candidates:
             accepted = lam in report.accepted

@@ -9,9 +9,11 @@ certificate at layer n is below 1/2^(n-1).  `thread_limit` reads all of
 this off one backward pass over the links and builds no thread; the threads
 are enumerated on first read, up to THREAD_CAP of them.
 
-The scaling side probes d(lam) = d_GH(X, lam*X), its inversion and
-subdivision identities, the geometric-series bound for d(lam^n), center
-iteration with a certified Cauchy tail, and finite stabilizers.
+The scaling side is closed-form, with no solver call: d(lam) = d_GH(X, lam*X)
+is |1 - lam| * diam X / 2, which the diameter gap bounds below and the
+identity correspondence above.  The geometric-series bound for d(lam^n) and
+center iteration with a certified Cauchy tail rest on it.  An isometry keeps
+the diameter, so lam*X is isometric to X only when lam = 1 or diam X = 0.
 """
 
 from __future__ import annotations
@@ -22,20 +24,22 @@ from fractions import Fraction
 from functools import cached_property
 
 from .correspondences import Correspondence, distortion
-from .errors import SizeLimitExceeded, ThreadCapExceeded, TooLarge
-from .hedgehogs import HedgehogSpec, hedgehog_scale_isometry_check
-from .solver import DEFAULT_SIZE_CAP, are_isometric, gh_exact
+from .errors import ThreadCapExceeded, TooLarge
+from .hedgehogs import HedgehogSpec
 from .spaces import (
     POINT_CAP,
     PSEUDO,
     STRICT,
     FiniteMetricSpace,
     as_fraction,
+    diameter,
     from_grid,
+    positive_factor,
     scale,
 )
 
 THREAD_CAP = 10**6  # threads `Threads` will enumerate
+RATIO_CAP = 10**5  # (distinct values)^2 `stabilizer_finite` will turn into ratios
 CENTER_POWER_BITS = 10_000  # bits lam^n may take in `center_iterate`: ~3,000 digits
 
 
@@ -244,21 +248,19 @@ class LambdaProbe:
         raise KeyError(f"lambda {lam} was not sampled")
 
 
-def d_lambda(
-    space: FiniteMetricSpace, lam: int | Fraction, cap: int = DEFAULT_SIZE_CAP
-) -> Fraction:
-    """d(lam) = d_GH(X, lam*X), computed exactly by the solver."""
-    return gh_exact(space, scale(space, lam), cap=cap).value
+def d_lambda(space: FiniteMetricSpace, lam: int | Fraction) -> Fraction:
+    """d(lam) = d_GH(X, lam*X) = |1 - lam| * diam X / 2, exactly; refuses
+    lam <= 0 (`NonpositiveScale`) and a pseudo space (`ValueError`)."""
+    lam = positive_factor(lam)
+    if space.mode != STRICT:
+        raise ValueError("d_lambda requires a strict space")
+    return abs(1 - lam) * diameter(space) / 2
 
 
 def d_lambda_probe(
-    space: FiniteMetricSpace,
-    factors: Sequence[int | Fraction],
-    cap: int = DEFAULT_SIZE_CAP,
+    space: FiniteMetricSpace, factors: Sequence[int | Fraction]
 ) -> LambdaProbe:
-    samples = tuple(
-        (as_fraction(lam), d_lambda(space, lam, cap=cap)) for lam in factors
-    )
+    samples = tuple((as_fraction(lam), d_lambda(space, lam)) for lam in factors)
     return LambdaProbe(space, samples)
 
 
@@ -325,14 +327,11 @@ class CenterIterate:
 
 
 def center_iterate(
-    space: FiniteMetricSpace,
-    lam: int | Fraction,
-    n: int,
-    cap: int = DEFAULT_SIZE_CAP,
+    space: FiniteMetricSpace, lam: int | Fraction, n: int
 ) -> CenterIterate:
     """n-th contraction iterate with the Cauchy tail certifying convergence.
 
-    Refuses with `TooLarge`, before solving or computing any power, an n at
+    Refuses with `TooLarge`, before computing any distance or power, an n at
     which lam^n could take more than CENTER_POWER_BITS bits.
     """
     lam = as_fraction(lam)
@@ -344,7 +343,7 @@ def center_iterate(
     bits = n * max(lam.numerator.bit_length(), lam.denominator.bit_length())
     if bits > CENTER_POWER_BITS:
         raise TooLarge(f"lambda^n may need {bits} bits, cap is {CENTER_POWER_BITS}")
-    base = d_lambda(space, lam, cap=cap)
+    base = d_lambda(space, lam)
     return CenterIterate(
         iterate=scale(space, lam**n),
         tail_bound=lam**n * base / (1 - lam),
@@ -375,37 +374,30 @@ DEFAULT_SAMPLED_FACTORS = (
 def stabilizer_finite(
     obj: FiniteMetricSpace | HedgehogSpec,
     sampled: Sequence[int | Fraction] = DEFAULT_SAMPLED_FACTORS,
-    cap: int = DEFAULT_SIZE_CAP,
 ) -> StabilizerReport:
-    """Factors lam with lam*X isometric to X, by candidate enumeration.
+    """Factors lam with lam*X isometric to X, among the candidates.
 
     Only ratios of realized positive values can permute a finite set, so the
-    candidates are those ratios plus the sampled factors.  Hedgehogs are
-    decided by needle-multiset equality, general strict spaces of at most
-    `cap` points by an isometry search.  For any finite space of positive
-    diameter the answer is {1}; a one-point space accepts every factor.
+    candidates are those ratios plus the sampled factors.  An isometry keeps
+    the diameter and diam(lam*X) = lam * diam X, so lam is accepted when
+    lam = 1 or X has no positive distance (a one-point space).  V distinct
+    values give up to V^2 ratios: above RATIO_CAP, `TooLarge` is raised
+    before any ratio is built.
     """
     sampled_factors = tuple(as_fraction(x) for x in sampled)
-
     if isinstance(obj, HedgehogSpec):
-        values = sorted({length for length, _ in obj.needles})
-
-        def accepts(lam: Fraction) -> bool:
-            return hedgehog_scale_isometry_check(obj, lam)
-
+        values = [length for length, _ in obj.needles]
     else:
         if obj.mode != STRICT:
             raise ValueError("stabilizer_finite requires a strict space")
-        if len(obj) > cap:
-            raise SizeLimitExceeded(f"{len(obj)} points exceed cap {cap}")
-        values = sorted({x for row in obj.dist for x in row if x > 0})
-
-        def accepts(lam: Fraction) -> bool:
-            return are_isometric(scale(obj, lam), obj)
-
+        denom, rows = obj.grid
+        values = [Fraction(v, denom) for v in set().union(*rows) if v]
+    positive_factor(min(sampled_factors, default=1))  # names the smallest <= 0
+    if (count := len(values) ** 2) > RATIO_CAP:
+        raise TooLarge(f"{len(values)} values give {count} ratios, cap is {RATIO_CAP}")
     ratios = {b / a for a in values for b in values}
     candidates = sorted(ratios | set(sampled_factors) | {Fraction(1)})
-    accepted = tuple(lam for lam in candidates if accepts(lam))
+    accepted = tuple(lam for lam in candidates if lam == 1 or not values)
     zero_sampled = tuple(lam for lam in sampled_factors if lam in accepted)
     note = (
         "zero-distance stabilizer is {1} for positive diameter, everything "

@@ -10,15 +10,15 @@ A request whose output could have more than POINT_CAP points is refused with
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from typing import Iterable
 
 from .correspondences import Correspondence, distortion
 from .errors import TooLarge
 from .gluing import GluingTree
 from .hedgehogs import HedgehogSpec, compile_hedgehog
-from .spaces import POINT_CAP, STRICT, FiniteMetricSpace, as_fraction
+from .spaces import POINT_CAP, STRICT, FiniteMetricSpace, as_fraction, from_grid
 
 DEFAULT_SEED = 7
 
@@ -38,9 +38,10 @@ def random_metric_space(
     """n distinct points of the box {0..coord_max}^3 scaled by 1/denominator,
     under the sup metric; strict by construction.
 
-    With `distinct_distances`, a draw with a repeated distance is redrawn; the
-    test runs on the integer sup distances and stops at the first repeat, and
-    only the accepted draw becomes `Fraction`s."""
+    The integer sup rows go to `from_grid` reduced by the gcd of
+    `denominator` and every entry, which is the grid `_grid` would build, so
+    only one `Fraction` per distinct distance is made.  With
+    `distinct_distances`, a draw with a repeated distance is redrawn."""
     if n < 1:
         raise ValueError("need at least one point")
     if n > POINT_CAP:
@@ -60,30 +61,19 @@ def random_metric_space(
                 continue
             seen.add(candidate)
             points.append(candidate)
-        if distinct_distances and not _distinct(
-            _sup(p, q) for i, p in enumerate(points) for q in points[i + 1 :]
-        ):
-            continue
+        rows = [
+            [max(abs(a - x), abs(b - y), abs(c - z)) for x, y, z in points]
+            for a, b, c in points
+        ]
+        if distinct_distances:
+            upper = [value for i, row in enumerate(rows) for value in row[i + 1 :]]
+            if len(set(upper)) < len(upper):
+                continue
         labels = tuple(f"{label_prefix}{i}" for i in range(n))
-        rows = tuple(
-            tuple(Fraction(_sup(p, q), denominator) for q in points) for p in points
-        )
-        return FiniteMetricSpace(labels, rows, STRICT)
+        common = math.gcd(denominator, *set().union(*rows))
+        grid = tuple([tuple([value // common for value in row]) for row in rows])
+        return from_grid(labels, denominator // common, grid, STRICT)
     raise ValueError("could not sample a space with the requested properties")
-
-
-def _sup(p: tuple[int, ...], q: tuple[int, ...]) -> int:
-    return max(abs(a - b) for a, b in zip(p, q))
-
-
-def _distinct(values: Iterable[int]) -> bool:
-    """No value repeats; stops at the first repeat."""
-    seen: set[int] = set()
-    for value in values:
-        if value in seen:
-            return False
-        seen.add(value)
-    return True
 
 
 def random_correspondence(

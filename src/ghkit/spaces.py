@@ -43,6 +43,14 @@ def as_fraction(value: int | Fraction) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def positive_factor(factor: int | Fraction) -> Fraction:
+    """The factor as a `Fraction`; `NonpositiveScale` unless it is positive."""
+    lam = as_fraction(factor)
+    if lam <= 0:
+        raise NonpositiveScale(f"scale factor must be positive, got {lam}")
+    return lam
+
+
 Grid = tuple[int, tuple[tuple[int, ...], ...]]
 
 
@@ -186,9 +194,7 @@ def scale(space: FiniteMetricSpace, factor: int | Fraction) -> FiniteMetricSpace
     Works on the integer grid: rows * p / (L * q), reduced by the gcd of the
     new denominator and every entry, is again the grid `_grid` would build.
     """
-    lam = as_fraction(factor)
-    if lam <= 0:
-        raise NonpositiveScale(f"scale factor must be positive, got {lam}")
+    lam = positive_factor(factor)
     denom, rows = space.grid
     p, q = lam.numerator, lam.denominator
     common = math.gcd(denom * q, p * math.gcd(*set().union(*rows)))

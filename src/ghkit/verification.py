@@ -23,6 +23,7 @@ from .correspondences import (
 )
 from .dynamics import (
     DEFAULT_SAMPLED_FACTORS,
+    StabilizerReport,
     ThreadChain,
     center_iterate,
     geometric_bound_check,
@@ -47,9 +48,10 @@ from .hedgehogs import (
     compile_hedgehog,
     hedgehog_isometric,
 )
-from .solver import gh_exact, gh_upper_from, isometric_bijections
+from .solver import are_isometric, gh_exact, gh_upper_from, isometric_bijections
 from .spaces import (
     STRICT,
+    FiniteMetricSpace,
     diameter,
     hausdorff,
     one_point_space,
@@ -393,14 +395,20 @@ def check_scaling_dynamics(seed: int) -> str | None:
     return None
 
 
+def _isometric_factors(report: StabilizerReport, x: FiniteMetricSpace) -> tuple:
+    """The candidates lam for which an isometry search finds lam*X isometric to X."""
+    return tuple(lam for lam in report.candidates if are_isometric(scale(x, lam), x))
+
+
 def check_stabilizers(seed: int) -> str | None:
     """Finite positive-diameter spaces have trivial stabilizer; a point accepts all."""
     rng = rng_from_seed(seed)
     for index in range(50):
         x = random_metric_space(rng, 4, distinct_distances=True)
         report = stabilizer_finite(x)
-        if report.accepted != (F(1),):
-            return f"space {index}: accepted factors {report.accepted}"
+        found = _isometric_factors(report, x)
+        if report.accepted != (F(1),) or found != report.accepted:
+            return f"space {index}: accepted {report.accepted}, found {found}"
     hedgehogs = (
         HedgehogSpec.of(1, 2),
         HedgehogSpec.from_pairs(((F(1), 2),)),
@@ -409,9 +417,13 @@ def check_stabilizers(seed: int) -> str | None:
     )
     for spec in hedgehogs:
         report = stabilizer_finite(spec)
-        if report.accepted != (F(1),):
-            return f"hedgehog {spec.needles}: accepted factors {report.accepted}"
-    report = stabilizer_finite(one_point_space())
+        found = _isometric_factors(report, compile_hedgehog(spec))
+        if report.accepted != (F(1),) or found != report.accepted:
+            return f"hedgehog {spec.needles}: accepted {report.accepted}, found {found}"
+    point = one_point_space()
+    report = stabilizer_finite(point)
+    if _isometric_factors(report, point) != report.accepted:
+        return "one-point space: the isometry search rejects a factor"
     missing = [lam for lam in DEFAULT_SAMPLED_FACTORS if lam not in report.accepted]
     if missing:
         return f"one-point space rejected factors {missing}"

@@ -308,15 +308,69 @@ def test_stab_on_space_and_hedgehog(gap_files, tmp_path, capsys):
     assert "2,false,false" in rows
 
 
-def test_stab_rejects_pseudo_spaces_and_spaces_above_the_cap(tmp_path, capsys):
+PSEUDO_TEXT = "points 3 pseudo\na b c\n0 0 1\n0 0 1\n1 1 0\n"
+
+
+def test_stab_rejects_pseudo_spaces_and_answers_large_ones(tmp_path, capsys):
     pseudo = tmp_path / "p.msp"
-    pseudo.write_text("points 3 pseudo\na b c\n0 0 1\n0 0 1\n1 1 0\n")
+    pseudo.write_text(PSEUDO_TEXT)
     assert main(["stab", str(pseudo)]) == 2
-    big = tmp_path / "big.msp"
-    io.save_space(random_metric_space(rng_from_seed(4), 9), big)
+    assert "requires a strict space" in capsys.readouterr().err
+    # 9 and 40 points were refused by the solver's size cap of 8
+    for n in (9, 40):
+        big = tmp_path / f"big{n}.msp"
+        io.save_space(random_metric_space(rng_from_seed(4), n), big)
+        assert main(["stab", str(big)]) == 0
+        assert "accepted 1\n" in capsys.readouterr().out
+
+
+def test_probe_and_center_answer_above_the_old_cap(tmp_path, capsys):
+    space = random_metric_space(rng_from_seed(4), 9)
+    path = tmp_path / "big.msp"
+    io.save_space(space, path)
+    half = spaces.diameter(space) / 2
+    assert main(["probe", str(path), "--lambdas", "1,1/2,3", "--csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows == ["1,0", f"1/2,{half / 2}", f"3,{2 * half}"]
+    assert main(["center", str(path), "--lambda", "1/2", "--n", "2", "--csv"]) == 0
+    assert capsys.readouterr().out.strip() == f"2,1/2,{half / 2},{half / 4}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["probe", "{x}", "--lambdas", "0,-1"], "scale factor must be positive, got 0"),
+        (["probe", "{x}", "--lambdas", "1,-1/2"], "must be positive, got -1/2"),
+        (["stab", "{x}", "--lambdas", "0"], "scale factor must be positive, got 0"),
+        (["stab", "{hh}", "--lambdas", "2,-1,0"], "must be positive, got -1"),
+        (["center", "{x}", "--lambda", "0", "--n", "2"], "strictly between 0 and 1"),
+        (["center", "{x}", "--lambda=-1/2", "--n", "2"], "strictly between 0 and 1"),
+        (["probe", "{p}", "--lambdas", "1/2"], "d_lambda requires a strict space"),
+        (["center", "{p}", "--lambda", "1/2", "--n", "2"], "requires a strict space"),
+    ],
+)
+def test_scaling_commands_refuse_bad_factors_and_pseudo_spaces(
+    gap_files, tmp_path, capsys, argv, message
+):
+    _, _, xp, _ = gap_files
+    hh, pseudo = tmp_path / "h.hh", tmp_path / "p.msp"
+    hh.write_text("1 1\n2 1\n")
+    pseudo.write_text(PSEUDO_TEXT)
+    paths = {"x": xp, "hh": hh, "p": pseudo}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_stab_answers_200_needles_and_refuses_above_the_ratio_cap(tmp_path, capsys):
+    ok, big = tmp_path / "ok.hh", tmp_path / "big.hh"
+    ok.write_text("".join(f"{k}/8 1\n" for k in range(1, 201)))
+    big.write_text("".join(f"{k} 1\n" for k in range(1, 318)))
+    assert main(["stab", str(ok)]) == 0
+    assert "accepted 1\n" in capsys.readouterr().out
     assert main(["stab", str(big)]) == 2
-    assert "cap" in capsys.readouterr().err
-    assert main(["stab", str(big), "--cap", "9"]) == 0
+    assert "317 values give 100489 ratios, cap is 100000" in capsys.readouterr().err
 
 
 def test_generate_deterministic(tmp_path):

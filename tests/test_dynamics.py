@@ -17,7 +17,7 @@ from ghkit.dynamics import (
     stabilizer_finite,
     thread_limit,
 )
-from ghkit.errors import SizeLimitExceeded, ThreadCapExceeded, TooLarge
+from ghkit.errors import NonpositiveScale, ThreadCapExceeded, TooLarge
 from ghkit.generate import random_metric_space, rng_from_seed
 from ghkit.gluing import GluingTree, glue_tree
 from ghkit.hedgehogs import HedgehogSpec
@@ -450,18 +450,94 @@ def test_stabilizer_of_point_accepts_everything():
     assert report.zero_distance_sampled == DEFAULT_SAMPLED_FACTORS
 
 
-def test_stabilizer_rejects_pseudo_spaces_and_spaces_above_the_cap():
-    pseudo = FiniteMetricSpace(
-        ("a", "b", "c"),
-        ((F(0), F(0), F(1)), (F(0), F(0), F(1)), (F(1), F(1), F(0))),
-        PSEUDO,
-    )
-    with pytest.raises(ValueError):
-        stabilizer_finite(pseudo)
+PSEUDO_SPACE = FiniteMetricSpace(
+    ("a", "b", "c"),
+    ((F(0), F(0), F(1)), (F(0), F(0), F(1)), (F(1), F(1), F(0))),
+    PSEUDO,
+)
+
+# the verify suite's factor grid
+GRID = (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2), F(3), F(4))
+
+
+def test_stabilizer_rejects_pseudo_spaces_and_answers_large_ones():
+    # 9 and 40 points were refused by the solver's size cap of 8
+    with pytest.raises(ValueError, match="strict"):
+        stabilizer_finite(PSEUDO_SPACE)
+    for n in (9, 40):
+        space = random_metric_space(rng_from_seed(4), n)
+        assert stabilizer_finite(space).accepted == (F(1),)
+
+
+def test_probe_and_center_answer_above_the_old_cap():
     space = random_metric_space(rng_from_seed(4), 9)
-    with pytest.raises(SizeLimitExceeded):
+    probe = d_lambda_probe(space, GRID)
+    for lam in GRID:
+        assert probe.value(lam) == abs(1 - lam) * diameter(space) / 2
+    state = center_iterate(space, F(1, 2), 3)
+    assert state.iterate == scale(space, F(1, 8))
+    assert state.tail_bound == F(1, 8) * state.step_distance * 2
+
+
+@pytest.mark.parametrize("lam", [0, -1, F(-1, 2)])
+def test_nonpositive_factors_are_refused(base_space, lam):
+    message = f"scale factor must be positive, got {F(lam)}"
+    with pytest.raises(NonpositiveScale, match=message):
+        d_lambda(base_space, lam)
+    with pytest.raises(NonpositiveScale, match=message):
+        d_lambda_probe(base_space, [F(1), lam])
+    for obj in (base_space, one_point_space(), HedgehogSpec.of(1, 2)):
+        with pytest.raises(NonpositiveScale, match=message):
+            stabilizer_finite(obj, (F(2), lam, F(1)))
+
+
+def test_stabilizer_names_the_smallest_nonpositive_factor(base_space):
+    with pytest.raises(NonpositiveScale, match="got -1$"):
+        stabilizer_finite(base_space, (F(0), F(-1)))
+
+
+def test_scaling_side_refuses_pseudo_spaces():
+    with pytest.raises(ValueError, match="requires a strict space"):
+        d_lambda(PSEUDO_SPACE, F(1, 2))
+    with pytest.raises(ValueError, match="requires a strict space"):
+        d_lambda_probe(PSEUDO_SPACE, [F(1)])
+    with pytest.raises(ValueError, match="requires a strict space"):
+        center_iterate(PSEUDO_SPACE, F(1, 2), 2)
+    with pytest.raises(ValueError, match="requires a strict space"):
+        geometric_bound_check(PSEUDO_SPACE, F(1, 2), 2)
+
+
+def test_ratio_cap_boundary(monkeypatch):
+    assert dynamics.RATIO_CAP == 10**5
+    monkeypatch.setattr(dynamics, "RATIO_CAP", 4)
+    assert stabilizer_finite(HedgehogSpec.of(1, 2)).accepted == (F(1),)
+    with pytest.raises(TooLarge, match="3 values give 9 ratios"):
+        stabilizer_finite(HedgehogSpec.of(1, 2, 3))
+    with pytest.raises(TooLarge, match="cap is 4"):
+        stabilizer_finite(validate([[0, 1, 2], [1, 0, 3], [2, 3, 0]]))
+
+
+def test_ratio_cap_refuses_before_any_ratio(monkeypatch):
+    spec = HedgehogSpec.of(*range(1, 318))  # 317^2 = 100,489 > 10^5
+    space = random_metric_space(rng_from_seed(5), 60, coord_max=400)
+
+    def no_ratio(*args):
+        raise AssertionError("a ratio was built before the refusal")
+
+    monkeypatch.setattr(F, "__truediv__", no_ratio)
+    with pytest.raises(TooLarge, match="317 values give 100489 ratios"):
+        stabilizer_finite(spec)
+    with pytest.raises(TooLarge, match="cap is 100000"):
         stabilizer_finite(space)
-    assert stabilizer_finite(space, cap=9).accepted == (F(1),)
+
+
+def test_stabilizer_answers_200_needles():
+    spec = HedgehogSpec.of(*(F(k, 8) for k in range(1, 201)))
+    report = stabilizer_finite(spec)
+    assert report.accepted == (F(1),)
+    assert len(report.candidates) == len(
+        {F(a, b) for a in range(1, 201) for b in range(1, 201)}
+    )
 
 
 @pytest.mark.parametrize(
@@ -500,3 +576,8 @@ def test_stabilizer_report_matches_direct_decisions(obj):
 def test_d_lambda_matches_closed_form(base_space):
     for lam in (F(1, 3), F(4, 5), F(7, 2)):
         assert d_lambda(base_space, lam) == abs(lam - 1) * diameter(base_space) / 2
+    # an independent reference: the exact search on the scaled copy
+    for n in range(1, 9):
+        space = random_metric_space(rng_from_seed(600 + n), n)
+        for lam in GRID:
+            assert d_lambda(space, lam) == gh_exact(space, scale(space, lam)).value

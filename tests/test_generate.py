@@ -57,6 +57,16 @@ def test_seeded_draws_are_unchanged():
     assert rng.randrange(10**6) == 447539
 
 
+@pytest.mark.parametrize("denominator", [1, 2, 4, 6, 12])
+def test_random_space_grid_is_the_reduced_grid(denominator):
+    # the cached grid must be the one `_grid` builds from the distances,
+    # also where every entry shares a factor with the denominator (n = 1)
+    rng = rng_from_seed(denominator)
+    for n, coord_max in ((1, 0), (2, 2), (5, 4), (7, 60), (30, 60)):
+        space = random_metric_space(rng, n, denominator, coord_max)
+        assert space.grid == spaces._grid(space.dist)
+
+
 def test_random_correspondence_covers_and_distorts():
     rng = rng_from_seed(6)
     x = random_metric_space(rng, 3, label_prefix="x")
