@@ -9,8 +9,10 @@ the pair (i, j) is cell c = i*m + j and a set of pairs is the int with bit c
 set for each cell.  `line_masks` gives each row's and column's cells,
 `covering_masks` sweeps the cell sets meeting all of them, and
 `decode_cells` turns a mask back into pairs.  The enumeration oracle fills
-a table of every cell set's distortion one highest cell at a time and takes
-the first covering minimizer.
+a table of every cell set's distortion one highest cell at a time, taking
+cell h's gaps from its two rows when it reaches h, and takes the first
+covering minimizer.  No table over pairs of cells is kept: the solver
+builds its compatibility masks from the sorted rows instead.
 
 Both exhaustive loops hand the per-mask work to CPython's C code.  The
 table grows in blocks: the 2^h sets whose highest cell is h are the sets
@@ -118,19 +120,6 @@ def rescaled(rows: IntRows, factor: int) -> IntRows:
     return tuple([tuple([value * factor for value in row]) for row in rows])
 
 
-def cell_gap_table(n: int, m: int, dx: IntRows, dy: IntRows) -> list[int]:
-    """Flat |dx - dy| table over pairs of cells of the n x m grid.
-
-    Cell c = i*m + j stands for the pair (i, j); entry c*n*m + c' is
-    |dx[i][k] - dy[j][l]| for c = (i, j), c' = (k, l).
-    """
-    table: list[int] = []
-    for row_x in dx:
-        for row_y in dy:
-            table.extend([abs(a - b) for a in row_x for b in row_y])
-    return table
-
-
 def _guard_cells(n: int, m: int) -> None:
     if n < 1 or m < 1:
         raise ValueError("sizes must be positive")
@@ -223,12 +212,12 @@ def min_distortion_by_enumeration(
     n, m = len(x), len(y)
     masks = covering_masks(n, m)
     denom, dx, dy = scaled_integer_matrices(x, y)
-    nm = n * m
-    gaps = cell_gap_table(n, m, dx, dy)
     dis = [0]
-    for h in range(nm):
+    for h in range(n * m):
+        i, j = divmod(h, m)
+        row = [abs(a - b) for a in dx[i] for b in dy[j]]  # cell h's gaps
         reach = [0]
-        for g in gaps[h * nm : h * nm + h]:
+        for g in row[:h]:
             reach += [r if r > g else g for r in reach]
         dis += [d if d > r else r for d, r in zip(dis, reach)]
     del reach

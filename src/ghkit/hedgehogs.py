@@ -18,7 +18,14 @@ from typing import Iterable
 from .correspondences import Correspondence
 from .errors import BucketMismatch, PremiseViolated, TooLarge
 from .gluing import GluedSpace, glue_pair
-from .spaces import POINT_CAP, STRICT, FiniteMetricSpace, as_fraction, from_grid
+from .spaces import (
+    POINT_CAP,
+    STRICT,
+    FiniteMetricSpace,
+    as_fraction,
+    from_grid,
+    positive_factor,
+)
 
 CENTER_LABEL = "0"
 
@@ -72,9 +79,7 @@ class HedgehogSpec:
         )
 
     def scaled(self, factor: int | Fraction) -> "HedgehogSpec":
-        lam = as_fraction(factor)
-        if lam <= 0:
-            raise ValueError("scale factor must be positive")
+        lam = positive_factor(factor)
         return HedgehogSpec(
             tuple((length * lam, mult) for length, mult in self.needles)
         )

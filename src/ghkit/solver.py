@@ -1,29 +1,33 @@
 """Exact Gromov-Hausdorff distance between finite strict metric spaces.
 
 d_GH(X, Y) = (1/2) min over correspondences R of dis R, and dis R is always
-one of the gaps |d_X(x, x') - d_Y(y, y')|.  One decision procedure,
+one of the gaps |a - b| between a distance a of X and a distance b of Y, so
+the candidate levels come from the two value sets.  One decision procedure,
 `_extend`, answers "is there a correspondence of distortion <= t that
 contains these chosen cells and otherwise uses only these allowed cells?"
-on Python-int bitsets over the n*m cells (i, j); the mask of the cells
-compatible with a cell at t is built the first time the search reads it.
+on Python-int bitsets over the n*m cells (i, j).  The mask of the cells
+compatible with a cell at t is built the first time the search reads it, by
+bisecting the sorted rows of Y; no table over pairs of cells is built.
 `gh_exact` asks it at the smallest gap at or above the diameter-gap lower
 bound first (tight on scaled copies), then binary-searches the larger gaps;
 the largest is the full correspondence's distortion, so it is never asked.
 The lexicographically smallest optimal witness comes from the same
 procedure on the last feasible probe's masks, asked once per cell in index
-order.  Isometries have their own exact backtracking search.
+order, starting from the correspondence that probe found.  Isometries have
+their own exact backtracking search.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from typing import Iterator
+from itertools import chain
+from typing import Iterator, Sequence
 
 from .correspondences import (
     Correspondence,
-    cell_gap_table,
+    IntRows,
     decode_cells,
     distortion,
     line_masks,
@@ -72,25 +76,27 @@ def gh_exact(
 
     denom, dx, dy = scaled_integer_matrices(x, y)
     lb_int = abs(max(map(max, dx)) - max(map(max, dy)))
-    gaps = cell_gap_table(n, m, dx, dy)
     nm = n * m
-    bits = [1 << k for k in range(nm)]
     lines = line_masks(n, m)
     everything = (1 << nm) - 1
     tally = [0]
-    levels = sorted(gap for gap in set(gaps) if gap >= lb_int)
+    levels = _levels(dx, dy, lb_int)
+    rows = [_sorted_row(row) for row in dy]
     lo, hi = 0, len(levels) - 1  # levels[hi] is always feasible
     probe = lo  # the bound first
-    compat = _Compat(gaps, bits, levels[hi])  # always the masks at levels[hi]
+    # the masks at levels[hi] and a correspondence within them; at the
+    # never-probed top level that is the full relation
+    compat, found = _Compat(dx, rows, levels[hi]), everything
     while lo < hi:
-        trial = _Compat(gaps, bits, levels[probe])
-        if _extend(trial, lines, 0, everything, tally):
-            hi, compat = probe, trial
+        trial = _Compat(dx, rows, levels[probe])
+        extension = _extend(trial, lines, 0, everything, tally)
+        if extension:
+            hi, compat, found = probe, trial, extension
         else:
             lo = probe + 1
         probe = (lo + hi) // 2
     best = levels[hi]
-    witness_pairs = _lex_min_cells(compat, nm, lines, m, tally)
+    witness_pairs = _lex_min_cells(compat, found, nm, lines, m, tally)
     return GHResult(
         value=Fraction(best, 2 * denom),
         witness=Correspondence(x, y, witness_pairs),
@@ -99,21 +105,55 @@ def gh_exact(
     )
 
 
+def _levels(dx: IntRows, dy: IntRows, bound: int) -> list[int]:
+    """The distinct cell-pair gaps at or above `bound`, ascending.
+
+    Every gap |a - b| of a distance a of X and a distance b of Y is the gap
+    of some pair of cells, since the two cells range independently, so the
+    levels come from the two value sets and no cell-pair table is built.
+    """
+    values_y = set(chain.from_iterable(dy))
+    gaps = {abs(a - b) for a in set(chain.from_iterable(dx)) for b in values_y}
+    return sorted(gap for gap in gaps if gap >= bound)
+
+
+def _sorted_row(row: Sequence[int]) -> tuple[list[int], list[int]]:
+    """A Y row's values in ascending order, and prefix[p], the mask of the
+    positions of its first p values, so the positions with values in
+    [lo, hi] are prefix[bisect_right(hi)] ^ prefix[bisect_left(lo)]."""
+    order = sorted(range(len(row)), key=row.__getitem__)
+    prefix = [0]
+    for l in order:
+        prefix.append(prefix[-1] | 1 << l)
+    return [row[l] for l in order], prefix
+
+
 class _Compat(dict):
-    """compat[c] is the mask of the cells whose gap with cell c is <= t,
-    built from c's row of the flat gap table on first read, so cells the
-    search never reaches cost nothing.  Never empty: a cell's gap with itself
-    is 0."""
+    """compat[c] is the mask of the cells whose gap with cell c is <= t.
 
-    __slots__ = ("gaps", "bits", "t")
+    Cell c = (i, j) admits (k, l) when |dx[i][k] - dy[j][l]| <= t, so its
+    mask is, for each k, the positions of Y row j's values within t of
+    dx[i][k], shifted to row k: two bisections of the sorted row per k.
+    Built on first read, so cells the search never reaches cost nothing.
+    Never empty: a cell's gap with itself is 0."""
 
-    def __init__(self, gaps: list[int], bits: list[int], t: int) -> None:
-        self.gaps, self.bits, self.t = gaps, bits, t
+    __slots__ = ("dx", "rows", "t")
+
+    def __init__(
+        self, dx: IntRows, rows: list[tuple[list[int], list[int]]], t: int
+    ) -> None:
+        self.dx, self.rows, self.t = dx, rows, t
 
     def __missing__(self, cell: int) -> int:
-        nm = len(self.bits)
-        row = self.gaps[cell * nm : cell * nm + nm]
-        self[cell] = mask = sum(compress(self.bits, map(self.t.__ge__, row)))
+        m, t = len(self.rows), self.t
+        i, j = divmod(cell, m)
+        values, prefix = self.rows[j]
+        mask = shift = 0
+        for v in self.dx[i]:  # a plain loop beats map chains on short rows
+            low, high = bisect_left(values, v - t), bisect_right(values, v + t)
+            mask |= (prefix[high] ^ prefix[low]) << shift
+            shift += m
+        self[cell] = mask
         return mask
 
 
@@ -152,23 +192,24 @@ def _extend(
 
 
 def _lex_min_cells(
-    compat: _Compat, nm: int, lines: list[int], m: int, tally: list[int]
+    compat: _Compat, found: int, nm: int, lines: list[int], m: int, tally: list[int]
 ) -> frozenset[tuple[int, int]]:
     """Lexicographically smallest correspondence within the budget of `compat`.
 
-    Cells are scanned in index order; a cell joins the witness whenever the
-    prefix (chosen cells, earlier cells excluded) still extends to a full
-    correspondence.  `found` is the last such extension: it holds the chosen
-    cells and none of the excluded ones, so a cell of it joins with no new
-    search.  Prefix-closed comparison: once the chosen set covers both
-    sides, any extension sorts later, so the scan stops.
+    `found` is a correspondence within that budget, such as the one the
+    last feasible probe returned, so the scan starts with no search of its
+    own.  Cells are scanned in index order; a cell joins the witness
+    whenever the prefix (chosen cells, earlier cells excluded) still extends
+    to a full correspondence.  `found` stays the last such extension: it
+    holds the chosen cells and none of the excluded ones, so a cell of it
+    joins with no new search.  Prefix-closed comparison: once the chosen set
+    covers both sides, any extension sorts later, so the scan stops.
     """
-    avail = (1 << nm) - 1
-    found = _extend(compat, lines, 0, avail, tally)
     if not found:
         raise InvariantBroken(
             "the distortion budget admits no correspondence (solver bug)"
         )
+    avail = (1 << nm) - 1
     chosen = 0
     for cell in range(nm):
         if all(chosen & line for line in lines):

@@ -185,7 +185,8 @@ def validate(
 
 def diameter(space: FiniteMetricSpace) -> Fraction:
     """Largest pairwise distance; 0 for a one-point space."""
-    return max(max(row) for row in space.dist)
+    denom, rows = space.grid
+    return Fraction(max(map(max, rows)), denom)
 
 
 def scale(space: FiniteMetricSpace, factor: int | Fraction) -> FiniteMetricSpace:

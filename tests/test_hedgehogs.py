@@ -4,7 +4,12 @@ from itertools import product
 import pytest
 
 from ghkit.correspondences import Correspondence, distortion
-from ghkit.errors import BucketMismatch, PremiseViolated, ZeroDistortion
+from ghkit.errors import (
+    BucketMismatch,
+    NonpositiveScale,
+    PremiseViolated,
+    ZeroDistortion,
+)
 from ghkit.generate import perturbed_hedgehog, rng_from_seed
 from ghkit.hedgehogs import (
     HedgehogSpec,
@@ -152,6 +157,19 @@ def test_bucket_mismatch_reported_with_counts():
         bucket_correspondence(a, b, F(1, 2))
     assert excinfo.value.bucket == 1
     assert (excinfo.value.count_a, excinfo.value.count_b) == (1, 2)
+
+
+@pytest.mark.parametrize("factor", [0, -1, F(-1, 2)])
+def test_scaling_refuses_a_nonpositive_factor_by_name(factor):
+    # the same error and text as scaling a space
+    spec = HedgehogSpec.of(1, 2)
+    message = f"scale factor must be positive, got {F(factor)}$"
+    with pytest.raises(NonpositiveScale, match=message):
+        spec.scaled(factor)
+    with pytest.raises(NonpositiveScale, match=message):
+        hedgehog_scale_isometry_check(spec, factor)
+    with pytest.raises(NonpositiveScale, match=message):
+        scale(compile_hedgehog(spec), factor)
 
 
 def test_bucket_rejects_nonpositive_eps():

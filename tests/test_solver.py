@@ -202,14 +202,16 @@ def test_lex_min_witness_below_the_optimum_raises_typed_error():
     # every correspondence of {0,1} at distance 1 with {0,1} at distance 3
     # has distortion 2, so a budget of 1 admits none; pytest.raises keeps the
     # check alive under python -O
-    from ghkit.correspondences import cell_gap_table, line_masks
+    from ghkit.correspondences import line_masks
     from ghkit.errors import InvariantBroken
-    from ghkit.solver import _Compat, _lex_min_cells
+    from ghkit.solver import _Compat, _extend, _lex_min_cells
 
     dx, dy = ((0, 1), (1, 0)), ((0, 3), (3, 0))
-    compat = _Compat(cell_gap_table(2, 2, dx, dy), [1 << k for k in range(4)], 1)
+    compat, lines = _Compat(dx, _sorted_rows(dy), 1), line_masks(2, 2)
+    found = _extend(compat, lines, 0, 15, [0])
+    assert found == 0
     with pytest.raises(InvariantBroken):
-        _lex_min_cells(compat, 4, line_masks(2, 2), 2, [0])
+        _lex_min_cells(compat, found, 4, lines, 2, [0])
 
 
 def _mask_pairs():
@@ -225,12 +227,20 @@ def _mask_pairs():
     return pairs
 
 
-def _gap_levels(x, y):
-    from ghkit.correspondences import cell_gap_table, scaled_integer_matrices
+def _gap_table(x, y):
+    """Reference: the flat table of |dx - dy| over every pair of cells, cell
+    c = i*m + j standing for (i, j), with the pair's integer matrices."""
+    from ghkit.correspondences import scaled_integer_matrices
 
     denom, dx, dy = scaled_integer_matrices(x, y)
-    gaps = cell_gap_table(len(x), len(y), dx, dy)
-    return denom, gaps, sorted(set(gaps))
+    gaps = [abs(a - b) for rx in dx for ry in dy for a in rx for b in ry]
+    return denom, dx, dy, gaps
+
+
+def _sorted_rows(dy):
+    from ghkit.solver import _sorted_row
+
+    return [_sorted_row(row) for row in dy]
 
 
 def _eager_compat(gaps, nm, t):
@@ -240,15 +250,43 @@ def _eager_compat(gaps, nm, t):
     ]
 
 
+def _scan_from_scratch(compat, nm, lines):
+    # reference lex-min scan: one search per cell, no correspondence reused
+    from ghkit.solver import _extend
+
+    chosen, avail = 0, (1 << nm) - 1
+    for cell in range(nm):
+        if all(chosen & line for line in lines):
+            break
+        bit = 1 << cell
+        narrowed = avail & compat[cell]
+        if avail & bit and _extend(compat, lines, chosen | bit, narrowed, [0]):
+            chosen, avail = chosen | bit, narrowed
+        else:
+            avail &= ~bit
+    return chosen
+
+
+@pytest.mark.parametrize("x, y", _mask_pairs())
+def test_levels_are_the_cell_pair_gaps_at_or_above_the_bound(x, y):
+    from ghkit.solver import _levels
+
+    _, dx, dy, gaps = _gap_table(x, y)
+    diameter_gap = abs(max(map(max, dx)) - max(map(max, dy)))
+    for bound in [0, diameter_gap, max(gaps) + 1] + sorted(set(gaps)):
+        expected = sorted(gap for gap in set(gaps) if gap >= bound)
+        assert _levels(dx, dy, bound) == expected
+
+
 @pytest.mark.parametrize("x, y", _mask_pairs())
 def test_lazy_masks_equal_an_eager_reference_at_every_level(x, y):
     from ghkit.solver import _Compat
 
     nm = len(x) * len(y)
-    bits = [1 << k for k in range(nm)]
-    _, gaps, levels = _gap_levels(x, y)
-    for t in levels:
-        lazy, eager = _Compat(gaps, bits, t), _eager_compat(gaps, nm, t)
+    _, dx, dy, gaps = _gap_table(x, y)
+    rows = _sorted_rows(dy)
+    for t in sorted(set(gaps)):
+        lazy, eager = _Compat(dx, rows, t), _eager_compat(gaps, nm, t)
         assert len(lazy) == 0
         assert lazy[nm - 1] == eager[nm - 1]
         assert len(lazy) == 1  # reading one cell builds that cell's mask only
@@ -257,25 +295,39 @@ def test_lazy_masks_equal_an_eager_reference_at_every_level(x, y):
 
 @pytest.mark.parametrize("x, y", _mask_pairs())
 def test_search_and_witness_scan_agree_with_eager_masks(x, y):
-    from ghkit.correspondences import line_masks
+    from ghkit.correspondences import decode_cells, line_masks
+    from ghkit.errors import InvariantBroken
     from ghkit.solver import _Compat, _extend, _lex_min_cells
 
     n, m = len(x), len(y)
     nm = n * m
-    bits, lines = [1 << k for k in range(nm)], line_masks(n, m)
-    denom, gaps, levels = _gap_levels(x, y)
-    feasible = []
-    for t in levels:
-        lazy, eager = _Compat(gaps, bits, t), _eager_compat(gaps, nm, t)
+    lines, everything = line_masks(n, m), (1 << nm) - 1
+    denom, dx, dy, gaps = _gap_table(x, y)
+    rows, feasible = _sorted_rows(dy), []
+    for t in sorted(set(gaps)):
+        lazy, eager = _Compat(dx, rows, t), _eager_compat(gaps, nm, t)
         lazy_tally, eager_tally = [0], [0]
-        found = _extend(lazy, lines, 0, (1 << nm) - 1, lazy_tally)
-        assert found == _extend(eager, lines, 0, (1 << nm) - 1, eager_tally)
+        found = _extend(lazy, lines, 0, everything, lazy_tally)
+        assert found == _extend(eager, lines, 0, everything, eager_tally)
         assert lazy_tally == eager_tally
-        if found:
-            feasible.append(t)
-            witness = _lex_min_cells(lazy, nm, lines, m, lazy_tally)
-            assert witness == _lex_min_cells(eager, nm, lines, m, eager_tally)
-            assert lazy_tally == eager_tally
+        if not found:
+            with pytest.raises(InvariantBroken):
+                _lex_min_cells(lazy, found, nm, lines, m, [0])
+            continue
+        feasible.append(t)
+        witness = _lex_min_cells(lazy, found, nm, lines, m, lazy_tally)
+        assert witness == _lex_min_cells(eager, found, nm, lines, m, eager_tally)
+        assert lazy_tally == eager_tally
+        # handed the probe's correspondence, the scan returns the witness a
+        # scan from scratch returns
+        assert witness == decode_cells(_scan_from_scratch(eager, nm, lines), m)
+    # the top level is never probed: the full relation stands in for its
+    # correspondence and must give the same witness
+    top = _Compat(dx, rows, feasible[-1])
+    found = _extend(top, lines, 0, everything, [0])
+    assert _lex_min_cells(top, everything, nm, lines, m, [0]) == _lex_min_cells(
+        top, found, nm, lines, m, [0]
+    )
     assert gh_exact(x, y, cap=12).value == F(feasible[0], 2 * denom)
 
 
@@ -363,6 +415,36 @@ def test_large_scaling_equivariance(x, y):
     value = gh_exact(x, y, cap=10).value
     for lam in (F(2), F(1, 3)):
         assert gh_exact(scale(x, lam), scale(y, lam), cap=10).value == lam * value
+
+
+# 10 to 16 points, where the search is stressed: values and lex-min witnesses
+# frozen by tests/freeze_solver_golden.py
+
+
+def _golden_pairs():
+    import json
+    from pathlib import Path
+
+    def space(grid):
+        denom = grid["denominator"]
+        return validate([[F(value, denom) for value in row] for row in grid["rows"]])
+
+    with open(Path(__file__).parent / "data" / "solver-golden.json") as f:
+        entries = json.load(f)["pairs"]
+    return [
+        pytest.param(
+            space(e["x"]), space(e["y"]), F(e["value"]), e["witness"], id=e["id"]
+        )
+        for e in entries
+    ]
+
+
+@pytest.mark.parametrize("x, y, value, witness", _golden_pairs())
+def test_stressed_golden_values_and_lex_min_witnesses(x, y, value, witness):
+    result = gh_exact(x, y, cap=16)
+    assert result.value == value
+    assert [list(pair) for pair in result.witness.sorted_pairs()] == witness
+    assert distortion(result.witness) == 2 * value
 
 
 # 6 to 8 points in the benchmark corpus's three families

@@ -78,6 +78,30 @@ def test_diameter_one_point_and_hedgehog(hedgehog_12_matrix):
     assert diameter(validate(hedgehog_12_matrix)) == 3
 
 
+def _seeded_spaces():
+    """Strict spaces with and without a cached grid, pseudo spaces with a
+    repeated point, and a one-point space."""
+    from ghkit.generate import random_metric_space, rng_from_seed
+
+    rng = rng_from_seed(12)
+    spaces = [one_point_space(), validate([[0]], mode=PSEUDO)]
+    for n, denominator in ((2, 1), (5, 6), (9, 7), (16, 60)):
+        space = random_metric_space(rng, n, denominator=denominator)
+        rows = [list(row) + [row[0]] for row in space.dist]
+        rows.append(rows[0][:-1] + [F(0)])  # the last point repeats the first
+        spaces += [
+            space,
+            validate([[value / 3 for value in row] for row in space.dist]),
+            validate(rows, mode=PSEUDO),
+        ]
+    return spaces
+
+
+@pytest.mark.parametrize("space", _seeded_spaces())
+def test_diameter_equals_the_largest_fraction_entry(space):
+    assert diameter(space) == max(max(row) for row in space.dist)
+
+
 @given(sup_metric_spaces(), positive_fractions)
 def test_scale_diameter_and_inverse(space, lam):
     scaled = scale(space, lam)
