@@ -170,6 +170,8 @@ def _cmd_validate(args) -> int:
 def _cmd_gh(args) -> int:
     x = io.load_space(args.left)
     y = io.load_space(args.right)
+    # the oracle first, so that its size guard refuses before any solve
+    oracle = min_distortion_by_enumeration(x, y)[0] if args.enumerate_oracle else None
     result = gh_exact(x, y, cap=args.cap)
     if args.csv:
         print(f"{result.value},{result.lower_bound},{result.nodes_explored}")
@@ -179,8 +181,7 @@ def _cmd_gh(args) -> int:
         print(f"nodes_explored {result.nodes_explored}")
         pairs = " ".join(f"{i}-{j}" for i, j in result.witness.sorted_pairs())
         print(f"witness {pairs}")
-    if args.enumerate_oracle:
-        oracle, _ = min_distortion_by_enumeration(x, y)
+    if oracle is not None:
         match = oracle == 2 * result.value
         print(f"oracle {oracle / 2} match {str(match).lower()}", file=sys.stderr)
         if not match:

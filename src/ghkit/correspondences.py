@@ -7,18 +7,13 @@ also the form the solver and the enumeration oracle search on.
 This module owns the cell encoding both searches share: on an n x m grid,
 the pair (i, j) is cell c = i*m + j and a set of pairs is the int with bit c
 set for each cell.  `line_masks` gives each row's and column's cells,
-`covering_masks` sweeps the cell sets meeting all of them, and
-`decode_cells` turns a mask back into pairs.  The enumeration oracle fills
-a table of every cell set's distortion one highest cell at a time, taking
-cell h's gaps from its two rows when it reaches h, and takes the first
-covering minimizer.  No table over pairs of cells is kept: the solver
-builds its compatibility masks from the sorted rows instead.
+`covering_masks` yields the cell sets meeting all of them, and
+`decode_cells` turns a mask back into pairs.
 
-Both exhaustive loops hand the per-mask work to CPython's C code.  The
-table grows in blocks: the 2^h sets whose highest cell is h are the sets
-below them with cell h added, so each block is one list comprehension.  The
-covering sweep ORs one table of line bits over the low half of the cells
-with one over the high half, and keeps the masks whose OR is every line.
+`covering_masks` and the enumeration oracle run on bitsets over all
+2^(n*m) cell sets, bit s standing for the set s, so each exhaustive step is
+one big-int operation in C: the covering sets are an AND of ORs of cell
+bitsets, and the oracle drops the sets holding a pair of cells with one AND.
 """
 
 from __future__ import annotations
@@ -26,8 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, cycle, repeat
-from operator import or_
+from functools import reduce
+from itertools import compress, count
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import TooLarge
@@ -139,31 +135,33 @@ def line_masks(n: int, m: int) -> list[int]:
 def covering_masks(n: int, m: int) -> Iterator[int]:
     """Cell masks of every both-ways surjective relation, in ascending order.
 
-    Cell (i, j) has the line bits 1 << i | 1 << (n + j); a mask covers when
-    the OR of its cells' line bits is all n + m lines.  Those ORs come from
-    two tables built by doubling, one over the low half of the cells and one
-    over the high half, so the sweep of all 2^(n*m) masks runs in C: each
-    high entry is repeated once per low entry, the low table is cycled.
-    The n*m <= ENUMERATION_CELL_GUARD check runs here, before anything is
-    allocated.
+    The set bits of `_set_bits`'s covering bitset, read off its binary
+    digits in C; the guard runs before anything is allocated.
+    """
+    covering, _ = _set_bits(n, m)
+    digits = format(covering, "b")[::-1].encode()
+    return compress(count(), digits.translate(bytes.maketrans(b"01", b"\0\1")))
+
+
+def _set_bits(n: int, m: int) -> tuple[int, list[int]]:
+    """Bitsets over all 2^(n*m) cell sets: bit s stands for the cell set s.
+
+    `has[c]`, the sets containing cell c, doubles the pattern "2^c zeros,
+    then 2^c ones"; `covering`, the sets meeting every line, is the AND over
+    the rows and columns of the OR of `has` over each line's cells.
     """
     _guard_cells(n, m)
-    nm = n * m
-    bits = [1 << i | 1 << (n + j) for i in range(n) for j in range(m)]
-    k = nm // 2
-    low, high = _or_table(bits[:k]), _or_table(bits[k:])
-    each_high = chain.from_iterable(map(repeat, high, repeat(len(low))))
-    all_lines = (1 << (n + m)) - 1
-    covered = map(all_lines.__eq__, map(or_, cycle(low), each_high))
-    return compress(range(1 << nm), covered)
-
-
-def _or_table(bits: Sequence[int]) -> list[int]:
-    """The OR of `bits` over every subset, indexed by the subset's mask."""
-    table = [0]
-    for b in bits:
-        table += [t | b for t in table]
-    return table
+    size = 1 << (n * m)
+    has = []
+    for c in range(n * m):
+        run = 1 << c
+        pattern, width = ((1 << run) - 1) << run, 2 * run
+        while width < size:
+            pattern |= pattern << width
+            width <<= 1
+        has.append(pattern)
+    lines = [has[i * m : i * m + m] for i in range(n)] + [has[j::m] for j in range(m)]
+    return reduce(and_, [reduce(or_, line) for line in lines]), has
 
 
 def decode_cells(mask: int, m: int) -> frozenset[tuple[int, int]]:
@@ -191,35 +189,36 @@ def min_distortion_by_enumeration(
 ) -> tuple[Fraction, Correspondence]:
     """Exact minimum distortion over ALL correspondences, by full sweep.
 
-    Independent oracle for the threshold-search solver.  The distortion of
-    every cell set, covering or not, is built one highest cell h at a time:
-    a pair of cells of s | 1 << h (for s < 2^h) lies in s or involves h, so
+    Independent oracle for the threshold-search solver, on the bitsets of
+    `_set_bits`.  A set's distortion is its largest gap |dx[i][k] - dy[j][l]|
+    over pairs of its cells (i, j) < (k, l).  `within` starts as every
+    covering set, and each cell pair, by gap from the largest, drops the sets
+    holding both its cells with one AND.  After a whole gap group it is the
+    covering sets of distortion at most the next gap.  The first group that
+    would empty it is the answer, and the lowest set left is the first
+    covering minimizer in mask order: ties go to the smallest mask.
 
-        dis[s | 1 << h] = max(dis[s], reach[s]),
-
-    where reach[s] is the largest gap between cell h and a cell of s.  The
-    reach block doubles over the cells below h, the dis block extends the
-    table, and both are list comprehensions.
-
-    The answer is the first minimizer of dis over `covering_masks`, so ties
-    go to the smallest mask.  Same n*m <= ENUMERATION_CELL_GUARD check as
-    the enumerators, run before anything is allocated.  The table has one
-    entry per cell set and each block builds a half-size list next to it:
-    a 4x4 pair takes about 20 ms and 1 MB, and at the guard of 20 cells the
-    2^20-entry table peaks at about 17 MB and the call takes about 0.3 s
-    (measured on a 2-CPU x86-64 VM under CPython 3.11).
+    Same n*m <= ENUMERATION_CELL_GUARD check as the enumerators, run before
+    anything is allocated.  A 4x4 pair takes about 1 ms.  At the guard of
+    20 cells the bitsets, 128 KiB each, peak under 5 MB and a call takes
+    3-10 ms (measured on a 2-CPU x86-64 VM under CPython 3.11).
     """
     n, m = len(x), len(y)
-    masks = covering_masks(n, m)
+    covering, has = _set_bits(n, m)
     denom, dx, dy = scaled_integer_matrices(x, y)
-    dis = [0]
-    for h in range(n * m):
-        i, j = divmod(h, m)
-        row = [abs(a - b) for a in dx[i] for b in dy[j]]  # cell h's gaps
-        reach = [0]
-        for g in row[:h]:
-            reach += [r if r > g else g for r in reach]
-        dis += [d if d > r else r for d, r in zip(dis, reach)]
-    del reach
-    best = min(masks, key=dis.__getitem__)
-    return Fraction(dis[best], denom), Correspondence(x, y, decode_cells(best, m))
+    cells = list(enumerate(divmod(c, m) for c in range(n * m)))
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for c, (i, j) in cells:
+        for d, (k, l) in cells[c + 1 :]:
+            pairs.setdefault(abs(dx[i][k] - dy[j][l]), []).append((c, d))
+    within, value = covering, 0
+    for gap in sorted(pairs.keys() - {0}, reverse=True):
+        below = within
+        for c, d in pairs[gap]:
+            below &= ~(has[c] & has[d])
+        if not below:
+            value = gap
+            break
+        within = below
+    best = (within & -within).bit_length() - 1
+    return Fraction(value, denom), Correspondence(x, y, decode_cells(best, m))

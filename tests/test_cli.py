@@ -56,13 +56,18 @@ def test_gh_oracle_flag(gap_files, capsys):
     assert "match true" in capsys.readouterr().err
 
 
-def test_gh_oracle_guard_is_input_error(tmp_path, capsys):
+def test_gh_oracle_guard_is_input_error(tmp_path, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        pytest.fail("gh_exact ran before the oracle's guard refused the pair")
+
+    monkeypatch.setattr(cli, "gh_exact", no_solve)
     rng = rng_from_seed(5)
     paths = [tmp_path / "x.msp", tmp_path / "y.msp"]
     for path in paths:
         io.save_space(random_metric_space(rng, 5), path)
     assert main(["gh", *map(str, paths), "--enumerate-oracle"]) == 2
-    assert "guard is 20" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "guard is 20" in captured.err and captured.out == ""
 
 
 def test_gh_cap_error(gap_files, tmp_path):

@@ -1,5 +1,8 @@
+import ast
+import json
 from fractions import Fraction as F
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +164,42 @@ def test_oracle_matches_the_solver_at_the_guard(n, m, seed):
     value, witness = min_distortion_by_enumeration(x, y)
     assert value == 2 * gh_exact(x, y, cap=10).value
     assert distortion(witness) == value
+
+
+# 13 to 20 cells with tied distortions: values and first covering minimizers
+# frozen by tests/freeze_oracle_golden.py
+
+
+def _oracle_golden():
+    def space(grid):
+        denom = grid["denominator"]
+        return validate([[F(value, denom) for value in row] for row in grid["rows"]])
+
+    with open(Path(__file__).parent / "data" / "oracle-golden.json") as f:
+        entries = json.load(f)["pairs"]
+    return [
+        pytest.param(
+            space(e["x"]), space(e["y"]), F(e["value"]), e["witness"], id=e["id"]
+        )
+        for e in entries
+    ]
+
+
+@pytest.mark.parametrize("x, y, value, witness", _oracle_golden())
+def test_oracle_golden_values_and_first_minimizers(x, y, value, witness):
+    got, rel = min_distortion_by_enumeration(x, y)
+    assert got == value
+    assert [list(pair) for pair in rel.sorted_pairs()] == witness
+    assert distortion(rel) == value
+
+
+def test_correspondences_import_nothing_from_the_solver():
+    # the oracle is the solver's independent reference
+    source = (Path(__file__).parents[1] / "src/ghkit/correspondences.py").read_text()
+    imported = [
+        f"{getattr(node, 'module', None) or ''}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert imported and not any("solver" in name for name in imported)
