@@ -289,6 +289,8 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    if not args.lambdas:
+        raise ValueError("--lambdas needs at least one factor")
     space = io.load_space(args.space)
     probe = d_lambda_probe(space, args.lambdas)
     for lam, value in probe.samples:
@@ -362,8 +364,8 @@ def _cmd_verify(args) -> int:
         return PASS
     try:
         report = run_suite(args.suite, seed=args.seed)
-    except KeyError as exc:
-        print(str(exc), file=sys.stderr)
+    except KeyError as exc:  # str(KeyError) would quote the message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return USAGE_ERROR
     for result in report.results:
         if args.csv:

@@ -10,7 +10,6 @@ A request whose output could have more than POINT_CAP points is refused with
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 
@@ -38,10 +37,9 @@ def random_metric_space(
     """n distinct points of the box {0..coord_max}^3 scaled by 1/denominator,
     under the sup metric; strict by construction.
 
-    The integer sup rows go to `from_grid` reduced by the gcd of
-    `denominator` and every entry, which is the grid `_grid` would build, so
-    only one `Fraction` per distinct distance is made.  With
-    `distinct_distances`, a draw with a repeated distance is redrawn."""
+    The integer sup rows go to `from_grid` as they are, so no `Fraction` is
+    made.  With `distinct_distances`, a draw with a repeated distance is
+    redrawn."""
     if n < 1:
         raise ValueError("need at least one point")
     if n > POINT_CAP:
@@ -61,18 +59,18 @@ def random_metric_space(
                 continue
             seen.add(candidate)
             points.append(candidate)
-        rows = [
-            [max(abs(a - x), abs(b - y), abs(c - z)) for x, y, z in points]
-            for a, b, c in points
-        ]
+        rows = tuple(
+            [
+                tuple([max(abs(a - x), abs(b - y), abs(c - z)) for x, y, z in points])
+                for a, b, c in points
+            ]
+        )
         if distinct_distances:
             upper = [value for i, row in enumerate(rows) for value in row[i + 1 :]]
             if len(set(upper)) < len(upper):
                 continue
         labels = tuple(f"{label_prefix}{i}" for i in range(n))
-        common = math.gcd(denominator, *set().union(*rows))
-        grid = tuple([tuple([value // common for value in row]) for row in rows])
-        return from_grid(labels, denominator // common, grid, STRICT)
+        return from_grid(labels, denominator, rows, STRICT)
     raise ValueError("could not sample a space with the requested properties")
 
 

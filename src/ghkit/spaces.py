@@ -3,15 +3,17 @@
 Every distance is a `fractions.Fraction` at the API, so the identities the
 rest of the package relies on (diameter scaling, realized Hausdorff
 distances, gluing weights) are checked with equality, never with tolerances.
-Hot loops run on each space's cached integer grid instead: one denominator L
-and int rows with dist[i][j] == Fraction(rows[i][j], L), which is exact and
-compares and adds at machine-integer speed.
+A space is built from its integer grid: one denominator L and int rows with
+dist[i][j] == Fraction(rows[i][j], L), reduced so that L and the entries
+share no factor.  Hot loops and space equality run on the grid, which is
+exact and compares and adds at machine-integer speed; the `Fraction` matrix
+is built on first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
@@ -69,29 +71,65 @@ def _grid(rows: Sequence[Sequence[int | Fraction]]) -> Grid:
     )
 
 
-@dataclass(frozen=True)
+def _check_shape(labels: tuple[str, ...], rows: Sequence[Sequence], mode: str) -> None:
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    n = len(labels)
+    if n == 0:
+        raise ValueError("a space needs at least one point")
+    if len(set(labels)) != n:
+        raise ValueError("labels must be distinct")
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError("distance matrix shape does not match labels")
+
+
 class FiniteMetricSpace:
     """Labeled points with a symmetric matrix of exact distances.
 
-    Instances are immutable; construct through :func:`validate` (axioms
-    checked) or one of the derived constructors elsewhere in the package
-    (valid by construction).
+    Held as labels, mode and the canonical grid (L, rows) that `_grid` builds;
+    `dist` is the `Fraction` view, kept as given to the constructor or built
+    from the grid on first read.  Equality and hash compare (labels, mode,
+    grid), the relation of equal `Fraction` matrices since the grid is
+    canonical.  Instances are immutable; construct through :func:`validate`
+    (axioms checked), :func:`from_grid` or one of the derived constructors
+    elsewhere in the package (valid by construction).
     """
 
     labels: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
-    mode: str = STRICT
+    mode: str
+    grid: Grid
 
-    def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        n = len(self.labels)
-        if n == 0:
-            raise ValueError("a space needs at least one point")
-        if len(set(self.labels)) != n:
-            raise ValueError("labels must be distinct")
-        if len(self.dist) != n or any(len(row) != n for row in self.dist):
-            raise ValueError("distance matrix shape does not match labels")
+    def __init__(
+        self,
+        labels: tuple[str, ...],
+        dist: tuple[tuple[Fraction, ...], ...],
+        mode: str = STRICT,
+    ) -> None:
+        _check_shape(labels, dist, mode)
+        self.__dict__.update(labels=labels, mode=mode, grid=_grid(dist), dist=dist)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        same = self.labels == other.labels and self.mode == other.mode
+        return same and self.grid == other.grid
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.mode, self.grid))
+
+    def __repr__(self) -> str:
+        return (
+            f"FiniteMetricSpace(labels={self.labels!r}, dist={self.dist!r}, "
+            f"mode={self.mode!r})"
+        )
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -107,9 +145,12 @@ class FiniteMetricSpace:
         return self.labels.index(label)
 
     @cached_property
-    def grid(self) -> Grid:
-        """The integer view (L, rows): dist[i][j] == Fraction(rows[i][j], L)."""
-        return _grid(self.dist)
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The `Fraction` matrix, one `Fraction` per distinct value shared by
+        every entry holding it."""
+        denom, rows = self.grid
+        values = {value: Fraction(value, denom) for value in set().union(*rows)}
+        return tuple([tuple([values[value] for value in row]) for row in rows])
 
 
 def from_grid(
@@ -118,18 +159,18 @@ def from_grid(
     rows: tuple[tuple[int, ...], ...],
     mode: str = STRICT,
 ) -> FiniteMetricSpace:
-    """The space with distances rows[i][j] / denom, its grid already cached.
+    """The space with distances rows[i][j] / denom, built from the grid alone.
 
-    One `Fraction` is built per distinct value and shared by every entry
-    holding it.
+    The grid is reduced by the gcd of `denom` and every entry, so it is
+    canonical; no `Fraction` is built until `dist` is first read.
     """
-    values = {value: Fraction(value, denom) for value in set().union(*rows)}
-    dist = tuple([tuple([values[value] for value in row]) for row in rows])
-    return _primed(FiniteMetricSpace(labels, dist, mode), (denom, rows))
-
-
-def _primed(space: FiniteMetricSpace, grid: Grid) -> FiniteMetricSpace:
-    space.__dict__["grid"] = grid  # what the cached property would store
+    _check_shape(labels, rows, mode)
+    common = math.gcd(denom, *set().union(*rows))
+    if common > 1:
+        denom //= common
+        rows = tuple([tuple([value // common for value in row]) for row in rows])
+    space = object.__new__(FiniteMetricSpace)
+    space.__dict__.update(labels=labels, mode=mode, grid=(denom, rows))
     return space
 
 
@@ -192,17 +233,13 @@ def diameter(space: FiniteMetricSpace) -> Fraction:
 def scale(space: FiniteMetricSpace, factor: int | Fraction) -> FiniteMetricSpace:
     """Multiply every distance by a positive factor (similarity).
 
-    Works on the integer grid: rows * p / (L * q), reduced by the gcd of the
-    new denominator and every entry, is again the grid `_grid` would build.
+    Works on the integer grid: rows * p / (L * q), which `from_grid` reduces.
     """
     lam = positive_factor(factor)
     denom, rows = space.grid
-    p, q = lam.numerator, lam.denominator
-    common = math.gcd(denom * q, p * math.gcd(*set().union(*rows)))
-    scaled = tuple(
-        [tuple([value * p // common for value in row]) for row in rows]
-    )
-    return from_grid(space.labels, denom * q // common, scaled, space.mode)
+    p = lam.numerator
+    scaled = tuple([tuple([value * p for value in row]) for row in rows])
+    return from_grid(space.labels, denom * lam.denominator, scaled, space.mode)
 
 
 def one_point_space(label: str = "pt") -> FiniteMetricSpace:

@@ -509,6 +509,8 @@ def suite_names(selector: str = "all") -> list[str]:
     if selector == "all":
         return list(CHECKS)
     names = [token.strip() for token in selector.split(",") if token.strip()]
+    if not names:
+        raise ValueError(f"no checks selected by {selector!r}")
     unknown = [name for name in names if name not in CHECKS]
     if unknown:
         raise KeyError(f"unknown checks: {', '.join(unknown)}")

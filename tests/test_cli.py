@@ -352,6 +352,7 @@ def test_probe_and_center_answer_above_the_old_cap(tmp_path, capsys):
         (["center", "{x}", "--lambda=-1/2", "--n", "2"], "strictly between 0 and 1"),
         (["probe", "{p}", "--lambdas", "1/2"], "d_lambda requires a strict space"),
         (["center", "{p}", "--lambda", "1/2", "--n", "2"], "requires a strict space"),
+        (["probe", "{x}", "--lambdas", ","], "--lambdas needs at least one factor"),
     ],
 )
 def test_scaling_commands_refuse_bad_factors_and_pseudo_spaces(
@@ -453,8 +454,17 @@ def test_verify_single_check(capsys):
     assert out.startswith("PASS bucket-construction")
 
 
-def test_verify_unknown_check():
+def test_verify_unknown_check(capsys):
     assert main(["verify", "--suite", "no-such-check"]) == 2
+    assert capsys.readouterr().err == "error: unknown checks: no-such-check\n"
+
+
+@pytest.mark.parametrize("selector", [",", "", " , "])
+def test_verify_refuses_an_empty_selection(capsys, selector):
+    assert main(["verify", "--suite", selector]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: no checks selected by {selector!r}\n"
+    assert captured.out == ""
 
 
 def test_verify_list(capsys):

@@ -5,6 +5,7 @@ no grid anywhere, so the grid-based library must agree with it exactly on
 spaces whose distances mix denominators.
 """
 
+import copy
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ghkit.correspondences import Correspondence, distortion, inverse
+from ghkit.dynamics import ThreadChain, thread_limit
 from ghkit.errors import (
     AsymmetricEntry,
     MetricValidationError,
@@ -20,12 +22,16 @@ from ghkit.errors import (
     TriangleViolation,
     ZeroDistanceDistinctPoints,
 )
-from ghkit.gluing import GluingTree, glue_tree
+from ghkit.generate import perturbed_hedgehog, rng_from_seed
+from ghkit.gluing import GluingTree, glue_pair, glue_tree
+from ghkit.hedgehogs import HedgehogSpec, check_center_location, compile_hedgehog
 from ghkit.spaces import (
     PSEUDO,
     STRICT,
     FiniteMetricSpace,
     SubsetRef,
+    _grid,
+    from_grid,
     hausdorff,
     scale,
     validate,
@@ -318,7 +324,7 @@ def test_equality_and_hash_ignore_the_cached_grid(space):
     space.grid
     assert hash(space) == before == hash(twin)
     assert space == twin and twin == space
-    validated = validate(space.dist, STRICT, space.labels)  # grid primed
+    validated = validate(space.dist, STRICT, space.labels)
     assert validated == twin and hash(validated) == before
 
 
@@ -336,3 +342,102 @@ def test_glued_space_lookups():
         glued.locate(2, 0)
     with pytest.raises(ValueError):
         glued.part(2)
+
+
+# ---------------------------------------------------------------------------
+# the grid is the space: from_grid keeps no Fraction, equality reads the grid
+
+
+def _derived_spaces():
+    hedgehog = compile_hedgehog(HedgehogSpec.of(F(3, 4), F(5, 4), 2, 3))
+    x = validate([[0, 1], [1, 0]])
+    y = validate([[0, 3], [3, 0]])
+    # dis R = 2, so the carrier's 2L grid has only even entries to reduce
+    glued = glue_pair(x, y, Correspondence(x, y, frozenset({(0, 0), (1, 1)})))
+    base = validate([[0, 1, F(1, 2)], [1, 0, F(3, 4)], [F(1, 2), F(3, 4), 0]])
+    layers = tuple(scale(base, F(1, 2**n)) for n in range(1, 5))
+    links = tuple(
+        Correspondence(a, b, frozenset((p, p) for p in range(3)))
+        for a, b in zip(layers, layers[1:])
+    )
+    return {
+        "hedgehog": hedgehog,
+        "scaled hedgehog": scale(hedgehog, F(4, 3)),
+        "scaled by its denominator": scale(base, 4),
+        "glued carrier": glued.carrier,
+        "two needles at 3/2": needle_space([("a", F(3, 2)), ("b", F(3, 2))]),
+        "thread limit": thread_limit(ThreadChain(layers, links)).approx,
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_derived_spaces()))
+def test_grid_built_spaces_equal_their_fraction_twins(kind):
+    space = _derived_spaces()[kind]
+    assert "dist" not in vars(space)
+    assert space.grid == _grid(space.dist)  # canonical
+    twin = FiniteMetricSpace(space.labels, space.dist, space.mode)
+    assert space == twin and twin == space
+    assert hash(space) == hash(twin)
+    assert space != scale(space, 2)
+
+
+def test_two_needles_at_three_halves_reduce_to_integers():
+    space = needle_space([("a", F(3, 2)), ("b", F(3, 2))])
+    assert space.grid == (1, ((0, 3), (3, 0)))
+
+
+@examples
+@given(mixed_spaces(), st.integers(2, 6))
+def test_from_grid_reduces_an_unreduced_grid(space, k):
+    denom, rows = space.grid
+    spread = tuple(tuple(k * value for value in row) for row in rows)
+    unreduced = from_grid(space.labels, k * denom, spread, space.mode)
+    assert unreduced.grid == _grid(unreduced.dist) == space.grid
+    assert unreduced == space and hash(unreduced) == hash(space)
+
+
+@pytest.mark.parametrize(
+    "labels, rows, mode, message",
+    [
+        (("a", "b"), ((0, 1),), STRICT, "shape does not match"),
+        (("a", "b"), ((0, 1), (1,)), STRICT, "shape does not match"),
+        (("a", "a"), ((0, 1), (1, 0)), STRICT, "labels must be distinct"),
+        ((), (), STRICT, "at least one point"),
+        (("a",), ((0,),), "fuzzy", "unknown mode"),
+    ],
+)
+def test_both_constructors_check_the_shape(labels, rows, mode, message):
+    with pytest.raises(ValueError, match=message):
+        from_grid(labels, 1, rows, mode)
+    with pytest.raises(ValueError, match=message):
+        FiniteMetricSpace(labels, tuple(tuple(map(F, row)) for row in rows), mode)
+
+
+@pytest.mark.parametrize("name", ["labels", "mode", "grid", "dist", "other"])
+def test_spaces_are_immutable(name):
+    built = from_grid(("a", "b"), 2, ((0, 1), (1, 0)))
+    for space in (built, validate([[0, 1], [1, 0]])):
+        with pytest.raises(AttributeError):
+            setattr(space, name, None)
+        with pytest.raises(AttributeError):
+            delattr(space, name)
+        assert space.grid[1] == ((0, 1), (1, 0))
+
+
+def test_copies_are_equal_spaces():
+    space = from_grid(("a", "b", "c"), 4, ((0, 1, 3), (1, 0, 2), (3, 2, 0)))
+    for twin in (copy.copy(space), copy.deepcopy(space)):
+        assert twin == space and hash(twin) == hash(space)
+        assert "dist" not in vars(twin)
+    space.dist
+    for twin in (copy.copy(space), copy.deepcopy(space)):
+        assert twin == space and twin.dist == space.dist
+
+
+def test_center_location_builds_no_fraction_matrix_for_its_carrier():
+    spec = HedgehogSpec.of(F(3, 4), F(5, 4), 2, 3)
+    m = F(1, 4)
+    other, rel = perturbed_hedgehog(rng_from_seed(41), spec, m)
+    report = check_center_location(spec, other, rel, m)
+    assert report.passed
+    assert "dist" not in vars(report.glued.carrier)

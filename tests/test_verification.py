@@ -13,6 +13,12 @@ def test_suite_names_selection():
         suite_names("nope")
 
 
+@pytest.mark.parametrize("selector", [",", "", " , "])
+def test_suite_names_refuses_an_empty_selection(selector):
+    with pytest.raises(ValueError, match="no checks selected"):
+        suite_names(selector)
+
+
 def test_check_results_carry_claims():
     result = run_check("bucket-construction", seed=7)
     assert result.passed
