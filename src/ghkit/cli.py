@@ -288,11 +288,17 @@ def _cmd_limit(args) -> int:
     return PASS
 
 
-def _cmd_probe(args) -> int:
-    if not args.lambdas:
+def _factors(lambdas: list[Fraction]) -> list[Fraction]:
+    # "--lambdas ," parses to []; argparse's error would raise SystemExit
+    if not lambdas:
         raise ValueError("--lambdas needs at least one factor")
+    return lambdas
+
+
+def _cmd_probe(args) -> int:
+    lambdas = _factors(args.lambdas)
     space = io.load_space(args.space)
-    probe = d_lambda_probe(space, args.lambdas)
+    probe = d_lambda_probe(space, lambdas)
     for lam, value in probe.samples:
         if args.csv:
             print(f"{lam},{value}")
@@ -314,7 +320,8 @@ def _cmd_center(args) -> int:
 
 
 def _cmd_stab(args) -> int:
-    sampled = args.lambdas if args.lambdas else list(DEFAULT_SAMPLED_FACTORS)
+    default = args.lambdas is None
+    sampled = DEFAULT_SAMPLED_FACTORS if default else _factors(args.lambdas)
     if args.target.suffix == ".hh":
         target = io.load_hedgehog(args.target)
     else:

@@ -40,7 +40,7 @@ from .spaces import (
 
 THREAD_CAP = 10**6  # threads `Threads` will enumerate
 RATIO_CAP = 10**5  # (distinct values)^2 `stabilizer_finite` will turn into ratios
-CENTER_POWER_BITS = 10_000  # bits lam^n may take in `center_iterate`: ~3,000 digits
+CENTER_POWER_BITS = 10_000  # bits any lam^n computed here may take: ~3,000 digits
 
 
 @dataclass(frozen=True)
@@ -290,15 +290,27 @@ class GeometricBoundReport:
         )
 
 
+def _check_power_bits(lam: Fraction, n: int) -> None:
+    # p^n and q^n have at most n * bit_length bits each
+    bits = n * max(lam.numerator.bit_length(), lam.denominator.bit_length())
+    if bits > CENTER_POWER_BITS:
+        raise TooLarge(f"lambda^n may need {bits} bits, cap is {CENTER_POWER_BITS}")
+
+
 def geometric_bound_check(
     space: FiniteMetricSpace, lam: int | Fraction, nmax: int
 ) -> GeometricBoundReport:
-    """Check d(lam^n) <= (1 - lam^n)/(1 - lam) * d(lam) < d(lam)/(1 - lam) exactly."""
+    """Check d(lam^n) <= (1 - lam^n)/(1 - lam) * d(lam) < d(lam)/(1 - lam) exactly.
+
+    Like `center_iterate`, refuses with `TooLarge` before any power an nmax
+    at which lam^nmax could take more than CENTER_POWER_BITS bits.
+    """
     lam = as_fraction(lam)
     if not (0 < lam < 1):
         raise ValueError("lambda must lie strictly between 0 and 1")
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
+    _check_power_bits(lam, nmax)
     values = [d_lambda(space, lam**n) for n in range(1, nmax + 1)]
     base = values[0]  # d(lam) is row n = 1
     strict_cap = base / (1 - lam)
@@ -339,10 +351,7 @@ def center_iterate(
         raise ValueError("lambda must lie strictly between 0 and 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    # p^n and q^n have at most n * bit_length bits each
-    bits = n * max(lam.numerator.bit_length(), lam.denominator.bit_length())
-    if bits > CENTER_POWER_BITS:
-        raise TooLarge(f"lambda^n may need {bits} bits, cap is {CENTER_POWER_BITS}")
+    _check_power_bits(lam, n)
     base = d_lambda(space, lam)
     return CenterIterate(
         iterate=scale(space, lam**n),

@@ -96,8 +96,9 @@ class DifferentAmbientSpaces(GhkitError):
 
 class TooLarge(GhkitError):
     """Refused by a fixed size guard: enumeration above n*m cells, a dense
-    layout or generator request above POINT_CAP points, or a center iterate
-    whose power lam^n could exceed its bit cap."""
+    layout or generator request above POINT_CAP points (the needle line of
+    `needle_set_hausdorff` included), or a center iterate or geometric-bound
+    report whose power lam^n could exceed its bit cap."""
 
 
 class SizeLimitExceeded(GhkitError):

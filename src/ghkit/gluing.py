@@ -91,7 +91,11 @@ class GluingTree:
 
 @dataclass(frozen=True)
 class GluedSpace:
-    """One ambient space containing an isometric copy of every glued vertex."""
+    """One ambient space containing an isometric copy of every glued vertex.
+
+    The carrier lists each vertex as one block, in `glue_tree`'s attach order
+    (for `glue_pair`: the first space, then the second).
+    """
 
     carrier: FiniteMetricSpace
     provenance: tuple[tuple[int, int], ...]  # carrier index -> (vertex, local index)
@@ -136,7 +140,8 @@ def glue_tree(tree: GluingTree) -> GluedSpace:
     Distances between points of distant vertices relay through the unique
     tree path; the minimum over relay points factorizes, so each new vertex
     is attached, in the order the tree recorded, with one min-plus pass
-    against everything already placed.
+    against everything already placed.  The carrier lists the vertices in
+    that order, each as one contiguous block of its points.
     """
     for v_space in tree.vertices:
         if v_space.mode != STRICT:

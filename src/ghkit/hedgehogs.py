@@ -95,24 +95,19 @@ def compile_hedgehog(spec: HedgehogSpec) -> FiniteMetricSpace:
         raise TooLarge(
             f"hedgehog has {spec.point_count} points, cap is {POINT_CAP}"
         )
-    labels = [CENTER_LABEL]
-    lengths = [Fraction(0)]
-    for length, mult in spec.needles:
-        if mult == 1:
-            labels.append(str(length))
-            lengths.append(length)
-        else:
-            for copy in range(1, mult + 1):
-                labels.append(f"{length}#{copy}")
-                lengths.append(length)
+    labels = (CENTER_LABEL,) + tuple(
+        str(length) if mult == 1 else f"{length}#{copy}"
+        for length, mult in spec.needles
+        for copy in range(1, mult + 1)
+    )
     denom = math.lcm(*(length.denominator for length, _ in spec.needles))
-    grid = [x.numerator * (denom // x.denominator) for x in lengths]
+    grid = [x.numerator * (denom // x.denominator) for x in _compiled_lengths(spec)]
     rows = []
     for i, a in enumerate(grid):
         row = list(map(a.__add__, grid))  # through the center, which sits at 0
         row[i] = 0
         rows.append(tuple(row))
-    return from_grid(tuple(labels), denom, tuple(rows), STRICT)
+    return from_grid(labels, denom, tuple(rows), STRICT)
 
 
 def hedgehog_isometric(a: HedgehogSpec, b: HedgehogSpec) -> bool:
@@ -148,18 +143,12 @@ def bucket_correspondence(
         raise ValueError("eps must be positive")
     compiled_a = compile_hedgehog(a)
     compiled_b = compile_hedgehog(b)
-
-    def by_bucket(spec: HedgehogSpec) -> dict[int, list[int]]:
-        buckets: dict[int, list[int]] = {}
+    buckets_a: dict[int, list[int]] = {}  # bucket index -> compiled indices
+    buckets_b: dict[int, list[int]] = {}
+    for spec, buckets in ((a, buckets_a), (b, buckets_b)):
         # compiled order: center, then needle copies ascending
-        for idx, length in enumerate(_compiled_lengths(spec)):
-            if idx == 0:
-                continue
+        for idx, length in enumerate(spec.expanded(), start=1):
             buckets.setdefault(bucket_index(length, eps), []).append(idx)
-        return buckets
-
-    buckets_a = by_bucket(a)
-    buckets_b = by_bucket(b)
     pairs = {(0, 0)}
     for n in sorted(set(buckets_a) | set(buckets_b)):
         left = buckets_a.get(n, [])
@@ -254,81 +243,62 @@ def check_center_location(
             f"lengths >= 2M: {[str(x) for x in big]}",
         )
 
-    glued = glue_pair(rel.left, rel.right, rel)
-    na, nb = len(compiled_a), len(compiled_b)
+    glued = glue_pair(compiled_a, compiled_b, rel)
+    na = len(compiled_a)
     denom, grid = glued.carrier.grid
-    # carrier rows of the first copy's points, restricted to the second copy
-    b_global = [glued.locate(1, j) for j in range(nb)]
-    to_b = [[grid[glued.locate(0, i)][g] for g in b_global] for i in range(na)]
+    # the carrier lists the first copy, then the second (glue_tree's attach
+    # order), so row i of the cross block is point i of A against all of B;
+    # an int d there has d / denom < M exactly when d < m_grid
+    cross = [row[na:] for row in grid[:na]]
+    m_grid = -(-m.numerator * denom // m.denominator)
 
-    for i in range(na):
-        closest = Fraction(min(to_b[i]), denom)
-        if closest >= m:
+    for label, row in zip(compiled_a.labels, cross):
+        if min(row) >= m_grid:
             raise PremiseViolated(
                 "first copy not inside the open M-neighborhood of the second",
-                f"point {compiled_a.labels[i]} at distance {closest} >= {m}",
+                f"point {label} at distance {Fraction(min(row), denom)} >= {m}",
             )
 
-    lengths_a = _compiled_lengths(a)
     lengths_b = _compiled_lengths(b)
-    center_distance = Fraction(to_b[0][0], denom)
-
-    def nearest_needle(i: int) -> int:
-        """First non-center point of the second copy closest to point i."""
-        row = to_b[i]
-        return min(range(1, nb), key=row.__getitem__)
-
-    far = []
-    coverage_ok = True
-    for i in range(1, na):
-        if lengths_a[i] < 5 * m:
+    matched = (0, 0) in rel.pairs
+    far, probe = [], []
+    for label, length, row in zip(compiled_a.labels[1:], a.expanded(), cross[1:]):
+        if length < 2 * m:  # every far needle (>= 5M) is also >= 2M
             continue
-        best_j = nearest_needle(i)
-        best_d = Fraction(to_b[i][best_j], denom)
-        witness = FarNeedleWitness(
-            label=compiled_a.labels[i],
-            length=lengths_a[i],
-            partner_label=compiled_b.labels[best_j],
-            partner_length=lengths_b[best_j],
-            carrier_distance=best_d,
-            within_m=best_d < m,
-            center_excluded=Fraction(to_b[i][0], denom) >= m,
-        )
-        far.append(witness)
-        if not (witness.within_m and witness.center_excluded):
-            coverage_ok = False
-
-    near_probe = None
-    near_probe_ok = None
-    if (0, 0) in rel.pairs:
-        eps = m
-        probe = []
-        near_probe_ok = True
-        for i in range(1, na):
-            if lengths_a[i] < 2 * eps:
-                continue
-            best_j = nearest_needle(i)
-            gap = lengths_a[i] - lengths_b[best_j]
-            witness = NearNeedleWitness(
-                label=compiled_a.labels[i],
-                length=lengths_a[i],
-                partner_label=compiled_b.labels[best_j],
-                partner_length=lengths_b[best_j],
-                length_gap=gap,
-                within_band=-2 * eps < gap < 2 * eps,
+        j = row.index(min(row[1:]), 1)  # first closest non-center partner
+        if length >= 5 * m:
+            far.append(
+                FarNeedleWitness(
+                    label=label,
+                    length=length,
+                    partner_label=compiled_b.labels[j],
+                    partner_length=lengths_b[j],
+                    carrier_distance=Fraction(row[j], denom),
+                    within_m=row[j] < m_grid,
+                    center_excluded=row[0] >= m_grid,
+                )
             )
-            probe.append(witness)
-            if not witness.within_band:
-                near_probe_ok = False
-        near_probe = tuple(probe)
+        if matched:
+            gap = length - lengths_b[j]
+            probe.append(
+                NearNeedleWitness(
+                    label=label,
+                    length=length,
+                    partner_label=compiled_b.labels[j],
+                    partner_length=lengths_b[j],
+                    length_gap=gap,
+                    within_band=-2 * m < gap < 2 * m,
+                )
+            )
 
+    center_distance = Fraction(cross[0][0], denom)
     return CenterLocationReport(
         m=m,
         center_distance=center_distance,
         center_bound_ok=center_distance < 4 * m,
         far_needles=tuple(far),
-        coverage_ok=coverage_ok,
-        near_probe=near_probe,
-        near_probe_ok=near_probe_ok,
+        coverage_ok=all(w.within_m and w.center_excluded for w in far),
+        near_probe=tuple(probe) if matched else None,
+        near_probe_ok=all(w.within_band for w in probe) if matched else None,
         glued=glued,
     )

@@ -170,10 +170,13 @@ def needle_set_hausdorff(n: int, m: int) -> Fraction:
     """Hausdorff distance between needle sets n and m placed on one needle.
 
     Both coordinate sets live on a single line with |x - y| distances; the
-    value is exactly |1/n - 1/m|.
+    value is exactly |1/n - 1/m|.  The line has max(n, m) points: above
+    POINT_CAP, `TooLarge` is raised before any coordinate is built.
     """
     if n < 1 or m < 1:
         raise ValueError("needle indices must be positive")
+    if max(n, m) > POINT_CAP:
+        raise TooLarge(f"needle line has {max(n, m)} points, cap is {POINT_CAP}")
     coords = sorted(set(_coords(n)) | set(_coords(m)))
     line = needle_space([("1", c) for c in coords])
     idx = {c: line.index_of(f"1:{c}") for c in coords}

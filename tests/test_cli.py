@@ -353,6 +353,7 @@ def test_probe_and_center_answer_above_the_old_cap(tmp_path, capsys):
         (["probe", "{p}", "--lambdas", "1/2"], "d_lambda requires a strict space"),
         (["center", "{p}", "--lambda", "1/2", "--n", "2"], "requires a strict space"),
         (["probe", "{x}", "--lambdas", ","], "--lambdas needs at least one factor"),
+        (["stab", "{x}", "--lambdas", ","], "--lambdas needs at least one factor"),
     ],
 )
 def test_scaling_commands_refuse_bad_factors_and_pseudo_spaces(

@@ -410,6 +410,18 @@ def test_center_iterate_power_bit_cap_boundary(base_space):
         center_iterate(base_space, F(1, 2**10000), 1)
 
 
+def test_geometric_bound_power_bit_cap_boundary(base_space, monkeypatch):
+    report = geometric_bound_check(base_space, F(1, 2), 5000)  # 5000 * 2 bits
+    assert len(report.rows) == 5000 and report.passed
+
+    def refuse(*args):
+        raise AssertionError("no distance may be computed above the cap")
+
+    monkeypatch.setattr(dynamics, "d_lambda", refuse)
+    with pytest.raises(TooLarge, match="10002 bits, cap is 10000"):
+        geometric_bound_check(base_space, F(1, 2), 5001)
+
+
 @pytest.mark.parametrize("seed", [13, 29, 41])
 def test_budget_chain_glued_as_a_path_tree(seed):
     # the completeness proof's gluing: consecutive layers sit exactly half a

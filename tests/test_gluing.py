@@ -80,6 +80,35 @@ def test_glue_pair_labels_carry_provenance(gap_pair, gap_bijection):
     assert glued.provenance == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+def test_carriers_place_each_vertex_as_one_block_in_attach_order():
+    # check_center_location reads the second copy of a glue_pair carrier
+    # by position, so this order is part of the contract
+    rng = rng_from_seed(23)
+    sizes = (2, 3, 1, 4)
+    spaces = [
+        random_metric_space(rng, n, label_prefix=f"s{v}") for v, n in enumerate(sizes)
+    ]
+    edges = ((0, 2), (2, 1), (0, 3))  # breadth-first from 0: 0, 2, 3, then 1
+    rels = [random_correspondence(rng, spaces[u], spaces[w]) for u, w in edges]
+    tree = GluingTree(
+        tuple(spaces), tuple((u, w, rel) for (u, w), rel in zip(edges, rels))
+    )
+    cases = [
+        (glue_tree(tree), (0, 2, 3, 1), spaces),
+        (glue_pair(spaces[2], spaces[1], rels[1]), (0, 1), spaces[2:0:-1]),
+    ]
+    for glued, order, vertices in cases:
+        assert glued.provenance == tuple(
+            (v, p) for v in order for p in range(len(vertices[v]))
+        )
+        start = 0
+        for v in order:
+            end = start + len(vertices[v])
+            block = [row[start:end] for row in glued.carrier.dist[start:end]]
+            assert block == list(vertices[v].dist)
+            start = end
+
+
 def test_single_edge_tree_equals_pair(gap_pair, gap_bijection):
     x, y = gap_pair
     tree = GluingTree((x, y), ((0, 1, gap_bijection),))

@@ -1,7 +1,10 @@
+import json
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import pytest
+from freeze_center_golden import outcome, spec_from_record
 
 from ghkit.correspondences import Correspondence, distortion
 from ghkit.errors import (
@@ -235,3 +238,19 @@ def test_center_location_zero_distortion_propagates():
     )
     with pytest.raises(ZeroDistortion):
         check_center_location(spec, spec, rel, F(1))
+
+
+# seeded trials over four M, matched and unmatched centers and premise
+# failures, frozen by tests/freeze_center_golden.py
+
+
+def _center_golden():
+    with open(Path(__file__).parent / "data" / "center-golden.json") as f:
+        return [pytest.param(e, id=e["id"]) for e in json.load(f)["cases"]]
+
+
+@pytest.mark.parametrize("entry", _center_golden())
+def test_center_location_matches_golden(entry):
+    a, b = spec_from_record(entry["a"]), spec_from_record(entry["b"])
+    got = outcome(a, b, map(tuple, entry["pairs"]), F(entry["m"]))
+    assert got == {key: entry[key] for key in ("report", "error") if key in entry}

@@ -106,6 +106,21 @@ def test_common_needle_hausdorff_formula():
             assert needle_set_hausdorff(n, m) == abs(F(1, n) - F(1, m))
 
 
+def test_needle_set_hausdorff_refuses_above_point_cap(monkeypatch):
+    monkeypatch.setattr(tuzhilin, "POINT_CAP", 12)
+    assert needle_set_hausdorff(12, 1) == F(11, 12)  # 12 points, at the cap
+    monkeypatch.undo()
+
+    def refuse(*args):
+        raise AssertionError("no coordinate may be built above the cap")
+
+    monkeypatch.setattr(tuzhilin, "_coords", refuse)
+    monkeypatch.setattr(tuzhilin, "needle_space", refuse)
+    for n, m in ((2001, 1), (2, 2001), (10**9, 10**9)):
+        with pytest.raises(TooLarge, match=f"has {max(n, m)} points, cap is 2000"):
+            needle_set_hausdorff(n, m)
+
+
 def test_embedding_induces_small_distortion_correspondence():
     from ghkit.correspondences import Correspondence
     from ghkit.solver import gh_upper_from
