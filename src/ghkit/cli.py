@@ -249,7 +249,6 @@ def _cmd_hedgehog(args) -> int:
 
 def _cmd_tuzhilin(args) -> int:
     cfg = TuzhilinConfig(args.n, args.k)
-    x, y = tuzhilin_spaces(cfg)
     embedding = tuzhilin_isometry(cfg, args.m)
     ok = (
         embedding.distance_preserving
@@ -261,6 +260,7 @@ def _cmd_tuzhilin(args) -> int:
             f"{str(ok).lower()}"
         )
     else:
+        x, y = tuzhilin_spaces(cfg)
         print("# first space")
         sys.stdout.write(io.dump_space(x))
         print("# second space")

@@ -97,8 +97,9 @@ class DifferentAmbientSpaces(GhkitError):
 class TooLarge(GhkitError):
     """Refused by a fixed size guard: enumeration above n*m cells, a dense
     layout or generator request above POINT_CAP points (the needle line of
-    `needle_set_hausdorff` included), or a center iterate or geometric-bound
-    report whose power lam^n could exceed its bit cap."""
+    `needle_set_hausdorff` included), a Tuzhilin space or needle line whose
+    points² × denominator bits exceed GRID_BITS_CAP, or a center iterate or
+    geometric-bound report whose power lam^n could exceed its bit cap."""
 
 
 class SizeLimitExceeded(GhkitError):

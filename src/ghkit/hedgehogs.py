@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Iterable
 
 from .correspondences import Correspondence
@@ -46,7 +47,7 @@ class HedgehogSpec:
             raise ValueError("multiplicities must be integers")
         if any(mult < 1 for _, mult in self.needles):
             raise ValueError("multiplicities must be positive")
-        if lengths != sorted(set(lengths)):
+        if any(a >= b for a, b in pairwise(lengths)):
             raise ValueError("needles must be sorted with distinct lengths")
 
     @classmethod

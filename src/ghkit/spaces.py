@@ -16,7 +16,7 @@ import math
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -162,10 +162,15 @@ def from_grid(
     """The space with distances rows[i][j] / denom, built from the grid alone.
 
     The grid is reduced by the gcd of `denom` and every entry, so it is
-    canonical; no `Fraction` is built until `dist` is first read.
+    canonical; the gcd is taken row by row and stops at the first row that
+    brings it to 1.  No `Fraction` is built until `dist` is first read.
     """
     _check_shape(labels, rows, mode)
-    common = math.gcd(denom, *set().union(*rows))
+    common = denom
+    for row in rows:
+        common = math.gcd(common, *row)
+        if common == 1:
+            break
     if common > 1:
         denom //= common
         rows = tuple([tuple([value // common for value in row]) for row in rows])
@@ -273,14 +278,17 @@ def hausdorff(a: SubsetRef, b: SubsetRef) -> Fraction:
     """Hausdorff distance between two subsets of one space.
 
     Finite max-min form: the infimum over enclosing radii is attained at
-    max(max_a min_b |ab|, max_b min_a |ab|).
+    max(max_a min_b |ab|, max_b min_a |ab|), taken on the integer grid with
+    each source row's entries gathered by one `itemgetter` over the target.
     """
     if a.space is not b.space and a.space != b.space:
         raise DifferentAmbientSpaces("subsets live in different spaces")
     denom, g = a.space.grid
 
     def directed(src: frozenset[int], dst: frozenset[int]) -> int:
-        return max(min([g[i][j] for j in dst]) for i in src)
+        picked = map(itemgetter(*dst), map(g.__getitem__, src))
+        # itemgetter of one index returns the entry itself, not a 1-tuple
+        return max(picked if len(dst) == 1 else map(min, picked))
 
     value = max(directed(a.indices, b.indices), directed(b.indices, a.indices))
     return Fraction(value, denom)

@@ -9,6 +9,10 @@ Points on one needle are at |x - x'|, points on different needles at x + x'
 Re-slotting the long needle onto needle m (and shifting needles m..N up by
 one) is distance-preserving and realizes Hausdorff distance exactly 1/m
 against the first space, witnessed by the pair (m, 1) vs (m, 1 + 1/m).
+
+Points are built as ints (needle, k): k >= 1 stands for 1 + 1/k, k = 0 for
+the limit 1, and a space whose largest k is t lies on D = lcm(1..t) as
+D + D // k (D for the limit), so no `Fraction` is built.
 """
 
 from __future__ import annotations
@@ -16,15 +20,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .correspondences import scaled_integer_matrices
 from .errors import IndexOutOfRange, TooLarge
 from .spaces import POINT_CAP, FiniteMetricSpace, SubsetRef, from_grid, hausdorff
 
 INF_NEEDLE = "inf"
+GRID_BITS_CAP = 4 * 10**8  # points² × bits of the denominator, per space
 
 Point = tuple[str, Fraction]  # (needle id, coordinate)
+Harmonic = tuple[str, int]  # (needle id, k): coordinate 1 + 1/k, or 1 for k = 0
 
 
 @dataclass(frozen=True)
@@ -42,6 +49,9 @@ class TuzhilinConfig:
                 f"Tuzhilin spaces have {self.point_count} points, "
                 f"cap is {POINT_CAP}"
             )
+        _check_grid_bits(
+            "Tuzhilin spaces have", self.point_count, max(self.k, self.n + 1)
+        )
 
     @property
     def point_count(self) -> int:
@@ -50,25 +60,19 @@ class TuzhilinConfig:
         return (self.n + 1) ** 2 + self.k + 1
 
 
-def _coords(depth: int) -> list[Fraction]:
-    return [1 + Fraction(1, k) for k in range(1, depth + 1)]
+def _check_grid_bits(what: str, points: int, top: int) -> None:
+    """`TooLarge` when points² × bits of lcm(1..top) is over GRID_BITS_CAP."""
+    bits = math.lcm(*range(1, top + 1)).bit_length()
+    if points * points * bits > GRID_BITS_CAP:
+        raise TooLarge(
+            f"{what} {points} points on a {bits}-bit denominator, "
+            f"{points}² × {bits} is over the cap {GRID_BITS_CAP}"
+        )
 
 
-def _on_grid(points: Sequence[Point]) -> tuple[int, list[tuple[str, int, Fraction]]]:
-    """The coordinates' common denominator D, and the distinct points sorted
-    by (needle, coordinate) as (needle, coordinate * D, coordinate)."""
-    denom = math.lcm(*{coord.denominator for _, coord in points})
-    distinct = {
-        (needle, coord.numerator * (denom // coord.denominator)): coord
-        for needle, coord in points
-    }
-    return denom, sorted((needle, v, coord) for (needle, v), coord in distinct.items())
-
-
-def needle_space(points: Sequence[Point]) -> FiniteMetricSpace:
-    """Metric space on labeled needle points: same needle |x-x'|, else x+x'."""
-    denom, placed = _on_grid(points)
-    labels = tuple(f"{needle}:{coord}" for needle, _, coord in placed)
+def _space(denom: int, placed: Sequence[tuple[str, int, str]]) -> FiniteMetricSpace:
+    """The needle space on distinct points sorted by (needle, coordinate),
+    each given as (needle, coordinate * denom, coordinate label)."""
     coords = [v for _, v, _ in placed]
     span: dict[str, list[int]] = {}  # needle -> [first, last + 1] position
     for g, (needle, _, _) in enumerate(placed):
@@ -79,36 +83,60 @@ def needle_space(points: Sequence[Point]) -> FiniteMetricSpace:
         first, end = span[needle]
         row[first:end] = [abs(a - b) for b in coords[first:end]]
         rows.append(tuple(row))
+    labels = tuple([f"{needle}:{label}" for needle, _, label in placed])
     return from_grid(labels, denom, tuple(rows))
 
 
-def _x_points(cfg: TuzhilinConfig) -> list[Point]:
-    return [
-        (str(n), c) for n in range(1, cfg.n + 2) for c in _coords(n)
-    ]
+def needle_space(points: Sequence[Point]) -> FiniteMetricSpace:
+    """Metric space on labeled needle points: same needle |x-x'|, else x+x'."""
+    denom = math.lcm(*{coord.denominator for _, coord in points})
+    distinct = {
+        (needle, coord.numerator * (denom // coord.denominator)): str(coord)
+        for needle, coord in points
+    }
+    return _space(denom, sorted((*point, label) for point, label in distinct.items()))
 
 
-def _y_points(cfg: TuzhilinConfig) -> list[Point]:
-    pts: list[Point] = [
-        (str(n), c) for n in range(1, cfg.n + 1) for c in _coords(n)
+def _harmonic_space(
+    points: Iterable[Harmonic],
+) -> tuple[list[Harmonic], FiniteMetricSpace]:
+    """The distinct points in the order of their needle space, and the space,
+    on D = lcm(1..largest k): coordinate D + D // k, or D for the limit."""
+    distinct = set(points)
+    denom = math.lcm(*range(1, max(k for _, k in distinct) + 1))
+    placed = sorted(
+        (needle, denom + denom // k if k else denom, k) for needle, k in distinct
+    )
+    # the labels str(Fraction) gives: 1 + 1/k is (k + 1)/k in lowest terms
+    labels = [
+        (needle, v, "1" if k == 0 else "2" if k == 1 else f"{k + 1}/{k}")
+        for needle, v, k in placed
     ]
-    pts.extend((INF_NEEDLE, c) for c in _coords(cfg.k))
-    pts.append((INF_NEEDLE, Fraction(1)))
+    return [(needle, k) for needle, _, k in placed], _space(denom, labels)
+
+
+def _x_points(cfg: TuzhilinConfig) -> list[Harmonic]:
+    return [(str(n), k) for n in range(1, cfg.n + 2) for k in range(1, n + 1)]
+
+
+def _y_points(cfg: TuzhilinConfig) -> list[Harmonic]:
+    pts = [(str(n), k) for n in range(1, cfg.n + 1) for k in range(1, n + 1)]
+    pts.extend((INF_NEEDLE, k) for k in range(cfg.k + 1))  # k = 0: the limit 1
     return pts
 
 
 def tuzhilin_spaces(
     cfg: TuzhilinConfig,
 ) -> tuple[FiniteMetricSpace, FiniteMetricSpace]:
-    return needle_space(_x_points(cfg)), needle_space(_y_points(cfg))
+    return _harmonic_space(_x_points(cfg))[1], _harmonic_space(_y_points(cfg))[1]
 
 
-def _relocate(m: int, point: Point) -> Point:
-    needle, coord = point
+def _relocate(m: int, point: Harmonic) -> Harmonic:
+    needle, k = point
     if needle == INF_NEEDLE:
-        return (str(m), coord)
+        return (str(m), k)
     n = int(needle)
-    return (str(n), coord) if n < m else (str(n + 1), coord)
+    return point if n < m else (str(n + 1), k)
 
 
 @dataclass(frozen=True)
@@ -129,31 +157,17 @@ def tuzhilin_isometry(cfg: TuzhilinConfig, m: int) -> TuzhilinEmbedding:
     if not (1 <= m <= cfg.n):
         raise IndexOutOfRange(f"m must be in 1..{cfg.n}, got {m}")
     x_points = _x_points(cfg)
-    y_points = _y_points(cfg)
-    y_space = needle_space(y_points)
-    image_points = [_relocate(m, p) for p in y_points]
-    ambient = needle_space(x_points + image_points)
-    index = {label: g for g, label in enumerate(ambient.labels)}
-
-    def locate(p: Point) -> int:
-        return index[f"{p[0]}:{p[1]}"]
-
-    x_part = SubsetRef(ambient, frozenset(locate(p) for p in x_points))
-    image_part = SubsetRef(ambient, frozenset(locate(p) for p in image_points))
-
-    # ambient index of the image of each point of y_space, in its order
-    image = [
-        locate(_relocate(m, (needle, coord)))
-        for needle, _, coord in _on_grid(y_points)[1]
-    ]
-    mapping = tuple(
-        (label, ambient.labels[g]) for label, g in zip(y_space.labels, image)
-    )
+    y_order, y_space = _harmonic_space(_y_points(cfg))
+    image_points = [_relocate(m, p) for p in y_order]  # in y_space's order
+    order, ambient = _harmonic_space(x_points + image_points)
+    index = {p: g for g, p in enumerate(order)}
+    image = [index[p] for p in image_points]
+    x_part = SubsetRef(ambient, frozenset([index[p] for p in x_points]))
+    image_part = SubsetRef(ambient, frozenset(image))
+    mapping = tuple(zip(y_space.labels, map(ambient.labels.__getitem__, image)))
 
     _, gy, ga = scaled_integer_matrices(y_space, ambient)
-    preserved = all(
-        tuple(map(ga[g].__getitem__, image)) == row for g, row in zip(image, gy)
-    )
+    preserved = tuple(map(itemgetter(*image), map(ga.__getitem__, image))) == gy
 
     return TuzhilinEmbedding(
         ambient=ambient,
@@ -171,15 +185,17 @@ def needle_set_hausdorff(n: int, m: int) -> Fraction:
 
     Both coordinate sets live on a single line with |x - y| distances; the
     value is exactly |1/n - 1/m|.  The line has max(n, m) points: above
-    POINT_CAP, `TooLarge` is raised before any coordinate is built.
+    POINT_CAP, or above GRID_BITS_CAP as points² × bits of its denominator,
+    `TooLarge` is raised before any coordinate is built.
     """
     if n < 1 or m < 1:
         raise ValueError("needle indices must be positive")
-    if max(n, m) > POINT_CAP:
-        raise TooLarge(f"needle line has {max(n, m)} points, cap is {POINT_CAP}")
-    coords = sorted(set(_coords(n)) | set(_coords(m)))
-    line = needle_space([("1", c) for c in coords])
-    idx = {c: line.index_of(f"1:{c}") for c in coords}
-    a = SubsetRef(line, frozenset(idx[c] for c in _coords(n)))
-    b = SubsetRef(line, frozenset(idx[c] for c in _coords(m)))
+    top = max(n, m)
+    if top > POINT_CAP:
+        raise TooLarge(f"needle line has {top} points, cap is {POINT_CAP}")
+    _check_grid_bits("needle line has", top, top)
+    order, line = _harmonic_space(("1", k) for k in range(1, top + 1))
+    index = {k: g for g, (_, k) in enumerate(order)}
+    a = SubsetRef(line, frozenset([index[k] for k in range(1, n + 1)]))
+    b = SubsetRef(line, frozenset([index[k] for k in range(1, m + 1)]))
     return hausdorff(a, b)

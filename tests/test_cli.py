@@ -180,6 +180,23 @@ def test_tuzhilin_refuses_above_point_cap(capsys, monkeypatch):
     assert peak < 2**20
 
 
+def test_tuzhilin_refuses_above_grid_bit_cap(capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("the refusal must come before any space is built")
+
+    monkeypatch.setattr(tuzhilin, "from_grid", no_build)
+    tracemalloc.start()
+    try:
+        assert main(["tuzhilin", "--n", "10", "--k", "1800", "--m", "1", "--csv"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert "1922 points on a 2600-bit denominator" in err
+    assert "cap 400000000" in err
+    assert peak < 2**20
+
+
 def test_glue_tree_refuses_above_point_cap(gap_files, tmp_path, capsys, monkeypatch):
     assert gluing.POINT_CAP is spaces.POINT_CAP == 2000
     x, y, _, _ = gap_files

@@ -6,6 +6,7 @@ spaces whose distances mix denominators.
 """
 
 import copy
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -22,7 +23,7 @@ from ghkit.errors import (
     TriangleViolation,
     ZeroDistanceDistinctPoints,
 )
-from ghkit.generate import perturbed_hedgehog, rng_from_seed
+from ghkit.generate import perturbed_hedgehog, random_metric_space, rng_from_seed
 from ghkit.gluing import GluingTree, glue_pair, glue_tree
 from ghkit.hedgehogs import HedgehogSpec, check_center_location, compile_hedgehog
 from ghkit.spaces import (
@@ -229,6 +230,33 @@ def test_hausdorff_matches_reference(data):
     assert value == reference_hausdorff(space.dist, a, b)
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize(
+    "kind", ["singletons", "singleton-set", "set-singleton", "equal", "random"]
+)
+def test_hausdorff_matches_reference_on_seeded_subsets(seed, kind):
+    rng = rng_from_seed(seed)
+    space = random_metric_space(rng, rng.randint(1, 9), denominator=12)
+    n = len(space)
+
+    def one():
+        return frozenset({rng.randrange(n)})
+
+    def some():
+        return frozenset(rng.sample(range(n), rng.randint(1, n)))
+
+    a = one() if kind in ("singletons", "singleton-set") else some()
+    if kind == "equal":
+        b = a
+    else:
+        b = one() if kind in ("singletons", "set-singleton") else some()
+    value = hausdorff(SubsetRef(space, a), SubsetRef(space, b))
+    assert value == reference_hausdorff(space.dist, a, b)
+    assert value == hausdorff(SubsetRef(space, b), SubsetRef(space, a))
+    if kind == "equal":
+        assert value == 0
+
+
 @examples
 @given(st.data())
 def test_distortion_matches_reference(data):
@@ -394,6 +422,26 @@ def test_from_grid_reduces_an_unreduced_grid(space, k):
     unreduced = from_grid(space.labels, k * denom, spread, space.mode)
     assert unreduced.grid == _grid(unreduced.dist) == space.grid
     assert unreduced == space and hash(unreduced) == hash(space)
+
+
+@pytest.mark.parametrize(
+    "denom, rows",
+    [
+        # the common factor with 12 is 12 until row 3's last entry brings it to 1
+        (12, ((0, 12, 12, 12, 12), (12, 0, 12, 12, 12), (12, 12, 0, 12, 12),
+              (12, 12, 12, 0, 1), (12, 12, 12, 1, 0))),
+        # 12 after row 0, 4 after row 1, and 4 divides the whole grid
+        (24, ((0, 12, 12), (12, 0, 8), (12, 8, 0))),
+        # every entry and the denominator share 6 from the first row on
+        (18, ((0, 6, 12), (6, 0, 12), (12, 12, 0))),
+    ],
+)
+def test_from_grid_reduces_by_the_gcd_of_every_entry(denom, rows):
+    space = from_grid(tuple("abcde"[: len(rows)]), denom, rows)
+    common = math.gcd(denom, *(value for row in rows for value in row))
+    reduced = tuple(tuple(value // common for value in row) for row in rows)
+    assert space.grid == (denom // common, reduced) == _grid(space.dist)
+    validate(space.dist)  # each case is a metric
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,22 @@ def test_spec_normalization_and_validation():
         HedgehogSpec(())
 
 
+@pytest.mark.parametrize(
+    "needles",
+    [
+        ((F(2), 1), (F(1), 1)),
+        ((F(1), 1), (F(1), 2)),
+        ((F(1), 1), (1, 1)),  # an int equal to a Fraction is the same length
+        ((F(1), 1), (F(3), 1), (F(2), 1)),
+    ],
+)
+def test_spec_refuses_unsorted_or_repeated_lengths(needles):
+    with pytest.raises(ValueError, match="sorted with distinct lengths"):
+        HedgehogSpec(needles)
+    merged = HedgehogSpec.from_pairs(needles)  # merges and sorts them
+    assert [x for x, _ in merged.needles] == sorted({F(x) for x, _ in needles})
+
+
 def test_non_integer_multiplicities_are_refused():
     # from_pairs used to truncate with int(): 3/2 gave one needle, 2.7 two
     for mult in (F(3, 2), 2.7, 2.0, F(2), "2"):

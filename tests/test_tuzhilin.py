@@ -1,6 +1,8 @@
+import json
 from fractions import Fraction as F
 
 import pytest
+from freeze_tuzhilin_golden import GOLDEN, needle_sets, outcome
 
 from ghkit import spaces, tuzhilin
 from ghkit.errors import IndexOutOfRange, TooLarge
@@ -114,11 +116,39 @@ def test_needle_set_hausdorff_refuses_above_point_cap(monkeypatch):
     def refuse(*args):
         raise AssertionError("no coordinate may be built above the cap")
 
-    monkeypatch.setattr(tuzhilin, "_coords", refuse)
-    monkeypatch.setattr(tuzhilin, "needle_space", refuse)
+    monkeypatch.setattr(tuzhilin, "_harmonic_space", refuse)
+    monkeypatch.setattr(tuzhilin, "from_grid", refuse)
     for n, m in ((2001, 1), (2, 2001), (10**9, 10**9)):
         with pytest.raises(TooLarge, match=f"has {max(n, m)} points, cap is 2000"):
             needle_set_hausdorff(n, m)
+
+
+def test_grids_refused_above_the_bit_cap(monkeypatch):
+    # lcm(1..2000) has 2878 bits, so a 2000-point line, which POINT_CAP
+    # allows, would take gigabytes
+    assert tuzhilin.GRID_BITS_CAP == 4 * 10**8
+    TuzhilinConfig(43, 63)  # 2000² × 89 bits
+    TuzhilinConfig(10, 400)  # 522² × 574 bits
+
+    def refuse(*args):
+        raise AssertionError("no coordinate may be built above the cap")
+
+    monkeypatch.setattr(tuzhilin, "_harmonic_space", refuse)
+    monkeypatch.setattr(tuzhilin, "from_grid", refuse)
+    with pytest.raises(TooLarge, match="1922 points on a 2600-bit denominator"):
+        TuzhilinConfig(10, 1800)
+    for n, m in ((2000, 1), (3, 1000)):
+        with pytest.raises(TooLarge, match=f"line has {max(n, m)} points on a"):
+            needle_set_hausdorff(n, m)
+    monkeypatch.setattr(tuzhilin, "GRID_BITS_CAP", 142**2 * 28)
+    TuzhilinConfig(10, 20)  # 142 points on lcm(1..20), 28 bits: at the cap
+    with pytest.raises(TooLarge, match="143 points on a 28-bit denominator"):
+        TuzhilinConfig(10, 21)
+    monkeypatch.undo()
+    monkeypatch.setattr(tuzhilin, "GRID_BITS_CAP", 12**2 * 15)
+    assert needle_set_hausdorff(12, 1) == F(11, 12)  # lcm(1..12) has 15 bits
+    with pytest.raises(TooLarge, match="13 points on a 19-bit denominator"):
+        needle_set_hausdorff(13, 1)
 
 
 def test_embedding_induces_small_distortion_correspondence():
@@ -145,3 +175,26 @@ def test_embedding_induces_small_distortion_correspondence():
         )
         rel = Correspondence(x, y, pairs)
         assert gh_upper_from(rel) <= F(1, m)
+
+
+# ---------------------------------------------------------------------------
+# every embedding for n = 2..10, k in {n, n + 5, 20} and the needle-set gaps,
+# frozen by tests/freeze_tuzhilin_golden.py
+
+
+def _tuzhilin_golden():
+    with open(GOLDEN) as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    _tuzhilin_golden()["embeddings"],
+    ids=lambda entry: f"n{entry['n']}-k{entry['k']}-m{entry['m']}",
+)
+def test_embedding_matches_golden(entry):
+    assert outcome(entry["n"], entry["k"], entry["m"]) == entry
+
+
+def test_needle_set_hausdorff_matches_golden():
+    assert needle_sets() == _tuzhilin_golden()["needle_sets"]
