@@ -40,7 +40,6 @@ from .errors import (
     NonpositiveScale,
     NotATree,
     PremiseViolated,
-    SizeLimitExceeded,
     ThreadCapExceeded,
     TooLarge,
     ZeroDistortion,

@@ -38,7 +38,7 @@ from .generate import (
 )
 from .gluing import glue_pair, glue_tree
 from .hedgehogs import bucket_correspondence, compile_hedgehog, hedgehog_isometric
-from .solver import DEFAULT_SIZE_CAP, gh_exact, gh_upper_from
+from .solver import gh_exact, gh_upper_from
 from .tuzhilin import TuzhilinConfig, tuzhilin_isometry, tuzhilin_spaces
 from .verification import run_suite, suite_names
 
@@ -69,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gh", help="exact distance between two spaces")
     p.add_argument("left", type=Path)
     p.add_argument("right", type=Path)
-    p.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP)
     p.add_argument(
         "--enumerate-oracle",
         action="store_true",
@@ -172,7 +171,7 @@ def _cmd_gh(args) -> int:
     y = io.load_space(args.right)
     # the oracle first, so that its size guard refuses before any solve
     oracle = min_distortion_by_enumeration(x, y)[0] if args.enumerate_oracle else None
-    result = gh_exact(x, y, cap=args.cap)
+    result = gh_exact(x, y)
     if args.csv:
         print(f"{result.value},{result.lower_bound},{result.nodes_explored}")
     else:
@@ -239,7 +238,7 @@ def _cmd_hedgehog(args) -> int:
     print(f"distortion {dis} (bound {2 * args.eps})")
     print(f"gh_upper_bound {gh_upper_from(rel)} (bound {args.eps})")
     if args.out is not None:
-        io.save_correspondence(rel, args.out)
+        args.out.write_text(io.dump_correspondence(rel))
         print(f"wrote {args.out}")
     else:
         for i, j in rel.sorted_pairs():

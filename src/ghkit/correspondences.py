@@ -91,10 +91,6 @@ def full_correspondence(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Correspon
     )
 
 
-def inverse(rel: Correspondence) -> Correspondence:
-    return Correspondence(rel.right, rel.left, frozenset((j, i) for i, j in rel.pairs))
-
-
 def scaled_integer_matrices(
     x: FiniteMetricSpace, y: FiniteMetricSpace
 ) -> tuple[int, IntRows, IntRows]:

@@ -103,10 +103,6 @@ def load_space(path: str | Path) -> FiniteMetricSpace:
     return parse_space(Path(path).read_text(), source=path)
 
 
-def save_space(space: FiniteMetricSpace, path: str | Path) -> None:
-    Path(path).write_text(dump_space(space))
-
-
 # ---------------------------------------------------------------------------
 # correspondences
 
@@ -140,10 +136,6 @@ def load_correspondence(
     path: str | Path, left: FiniteMetricSpace, right: FiniteMetricSpace
 ) -> Correspondence:
     return parse_correspondence(Path(path).read_text(), left, right, source=path)
-
-
-def save_correspondence(rel: Correspondence, path: str | Path) -> None:
-    Path(path).write_text(dump_correspondence(rel))
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +173,6 @@ def parse_hedgehog(text: str, source: str | Path = "<string>") -> HedgehogSpec:
 
 def load_hedgehog(path: str | Path) -> HedgehogSpec:
     return parse_hedgehog(Path(path).read_text(), source=path)
-
-
-def save_hedgehog(spec: HedgehogSpec, path: str | Path) -> None:
-    Path(path).write_text(dump_hedgehog(spec))
 
 
 # ---------------------------------------------------------------------------

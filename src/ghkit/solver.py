@@ -13,8 +13,11 @@ bound first (tight on scaled copies), then binary-searches the larger gaps;
 the largest is the full correspondence's distortion, so it is never asked.
 The lexicographically smallest optimal witness comes from the same
 procedure on the last feasible probe's masks, asked once per cell in index
-order, starting from the correspondence that probe found.  Isometries have
-their own exact backtracking search.
+order, starting from the correspondence that probe found.  Exact GH is
+NP-hard, so two fixed guards bound the work: no side above SIDE_BOUND points
+(each node scans all n + m lines, and the gap set has up to Vx * Vy values),
+and no more than NODE_BUDGET branches over all probes and the witness scan.
+Isometries have their own exact backtracking search.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ from .correspondences import (
     line_masks,
     scaled_integer_matrices,
 )
-from .errors import InvariantBroken, SizeLimitExceeded
+from .errors import InvariantBroken, TooLarge
 from .spaces import STRICT, FiniteMetricSpace, diameter
 
-DEFAULT_SIZE_CAP = 8
+SIDE_BOUND = 32  # points a side
+NODE_BUDGET = 2**22  # branches of one gh_exact call
 
 
 @dataclass(frozen=True)
@@ -57,22 +61,22 @@ def gh_upper_from(rel: Correspondence) -> Fraction:
     return distortion(rel) / 2
 
 
-def gh_exact(
-    x: FiniteMetricSpace, y: FiniteMetricSpace, cap: int = DEFAULT_SIZE_CAP
-) -> GHResult:
+def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
     """Exact distance, an optimal witness, and search statistics.
 
     The witness is the lexicographically smallest pair set among all
     correspondences attaining the minimum distortion, so repeated runs (and
     snapshot tests) see one canonical answer.  `nodes_explored` counts the
     branches of the feasibility search over every threshold probe and the
-    witness scan.
+    witness scan.  Raises `TooLarge` before building anything when a side
+    has more than SIDE_BOUND points, and once the search passes NODE_BUDGET
+    branches; under both, every answer is the same as with no guard.
     """
     if x.mode != STRICT or y.mode != STRICT:
         raise ValueError("gh_exact requires strict spaces")
     n, m = len(x), len(y)
-    if max(n, m) > cap:
-        raise SizeLimitExceeded(f"sizes {n}x{m} exceed cap {cap}")
+    if max(n, m) > SIDE_BOUND:
+        raise TooLarge(f"sizes {n}x{m}: a side has more than {SIDE_BOUND} points")
 
     denom, dx, dy = scaled_integer_matrices(x, y)
     lb_int = abs(max(map(max, dx)) - max(map(max, dy)))
@@ -167,7 +171,8 @@ def _extend(
     chosen cells.  Branches on the uncovered row or column with the fewest
     candidates and fails as soon as one has none; a candidate that fails is
     dropped for its siblings.  Returns the correspondence's cell mask and
-    counts one node per branch in `tally[0]`.
+    counts one node per branch in `tally[0]`, raising `TooLarge` past
+    NODE_BUDGET.
     """
     fewest, count = 0, 0
     for line in lines:
@@ -183,6 +188,8 @@ def _extend(
         bit = fewest & -fewest
         fewest ^= bit
         tally[0] += 1
+        if tally[0] > NODE_BUDGET:
+            raise TooLarge(f"the search passed its budget of {NODE_BUDGET} nodes")
         narrowed = avail & compat[bit.bit_length() - 1]
         found = _extend(compat, lines, chosen | bit, narrowed, tally)
         if found:

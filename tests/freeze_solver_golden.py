@@ -72,7 +72,7 @@ def main() -> int:
     entries = []
     for family, n, m, seed in RECIPES:
         x, y = build_pair(family, n, m, seed)
-        result = gh_exact(x, y, cap=max(n, m))
+        result = gh_exact(x, y)
         entries.append(
             {
                 "id": f"{family}-{n}x{m}-{seed}",

@@ -3,7 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from ghkit import cli, dynamics, generate, gluing, hedgehogs, io, spaces, tuzhilin
+from ghkit import (
+    cli,
+    dynamics,
+    generate,
+    gluing,
+    hedgehogs,
+    io,
+    solver,
+    spaces,
+    tuzhilin,
+)
 from ghkit.cli import main
 from ghkit.correspondences import Correspondence, identity_correspondence
 from ghkit.errors import InvariantBroken, TooLarge
@@ -17,8 +27,8 @@ def gap_files(tmp_path):
     x = validate([[0, 1], [1, 0]], labels=["a", "b"])
     y = validate([[0, 3], [3, 0]], labels=["c", "d"])
     xp, yp = tmp_path / "x.msp", tmp_path / "y.msp"
-    io.save_space(x, xp)
-    io.save_space(y, yp)
+    xp.write_text(io.dump_space(x))
+    yp.write_text(io.dump_space(y))
     return x, y, xp, yp
 
 
@@ -64,28 +74,39 @@ def test_gh_oracle_guard_is_input_error(tmp_path, monkeypatch, capsys):
     rng = rng_from_seed(5)
     paths = [tmp_path / "x.msp", tmp_path / "y.msp"]
     for path in paths:
-        io.save_space(random_metric_space(rng, 5), path)
+        path.write_text(io.dump_space(random_metric_space(rng, 5)))
     assert main(["gh", *map(str, paths), "--enumerate-oracle"]) == 2
     captured = capsys.readouterr()
     assert "guard is 20" in captured.err and captured.out == ""
 
 
-def test_gh_cap_error(gap_files, tmp_path):
+def test_gh_refuses_past_the_side_bound_and_node_budget(
+    gap_files, tmp_path, monkeypatch, capsys
+):
     _, _, xp, _ = gap_files
-    big = validate(
-        [[0 if i == j else abs(i - j) for j in range(9)] for i in range(9)]
-    )
+    rng = rng_from_seed(9)
+    nine = [tmp_path / "a.msp", tmp_path / "b.msp"]
+    for path in nine:
+        path.write_text(io.dump_space(random_metric_space(rng, 9)))
+    assert main(["gh", *map(str, nine)]) == 0
+    assert "witness" in capsys.readouterr().out
+    big = validate([[abs(i - j) for j in range(33)] for i in range(33)])
     bp = tmp_path / "big.msp"
-    io.save_space(big, bp)
+    bp.write_text(io.dump_space(big))
     assert main(["gh", str(xp), str(bp)]) == 2
-    assert main(["gh", str(xp), str(bp), "--cap", "9"]) == 0
+    captured = capsys.readouterr()
+    assert "more than 32 points" in captured.err and captured.out == ""
+    monkeypatch.setattr(solver, "NODE_BUDGET", 10)
+    assert main(["gh", *map(str, nine), "--csv"]) == 2
+    captured = capsys.readouterr()
+    assert "budget of 10 nodes" in captured.err and captured.out == ""
 
 
 def test_glue_pair_stdout(gap_files, tmp_path, capsys):
     x, y, xp, yp = gap_files
     rel = Correspondence(x, y, frozenset({(0, 0), (1, 1)}))
     rp = tmp_path / "r.corr"
-    io.save_correspondence(rel, rp)
+    rp.write_text(io.dump_correspondence(rel))
     assert main(["glue", "--pair", str(xp), str(yp), str(rp)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("points 4 strict")
@@ -96,7 +117,7 @@ def test_glue_pair_out_files(gap_files, tmp_path):
     x, y, xp, yp = gap_files
     rel = Correspondence(x, y, frozenset({(0, 0), (1, 1)}))
     rp = tmp_path / "r.corr"
-    io.save_correspondence(rel, rp)
+    rp.write_text(io.dump_correspondence(rel))
     out = tmp_path / "glued.msp"
     assert main(["glue", "--pair", str(xp), str(yp), str(rp), "--out", str(out)]) == 0
     glued = io.load_space(out)
@@ -108,14 +129,14 @@ def test_glue_zero_distortion_is_input_error(gap_files, tmp_path):
     x, _, xp, _ = gap_files
     rel = identity_correspondence(x)
     rp = tmp_path / "id.corr"
-    io.save_correspondence(rel, rp)
+    rp.write_text(io.dump_correspondence(rel))
     assert main(["glue", "--pair", str(xp), str(xp), str(rp)]) == 2
 
 
 def test_glue_tree(tmp_path, gap_files):
     x, y, xp, yp = gap_files
     rel = Correspondence(x, y, frozenset({(0, 0), (1, 1)}))
-    io.save_correspondence(rel, tmp_path / "r.corr")
+    (tmp_path / "r.corr").write_text(io.dump_correspondence(rel))
     tree = tmp_path / "t.tree"
     tree.write_text("vertex 0 x.msp\nvertex 1 y.msp\nedge 0 1 r.corr\n")
     assert main(["glue", "--tree", str(tree)]) == 0
@@ -201,7 +222,7 @@ def test_glue_tree_refuses_above_point_cap(gap_files, tmp_path, capsys, monkeypa
     assert gluing.POINT_CAP is spaces.POINT_CAP == 2000
     x, y, _, _ = gap_files
     rel = Correspondence(x, y, frozenset({(0, 0), (1, 1)}))
-    io.save_correspondence(rel, tmp_path / "r.corr")
+    (tmp_path / "r.corr").write_text(io.dump_correspondence(rel))
     leaves = range(1, 1001)  # a star of 1001 two-point vertices: 2002 points
     tree = tmp_path / "star.tree"
     tree.write_text(
@@ -269,8 +290,9 @@ def test_tuzhilin_csv(capsys):
 
 def test_limit_command(tmp_path, capsys):
     x = validate([[0, 1], [1, 0]], labels=["a", "b"])
-    io.save_space(x, tmp_path / "x.msp")
-    io.save_correspondence(identity_correspondence(x), tmp_path / "i.corr")
+    (tmp_path / "x.msp").write_text(io.dump_space(x))
+    identity = io.dump_correspondence(identity_correspondence(x))
+    (tmp_path / "i.corr").write_text(identity)
     chain = tmp_path / "c.chain"
     chain.write_text("space x.msp\nlink i.corr\nspace x.msp\n")
     assert main(["limit", str(chain)]) == 0
@@ -290,9 +312,10 @@ def test_limit_certifies_a_chain_above_the_thread_cap(
     lines = []
     for n, space in enumerate(chain.spaces):
         if n:
-            io.save_correspondence(chain.links[n - 1], tmp_path / f"r{n}.corr")
+            link = io.dump_correspondence(chain.links[n - 1])
+            (tmp_path / f"r{n}.corr").write_text(link)
             lines.append(f"link r{n}.corr")
-        io.save_space(space, tmp_path / f"x{n}.msp")
+        (tmp_path / f"x{n}.msp").write_text(io.dump_space(space))
         lines.append(f"space x{n}.msp")
     path = tmp_path / "deep.chain"
     path.write_text("\n".join(lines) + "\n")
@@ -341,7 +364,7 @@ def test_stab_rejects_pseudo_spaces_and_answers_large_ones(tmp_path, capsys):
     # 9 and 40 points were refused by the solver's size cap of 8
     for n in (9, 40):
         big = tmp_path / f"big{n}.msp"
-        io.save_space(random_metric_space(rng_from_seed(4), n), big)
+        big.write_text(io.dump_space(random_metric_space(rng_from_seed(4), n)))
         assert main(["stab", str(big)]) == 0
         assert "accepted 1\n" in capsys.readouterr().out
 
@@ -349,7 +372,7 @@ def test_stab_rejects_pseudo_spaces_and_answers_large_ones(tmp_path, capsys):
 def test_probe_and_center_answer_above_the_old_cap(tmp_path, capsys):
     space = random_metric_space(rng_from_seed(4), 9)
     path = tmp_path / "big.msp"
-    io.save_space(space, path)
+    path.write_text(io.dump_space(space))
     half = spaces.diameter(space) / 2
     assert main(["probe", str(path), "--lambdas", "1,1/2,3", "--csv"]) == 0
     rows = capsys.readouterr().out.splitlines()

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ghkit.correspondences import Correspondence, distortion, inverse
+from ghkit.correspondences import Correspondence, distortion
 from ghkit.dynamics import ThreadChain, thread_limit
 from ghkit.errors import (
     AsymmetricEntry,
@@ -278,7 +278,11 @@ def gluing_trees(draw):
         rel = draw(correspondences(vertices[u], vertices[w]))
         assume(reference_distortion(vertices[u], vertices[w], rel.pairs) > 0)
         # some edges listed child-first, so the walk must turn their pairs round
-        edges.append((w, u, inverse(rel)) if draw(st.booleans()) else (u, w, rel))
+        if draw(st.booleans()):
+            flipped = frozenset((j, i) for i, j in rel.pairs)
+            edges.append((w, u, Correspondence(rel.right, rel.left, flipped)))
+        else:
+            edges.append((u, w, rel))
     return GluingTree(vertices, tuple(draw(st.permutations(edges))))
 
 

@@ -29,7 +29,7 @@ def test_space_round_trip(tmp_path):
         labels=["a", "b", "c"],
     )
     path = tmp_path / "space.msp"
-    io.save_space(space, path)
+    path.write_text(io.dump_space(space))
     assert io.load_space(path) == space
 
 
@@ -48,7 +48,7 @@ def test_space_comments_and_blank_lines():
 def test_pseudo_space_round_trip(tmp_path):
     space = FiniteMetricSpace(("a", "b"), ((F(0), F(0)), (F(0), F(0))), PSEUDO)
     path = tmp_path / "p.msp"
-    io.save_space(space, path)
+    path.write_text(io.dump_space(space))
     assert io.load_space(path).mode == PSEUDO
 
 
@@ -107,7 +107,7 @@ def test_correspondence_round_trip(tmp_path):
     y = random_metric_space(rng, 2, label_prefix="y")
     rel = random_correspondence(rng, x, y)
     path = tmp_path / "rel.corr"
-    io.save_correspondence(rel, path)
+    path.write_text(io.dump_correspondence(rel))
     assert io.load_correspondence(path, x, y) == rel
 
 
@@ -120,7 +120,7 @@ def test_correspondence_coverage_error_is_parse_error():
 def test_hedgehog_round_trip(tmp_path):
     spec = HedgehogSpec.from_pairs([(F(1, 2), 2), (F(3), 1)])
     path = tmp_path / "spec.hh"
-    io.save_hedgehog(spec, path)
+    path.write_text(io.dump_hedgehog(spec))
     assert io.load_hedgehog(path) == spec
 
 
@@ -146,9 +146,9 @@ def test_gluing_tree_loader(tmp_path):
     x = random_metric_space(rng, 2, label_prefix="x")
     y = random_metric_space(rng, 3, label_prefix="y")
     rel = random_correspondence(rng, x, y)
-    io.save_space(x, tmp_path / "x.msp")
-    io.save_space(y, tmp_path / "y.msp")
-    io.save_correspondence(rel, tmp_path / "r.corr")
+    (tmp_path / "x.msp").write_text(io.dump_space(x))
+    (tmp_path / "y.msp").write_text(io.dump_space(y))
+    (tmp_path / "r.corr").write_text(io.dump_correspondence(rel))
     (tmp_path / "t.tree").write_text(
         "vertex 0 x.msp\nvertex 1 y.msp\nedge 0 1 r.corr\n"
     )
@@ -161,10 +161,10 @@ def test_gluing_tree_loader(tmp_path):
 def tree_files(tmp_path):
     x = validate([[0, 1], [1, 0]])
     y = validate([[0, 3], [3, 0]])
-    io.save_space(x, tmp_path / "a.msp")
-    io.save_space(y, tmp_path / "b.msp")
+    (tmp_path / "a.msp").write_text(io.dump_space(x))
+    (tmp_path / "b.msp").write_text(io.dump_space(y))
     rel = Correspondence(x, y, frozenset({(0, 0), (1, 1)}))
-    io.save_correspondence(rel, tmp_path / "r.corr")
+    (tmp_path / "r.corr").write_text(io.dump_correspondence(rel))
     return tmp_path / "t.tree"
 
 
@@ -200,8 +200,9 @@ def test_gluing_tree_id_errors_name_the_line(tree_files, capsys, text, message):
 def test_chain_loader(tmp_path):
     rng = rng_from_seed(3)
     x = random_metric_space(rng, 2)
-    io.save_space(x, tmp_path / "x.msp")
-    io.save_correspondence(identity_correspondence(x), tmp_path / "i.corr")
+    (tmp_path / "x.msp").write_text(io.dump_space(x))
+    identity = io.dump_correspondence(identity_correspondence(x))
+    (tmp_path / "i.corr").write_text(identity)
     (tmp_path / "c.chain").write_text(
         "space x.msp\nlink i.corr\nspace x.msp\n"
     )

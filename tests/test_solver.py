@@ -10,7 +10,8 @@ from ghkit.correspondences import (
     full_correspondence,
     min_distortion_by_enumeration,
 )
-from ghkit.errors import SizeLimitExceeded
+from ghkit import solver
+from ghkit.errors import TooLarge
 from ghkit.generate import perturbed_hedgehog, random_metric_space, rng_from_seed
 from ghkit.hedgehogs import HedgehogSpec, compile_hedgehog
 from ghkit.solver import (
@@ -108,7 +109,7 @@ def test_triangle_inequality(x, y, z):
 def test_triangle_inequality_at_6_to_10_points(seed):
     rng = rng_from_seed(600 + seed)
     x, y, z = (random_metric_space(rng, rng.randint(6, 10)) for _ in range(3))
-    xy, yz, xz = (gh_exact(a, b, cap=10).value for a, b in ((x, y), (y, z), (x, z)))
+    xy, yz, xz = (gh_exact(a, b).value for a, b in ((x, y), (y, z), (x, z)))
     assert xz <= xy + yz and xy <= xz + yz and yz <= xy + xz
 
 
@@ -143,14 +144,64 @@ def test_scaling_equivariance(gap_pair):
         assert gh_exact(scale(x, lam), scale(y, lam)).value == lam * base
 
 
-def test_size_cap(gap_pair):
+def _path_space(n):
+    return validate([[abs(i - j) for j in range(n)] for i in range(n)])
+
+
+def test_answers_above_the_old_cap_with_no_argument():
+    rng = rng_from_seed(4)
+    for n, m in ((9, 9), (10, 16)):
+        x, y = random_metric_space(rng, n), random_metric_space(rng, m)
+        result = gh_exact(x, y)
+        assert distortion(result.witness) == 2 * result.value
+        assert result.lower_bound <= result.value
+
+
+def test_side_bound_refuses_before_building(gap_pair, monkeypatch):
     x, _ = gap_pair
-    big = validate(
-        [[0 if i == j else abs(i - j) for j in range(9)] for i in range(9)]
-    )
-    with pytest.raises(SizeLimitExceeded):
-        gh_exact(x, big)
-    assert gh_exact(x, big, cap=9).value > 0
+    assert solver.SIDE_BOUND == 32
+    assert gh_exact(x, _path_space(32)).value == 15  # at the bound
+
+    def refuse(*args):
+        raise AssertionError("no gap set may be built above the side bound")
+
+    monkeypatch.setattr(solver, "_levels", refuse)
+    big = _path_space(33)
+    for a, b in ((x, big), (big, x), (big, big)):
+        with pytest.raises(TooLarge, match="a side has more than 32 points"):
+            gh_exact(a, b)
+
+
+def _budget_pairs():
+    rng = rng_from_seed(77)
+    pairs = []
+    for k in range(8):
+        x, y = (random_metric_space(rng, rng.randint(6, 8)) for _ in range(2))
+        pairs += [(x, y), (x, scale(x, F(k + 2, 2)))]  # 7 to 680 nodes
+    return pairs
+
+
+@pytest.mark.parametrize("budget", [0, 1, 10, 100])
+def test_node_budget_raises_exactly_above_the_node_count(budget, monkeypatch):
+    pairs = _budget_pairs()
+    results = [gh_exact(x, y) for x, y in pairs]
+    monkeypatch.setattr(solver, "NODE_BUDGET", budget)
+    for (x, y), result in zip(pairs, results):
+        if result.nodes_explored > budget:
+            with pytest.raises(TooLarge, match=f"budget of {budget} nodes"):
+                gh_exact(x, y)
+        else:
+            assert gh_exact(x, y) == result
+
+
+def test_node_budget_boundary(monkeypatch):
+    x, y = _budget_pairs()[0]
+    result = gh_exact(x, y)
+    monkeypatch.setattr(solver, "NODE_BUDGET", result.nodes_explored)
+    assert gh_exact(x, y) == result
+    monkeypatch.setattr(solver, "NODE_BUDGET", result.nodes_explored - 1)
+    with pytest.raises(TooLarge):
+        gh_exact(x, y)
 
 
 def test_rejects_pseudo_spaces():
@@ -328,7 +379,7 @@ def test_search_and_witness_scan_agree_with_eager_masks(x, y):
     assert _lex_min_cells(top, everything, nm, lines, m, [0]) == _lex_min_cells(
         top, found, nm, lines, m, [0]
     )
-    assert gh_exact(x, y, cap=12).value == F(feasible[0], 2 * denom)
+    assert gh_exact(x, y).value == F(feasible[0], 2 * denom)
 
 
 def test_solves_and_isometry_searches_leave_no_reference_cycles():
@@ -390,31 +441,31 @@ LARGE_PAIRS = _large_pairs()
 
 @pytest.mark.parametrize("x, y", LARGE_PAIRS)
 def test_large_witness_attains_the_value(x, y):
-    result = gh_exact(x, y, cap=10)
+    result = gh_exact(x, y)
     assert distortion(result.witness) == 2 * result.value
     assert result.lower_bound <= result.value
 
 
 @pytest.mark.parametrize("x, y", LARGE_PAIRS)
 def test_large_symmetry(x, y):
-    assert gh_exact(x, y, cap=10).value == gh_exact(y, x, cap=10).value
+    assert gh_exact(x, y).value == gh_exact(y, x).value
 
 
 @pytest.mark.parametrize("x, y", LARGE_PAIRS)
 def test_large_relabelling_invariance(x, y):
     rng = random.Random(len(x) * 100 + len(y))
-    value = gh_exact(x, y, cap=10).value
+    value = gh_exact(x, y).value
     x_order = rng.sample(range(len(x)), len(x))
     y_order = rng.sample(range(len(y)), len(y))
-    assert gh_exact(_relabelled(x, x_order), y, cap=10).value == value
-    assert gh_exact(x, _relabelled(y, y_order), cap=10).value == value
+    assert gh_exact(_relabelled(x, x_order), y).value == value
+    assert gh_exact(x, _relabelled(y, y_order)).value == value
 
 
 @pytest.mark.parametrize("x, y", LARGE_PAIRS)
 def test_large_scaling_equivariance(x, y):
-    value = gh_exact(x, y, cap=10).value
+    value = gh_exact(x, y).value
     for lam in (F(2), F(1, 3)):
-        assert gh_exact(scale(x, lam), scale(y, lam), cap=10).value == lam * value
+        assert gh_exact(scale(x, lam), scale(y, lam)).value == lam * value
 
 
 # 10 to 16 points, where the search is stressed: values and lex-min witnesses
@@ -441,7 +492,7 @@ def _golden_pairs():
 
 @pytest.mark.parametrize("x, y, value, witness", _golden_pairs())
 def test_stressed_golden_values_and_lex_min_witnesses(x, y, value, witness):
-    result = gh_exact(x, y, cap=16)
+    result = gh_exact(x, y)
     assert result.value == value
     assert [list(pair) for pair in result.witness.sorted_pairs()] == witness
     assert distortion(result.witness) == 2 * value
@@ -510,5 +561,5 @@ def test_corpus_symmetry_relabelling_and_witness(x, y):
 def test_large_scaled_copy_closed_form(n):
     x = random_metric_space(rng_from_seed(n), n)
     for lam in (F(1, 2), F(3, 2), F(5)):
-        value = gh_exact(x, scale(x, lam), cap=10).value
+        value = gh_exact(x, scale(x, lam)).value
         assert value == abs(1 - lam) * diameter(x) / 2
