@@ -8,8 +8,11 @@ intermediate spaces.
 
 The min-plus passes run on integers: every vertex grid is rescaled to one
 denominator 2L (L the lcm of the vertex denominators), on which each
-(1/2) dis R is integral too.  The carrier's exact `Fraction` distances are
-built once at the end, with that grid cached on it.
+(1/2) dis R is integral too.  Each edge's cross block is factored as
+|pq| = (1/2) dis R + min over x' of |px'| + near[x'][q], with near[x'][q]
+the least |y'q| over the partners y' of x': C-level mins, no pass over R
+for each (p, q).  The carrier's exact `Fraction` distances are built once
+at the end, with that grid cached on it.
 """
 
 from __future__ import annotations
@@ -159,14 +162,13 @@ def glue_tree(tree: GluingTree) -> GluedSpace:
         omega = weight.numerator * (denom // weight.denominator)
         du, dw = rows[u], rows[w]
         nu, nw = len(du), len(dw)
-        # cross[q][p] = min over (x', y') of |p x'| + omega + |y' q|
-        cross = [
-            [
-                omega + min([du[p][i] + dw[j][q] for i, j in pairs])
-                for p in range(nu)
-            ]
-            for q in range(nw)
-        ]
+        partners: list[list[int]] = [[] for _ in range(nu)]
+        for i, j in pairs:
+            partners[i].append(j)
+        # near[x'][q], the least |y' q| over the partners y' of x', column
+        # by column; the first partner's row twice gives min two arguments
+        near = [list(map(min, dw[js[0]], *map(dw.__getitem__, js))) for js in partners]
+        cross = [[omega + min(map(add, row, nq)) for row in du] for nq in zip(*near)]
         base = offsets[u]
         offsets[w] = len(provenance)
         provenance.extend((w, p) for p in range(nw))

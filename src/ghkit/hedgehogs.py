@@ -67,7 +67,10 @@ class HedgehogSpec:
                 raise ValueError("multiplicities must be positive")
             key = as_fraction(length)
             merged[key] = merged.get(key, 0) + mult
-        return cls(tuple(sorted(merged.items())))
+        # the Fraction order, sorted on int keys over the common denominator
+        denom = math.lcm(*(x.denominator for x in merged))
+        order = sorted(merged, key=lambda x: x.numerator * (denom // x.denominator))
+        return cls(tuple([(x, merged[x]) for x in order]))
 
     @property
     def point_count(self) -> int:
@@ -105,7 +108,7 @@ def compile_hedgehog(spec: HedgehogSpec) -> FiniteMetricSpace:
     grid = [x.numerator * (denom // x.denominator) for x in _compiled_lengths(spec)]
     rows = []
     for i, a in enumerate(grid):
-        row = list(map(a.__add__, grid))  # through the center, which sits at 0
+        row = [a + b for b in grid]  # through the center, which sits at 0
         row[i] = 0
         rows.append(tuple(row))
     return from_grid(labels, denom, tuple(rows), STRICT)

@@ -280,12 +280,16 @@ def hausdorff(a: SubsetRef, b: SubsetRef) -> Fraction:
     Finite max-min form: the infimum over enclosing radii is attained at
     max(max_a min_b |ab|, max_b min_a |ab|), taken on the integer grid with
     each source row's entries gathered by one `itemgetter` over the target.
+    A directed pass skips the source points in the target, as d(p, p) = 0
+    (pseudo spaces too) is the least value; nested subsets skip it whole.
     """
     if a.space is not b.space and a.space != b.space:
         raise DifferentAmbientSpaces("subsets live in different spaces")
     denom, g = a.space.grid
 
     def directed(src: frozenset[int], dst: frozenset[int]) -> int:
+        if not (src := src - dst):
+            return 0
         picked = map(itemgetter(*dst), map(g.__getitem__, src))
         # itemgetter of one index returns the entry itself, not a 1-tuple
         return max(picked if len(dst) == 1 else map(min, picked))

@@ -12,7 +12,9 @@ against the first space, witnessed by the pair (m, 1) vs (m, 1 + 1/m).
 
 Points are built as ints (needle, k): k >= 1 stands for 1 + 1/k, k = 0 for
 the limit 1, and a space whose largest k is t lies on D = lcm(1..t) as
-D + D // k (D for the limit), so no `Fraction` is built.
+D + D // k (D for the limit), so no `Fraction` is built.  The needle shift
+builds one space, the ambient; the second space is never built as a space,
+only its rows on the ambient's D, checked row by row against the ambient's.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .correspondences import scaled_integer_matrices
 from .errors import IndexOutOfRange, TooLarge
 from .spaces import POINT_CAP, FiniteMetricSpace, SubsetRef, from_grid, hausdorff
 
@@ -32,6 +33,8 @@ GRID_BITS_CAP = 4 * 10**8  # points² × bits of the denominator, per space
 
 Point = tuple[str, Fraction]  # (needle id, coordinate)
 Harmonic = tuple[str, int]  # (needle id, k): coordinate 1 + 1/k, or 1 for k = 0
+Placed = tuple[str, int, int]  # (needle id, coordinate * D, k)
+Rows = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -70,21 +73,21 @@ def _check_grid_bits(what: str, points: int, top: int) -> None:
         )
 
 
-def _space(denom: int, placed: Sequence[tuple[str, int, str]]) -> FiniteMetricSpace:
-    """The needle space on distinct points sorted by (needle, coordinate),
-    each given as (needle, coordinate * denom, coordinate label)."""
-    coords = [v for _, v, _ in placed]
+def _rows(placed: Sequence[tuple]) -> Rows:
+    """Needle rows on distinct points sorted by (needle, coordinate), each
+    given as a tuple starting (needle, coordinate * denom)."""
+    coords = [p[1] for p in placed]
     span: dict[str, list[int]] = {}  # needle -> [first, last + 1] position
-    for g, (needle, _, _) in enumerate(placed):
-        span.setdefault(needle, [g, g])[1] = g + 1
+    for g, p in enumerate(placed):
+        span.setdefault(p[0], [g, g])[1] = g + 1
     rows = []
-    for needle, a, _ in placed:
-        row = list(map(a.__add__, coords))  # through the center
-        first, end = span[needle]
+    for p in placed:
+        a = p[1]
+        row = [a + b for b in coords]  # through the center
+        first, end = span[p[0]]
         row[first:end] = [abs(a - b) for b in coords[first:end]]
         rows.append(tuple(row))
-    labels = tuple([f"{needle}:{label}" for needle, _, label in placed])
-    return from_grid(labels, denom, tuple(rows))
+    return tuple(rows)
 
 
 def needle_space(points: Sequence[Point]) -> FiniteMetricSpace:
@@ -94,25 +97,36 @@ def needle_space(points: Sequence[Point]) -> FiniteMetricSpace:
         (needle, coord.numerator * (denom // coord.denominator)): str(coord)
         for needle, coord in points
     }
-    return _space(denom, sorted((*point, label) for point, label in distinct.items()))
+    placed = sorted(distinct)
+    labels = tuple([f"{needle}:{distinct[needle, v]}" for needle, v in placed])
+    return from_grid(labels, denom, _rows(placed))
+
+
+def _harmonic_grid(
+    points: Iterable[Harmonic], denom: int
+) -> tuple[list[Placed], tuple[str, ...], Rows]:
+    """The distinct points sorted by (needle, coordinate) as (needle,
+    coordinate on denom: D + D // k, or D for the limit, k), their labels and
+    their rows on denom."""
+    placed = sorted(
+        (needle, denom + denom // k if k else denom, k) for needle, k in set(points)
+    )
+    # the labels str(Fraction) gives: 1 + 1/k is (k + 1)/k in lowest terms
+    names = {0: "1", 1: "2"}
+    labels = tuple(
+        [f"{needle}:{names.get(k) or f'{k + 1}/{k}'}" for needle, _, k in placed]
+    )
+    return placed, labels, _rows(placed)
 
 
 def _harmonic_space(
     points: Iterable[Harmonic],
-) -> tuple[list[Harmonic], FiniteMetricSpace]:
-    """The distinct points in the order of their needle space, and the space,
-    on D = lcm(1..largest k): coordinate D + D // k, or D for the limit."""
+) -> tuple[list[Placed], FiniteMetricSpace]:
+    """`_harmonic_grid`'s points, and their space on D = lcm(1..largest k)."""
     distinct = set(points)
     denom = math.lcm(*range(1, max(k for _, k in distinct) + 1))
-    placed = sorted(
-        (needle, denom + denom // k if k else denom, k) for needle, k in distinct
-    )
-    # the labels str(Fraction) gives: 1 + 1/k is (k + 1)/k in lowest terms
-    labels = [
-        (needle, v, "1" if k == 0 else "2" if k == 1 else f"{k + 1}/{k}")
-        for needle, v, k in placed
-    ]
-    return [(needle, k) for needle, _, k in placed], _space(denom, labels)
+    placed, labels, rows = _harmonic_grid(distinct, denom)
+    return placed, from_grid(labels, denom, rows)
 
 
 def _x_points(cfg: TuzhilinConfig) -> list[Harmonic]:
@@ -153,21 +167,28 @@ class TuzhilinEmbedding:
 
 
 def tuzhilin_isometry(cfg: TuzhilinConfig, m: int) -> TuzhilinEmbedding:
-    """Embed the second space via the needle shift h_m and measure the gap."""
+    """Embed the second space via the needle shift h_m and measure the gap.
+
+    The ambient's int rows, built once, serve `from_grid` and the distance
+    check; the second space is not built, only its rows on the ambient's D,
+    compared in full with the ambient's rows and columns at its images.
+    """
     if not (1 <= m <= cfg.n):
         raise IndexOutOfRange(f"m must be in 1..{cfg.n}, got {m}")
-    x_points = _x_points(cfg)
-    y_order, y_space = _harmonic_space(_y_points(cfg))
-    image_points = [_relocate(m, p) for p in y_order]  # in y_space's order
-    order, ambient = _harmonic_space(x_points + image_points)
-    index = {p: g for g, p in enumerate(order)}
-    image = [index[p] for p in image_points]
+    x_points, y_points = _x_points(cfg), _y_points(cfg)
+    denom = math.lcm(*range(1, max(cfg.n + 1, cfg.k) + 1))  # k of either space
+    placed, labels, rows = _harmonic_grid(
+        x_points + [_relocate(m, p) for p in y_points], denom
+    )
+    ambient = from_grid(labels, denom, rows)
+    index = {(needle, k): g for g, (needle, _, k) in enumerate(placed)}
+    # the second space's points in its own order, on the same D
+    y_placed, y_labels, y_rows = _harmonic_grid(y_points, denom)
+    image = [index[_relocate(m, (needle, k))] for needle, _, k in y_placed]
     x_part = SubsetRef(ambient, frozenset([index[p] for p in x_points]))
     image_part = SubsetRef(ambient, frozenset(image))
-    mapping = tuple(zip(y_space.labels, map(ambient.labels.__getitem__, image)))
-
-    _, gy, ga = scaled_integer_matrices(y_space, ambient)
-    preserved = tuple(map(itemgetter(*image), map(ga.__getitem__, image))) == gy
+    mapping = tuple(zip(y_labels, map(ambient.labels.__getitem__, image)))
+    preserved = tuple(map(itemgetter(*image), map(rows.__getitem__, image))) == y_rows
 
     return TuzhilinEmbedding(
         ambient=ambient,
@@ -194,8 +215,8 @@ def needle_set_hausdorff(n: int, m: int) -> Fraction:
     if top > POINT_CAP:
         raise TooLarge(f"needle line has {top} points, cap is {POINT_CAP}")
     _check_grid_bits("needle line has", top, top)
-    order, line = _harmonic_space(("1", k) for k in range(1, top + 1))
-    index = {k: g for g, (_, k) in enumerate(order)}
+    placed, line = _harmonic_space(("1", k) for k in range(1, top + 1))
+    index = {k: g for g, (_, _, k) in enumerate(placed)}
     a = SubsetRef(line, frozenset([index[k] for k in range(1, n + 1)]))
     b = SubsetRef(line, frozenset([index[k] for k in range(1, m + 1)]))
     return hausdorff(a, b)

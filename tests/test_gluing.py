@@ -73,6 +73,46 @@ def test_glue_pair_rejects_zero_distortion(gap_pair):
         glue_pair(x, x, identity_correspondence(x))
 
 
+def assert_cross_blocks_direct(tree, glued):
+    """Every edge's cross entry, taken straight from `dist`: min over (x', y')
+    in R of |px'| + dis R / 2 + |y'q|, with dis R from `dist` too."""
+    for u, w, rel in tree.edges:
+        x, y, pairs = tree.vertices[u], tree.vertices[w], rel.pairs
+        dis = max(abs(x.dist[i][k] - y.dist[j][l]) for i, j in pairs for k, l in pairs)
+        for p in range(len(x)):
+            for q in range(len(y)):
+                direct = min(x.dist[p][i] + dis / 2 + y.dist[j][q] for i, j in pairs)
+                assert glued.carrier.d(glued.locate(u, p), glued.locate(w, q)) == direct
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_glue_pair_cross_block_matches_direct_minimum(seed):
+    rng = rng_from_seed(300 + seed)
+    x = random_metric_space(rng, rng.randint(1, 6), label_prefix="x")
+    y = random_metric_space(rng, rng.randint(2, 6), label_prefix="y")
+    tree = GluingTree((x, y), ((0, 1, random_correspondence(rng, x, y)),))
+    assert_cross_blocks_direct(tree, glue_pair(x, y, tree.edges[0][2]))
+
+
+def test_tree_cross_blocks_match_direct_minimum_with_many_partners():
+    rng = rng_from_seed(41)
+    sizes = (4, 3, 5, 4)
+    spaces = [
+        random_metric_space(rng, n, rng.choice((2, 3, 5)), label_prefix=f"s{v}")
+        for v, n in enumerate(sizes)
+    ]
+    edges = []
+    for u, w in ((0, 1), (1, 2), (1, 3)):
+        n, m = sizes[u], sizes[w]
+        # a map each way, plus every pair with i + j divisible by 3
+        pairs = {(i, i % m) for i in range(n)} | {(j % n, j) for j in range(m)}
+        pairs |= {(i, j) for i in range(n) for j in range(m) if (i + j) % 3 == 0}
+        assert len(pairs) > max(n, m)
+        edges.append((u, w, Correspondence(spaces[u], spaces[w], frozenset(pairs))))
+    tree = GluingTree(tuple(spaces), tuple(edges))
+    assert_cross_blocks_direct(tree, glue_tree(tree))
+
+
 def test_glue_pair_labels_carry_provenance(gap_pair, gap_bijection):
     x, y = gap_pair
     glued = glue_pair(x, y, gap_bijection)

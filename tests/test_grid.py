@@ -232,11 +232,33 @@ def test_hausdorff_matches_reference(data):
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize(
-    "kind", ["singletons", "singleton-set", "set-singleton", "equal", "random"]
+    "kind",
+    [
+        "singletons",
+        "singleton-set",
+        "set-singleton",
+        "equal",
+        "random",
+        "overlapping",
+        "nested",
+        "identical",
+        "pseudo-random",
+        "pseudo-overlapping",
+        "pseudo-nested",
+        "pseudo-identical",
+    ],
 )
 def test_hausdorff_matches_reference_on_seeded_subsets(seed, kind):
     rng = rng_from_seed(seed)
     space = random_metric_space(rng, rng.randint(1, 9), denominator=12)
+    if kind.startswith("pseudo-"):
+        # every point copied one to three times, point 0 at least twice, so
+        # distinct points sit at 0 from each other
+        copies = [0] + [i for i in range(len(space)) for _ in range(rng.randint(1, 3))]
+        rows = [[space.dist[i][j] for j in copies] for i in copies]
+        space = validate(rows, PSEUDO)
+        assert rows[0][1] == 0
+        kind = kind.removeprefix("pseudo-")
     n = len(space)
 
     def one():
@@ -248,12 +270,18 @@ def test_hausdorff_matches_reference_on_seeded_subsets(seed, kind):
     a = one() if kind in ("singletons", "singleton-set") else some()
     if kind == "equal":
         b = a
+    elif kind == "identical":
+        b = frozenset(sorted(a))  # equal, but another object
+    elif kind == "overlapping":
+        b = some() | {rng.choice(sorted(a))}
+    elif kind == "nested":
+        b = a | some()
     else:
         b = one() if kind in ("singletons", "set-singleton") else some()
     value = hausdorff(SubsetRef(space, a), SubsetRef(space, b))
     assert value == reference_hausdorff(space.dist, a, b)
     assert value == hausdorff(SubsetRef(space, b), SubsetRef(space, a))
-    if kind == "equal":
+    if kind in ("equal", "identical"):
         assert value == 0
 
 

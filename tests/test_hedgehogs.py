@@ -55,6 +55,22 @@ def test_spec_refuses_unsorted_or_repeated_lengths(needles):
     assert [x for x, _ in merged.needles] == sorted({F(x) for x, _ in needles})
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_from_pairs_sorts_as_fractions_do(seed):
+    rng = rng_from_seed(seed)
+    pairs = [
+        (F(rng.randint(1, 60), rng.choice((1, 2, 3, 5, 8, 12))), rng.randint(1, 3))
+        for _ in range(rng.randint(1, 20))
+    ]
+    pairs += [(rng.randint(1, 6), 1) for _ in range(rng.randint(0, 3))]
+    merged: dict[F, int] = {}
+    for length, mult in pairs:
+        merged[F(length)] = merged.get(F(length), 0) + mult
+    spec = HedgehogSpec.from_pairs(pairs)
+    assert spec.needles == tuple(sorted(merged.items()))
+    assert all(type(length) is F for length, _ in spec.needles)
+
+
 def test_non_integer_multiplicities_are_refused():
     # from_pairs used to truncate with int(): 3/2 gave one needle, 2.7 two
     for mult in (F(3, 2), 2.7, 2.0, F(2), "2"):

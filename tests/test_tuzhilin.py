@@ -116,7 +116,8 @@ def test_needle_set_hausdorff_refuses_above_point_cap(monkeypatch):
     def refuse(*args):
         raise AssertionError("no coordinate may be built above the cap")
 
-    monkeypatch.setattr(tuzhilin, "_harmonic_space", refuse)
+    monkeypatch.setattr(tuzhilin, "_harmonic_grid", refuse)
+    monkeypatch.setattr(tuzhilin, "_rows", refuse)
     monkeypatch.setattr(tuzhilin, "from_grid", refuse)
     for n, m in ((2001, 1), (2, 2001), (10**9, 10**9)):
         with pytest.raises(TooLarge, match=f"has {max(n, m)} points, cap is 2000"):
@@ -133,7 +134,8 @@ def test_grids_refused_above_the_bit_cap(monkeypatch):
     def refuse(*args):
         raise AssertionError("no coordinate may be built above the cap")
 
-    monkeypatch.setattr(tuzhilin, "_harmonic_space", refuse)
+    monkeypatch.setattr(tuzhilin, "_harmonic_grid", refuse)
+    monkeypatch.setattr(tuzhilin, "_rows", refuse)
     monkeypatch.setattr(tuzhilin, "from_grid", refuse)
     with pytest.raises(TooLarge, match="1922 points on a 2600-bit denominator"):
         TuzhilinConfig(10, 1800)
