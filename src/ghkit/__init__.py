@@ -52,7 +52,6 @@ from .hedgehogs import (
     check_center_location,
     compile_hedgehog,
     hedgehog_isometric,
-    hedgehog_scale_isometry_check,
 )
 from .solver import (
     GHResult,

@@ -97,11 +97,11 @@ class DifferentAmbientSpaces(GhkitError):
 class TooLarge(GhkitError):
     """Refused by a fixed size guard: an exact solve with a side above
     SIDE_BOUND points or a search past NODE_BUDGET nodes, enumeration above
-    n*m cells, a dense layout or generator request above POINT_CAP points
-    (the needle line of `needle_set_hausdorff` included), a Tuzhilin space
-    or needle line whose points² × denominator bits exceed GRID_BITS_CAP, or
-    a center iterate or geometric-bound report whose power lam^n could
-    exceed its bit cap."""
+    n*m cells, a distance matrix over the point cap (checked in one place,
+    `spaces.check_points`, by every dense builder and generator and by the
+    space file reader), a Tuzhilin space or needle line whose points² ×
+    denominator bits exceed GRID_BITS_CAP, or a center iterate or
+    geometric-bound report whose power lam^n could exceed its bit cap."""
 
 
 class ZeroDistortion(GhkitError):

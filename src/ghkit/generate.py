@@ -4,7 +4,7 @@ Random metric spaces are built by sampling points with rational coordinates
 and taking the sup-distance, which satisfies the triangle inequality by
 construction; everything downstream is therefore valid without rejection.
 All generators are deterministic functions of the supplied Random instance.
-A request whose output could have more than POINT_CAP points is refused with
+A request whose output could be over the point cap is refused with
 `TooLarge` before sampling, so every generated file fits the readers' guards.
 """
 
@@ -14,10 +14,9 @@ import random
 from fractions import Fraction
 
 from .correspondences import Correspondence, distortion
-from .errors import TooLarge
 from .gluing import GluingTree
 from .hedgehogs import HedgehogSpec, compile_hedgehog
-from .spaces import POINT_CAP, STRICT, FiniteMetricSpace, as_fraction, from_grid
+from .spaces import STRICT, FiniteMetricSpace, as_fraction, check_points, from_grid
 
 DEFAULT_SEED = 7
 
@@ -42,8 +41,7 @@ def random_metric_space(
     redrawn."""
     if n < 1:
         raise ValueError("need at least one point")
-    if n > POINT_CAP:
-        raise TooLarge(f"space has {n} points, cap is {POINT_CAP}")
+    check_points("space has", n)
     if coord_max < 0 or denominator < 1:
         raise ValueError("need coord_max >= 0 and denominator >= 1")
     if n > (coord_max + 1) ** 3:
@@ -120,8 +118,7 @@ def grid_hedgehog(eps: int | Fraction, diam: int | Fraction) -> HedgehogSpec:
     steps = diam / eps
     if steps.denominator != 1:
         raise ValueError("diam must be an integer multiple of eps")
-    if steps.numerator + 1 > POINT_CAP:
-        raise TooLarge(f"hedgehog has {steps.numerator + 1} points, cap is {POINT_CAP}")
+    check_points("hedgehog has", steps.numerator + 1)
     return HedgehogSpec.from_pairs((eps * k, 1) for k in range(1, steps.numerator + 1))
 
 
@@ -132,8 +129,7 @@ def dense_hedgehog_spec(
 ) -> HedgehogSpec:
     """Random spec with `count` distinct needle lengths on the 1/8 grid, each
     of multiplicity 1 or 2, so up to 1 + 2*count points."""
-    if 1 + 2 * count > POINT_CAP:
-        raise TooLarge(f"hedgehog may have {1 + 2 * count} points, cap is {POINT_CAP}")
+    check_points("hedgehog may have", 1 + 2 * count)
     max_length = as_fraction(max_length)
     grid_size = int(max_length * 8)
     if count > grid_size:

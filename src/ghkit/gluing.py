@@ -25,13 +25,13 @@ from operator import add
 from typing import Sequence
 
 from .correspondences import Correspondence, distortion, rescaled
-from .errors import DistortionBudgetExceeded, NotATree, TooLarge, ZeroDistortion
+from .errors import DistortionBudgetExceeded, NotATree, ZeroDistortion
 from .spaces import (
-    POINT_CAP,
     STRICT,
     FiniteMetricSpace,
     SubsetRef,
     as_fraction,
+    check_points,
     from_grid,
 )
 
@@ -55,9 +55,7 @@ class GluingTree:
         v = len(self.vertices)
         if v == 0:
             raise ValueError("a gluing tree needs at least one vertex")
-        points = sum(map(len, self.vertices))
-        if points > POINT_CAP:
-            raise TooLarge(f"gluing tree has {points} points, cap is {POINT_CAP}")
+        check_points("gluing tree has", sum(map(len, self.vertices)))
         if len(self.edges) != v - 1:
             raise NotATree(f"{v} vertices need {v - 1} edges, got {len(self.edges)}")
         weights = []

@@ -17,13 +17,13 @@ from itertools import pairwise
 from typing import Iterable
 
 from .correspondences import Correspondence
-from .errors import BucketMismatch, PremiseViolated, TooLarge
+from .errors import BucketMismatch, PremiseViolated
 from .gluing import GluedSpace, glue_pair
 from .spaces import (
-    POINT_CAP,
     STRICT,
     FiniteMetricSpace,
     as_fraction,
+    check_points,
     from_grid,
     positive_factor,
 )
@@ -92,20 +92,17 @@ class HedgehogSpec:
 def compile_hedgehog(spec: HedgehogSpec) -> FiniteMetricSpace:
     """Center plus one point per needle copy, intrinsic metric through the center.
 
-    Refuses with `TooLarge`, before building anything, a spec of more than
-    POINT_CAP points.
+    Refuses with `TooLarge`, before building anything, a spec over the
+    point cap.
     """
-    if spec.point_count > POINT_CAP:
-        raise TooLarge(
-            f"hedgehog has {spec.point_count} points, cap is {POINT_CAP}"
-        )
+    check_points("hedgehog has", spec.point_count)
     labels = (CENTER_LABEL,) + tuple(
         str(length) if mult == 1 else f"{length}#{copy}"
         for length, mult in spec.needles
         for copy in range(1, mult + 1)
     )
     denom = math.lcm(*(length.denominator for length, _ in spec.needles))
-    grid = [x.numerator * (denom // x.denominator) for x in _compiled_lengths(spec)]
+    grid = [0] + [x.numerator * (denom // x.denominator) for x in spec.expanded()]
     rows = []
     for i, a in enumerate(grid):
         row = [a + b for b in grid]  # through the center, which sits at 0
@@ -117,15 +114,6 @@ def compile_hedgehog(spec: HedgehogSpec) -> FiniteMetricSpace:
 def hedgehog_isometric(a: HedgehogSpec, b: HedgehogSpec) -> bool:
     """Compiled hedgehogs are isometric exactly when the needle multisets agree."""
     return a.needles == b.needles
-
-
-def hedgehog_scale_isometry_check(spec: HedgehogSpec, factor: int | Fraction) -> bool:
-    """Is the scaled hedgehog isometric to the original?
-
-    For a finite nonempty spec this holds only at factor 1: scaling must fix
-    both the largest and smallest needle length.
-    """
-    return hedgehog_isometric(spec.scaled(factor), spec)
 
 
 def bucket_index(length: Fraction, eps: Fraction) -> int:
@@ -161,10 +149,6 @@ def bucket_correspondence(
             raise BucketMismatch(n, len(left), len(right))
         pairs.update(zip(left, right))
     return Correspondence(compiled_a, compiled_b, frozenset(pairs))
-
-
-def _compiled_lengths(spec: HedgehogSpec) -> list[Fraction]:
-    return [Fraction(0), *spec.expanded()]
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +224,8 @@ def check_center_location(
     if rel.left != compiled_a or rel.right != compiled_b:
         raise ValueError("correspondence does not match the compiled hedgehogs")
 
-    big = [x for x in a.expanded() if x >= 2 * m]
+    two_m, five_m = 2 * m, 5 * m  # fixed per call, read for every needle
+    big = [x for x in a.expanded() if x >= two_m]
     if len(big) < 2:
         raise PremiseViolated(
             "need at least two needles of length >= 2M",
@@ -263,14 +248,14 @@ def check_center_location(
                 f"point {label} at distance {Fraction(min(row), denom)} >= {m}",
             )
 
-    lengths_b = _compiled_lengths(b)
+    lengths_b = (Fraction(0), *b.expanded())
     matched = (0, 0) in rel.pairs
     far, probe = [], []
     for label, length, row in zip(compiled_a.labels[1:], a.expanded(), cross[1:]):
-        if length < 2 * m:  # every far needle (>= 5M) is also >= 2M
+        if length < two_m:  # every far needle (>= 5M) is also >= 2M
             continue
         j = row.index(min(row[1:]), 1)  # first closest non-center partner
-        if length >= 5 * m:
+        if length >= five_m:
             far.append(
                 FarNeedleWitness(
                     label=label,
@@ -291,7 +276,7 @@ def check_center_location(
                     partner_label=compiled_b.labels[j],
                     partner_length=lengths_b[j],
                     length_gap=gap,
-                    within_band=-2 * m < gap < 2 * m,
+                    within_band=abs(gap) < two_m,
                 )
             )
 

@@ -15,7 +15,7 @@ from .correspondences import Correspondence
 from .dynamics import ThreadChain
 from .gluing import GluedSpace, GluingTree
 from .hedgehogs import HedgehogSpec
-from .spaces import PSEUDO, STRICT, FiniteMetricSpace, validate
+from .spaces import PSEUDO, STRICT, FiniteMetricSpace, check_points, validate
 
 
 class ParseError(ValueError):
@@ -72,6 +72,7 @@ def parse_space(text: str, source: str | Path = "<string>") -> FiniteMetricSpace
         raise ParseError(source, lineno, f"bad point count {parts[1]!r}") from None
     if n < 1:
         raise ParseError(source, lineno, f"point count {n} is below 1")
+    check_points(f"space file {source} has", n)  # before any row is read
     mode = parts[2]
     if mode not in (STRICT, PSEUDO):
         raise ParseError(source, lineno, f"unknown mode {mode!r}")

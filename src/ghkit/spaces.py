@@ -7,7 +7,9 @@ A space is built from its integer grid: one denominator L and int rows with
 dist[i][j] == Fraction(rows[i][j], L), reduced so that L and the entries
 share no factor.  Hot loops and space equality run on the grid, which is
 exact and compares and adds at machine-integer speed; the `Fraction` matrix
-is built on first read.
+is built on first read.  `POINT_CAP` bounds every such matrix: each builder
+of a dense layout, and the space file reader, refuses a larger one through
+`check_points` before it builds anything.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (
     NegativeEntry,
     NonpositiveScale,
     NonzeroDiagonal,
+    TooLarge,
     TriangleViolation,
     ZeroDistanceDistinctPoints,
 )
@@ -35,6 +38,12 @@ PSEUDO = "pseudo"
 
 _MODES = (STRICT, PSEUDO)
 POINT_CAP = 2000  # points one distance matrix may have
+
+
+def check_points(what: str, count: int) -> None:
+    """`TooLarge` when `count` is over POINT_CAP; `what` opens the message."""
+    if count > POINT_CAP:
+        raise TooLarge(f"{what} {count} points, cap is {POINT_CAP}")
 
 
 def as_fraction(value: int | Fraction) -> Fraction:
@@ -87,12 +96,12 @@ class FiniteMetricSpace:
     """Labeled points with a symmetric matrix of exact distances.
 
     Held as labels, mode and the canonical grid (L, rows) that `_grid` builds;
-    `dist` is the `Fraction` view, kept as given to the constructor or built
-    from the grid on first read.  Equality and hash compare (labels, mode,
-    grid), the relation of equal `Fraction` matrices since the grid is
-    canonical.  Instances are immutable; construct through :func:`validate`
-    (axioms checked), :func:`from_grid` or one of the derived constructors
-    elsewhere in the package (valid by construction).
+    `dist` is the `Fraction` view: the constructor's matrix as tuples of
+    `Fraction`s, or built from the grid on first read.  Equality and hash
+    compare (labels, mode, grid), the relation of equal `Fraction` matrices
+    since the grid is canonical.  Instances are immutable; construct through
+    :func:`validate` (axioms checked), :func:`from_grid` or one of the
+    derived constructors elsewhere in the package (valid by construction).
     """
 
     labels: tuple[str, ...]
@@ -102,9 +111,10 @@ class FiniteMetricSpace:
     def __init__(
         self,
         labels: tuple[str, ...],
-        dist: tuple[tuple[Fraction, ...], ...],
+        dist: Sequence[Sequence[int | Fraction]],
         mode: str = STRICT,
     ) -> None:
+        dist = tuple([tuple([as_fraction(x) for x in row]) for row in dist])
         _check_shape(labels, dist, mode)
         self.__dict__.update(labels=labels, mode=mode, grid=_grid(dist), dist=dist)
 
@@ -140,9 +150,6 @@ class FiniteMetricSpace:
 
     def d(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
-
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
 
     @cached_property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -190,10 +197,9 @@ def validate(
     of violations (not just the first), each with witnessing indices.
     Pseudo mode permits zero distances between distinct points.
     """
-    rows = tuple(tuple(as_fraction(x) for x in row) for row in matrix)
     if labels is None:
-        labels = [str(i) for i in range(len(rows))]
-    space = FiniteMetricSpace(tuple(labels), rows, mode)
+        labels = [str(i) for i in range(len(matrix))]
+    space = FiniteMetricSpace(tuple(labels), matrix, mode)
     _, g = space.grid
     n = len(g)
     cols = tuple(zip(*g))
@@ -248,7 +254,7 @@ def scale(space: FiniteMetricSpace, factor: int | Fraction) -> FiniteMetricSpace
 
 
 def one_point_space(label: str = "pt") -> FiniteMetricSpace:
-    return FiniteMetricSpace((label,), ((Fraction(0),),), STRICT)
+    return FiniteMetricSpace((label,), ((0,),), STRICT)
 
 
 @dataclass(frozen=True)

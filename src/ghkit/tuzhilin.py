@@ -26,12 +26,11 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, TooLarge
-from .spaces import POINT_CAP, FiniteMetricSpace, SubsetRef, from_grid, hausdorff
+from .spaces import FiniteMetricSpace, SubsetRef, check_points, from_grid, hausdorff
 
 INF_NEEDLE = "inf"
 GRID_BITS_CAP = 4 * 10**8  # points² × bits of the denominator, per space
 
-Point = tuple[str, Fraction]  # (needle id, coordinate)
 Harmonic = tuple[str, int]  # (needle id, k): coordinate 1 + 1/k, or 1 for k = 0
 Placed = tuple[str, int, int]  # (needle id, coordinate * D, k)
 Rows = tuple[tuple[int, ...], ...]
@@ -47,14 +46,7 @@ class TuzhilinConfig:
             raise ValueError("n must be at least 2")
         if self.k < self.n:
             raise ValueError("k must be at least n")
-        if self.point_count > POINT_CAP:
-            raise TooLarge(
-                f"Tuzhilin spaces have {self.point_count} points, "
-                f"cap is {POINT_CAP}"
-            )
-        _check_grid_bits(
-            "Tuzhilin spaces have", self.point_count, max(self.k, self.n + 1)
-        )
+        _check_size("Tuzhilin spaces have", self.point_count, max(self.k, self.n + 1))
 
     @property
     def point_count(self) -> int:
@@ -63,8 +55,10 @@ class TuzhilinConfig:
         return (self.n + 1) ** 2 + self.k + 1
 
 
-def _check_grid_bits(what: str, points: int, top: int) -> None:
-    """`TooLarge` when points² × bits of lcm(1..top) is over GRID_BITS_CAP."""
+def _check_size(what: str, points: int, top: int) -> None:
+    """`TooLarge` when the points are over the point cap, or else when
+    points² × bits of lcm(1..top) is over GRID_BITS_CAP."""
+    check_points(what, points)
     bits = math.lcm(*range(1, top + 1)).bit_length()
     if points * points * bits > GRID_BITS_CAP:
         raise TooLarge(
@@ -88,18 +82,6 @@ def _rows(placed: Sequence[tuple]) -> Rows:
         row[first:end] = [abs(a - b) for b in coords[first:end]]
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def needle_space(points: Sequence[Point]) -> FiniteMetricSpace:
-    """Metric space on labeled needle points: same needle |x-x'|, else x+x'."""
-    denom = math.lcm(*{coord.denominator for _, coord in points})
-    distinct = {
-        (needle, coord.numerator * (denom // coord.denominator)): str(coord)
-        for needle, coord in points
-    }
-    placed = sorted(distinct)
-    labels = tuple([f"{needle}:{distinct[needle, v]}" for needle, v in placed])
-    return from_grid(labels, denom, _rows(placed))
 
 
 def _harmonic_grid(
@@ -205,16 +187,14 @@ def needle_set_hausdorff(n: int, m: int) -> Fraction:
     """Hausdorff distance between needle sets n and m placed on one needle.
 
     Both coordinate sets live on a single line with |x - y| distances; the
-    value is exactly |1/n - 1/m|.  The line has max(n, m) points: above
-    POINT_CAP, or above GRID_BITS_CAP as points² × bits of its denominator,
+    value is exactly |1/n - 1/m|.  The line has max(n, m) points: above the
+    point cap, or above GRID_BITS_CAP as points² × bits of its denominator,
     `TooLarge` is raised before any coordinate is built.
     """
     if n < 1 or m < 1:
         raise ValueError("needle indices must be positive")
     top = max(n, m)
-    if top > POINT_CAP:
-        raise TooLarge(f"needle line has {top} points, cap is {POINT_CAP}")
-    _check_grid_bits("needle line has", top, top)
+    _check_size("needle line has", top, top)
     placed, line = _harmonic_space(("1", k) for k in range(1, top + 1))
     index = {k: g for g, (_, _, k) in enumerate(placed)}
     a = SubsetRef(line, frozenset([index[k] for k in range(1, n + 1)]))

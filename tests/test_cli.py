@@ -45,6 +45,13 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "violation" in capsys.readouterr().out
 
 
+def test_validate_refuses_a_header_above_the_point_cap(tmp_path, capsys):
+    path = tmp_path / "big.msp"
+    path.write_text("points 2001 strict\n")
+    assert main(["validate", str(path)]) == 2
+    assert f"space file {path} has 2001 points, cap is 2000" in capsys.readouterr().err
+
+
 def test_validate_missing_file(tmp_path):
     assert main(["validate", str(tmp_path / "none.msp")]) == 2
 
@@ -167,8 +174,7 @@ def test_hedgehog_bucket(tmp_path, capsys):
 
 
 def test_hedgehog_compile_refuses_above_point_cap(tmp_path, capsys, monkeypatch):
-    cap = hedgehogs.POINT_CAP  # read first: an unguarded build would not end
-    assert cap is spaces.POINT_CAP == 2000
+    assert spaces.POINT_CAP == 2000
     spec = tmp_path / "huge.hh"
     spec.write_text("1 10000000\n")
 
@@ -219,7 +225,7 @@ def test_tuzhilin_refuses_above_grid_bit_cap(capsys, monkeypatch):
 
 
 def test_glue_tree_refuses_above_point_cap(gap_files, tmp_path, capsys, monkeypatch):
-    assert gluing.POINT_CAP is spaces.POINT_CAP == 2000
+    assert spaces.POINT_CAP == 2000
     x, y, _, _ = gap_files
     rel = Correspondence(x, y, frozenset({(0, 0), (1, 1)}))
     (tmp_path / "r.corr").write_text(io.dump_correspondence(rel))
@@ -254,7 +260,7 @@ def test_center_refuses_a_power_above_the_bit_cap(gap_files, capsys, monkeypatch
 
 
 def test_hedgehog_point_cap_boundary(monkeypatch):
-    monkeypatch.setattr(hedgehogs, "POINT_CAP", 3)
+    monkeypatch.setattr(spaces, "POINT_CAP", 3)
     assert len(hedgehogs.compile_hedgehog(HedgehogSpec.from_pairs([(1, 2)]))) == 3
     with pytest.raises(TooLarge):
         hedgehogs.compile_hedgehog(HedgehogSpec.from_pairs([(1, 2), (2, 1)]))

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ghkit import generate, spaces
+from ghkit import spaces
 from ghkit.correspondences import distortion
 from ghkit.errors import TooLarge
 from ghkit.generate import (
@@ -104,8 +104,8 @@ class NoSampling:
 
 
 def test_generator_point_cap_boundary(monkeypatch):
-    assert generate.POINT_CAP is spaces.POINT_CAP == 2000
-    monkeypatch.setattr(generate, "POINT_CAP", 5)
+    assert spaces.POINT_CAP == 2000
+    monkeypatch.setattr(spaces, "POINT_CAP", 5)
     assert len(random_metric_space(rng_from_seed(1), 5)) == 5
     assert grid_hedgehog(1, 4).point_count == 5
     assert dense_hedgehog_spec(rng_from_seed(1), 2, 1).point_count <= 5

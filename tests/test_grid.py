@@ -39,7 +39,7 @@ from ghkit.spaces import (
 )
 from ghkit.tuzhilin import (
     TuzhilinConfig,
-    needle_space,
+    _harmonic_space,
     tuzhilin_isometry,
     tuzhilin_spaces,
 )
@@ -325,22 +325,21 @@ def test_glue_tree_carrier_matches_reference(tree):
         assert tree.weight(e) == reference_distortion(x, y, rel.pairs) / 2
 
 
-needle_points = st.lists(
-    st.tuples(
-        st.sampled_from(["1", "2", "inf"]),
-        st.builds(F, st.integers(1, 30), st.sampled_from(DENOMINATORS)),
-    ),
+harmonic_points = st.lists(
+    st.tuples(st.sampled_from(["1", "2", "inf"]), st.integers(0, 12)),
     min_size=1,
     max_size=8,
 )
 
 
 @examples
-@given(needle_points)
-def test_needle_space_matches_reference(points):
-    space = needle_space(points)
-    assert space.dist == reference_needle_rows(points)
-    assert space.labels == tuple(f"{n}:{c}" for n, c in sorted(set(points)))
+@given(harmonic_points)
+def test_harmonic_space_matches_reference(points):
+    # k >= 1 stands for the coordinate 1 + 1/k, k = 0 for the limit 1
+    coords = [(needle, 1 + F(1, k) if k else F(1)) for needle, k in points]
+    _, space = _harmonic_space(points)
+    assert space.dist == reference_needle_rows(coords)
+    assert space.labels == tuple(f"{n}:{c}" for n, c in sorted(set(coords)))
     assert_grid_exact(space)
 
 
@@ -368,12 +367,6 @@ def test_grid_invariant_on_validated_and_scaled(space, factor):
     assert_grid_exact(validated)
     assert_grid_exact(scale(validated, factor))
     assert_grid_exact(space)  # computed on first read
-
-
-def test_grid_invariant_on_needle_space_with_int_coordinates():
-    space = needle_space([("a", 1), ("a", F(3, 2)), ("b", 2)])
-    assert_grid_exact(space)
-    assert space.dist[0][2] == 3
 
 
 @examples
@@ -425,7 +418,7 @@ def _derived_spaces():
         "scaled hedgehog": scale(hedgehog, F(4, 3)),
         "scaled by its denominator": scale(base, 4),
         "glued carrier": glued.carrier,
-        "two needles at 3/2": needle_space([("a", F(3, 2)), ("b", F(3, 2))]),
+        "two needles at 3/2": from_grid(("a:3/2", "b:3/2"), 2, ((0, 6), (6, 0))),
         "thread limit": thread_limit(ThreadChain(layers, links)).approx,
     }
 
@@ -442,7 +435,7 @@ def test_grid_built_spaces_equal_their_fraction_twins(kind):
 
 
 def test_two_needles_at_three_halves_reduce_to_integers():
-    space = needle_space([("a", F(3, 2)), ("b", F(3, 2))])
+    space = from_grid(("a:3/2", "b:3/2"), 2, ((0, 6), (6, 0)))
     assert space.grid == (1, ((0, 3), (3, 0)))
 
 
@@ -491,6 +484,29 @@ def test_both_constructors_check_the_shape(labels, rows, mode, message):
         from_grid(labels, 1, rows, mode)
     with pytest.raises(ValueError, match=message):
         FiniteMetricSpace(labels, tuple(tuple(map(F, row)) for row in rows), mode)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((0, 2), (2, 0)), [[0, 2], [2, 0]], [[F(0), 2], (F(2), 0)]],
+    ids=["int tuples", "int lists", "mixed"],
+)
+def test_constructor_stores_fraction_tuples(rows):
+    space = FiniteMetricSpace(("a", "b"), rows)
+    assert type(space.dist) is tuple
+    assert all(type(row) is tuple for row in space.dist)
+    assert all(type(value) is F for row in space.dist for value in row)
+    twin = from_grid(("a", "b"), 1, ((0, 2), (2, 0)))
+    assert repr(space) == repr(twin)
+    assert space == twin and hash(space) == hash(twin)
+    if isinstance(rows, list):
+        rows[0][1] = 9  # the caller's rows are copied, not kept
+        assert space.dist[0][1] == 2 and space.grid == twin.grid
+
+
+def test_constructor_refuses_float_rows():
+    with pytest.raises(TypeError, match="^expected int or Fraction, got float$"):
+        FiniteMetricSpace(("a", "b"), ((0.0, 2.0), (2.0, 0.0)))
 
 
 @pytest.mark.parametrize("name", ["labels", "mode", "grid", "dist", "other"])

@@ -21,7 +21,6 @@ from ghkit.hedgehogs import (
     check_center_location,
     compile_hedgehog,
     hedgehog_isometric,
-    hedgehog_scale_isometry_check,
 )
 from ghkit.solver import gh_exact, gh_upper_from, isometric_bijections
 from ghkit.spaces import STRICT, scale, validate
@@ -150,15 +149,17 @@ def test_isometric_agrees_with_gh_zero_on_small_specs():
 
 
 def test_scale_isometry_check():
+    # a scaled hedgehog is isometric to itself only at factor 1: scaling
+    # must fix both its largest and its smallest needle
     spec = HedgehogSpec.of(1, 2)
-    assert hedgehog_scale_isometry_check(spec, 1)
-    assert not hedgehog_scale_isometry_check(spec, 2)
+    assert hedgehog_isometric(spec.scaled(1), spec)
+    assert not hedgehog_isometric(spec.scaled(2), spec)
     # only ratios of needle lengths could work, and none do except 1
     lengths = [x for x, _ in spec.needles]
     for a in lengths:
         for b in lengths:
             lam = a / b
-            assert hedgehog_scale_isometry_check(spec, lam) == (lam == 1)
+            assert hedgehog_isometric(spec.scaled(lam), spec) == (lam == 1)
 
 
 def test_bucket_index_half_open():
@@ -201,8 +202,6 @@ def test_scaling_refuses_a_nonpositive_factor_by_name(factor):
     message = f"scale factor must be positive, got {F(factor)}$"
     with pytest.raises(NonpositiveScale, match=message):
         spec.scaled(factor)
-    with pytest.raises(NonpositiveScale, match=message):
-        hedgehog_scale_isometry_check(spec, factor)
     with pytest.raises(NonpositiveScale, match=message):
         scale(compile_hedgehog(spec), factor)
 

@@ -6,7 +6,7 @@ import pytest
 from ghkit import io
 from ghkit.cli import main
 from ghkit.correspondences import Correspondence, identity_correspondence
-from ghkit.errors import MetricValidationError
+from ghkit.errors import MetricValidationError, TooLarge
 from ghkit.generate import random_correspondence, random_metric_space, rng_from_seed
 from ghkit.gluing import glue_pair
 from ghkit.hedgehogs import HedgehogSpec
@@ -94,6 +94,15 @@ def test_point_count_below_one_is_parse_error(tmp_path, capsys, count):
         io.load_space(path)
     assert main(["validate", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_point_count_above_the_cap_is_refused_before_any_row():
+    # a header alone: the refusal comes before the rows are counted or read
+    for n in (2001, 10**12):
+        with pytest.raises(TooLarge, match=f"<string> has {n} points, cap is 2000$"):
+            io.parse_space(f"points {n} strict\n")
+    with pytest.raises(io.ParseError, match="expected 2002 content lines"):
+        io.parse_space("points 2000 strict\n")  # at the cap: rows are counted
 
 
 def test_space_file_violations_surface():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ghkit import spaces
 from ghkit.errors import (
     AsymmetricEntry,
     DifferentAmbientSpaces,
@@ -11,9 +12,19 @@ from ghkit.errors import (
     NegativeEntry,
     NonpositiveScale,
     NonzeroDiagonal,
+    TooLarge,
     TriangleViolation,
     ZeroDistanceDistinctPoints,
 )
+from ghkit.generate import (
+    dense_hedgehog_spec,
+    grid_hedgehog,
+    random_metric_space,
+    rng_from_seed,
+)
+from ghkit.gluing import GluingTree
+from ghkit.hedgehogs import HedgehogSpec, compile_hedgehog
+from ghkit.io import dump_space, parse_space
 from ghkit.spaces import (
     PSEUDO,
     STRICT,
@@ -25,6 +36,7 @@ from ghkit.spaces import (
     validate,
     whole,
 )
+from ghkit.tuzhilin import TuzhilinConfig, needle_set_hausdorff
 
 from conftest import positive_fractions, sup_metric_spaces
 
@@ -172,3 +184,49 @@ def test_subset_validation(two_point):
         subset(space, [])
     with pytest.raises(ValueError):
         subset(space, [5])
+
+
+# ---------------------------------------------------------------------------
+# one point cap for every dense layout
+
+
+_SEVEN = random_metric_space(rng_from_seed(3), 7)
+
+# entry point -> (message opening, points it asks for, the call)
+CAPPED = {
+    "random_metric_space": (
+        "space has",
+        7,
+        lambda: random_metric_space(rng_from_seed(1), 7),
+    ),
+    "grid_hedgehog": ("hedgehog has", 7, lambda: grid_hedgehog(1, 6)),
+    "dense_hedgehog_spec": (
+        "hedgehog may have",
+        7,
+        lambda: dense_hedgehog_spec(rng_from_seed(1), 3, 1),
+    ),
+    "GluingTree": ("gluing tree has", 7, lambda: GluingTree((_SEVEN,), ())),
+    "compile_hedgehog": (
+        "hedgehog has",
+        7,
+        lambda: compile_hedgehog(HedgehogSpec.of(1, 2, 3, 4, 5, 6)),
+    ),
+    "TuzhilinConfig": ("Tuzhilin spaces have", 12, lambda: TuzhilinConfig(2, 2)),
+    "needle_set_hausdorff": ("needle line has", 7, lambda: needle_set_hausdorff(7, 1)),
+    "parse_space": (
+        "space file <string> has",
+        7,
+        lambda: parse_space(dump_space(_SEVEN)),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CAPPED))
+def test_every_dense_builder_reads_the_one_point_cap(monkeypatch, entry):
+    what, points, call = CAPPED[entry]
+    monkeypatch.setattr(spaces, "POINT_CAP", points)
+    call()  # exactly at the cap
+    monkeypatch.setattr(spaces, "POINT_CAP", points - 1)
+    with pytest.raises(TooLarge) as caught:
+        call()  # one point over it
+    assert str(caught.value) == f"{what} {points} points, cap is {points - 1}"

@@ -10,7 +10,6 @@ from ghkit.spaces import STRICT, validate
 from ghkit.tuzhilin import (
     TuzhilinConfig,
     needle_set_hausdorff,
-    needle_space,
     tuzhilin_isometry,
     tuzhilin_spaces,
 )
@@ -32,13 +31,13 @@ def test_point_count_is_both_sizes(n, k):
 
 
 def test_config_refuses_above_point_cap(monkeypatch):
-    assert tuzhilin.POINT_CAP is spaces.POINT_CAP == 2000
+    assert spaces.POINT_CAP == 2000
     with pytest.raises(TooLarge, match="10302 points, cap is 2000"):
         TuzhilinConfig(100, 100)
     TuzhilinConfig(43, 63)  # 44^2 + 64 = 2000 points, exactly at the cap
     with pytest.raises(TooLarge):
         TuzhilinConfig(43, 64)
-    monkeypatch.setattr(tuzhilin, "POINT_CAP", 12)
+    monkeypatch.setattr(spaces, "POINT_CAP", 12)
     TuzhilinConfig(2, 2)  # 6 + 6 points
     with pytest.raises(TooLarge):
         TuzhilinConfig(2, 3)
@@ -68,13 +67,6 @@ def test_same_needle_gaps_small_cross_distances_large():
                 assert x.dist[i][j] > 2
 
 
-def test_needle_space_metric_shape():
-    space = needle_space([("a", F(1)), ("a", F(2)), ("b", F(3))])
-    assert space.index_of("a:1") == 0
-    assert space.dist[0][1] == 1  # same needle
-    assert space.dist[0][2] == 4  # through the center
-
-
 def test_isometry_preserves_distances_and_realizes_gap():
     cfg = TuzhilinConfig(3, 5)
     for m in range(1, 4):
@@ -88,8 +80,8 @@ def test_gap_witnessed_by_limit_coordinate():
     m = 2
     embedding = tuzhilin_isometry(cfg, m)
     ambient = embedding.ambient
-    limit_point = ambient.index_of(f"{m}:1")
-    nearest = ambient.index_of(f"{m}:{1 + F(1, m)}")
+    limit_point = ambient.labels.index(f"{m}:1")
+    nearest = ambient.labels.index(f"{m}:{1 + F(1, m)}")
     assert ambient.dist[limit_point][nearest] == F(1, m)
     assert embedding.hausdorff_value == F(1, m)
 
@@ -109,7 +101,7 @@ def test_common_needle_hausdorff_formula():
 
 
 def test_needle_set_hausdorff_refuses_above_point_cap(monkeypatch):
-    monkeypatch.setattr(tuzhilin, "POINT_CAP", 12)
+    monkeypatch.setattr(spaces, "POINT_CAP", 12)
     assert needle_set_hausdorff(12, 1) == F(11, 12)  # 12 points, at the cap
     monkeypatch.undo()
 
@@ -166,8 +158,8 @@ def test_embedding_induces_small_distortion_correspondence():
         x_global = sorted(embedding.x_part.indices)
         image_by_y: list[int] = []
         for y_label, amb_label in embedding.mapping:
-            assert y.index_of(y_label) == len(image_by_y)  # mapping in y order
-            image_by_y.append(ambient.index_of(amb_label))
+            assert y.labels.index(y_label) == len(image_by_y)  # mapping in y order
+            image_by_y.append(ambient.labels.index(amb_label))
         gap = embedding.hausdorff_value
         pairs = frozenset(
             (xi, yj)
