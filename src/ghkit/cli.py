@@ -52,8 +52,8 @@ def _fraction(token: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _fraction_list(token: str) -> list[Fraction]:
-    return [_fraction(part) for part in token.split(",") if part]
+def _fraction_list(token: str) -> list[Fraction | None]:
+    return [_fraction(part) if part else None for part in token.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,10 +287,12 @@ def _cmd_limit(args) -> int:
     return PASS
 
 
-def _factors(lambdas: list[Fraction]) -> list[Fraction]:
-    # "--lambdas ," parses to []; argparse's error would raise SystemExit
-    if not lambdas:
+def _factors(lambdas: list[Fraction | None]) -> list[Fraction]:
+    # empty items arrive as None, refused here: argparse's error would raise SystemExit
+    if all(lam is None for lam in lambdas):
         raise ValueError("--lambdas needs at least one factor")
+    if None in lambdas:
+        raise ValueError("--lambdas has an empty item")
     return lambdas
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import compress, count
 from operator import and_, or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import TooLarge
 from .spaces import FiniteMetricSpace
@@ -61,14 +61,7 @@ class Correspondence:
 def distortion(rel: Correspondence) -> Fraction:
     """max over matched pairs (x,y), (x',y') of | |xx'| - |yy'| |."""
     denom, dx, dy = scaled_integer_matrices(rel.left, rel.right)
-    return Fraction(grid_distortion(dx, dy, rel.pairs), denom)
-
-
-def grid_distortion(
-    dx: IntRows, dy: IntRows, pairs: Iterable[tuple[int, int]]
-) -> int:
-    """Distortion of a pair set on integer rows sharing one denominator."""
-    pairs = sorted(pairs)
+    pairs = sorted(rel.pairs)
     worst = 0
     for a, (i, j) in enumerate(pairs):
         row_x, row_y = dx[i], dy[j]
@@ -78,7 +71,7 @@ def grid_distortion(
                 worst = gap
             elif -gap > worst:
                 worst = -gap
-    return worst
+    return Fraction(worst, denom)
 
 
 def identity_correspondence(space: FiniteMetricSpace) -> Correspondence:

@@ -152,26 +152,23 @@ class ThreadLimitResult:
 
     def layer_distance(self, t1: int, t2: int, layer: int) -> Fraction:
         """Pseudodistance between two threads read off at a 1-based layer."""
-        space = self.chain.spaces[layer - 1]
-        return space.dist[self.threads[t1][layer - 1]][self.threads[t2][layer - 1]]
+        denom, rows = self.chain.spaces[layer - 1].grid
+        a, b = self.threads[t1][layer - 1], self.threads[t2][layer - 1]
+        return Fraction(rows[a][b], denom)
 
     def thread_space(self) -> FiniteMetricSpace:
         """The pre-quotient pseudometric space of all threads (small chains only)."""
         count = len(self.threads)
         if count > POINT_CAP:
             raise ThreadCapExceeded(count, POINT_CAP)
-        last = self.chain.spaces[-1]
         labels = tuple(
-            "|".join(
-                self.chain.spaces[n].labels[p] for n, p in enumerate(thread)
-            )
+            "|".join(self.chain.spaces[n].labels[p] for n, p in enumerate(thread))
             for thread in self.threads
         )
-        rows = tuple(
-            tuple(last.dist[t1[-1]][t2[-1]] for t2 in self.threads)
-            for t1 in self.threads
-        )
-        return FiniteMetricSpace(labels, rows, PSEUDO)
+        denom, rows = self.chain.spaces[-1].grid
+        ends = [thread[-1] for thread in self.threads]
+        grid = tuple([tuple([rows[a][b] for b in ends]) for a in ends])
+        return from_grid(labels, denom, grid, PSEUDO)
 
 
 def _zero_classes(space: FiniteMetricSpace) -> tuple[list[int], list[int]]:
@@ -251,17 +248,22 @@ class LambdaProbe:
 def d_lambda(space: FiniteMetricSpace, lam: int | Fraction) -> Fraction:
     """d(lam) = d_GH(X, lam*X) = |1 - lam| * diam X / 2, exactly; refuses
     lam <= 0 (`NonpositiveScale`) and a pseudo space (`ValueError`)."""
-    lam = positive_factor(lam)
-    if space.mode != STRICT:
-        raise ValueError("d_lambda requires a strict space")
-    return abs(1 - lam) * diameter(space) / 2
+    return d_lambda_probe(space, [lam]).samples[0][1]
 
 
 def d_lambda_probe(
     space: FiniteMetricSpace, factors: Sequence[int | Fraction]
 ) -> LambdaProbe:
-    samples = tuple((as_fraction(lam), d_lambda(space, lam)) for lam in factors)
-    return LambdaProbe(space, samples)
+    """d(lam) per factor, in order, from one read of the diameter; the mode
+    is checked at the first factor, so an empty probe is never refused."""
+    samples = []
+    for lam in map(positive_factor, factors):
+        if not samples:
+            if space.mode != STRICT:
+                raise ValueError("d_lambda requires a strict space")
+            half = diameter(space) / 2
+        samples.append((lam, abs(1 - lam) * half))
+    return LambdaProbe(space, tuple(samples))
 
 
 @dataclass(frozen=True)
@@ -311,13 +313,13 @@ def geometric_bound_check(
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
     _check_power_bits(lam, nmax)
-    values = [d_lambda(space, lam**n) for n in range(1, nmax + 1)]
-    base = values[0]  # d(lam) is row n = 1
-    strict_cap = base / (1 - lam)
+    base = d_lambda(space, lam)
+    strict_cap = base / (1 - lam)  # diam X / 2
     rows = []
-    for n, lhs in enumerate(values, start=1):
-        power = lam**n
-        bound = (1 - power) / (1 - lam) * base
+    for n in range(1, nmax + 1):
+        gap = 1 - lam**n
+        bound = gap / (1 - lam) * base
+        lhs = gap * strict_cap  # d(lam^n) = (1 - lam^n) * diam X / 2
         rows.append(
             GeometricBoundRow(
                 n=n,

@@ -51,10 +51,12 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def dump_space(space: FiniteMetricSpace) -> str:
-    out = [f"points {len(space)} {space.mode}"]
-    out.append(" ".join(space.labels))
-    for row in space.dist:
-        out.append(" ".join(format_fraction(x) for x in row))
+    """The .msp text of a space, read off its grid: each distinct value is
+    formatted once, and the `Fraction` matrix `dist` is not built."""
+    denom, rows = space.grid
+    text = {v: format_fraction(Fraction(v, denom)) for v in set().union(*rows)}
+    out = [f"points {len(space)} {space.mode}", " ".join(space.labels)]
+    out.extend([" ".join(map(text.__getitem__, row)) for row in rows])
     return "\n".join(out) + "\n"
 
 

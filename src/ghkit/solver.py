@@ -7,7 +7,7 @@ the candidate levels come from the two value sets.  One decision procedure,
 contains these chosen cells and otherwise uses only these allowed cells?"
 on Python-int bitsets over the n*m cells (i, j).  The mask of the cells
 compatible with a cell at t is built the first time the search reads it, by
-bisecting the sorted rows of Y; no table over pairs of cells is built.
+bisecting the sorted rows of Y.
 `gh_exact` asks it at the smallest gap at or above the diameter-gap lower
 bound first (tight on scaled copies), then binary-searches the larger gaps;
 the largest is the full correspondence's distortion, so it is never asked.
@@ -114,7 +114,7 @@ def _levels(dx: IntRows, dy: IntRows, bound: int) -> list[int]:
 
     Every gap |a - b| of a distance a of X and a distance b of Y is the gap
     of some pair of cells, since the two cells range independently, so the
-    levels come from the two value sets and no cell-pair table is built.
+    levels come from the two value sets.
     """
     values_y = set(chain.from_iterable(dy))
     gaps = {abs(a - b) for a in set(chain.from_iterable(dx)) for b in values_y}

@@ -15,7 +15,7 @@ of a dense layout, and the space file reader, refuses a larger one through
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, itemgetter
@@ -92,16 +92,17 @@ def _check_shape(labels: tuple[str, ...], rows: Sequence[Sequence], mode: str) -
         raise ValueError("distance matrix shape does not match labels")
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class FiniteMetricSpace:
     """Labeled points with a symmetric matrix of exact distances.
 
-    Held as labels, mode and the canonical grid (L, rows) that `_grid` builds;
-    `dist` is the `Fraction` view: the constructor's matrix as tuples of
-    `Fraction`s, or built from the grid on first read.  Equality and hash
-    compare (labels, mode, grid), the relation of equal `Fraction` matrices
-    since the grid is canonical.  Instances are immutable; construct through
-    :func:`validate` (axioms checked), :func:`from_grid` or one of the
-    derived constructors elsewhere in the package (valid by construction).
+    A frozen dataclass over labels, mode and the canonical grid (L, rows)
+    that `_grid` builds, so equality and hash compare (labels, mode, grid):
+    the relation of equal `Fraction` matrices, since the grid is canonical.
+    `dist` is the `Fraction` view, not a field: the constructor's matrix as
+    tuples of `Fraction`s, or built from the grid on first read.  Construct
+    through :func:`validate` (axioms checked), :func:`from_grid` or one of
+    the derived constructors elsewhere in the package (valid by construction).
     """
 
     labels: tuple[str, ...]
@@ -118,23 +119,6 @@ class FiniteMetricSpace:
         _check_shape(labels, dist, mode)
         self.__dict__.update(labels=labels, mode=mode, grid=_grid(dist), dist=dist)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        same = self.labels == other.labels and self.mode == other.mode
-        return same and self.grid == other.grid
-
-    def __hash__(self) -> int:
-        return hash((self.labels, self.mode, self.grid))
-
     def __repr__(self) -> str:
         return (
             f"FiniteMetricSpace(labels={self.labels!r}, dist={self.dist!r}, "
@@ -142,10 +126,6 @@ class FiniteMetricSpace:
         )
 
     def __len__(self) -> int:
-        return len(self.labels)
-
-    @property
-    def n(self) -> int:
         return len(self.labels)
 
     def d(self, i: int, j: int) -> Fraction:

@@ -12,9 +12,9 @@ against the first space, witnessed by the pair (m, 1) vs (m, 1 + 1/m).
 
 Points are built as ints (needle, k): k >= 1 stands for 1 + 1/k, k = 0 for
 the limit 1, and a space whose largest k is t lies on D = lcm(1..t) as
-D + D // k (D for the limit), so no `Fraction` is built.  The needle shift
-builds one space, the ambient; the second space is never built as a space,
-only its rows on the ambient's D, checked row by row against the ambient's.
+D + D // k (D for the limit).  The needle shift builds one space, the
+ambient; the second space is never built as a space, only its rows on the
+ambient's D, checked row by row against the ambient's.
 """
 
 from __future__ import annotations

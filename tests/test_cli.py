@@ -400,6 +400,10 @@ def test_probe_and_center_answer_above_the_old_cap(tmp_path, capsys):
         (["center", "{p}", "--lambda", "1/2", "--n", "2"], "requires a strict space"),
         (["probe", "{x}", "--lambdas", ","], "--lambdas needs at least one factor"),
         (["stab", "{x}", "--lambdas", ","], "--lambdas needs at least one factor"),
+        (["probe", "{x}", "--lambdas", "1/2,,3"], "--lambdas has an empty item"),
+        (["probe", "{x}", "--lambdas", "1/2,"], "--lambdas has an empty item"),
+        (["stab", "{x}", "--lambdas", "1/2,,3"], "--lambdas has an empty item"),
+        (["stab", "{hh}", "--lambdas", "2,"], "--lambdas has an empty item"),
     ],
 )
 def test_scaling_commands_refuse_bad_factors_and_pseudo_spaces(

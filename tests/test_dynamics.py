@@ -307,6 +307,37 @@ def test_projections_match_their_definition(base_space, make):
         assert result.certificates[n] == dis / 2
 
 
+@reference_chains
+def test_thread_space_and_layer_distances_read_the_grids(base_space, make):
+    chain = make(base_space)
+    threads = reference_threads(chain)
+    result = thread_limit(chain)
+    built = ["dist" in vars(space) for space in chain.spaces]
+    pseudo = result.thread_space()
+    picks = range(0, len(threads), max(1, len(threads) // 12))
+    pairs = [(t1, t2) for t1 in picks for t2 in picks]
+    distances = [
+        [result.layer_distance(t1, t2, layer) for t1, t2 in pairs]
+        for layer in range(1, chain.depth + 1)
+    ]
+    assert "dist" not in vars(pseudo)
+    assert ["dist" in vars(space) for space in chain.spaces] == built
+    # the Fraction-matrix constructor path, on the reference threads
+    last = chain.spaces[-1]
+    labels = tuple(
+        "|".join(chain.spaces[n].labels[p] for n, p in enumerate(thread))
+        for thread in threads
+    )
+    rows = tuple(tuple(last.dist[a[-1]][b[-1]] for b in threads) for a in threads)
+    expected = FiniteMetricSpace(labels, rows, PSEUDO)
+    assert pseudo == expected and hash(pseudo) == hash(expected)
+    assert pseudo.grid == expected.grid and pseudo.dist == expected.dist
+    for n, space in enumerate(chain.spaces):
+        assert distances[n] == [
+            space.dist[threads[t1][n]][threads[t2][n]] for t1, t2 in pairs
+        ]
+
+
 def test_count_and_repr_build_no_thread(base_space, monkeypatch):
     calls = []
     enumerate_threads = dynamics._enumerate_threads
@@ -349,6 +380,27 @@ def test_d_lambda_probe_identities(base_space):
     assert probe.value(F(2)) == diameter(base_space) / 2
     # inversion identity
     assert probe.value(F(1, 2)) == probe.value(F(2)) / 2
+
+
+def test_scaling_reads_the_diameter_once_per_call(base_space, monkeypatch):
+    reads = []
+
+    def counted(space):
+        reads.append(space)
+        return diameter(space)
+
+    monkeypatch.setattr(dynamics, "diameter", counted)
+    probe = d_lambda_probe(base_space, [F(1), F(1, 2), F(2), F(3), F(1, 3)])
+    assert reads == [base_space]
+    assert [value for _, value in probe.samples] == [
+        abs(1 - lam) * diameter(base_space) / 2 for lam, _ in probe.samples
+    ]
+    reads.clear()
+    report = geometric_bound_check(base_space, F(1, 2), 5)
+    assert reads == [base_space]
+    assert [row.lhs for row in report.rows] == [
+        (1 - F(1, 2**n)) * diameter(base_space) / 2 for n in range(1, 6)
+    ]
 
 
 def test_geometric_bound_is_tight_for_two_points():
@@ -513,6 +565,12 @@ def test_scaling_side_refuses_pseudo_spaces():
         d_lambda(PSEUDO_SPACE, F(1, 2))
     with pytest.raises(ValueError, match="requires a strict space"):
         d_lambda_probe(PSEUDO_SPACE, [F(1)])
+    # factors are checked in order, and the mode at the first factor
+    with pytest.raises(ValueError, match="requires a strict space"):
+        d_lambda_probe(PSEUDO_SPACE, [F(2), 0])
+    with pytest.raises(NonpositiveScale, match="got 0"):
+        d_lambda_probe(PSEUDO_SPACE, [0])
+    assert d_lambda_probe(PSEUDO_SPACE, []).samples == ()
     with pytest.raises(ValueError, match="requires a strict space"):
         center_iterate(PSEUDO_SPACE, F(1, 2), 2)
     with pytest.raises(ValueError, match="requires a strict space"):

@@ -10,7 +10,7 @@ from ghkit.errors import MetricValidationError, TooLarge
 from ghkit.generate import random_correspondence, random_metric_space, rng_from_seed
 from ghkit.gluing import glue_pair
 from ghkit.hedgehogs import HedgehogSpec
-from ghkit.spaces import PSEUDO, FiniteMetricSpace, validate
+from ghkit.spaces import PSEUDO, FiniteMetricSpace, from_grid, validate
 
 
 def test_fraction_round_trip():
@@ -37,6 +37,36 @@ def test_space_format_shape():
     space = validate([[0, 1], [1, 0]], labels=["a", "b"])
     text = io.dump_space(space)
     assert text.splitlines() == ["points 2 strict", "a b", "0 1", "1 0"]
+
+
+def reference_dump(space):
+    """The .msp text with each entry formatted on its own, from the grid."""
+    denom, rows = space.grid
+    lines = [f"points {len(space)} {space.mode}", " ".join(space.labels)]
+    lines += [" ".join(str(F(value, denom)) for value in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        from_grid(("a", "b", "c"), 12, ((0, 6, 4), (6, 0, 9), (4, 9, 0))),
+        from_grid(
+            tuple(f"p{i}" for i in range(9)),
+            60,
+            random_metric_space(rng_from_seed(3), 9).grid[1],
+        ),
+        from_grid(("a", "b", "c"), 4, ((0, 0, 3), (0, 0, 3), (3, 3, 0)), PSEUDO),
+        from_grid(("a", "b"), 7, ((0, 0), (0, 0)), PSEUDO),
+        from_grid(("pt",), 5, ((0,),)),
+    ],
+    ids=["thirds-quarters", "sixtieths", "pseudo", "pseudo-zero", "one-point"],
+)
+def test_space_dump_reads_the_grid(space):
+    text = io.dump_space(space)
+    assert "dist" not in vars(space)
+    assert text == reference_dump(space)
+    assert io.parse_space(text) == space
 
 
 def test_space_comments_and_blank_lines():

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -45,6 +46,23 @@ def test_validate_smallest_nondegenerate_space():
     space = validate([[0, 1], [1, 0]])
     assert len(space) == 2
     assert space.d(0, 1) == 1
+
+
+def test_space_is_a_frozen_dataclass_over_its_grid():
+    space = validate([[0, F(1, 2)], [F(1, 2), 0]])
+    twin = spaces.from_grid(("0", "1"), 2, ((0, 1), (1, 0)))
+    assert is_dataclass(space)
+    assert [field.name for field in fields(space)] == ["labels", "mode", "grid"]
+    assert space == twin and hash(space) == hash((space.labels, STRICT, twin.grid))
+    assert space.__eq__(space.grid) is NotImplemented
+    assert space != validate([[0, F(1, 2)], [F(1, 2), 0]], PSEUDO)
+    with pytest.raises(FrozenInstanceError, match="assign to field 'labels'"):
+        space.labels = ("a", "b")
+    with pytest.raises(FrozenInstanceError, match="assign to field 'dist'"):
+        twin.dist = space.dist
+    with pytest.raises(FrozenInstanceError, match="delete field 'mode'"):
+        del space.mode
+    assert "dist" not in vars(twin) and twin.dist == space.dist
 
 
 def test_validate_reports_triangle_violation():
