@@ -18,7 +18,6 @@ from .correspondences import (
 )
 from .dynamics import (
     CenterIterate,
-    GeometricBoundReport,
     LambdaProbe,
     StabilizerReport,
     ThreadChain,
@@ -26,7 +25,6 @@ from .dynamics import (
     center_iterate,
     d_lambda,
     d_lambda_probe,
-    geometric_bound_check,
     stabilizer_finite,
     thread_limit,
 )
@@ -59,7 +57,7 @@ from .solver import (
     gh_exact,
     gh_lower_bound,
     gh_upper_from,
-    isometric_bijections,
+    isometry_cells,
 )
 from .spaces import (
     PSEUDO,

@@ -11,9 +11,9 @@ are enumerated on first read, up to THREAD_CAP of them.
 
 The scaling side is closed-form, with no solver call: d(lam) = d_GH(X, lam*X)
 is |1 - lam| * diam X / 2, which the diameter gap bounds below and the
-identity correspondence above.  The geometric-series bound for d(lam^n) and
-center iteration with a certified Cauchy tail rest on it.  An isometry keeps
-the diameter, so lam*X is isometric to X only when lam = 1 or diam X = 0.
+identity correspondence above.  Center iteration with a certified Cauchy
+tail rests on it.  An isometry keeps the diameter, so lam*X is isometric to
+X only when lam = 1 or diam X = 0.
 """
 
 from __future__ import annotations
@@ -266,71 +266,11 @@ def d_lambda_probe(
     return LambdaProbe(space, tuple(samples))
 
 
-@dataclass(frozen=True)
-class GeometricBoundRow:
-    n: int
-    lhs: Fraction  # d(lam^n)
-    bound: Fraction  # (1 - lam^n) / (1 - lam) * d(lam)
-    strict_cap: Fraction  # d(lam) / (1 - lam)
-    within_bound: bool
-    below_cap: bool
-
-
-@dataclass(frozen=True)
-class GeometricBoundReport:
-    space: FiniteMetricSpace
-    lam: Fraction
-    base: Fraction  # d(lam)
-    rows: tuple[GeometricBoundRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        # the strict cap degenerates to 0 < 0 when d(lam) = 0
-        return all(
-            row.within_bound and (self.base == 0 or row.below_cap)
-            for row in self.rows
-        )
-
-
 def _check_power_bits(lam: Fraction, n: int) -> None:
     # p^n and q^n have at most n * bit_length bits each
     bits = n * max(lam.numerator.bit_length(), lam.denominator.bit_length())
     if bits > CENTER_POWER_BITS:
         raise TooLarge(f"lambda^n may need {bits} bits, cap is {CENTER_POWER_BITS}")
-
-
-def geometric_bound_check(
-    space: FiniteMetricSpace, lam: int | Fraction, nmax: int
-) -> GeometricBoundReport:
-    """Check d(lam^n) <= (1 - lam^n)/(1 - lam) * d(lam) < d(lam)/(1 - lam) exactly.
-
-    Like `center_iterate`, refuses with `TooLarge` before any power an nmax
-    at which lam^nmax could take more than CENTER_POWER_BITS bits.
-    """
-    lam = as_fraction(lam)
-    if not (0 < lam < 1):
-        raise ValueError("lambda must lie strictly between 0 and 1")
-    if nmax < 1:
-        raise ValueError("nmax must be at least 1")
-    _check_power_bits(lam, nmax)
-    base = d_lambda(space, lam)
-    strict_cap = base / (1 - lam)  # diam X / 2
-    rows = []
-    for n in range(1, nmax + 1):
-        gap = 1 - lam**n
-        bound = gap / (1 - lam) * base
-        lhs = gap * strict_cap  # d(lam^n) = (1 - lam^n) * diam X / 2
-        rows.append(
-            GeometricBoundRow(
-                n=n,
-                lhs=lhs,
-                bound=bound,
-                strict_cap=strict_cap,
-                within_bound=lhs <= bound,
-                below_cap=bound < strict_cap,
-            )
-        )
-    return GeometricBoundReport(space=space, lam=lam, base=base, rows=tuple(rows))
 
 
 @dataclass(frozen=True)

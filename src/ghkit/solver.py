@@ -17,7 +17,7 @@ order, starting from the correspondence that probe found.  Exact GH is
 NP-hard, so two fixed guards bound the work: no side above SIDE_BOUND points
 (each node scans all n + m lines, and the gap set has up to Vx * Vy values),
 and no more than NODE_BUDGET branches over all probes and the witness scan.
-Isometries have their own exact backtracking search.
+Isometry questions are the same search at t = 0, under the same budget.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .correspondences import (
     Correspondence,
@@ -235,48 +235,52 @@ def _lex_min_cells(
     return decode_cells(chosen, m)
 
 
-def isometric_bijections(
-    x: FiniteMetricSpace, y: FiniteMetricSpace
-) -> list[tuple[int, ...]]:
-    """All distance-preserving bijections X -> Y, as image tuples.
-
-    Empty result means the spaces are not isometric.
-    """
-    return list(_isometries(x, y))
-
-
 def are_isometric(x: FiniteMetricSpace, y: FiniteMetricSpace) -> bool:
-    return next(_isometries(x, y), None) is not None
+    """Whether some bijection X -> Y preserves every distance.
 
-
-def _isometries(
-    x: FiniteMetricSpace, y: FiniteMetricSpace
-) -> Iterator[tuple[int, ...]]:
-    """Distance-preserving bijections X -> Y in lexicographic order.
-
-    Depth-first backtracking on the shared integer grid with exact mismatch
-    pruning: a partial map is abandoned the moment one pair of distances
-    disagrees, which never skips a genuine isometry.
+    On strict spaces a distortion-0 correspondence is such a bijection: two
+    partners j, j' of one point i have d(j, j') <= d(i, i) + 0 = 0.  So this
+    is one `_extend` search at t = 0, after the size and diameter checks
+    that settle most pairs.  Refuses pseudo spaces (`ValueError`) and raises
+    `TooLarge` once the search passes NODE_BUDGET branches.
     """
+    return _isometry_search(x, y) is not None
+
+
+def isometry_cells(
+    x: FiniteMetricSpace, y: FiniteMetricSpace
+) -> frozenset[tuple[int, int]]:
+    """The pairs (i, j) that some isometry X -> Y maps i to j; empty when
+    the spaces are not isometric.
+
+    One `_extend` search per cell that no isometry found so far holds, with
+    that cell chosen: at most n^2 searches, however many isometries there
+    are.  Refuses and raises as `are_isometric` does, with NODE_BUDGET over
+    all the searches.
+    """
+    search = _isometry_search(x, y)
+    if search is None:
+        return frozenset()
+    held, compat, lines, tally = search
     n = len(x)
-    if n != len(y):
-        return
+    for cell in range(n * n):
+        if not held >> cell & 1:
+            held |= _extend(compat, lines, 1 << cell, compat[cell], tally)
+    return decode_cells(held, n)
+
+
+def _isometry_search(
+    x: FiniteMetricSpace, y: FiniteMetricSpace
+) -> tuple[int, _Compat, list[int], list[int]] | None:
+    """An isometry's cell mask with the t = 0 masks, the line masks and the
+    node tally it was found with; None when there is no isometry."""
+    if x.mode != STRICT or y.mode != STRICT:
+        raise ValueError("isometry search requires strict spaces")
+    n = len(x)
+    if n != len(y) or diameter(x) != diameter(y):
+        return None
     _, dx, dy = scaled_integer_matrices(x, y)
-    image: list[int] = []
-    j = 0  # next image to try for point len(image)
-    while True:
-        if len(image) == n:
-            yield tuple(image)
-        else:
-            row = dx[len(image)]
-            while j < n and (
-                j in image or any(row[a] != dy[j][b] for a, b in enumerate(image))
-            ):
-                j += 1
-            if j < n:
-                image.append(j)
-                j = 0
-                continue
-        if not image:
-            return
-        j = image.pop() + 1
+    compat = _Compat(dx, [_sorted_row(row) for row in dy], 0)
+    lines, tally = line_masks(n, n), [0]
+    found = _extend(compat, lines, 0, (1 << n * n) - 1, tally)
+    return (found, compat, lines, tally) if found else None

@@ -26,7 +26,7 @@ from .dynamics import (
     StabilizerReport,
     ThreadChain,
     center_iterate,
-    geometric_bound_check,
+    d_lambda_probe,
     stabilizer_finite,
     thread_limit,
 )
@@ -48,7 +48,7 @@ from .hedgehogs import (
     compile_hedgehog,
     hedgehog_isometric,
 )
-from .solver import are_isometric, gh_exact, gh_upper_from, isometric_bijections
+from .solver import are_isometric, gh_exact, gh_upper_from, isometry_cells
 from .spaces import (
     STRICT,
     FiniteMetricSpace,
@@ -206,7 +206,7 @@ def check_gluing_realization(seed: int) -> str | None:
 
 
 def check_hedgehog_rigidity(seed: int) -> str | None:
-    """Needle-multiset equality matches exhaustive distortion-0 bijection search."""
+    """Needle-multiset equality matches the exact search's isometry cells."""
     lengths = (F(1), F(2), F(3), F(4))
     specs = []
     for mults in product((0, 1, 2), repeat=4):
@@ -227,22 +227,19 @@ def check_hedgehog_rigidity(seed: int) -> str | None:
                 if expected:
                     return f"specs {i},{j}: equal multisets but different sizes"
                 continue
-            isometries = isometric_bijections(compiled[i], compiled[j])
-            if bool(isometries) != expected:
+            cells = isometry_cells(compiled[i], compiled[j])
+            if bool(cells) != expected:
                 return (
                     f"specs {i},{j}: multiset equality {expected} but "
-                    f"{len(isometries)} distortion-0 bijections"
+                    f"{len(cells)} cells held by isometries"
                 )
             if expected and a.point_count >= 3:
                 lengths_a = [F(0), *a.expanded()]
                 lengths_b = [F(0), *b.expanded()]
-                for sigma in isometries:
-                    if sigma[0] != 0:
+                for p, q in sorted(cells):
+                    if (p == 0) != (q == 0):
                         return f"specs {i},{j}: an isometry moves the center"
-                    if any(
-                        lengths_b[sigma[p]] != lengths_a[p]
-                        for p in range(a.point_count)
-                    ):
+                    if lengths_b[q] != lengths_a[p]:
                         return f"specs {i},{j}: an isometry changes a needle length"
     return None
 
@@ -355,7 +352,7 @@ def check_thread_limits(seed: int) -> str | None:
 
 
 def check_scaling_dynamics(seed: int) -> str | None:
-    """Scaling-probe identities, the geometric-series bound, and Cauchy tails."""
+    """Scaling-probe identities, the closed form, and Cauchy tails."""
     rng = rng_from_seed(seed)
     grid = (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2), F(3), F(4))
     for index in range(20):
@@ -370,19 +367,17 @@ def check_scaling_dynamics(seed: int) -> str | None:
 
         if d(F(1)) != 0:
             return f"space {index}: d(1) != 0"
-        for lam in grid:
+        for lam, closed in d_lambda_probe(x, grid).samples:
             if d(1 / lam) != d(lam) / lam:
                 return f"space {index}: inversion identity failed at {lam}"
             if 2 * d(lam) != abs(lam - 1) * diam:
                 return f"space {index}: closed form failed at {lam}"
+            if closed != d(lam):
+                return f"space {index}: d_lambda gave {closed}, the solver {d(lam)}"
         for lam in grid:
             for mu in grid:
                 if d(lam * mu) > d(lam) + lam * d(mu):
                     return f"space {index}: subdivision bound failed at {lam},{mu}"
-        for lam in (F(1, 2), F(2, 3)):
-            report = geometric_bound_check(x, lam, 5)
-            if not report.passed:
-                return f"space {index}: geometric bound failed at {lam}"
         lam = F(1, 2)
         for larger, smaller in ((1, 0), (2, 1), (4, 2), (6, 3)):
             state = center_iterate(x, lam, smaller)
@@ -476,7 +471,7 @@ CHECKS: dict[str, tuple[str, Callable[[int], str | None]]] = {
         check_thread_limits,
     ),
     "scaling-dynamics": (
-        "d(1) = 0, d(1/a) = d(a)/a, d(ab) <= d(a) + a*d(b), geometric bound, "
+        "d(1) = 0, d(1/a) = d(a)/a, d(ab) <= d(a) + a*d(b), 2*d(a) = |a-1|*diam, "
         "Cauchy tails dominate iterate gaps",
         check_scaling_dynamics,
     ),

@@ -13,7 +13,6 @@ from ghkit.dynamics import (
     center_iterate,
     d_lambda,
     d_lambda_probe,
-    geometric_bound_check,
     stabilizer_finite,
     thread_limit,
 )
@@ -395,47 +394,6 @@ def test_scaling_reads_the_diameter_once_per_call(base_space, monkeypatch):
     assert [value for _, value in probe.samples] == [
         abs(1 - lam) * diameter(base_space) / 2 for lam, _ in probe.samples
     ]
-    reads.clear()
-    report = geometric_bound_check(base_space, F(1, 2), 5)
-    assert reads == [base_space]
-    assert [row.lhs for row in report.rows] == [
-        (1 - F(1, 2**n)) * diameter(base_space) / 2 for n in range(1, 6)
-    ]
-
-
-def test_geometric_bound_is_tight_for_two_points():
-    space = validate([[0, 1], [1, 0]])
-    report = geometric_bound_check(space, F(1, 2), 3)
-    assert report.base == F(1, 4)
-    row = report.rows[2]  # n = 3
-    assert row.lhs == F(7, 16)
-    assert row.bound == F(7, 16)  # the bound is attained exactly
-    assert report.passed
-
-
-def test_geometric_bound_report_matches_direct_solves(base_space):
-    lam, nmax = F(2, 3), 4
-    report = geometric_bound_check(base_space, lam, nmax)
-    d = [
-        gh_exact(base_space, scale(base_space, lam**n)).value
-        for n in range(nmax + 1)
-    ]
-    strict_cap = d[1] / (1 - lam)
-    assert (report.space, report.lam, report.base) == (base_space, lam, d[1])
-    assert len(report.rows) == nmax
-    for n, row in enumerate(report.rows, start=1):
-        bound = (1 - lam**n) / (1 - lam) * d[1]
-        assert (row.n, row.lhs, row.bound) == (n, d[n], bound)
-        assert row.strict_cap == strict_cap
-        assert row.within_bound == (d[n] <= bound)
-        assert row.below_cap == (bound < strict_cap)
-
-
-def test_geometric_bound_argument_validation(base_space):
-    with pytest.raises(ValueError):
-        geometric_bound_check(base_space, F(3, 2), 2)
-    with pytest.raises(ValueError):
-        geometric_bound_check(base_space, F(1, 2), 0)
 
 
 def test_center_iterate_zero_and_tail(base_space):
@@ -460,18 +418,6 @@ def test_center_iterate_power_bit_cap_boundary(base_space):
     str(center_iterate(base_space, F(1, 2**9999), 1).tail_bound)  # 10000 bits
     with pytest.raises(TooLarge, match="10001 bits, cap is 10000"):
         center_iterate(base_space, F(1, 2**10000), 1)
-
-
-def test_geometric_bound_power_bit_cap_boundary(base_space, monkeypatch):
-    report = geometric_bound_check(base_space, F(1, 2), 5000)  # 5000 * 2 bits
-    assert len(report.rows) == 5000 and report.passed
-
-    def refuse(*args):
-        raise AssertionError("no distance may be computed above the cap")
-
-    monkeypatch.setattr(dynamics, "d_lambda", refuse)
-    with pytest.raises(TooLarge, match="10002 bits, cap is 10000"):
-        geometric_bound_check(base_space, F(1, 2), 5001)
 
 
 @pytest.mark.parametrize("seed", [13, 29, 41])
@@ -573,8 +519,6 @@ def test_scaling_side_refuses_pseudo_spaces():
     assert d_lambda_probe(PSEUDO_SPACE, []).samples == ()
     with pytest.raises(ValueError, match="requires a strict space"):
         center_iterate(PSEUDO_SPACE, F(1, 2), 2)
-    with pytest.raises(ValueError, match="requires a strict space"):
-        geometric_bound_check(PSEUDO_SPACE, F(1, 2), 2)
 
 
 def test_ratio_cap_boundary(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from ghkit.solver import (
     gh_exact,
     gh_lower_bound,
     gh_upper_from,
-    isometric_bijections,
+    isometry_cells,
 )
 from ghkit.spaces import (
     PSEUDO,
@@ -212,13 +213,13 @@ def test_rejects_pseudo_spaces():
         gh_exact(pseudo, pseudo)
 
 
-def test_isometric_bijections_counts():
+def test_isometry_cells_of_the_twin():
     twin = validate([[0, 1, 1], [1, 0, 2], [1, 2, 0]])  # two needles of length 1
-    isometries = isometric_bijections(twin, twin)
-    assert len(isometries) == 2  # identity and the copy swap
-    assert all(sigma[0] == 0 for sigma in isometries)
+    # the identity and the needle swap: the center stays, each needle goes
+    # to either needle
+    assert isometry_cells(twin, twin) == {(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)}
     other = validate([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
-    assert isometric_bijections(twin, other) == []
+    assert isometry_cells(twin, other) == frozenset()
     assert are_isometric(twin, twin)
     assert not are_isometric(twin, other)
 
@@ -392,7 +393,7 @@ def test_solves_and_isometry_searches_leave_no_reference_cycles():
     gc.disable()
     try:
         gh_exact(x, y)
-        isometric_bijections(x, x)
+        isometry_cells(x, x)
         are_isometric(x, y)
         left = gc.collect()
     finally:
@@ -466,6 +467,112 @@ def test_large_scaling_equivariance(x, y):
     value = gh_exact(x, y).value
     for lam in (F(2), F(1, 3)):
         assert gh_exact(scale(x, lam), scale(y, lam)).value == lam * value
+
+
+# isometries: the feasibility search at distortion 0
+
+
+def _brute_isometry_cells(x, y):
+    """Reference: the cells of every distance-preserving permutation."""
+    n = len(x)
+    if n != len(y):
+        return frozenset()
+    return frozenset(
+        (i, sigma[i])
+        for sigma in permutations(range(n))
+        if all(
+            x.dist[i][k] == y.dist[sigma[i]][sigma[k]]
+            for i in range(n)
+            for k in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def _small_isometry_pairs():
+    """Up to 6 points: seeded pairs, relabelled copies, and hedgehogs with
+    repeated needles against relabelled copies of themselves."""
+    rng = rng_from_seed(8080)
+    pairs = []
+    for n in range(1, 7):
+        x = random_metric_space(rng, n, label_prefix="x")
+        pairs.append((x, random_metric_space(rng, n, label_prefix="y")))
+        pairs.append((x, _relabelled(x, rng.sample(range(n), n))))
+    square = validate([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
+    for symmetric in (square, _path_space(5)):
+        n = len(symmetric)
+        pairs.append((symmetric, _relabelled(symmetric, rng.sample(range(n), n))))
+    for needles in ((1, 1), (1, 1, 1), (1, 1, 2), (1, 1, 2, 2), (2, 2, 2, 3, 3)):
+        hog = compile_hedgehog(HedgehogSpec.of(*needles))
+        pairs.append((hog, hog))
+        pairs.append((hog, _relabelled(hog, rng.sample(range(len(hog)), len(hog)))))
+    pairs.append(
+        (
+            compile_hedgehog(HedgehogSpec.of(1, 1, 2)),
+            compile_hedgehog(HedgehogSpec.of(1, 2, 2)),
+        )
+    )
+    return pairs
+
+
+@pytest.mark.parametrize("x, y", _small_isometry_pairs())
+def test_isometry_cells_match_a_permutation_reference(x, y):
+    expected = _brute_isometry_cells(x, y)
+    assert isometry_cells(x, y) == expected
+    assert are_isometric(x, y) == bool(expected)
+
+
+def _isometry_candidates():
+    """8 to 12 points: relabelled copies, and near misses of the same size
+    (one point moved one unit, one needle nudged below the longest two)."""
+    rng = rng_from_seed(1212)
+    pairs = []
+    for n in range(8, 13):
+        points = rng.sample([(a, b) for a in range(12) for b in range(12)], n)
+        x = _sup_space(points, 3, "x")
+        pairs.append((x, _relabelled(x, rng.sample(range(n), n))))
+        moved = list(points)
+        moved[1] = (moved[1][0] + 1, moved[1][1])
+        if moved[1] not in points:
+            near = _sup_space(moved, 3, "y")
+            pairs.append((x, _relabelled(near, rng.sample(range(n), n))))
+        needles = [F(rng.randint(1, 24), 8) for _ in range(n - 1)]
+        needles[:2] = [needles[2], needles[2]]  # a repeated needle
+        hog = compile_hedgehog(HedgehogSpec.of(*needles))
+        pairs.append((hog, _relabelled(hog, rng.sample(range(n), n))))
+        nudged = sorted(needles)
+        nudged[0] += F(1, 16)
+        pairs.append((hog, compile_hedgehog(HedgehogSpec.of(*nudged))))
+    return pairs
+
+
+@pytest.mark.parametrize("x, y", _isometry_candidates())
+def test_are_isometric_is_gh_zero_at_8_to_12_points(x, y):
+    assert are_isometric(x, y) == (gh_exact(x, y).value == 0)
+    assert bool(isometry_cells(x, y)) == are_isometric(x, y)
+
+
+def test_isometry_search_rejects_pseudo_spaces():
+    pseudo = FiniteMetricSpace(("a", "b"), ((F(0), F(0)), (F(0), F(0))), PSEUDO)
+    strict = validate([[0, 1], [1, 0]])
+    for x, y in ((pseudo, pseudo), (pseudo, strict), (strict, pseudo)):
+        with pytest.raises(ValueError, match="requires strict spaces"):
+            are_isometric(x, y)
+        with pytest.raises(ValueError, match="requires strict spaces"):
+            isometry_cells(x, y)
+
+
+def test_isometry_search_counts_against_the_node_budget(monkeypatch):
+    twin = validate([[0, 1, 1], [1, 0, 2], [1, 2, 0]])
+    other = validate([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+    monkeypatch.setattr(solver, "NODE_BUDGET", 0)
+    with pytest.raises(TooLarge, match="budget of 0 nodes"):
+        are_isometric(twin, twin)
+    with pytest.raises(TooLarge, match="budget of 0 nodes"):
+        isometry_cells(twin, twin)
+    # different diameters settle the question before any search
+    assert not are_isometric(twin, other)
+    assert isometry_cells(twin, other) == frozenset()
 
 
 # 10 to 16 points, where the search is stressed: values and lex-min witnesses
