@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import compress, count
 from operator import and_, or_
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import TooLarge
 from .spaces import FiniteMetricSpace
@@ -61,7 +61,13 @@ class Correspondence:
 def distortion(rel: Correspondence) -> Fraction:
     """max over matched pairs (x,y), (x',y') of | |xx'| - |yy'| |."""
     denom, dx, dy = scaled_integer_matrices(rel.left, rel.right)
-    pairs = sorted(rel.pairs)
+    return Fraction(max_gap(rel.pairs, dx, dy), denom)
+
+
+def max_gap(pairs: Iterable[tuple[int, int]], dx: IntRows, dy: IntRows) -> int:
+    """The largest |dx[i][k] - dy[j][l]| over pairs (i, j), (k, l) of a pair
+    set: its distortion on the integer matrices."""
+    pairs = list(pairs)
     worst = 0
     for a, (i, j) in enumerate(pairs):
         row_x, row_y = dx[i], dy[j]
@@ -71,7 +77,7 @@ def distortion(rel: Correspondence) -> Fraction:
                 worst = gap
             elif -gap > worst:
                 worst = -gap
-    return Fraction(worst, denom)
+    return worst
 
 
 def identity_correspondence(space: FiniteMetricSpace) -> Correspondence:

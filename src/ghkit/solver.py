@@ -8,16 +8,21 @@ contains these chosen cells and otherwise uses only these allowed cells?"
 on Python-int bitsets over the n*m cells (i, j).  The mask of the cells
 compatible with a cell at t is built the first time the search reads it, by
 bisecting the sorted rows of Y.
-`gh_exact` asks it at the smallest gap at or above the diameter-gap lower
-bound first (tight on scaled copies), then binary-searches the larger gaps;
-the largest is the full correspondence's distortion, so it is never asked.
-The lexicographically smallest optimal witness comes from the same
-procedure on the last feasible probe's masks, asked once per cell in index
-order, starting from the correspondence that probe found.  Exact GH is
-NP-hard, so two fixed guards bound the work: no side above SIDE_BOUND points
-(each node scans all n + m lines, and the gap set has up to Vx * Vy values),
-and no more than NODE_BUDGET branches over all probes and the witness scan.
-Isometry questions are the same search at t = 0, under the same budget.
+`gh_exact` asks it first at the diameter-gap lower bound, a gap itself and
+so the lowest level a correspondence can reach (tight on scaled copies).
+The highest, max(diam X, diam Y), is the full correspondence's distortion,
+so it is never asked.  Only when the bound fails is the sorted list of the
+gaps between the two built and binary-searched, and each feasible probe
+drops the bracket's upper end to the distortion of the correspondence it
+found, which may sit below the probed level.  The lexicographically
+smallest optimal witness comes from the same procedure asked once per cell
+in index order, on the masks at the answer's level, starting from the
+correspondence the last feasible probe found; a cell compatible with every
+cell of that correspondence joins it with no search.  Exact GH is NP-hard,
+so two fixed guards bound the work: no side above SIDE_BOUND points (each
+node scans all n + m lines, and the gap set has up to Vx * Vy values), and
+no more than NODE_BUDGET branches over all probes and the witness scan.
+Isometry questions are the same search at t = 0, under the same guards.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .correspondences import (
     decode_cells,
     distortion,
     line_masks,
+    max_gap,
     scaled_integer_matrices,
 )
 from .errors import InvariantBroken, TooLarge
@@ -75,31 +81,41 @@ def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
     if x.mode != STRICT or y.mode != STRICT:
         raise ValueError("gh_exact requires strict spaces")
     n, m = len(x), len(y)
-    if max(n, m) > SIDE_BOUND:
-        raise TooLarge(f"sizes {n}x{m}: a side has more than {SIDE_BOUND} points")
+    _check_sides(n, m)
 
     denom, dx, dy = scaled_integer_matrices(x, y)
-    lb_int = abs(max(map(max, dx)) - max(map(max, dy)))
+    diam_x, diam_y = max(map(max, dx)), max(map(max, dy))
+    lb_int = abs(diam_x - diam_y)
     nm = n * m
     lines = line_masks(n, m)
     everything = (1 << nm) - 1
     tally = [0]
-    levels = _levels(dx, dy, lb_int)
     rows = [_sorted_row(row) for row in dy]
-    lo, hi = 0, len(levels) - 1  # levels[hi] is always feasible
-    probe = lo  # the bound first
-    # the masks at levels[hi] and a correspondence within them; at the
-    # never-probed top level that is the full relation
-    compat, found = _Compat(dx, rows, levels[hi]), everything
-    while lo < hi:
-        trial = _Compat(dx, rows, levels[probe])
+    # the full relation's distortion is the top level, so it is never
+    # probed; `found` is the last feasible probe's correspondence, `compat`
+    # the masks it was found with, and `best` its distortion
+    best = max(diam_x, diam_y)
+    found, compat = everything, _Compat(dx, rows, best)
+    if lb_int < best:
+        trial = _Compat(dx, rows, lb_int)  # the smallest level: a gap itself
         extension = _extend(trial, lines, 0, everything, tally)
         if extension:
-            hi, compat, found = probe, trial, extension
+            best, found, compat = lb_int, extension, trial
         else:
-            lo = probe + 1
-        probe = (lo + hi) // 2
-    best = levels[hi]
+            levels = _levels(dx, dy, lb_int + 1)
+            lo, hi = 0, len(levels) - 1  # levels[hi] == best
+            while lo < hi:
+                probe = (lo + hi) // 2
+                trial = _Compat(dx, rows, levels[probe])
+                extension = _extend(trial, lines, 0, everything, tally)
+                if extension:
+                    best = max_gap(decode_cells(extension, m), dx, dy)
+                    hi = bisect_left(levels, best)
+                    found, compat = extension, trial
+                else:
+                    lo = probe + 1
+    if compat.t != best:  # the last correspondence sits below its probe
+        compat = _Compat(dx, rows, best)
     witness_pairs = _lex_min_cells(compat, found, nm, lines, m, tally)
     return GHResult(
         value=Fraction(best, 2 * denom),
@@ -107,6 +123,11 @@ def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
         lower_bound=Fraction(lb_int, 2 * denom),
         nodes_explored=tally[0],
     )
+
+
+def _check_sides(n: int, m: int) -> None:
+    if max(n, m) > SIDE_BOUND:
+        raise TooLarge(f"sizes {n}x{m}: a side has more than {SIDE_BOUND} points")
 
 
 def _levels(dx: IntRows, dy: IntRows, bound: int) -> list[int]:
@@ -207,31 +228,35 @@ def _lex_min_cells(
     last feasible probe returned, so the scan starts with no search of its
     own.  Cells are scanned in index order; a cell joins the witness
     whenever the prefix (chosen cells, earlier cells excluded) still extends
-    to a full correspondence.  `found` stays the last such extension: it
-    holds the chosen cells and none of the excluded ones, so a cell of it
-    joins with no new search.  Prefix-closed comparison: once the chosen set
-    covers both sides, any extension sorts later, so the scan stops.
+    to a full correspondence.  `found` stays such an extension: it holds
+    the chosen cells and none of the excluded ones, so an available cell
+    whose mask holds all of `found` joins with no new search, and `found`
+    with it (a cell of `found` is one such).  Prefix-closed comparison: once
+    the chosen set covers both sides, any extension sorts later, so the
+    scan stops; `uncovered` keeps the lines the chosen set has not met.
     """
     if not found:
         raise InvariantBroken(
             "the distortion budget admits no correspondence (solver bug)"
         )
-    avail = (1 << nm) - 1
-    chosen = 0
+    avail, chosen, uncovered = (1 << nm) - 1, 0, lines
     for cell in range(nm):
-        if all(chosen & line for line in lines):
+        if not uncovered:
             break
         bit = 1 << cell
-        if not found & bit:
-            trial = avail & bit and _extend(
-                compat, lines, chosen | bit, avail & compat[cell], tally
-            )
+        if not avail & bit:
+            continue
+        mask = compat[cell]
+        if found & ~mask:
+            trial = _extend(compat, lines, chosen | bit, avail & mask, tally)
             if not trial:
-                avail &= ~bit
+                avail ^= bit
                 continue
             found = trial
+        found |= bit
         chosen |= bit
-        avail &= compat[cell]
+        avail &= mask
+        uncovered = [line for line in uncovered if not line & bit]
     return decode_cells(chosen, m)
 
 
@@ -241,8 +266,10 @@ def are_isometric(x: FiniteMetricSpace, y: FiniteMetricSpace) -> bool:
     On strict spaces a distortion-0 correspondence is such a bijection: two
     partners j, j' of one point i have d(j, j') <= d(i, i) + 0 = 0.  So this
     is one `_extend` search at t = 0, after the size and diameter checks
-    that settle most pairs.  Refuses pseudo spaces (`ValueError`) and raises
-    `TooLarge` once the search passes NODE_BUDGET branches.
+    that settle most pairs.  Refuses pseudo spaces (`ValueError`), and
+    raises `TooLarge` as `gh_exact` does: before building anything when a
+    side has more than SIDE_BOUND points, and once the search passes
+    NODE_BUDGET branches.
     """
     return _isometry_search(x, y) is not None
 
@@ -277,6 +304,7 @@ def _isometry_search(
     if x.mode != STRICT or y.mode != STRICT:
         raise ValueError("isometry search requires strict spaces")
     n = len(x)
+    _check_sides(n, len(y))
     if n != len(y) or diameter(x) != diameter(y):
         return None
     _, dx, dy = scaled_integer_matrices(x, y)

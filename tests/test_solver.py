@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 
 from ghkit.correspondences import (
-    Correspondence,
     distortion,
     full_correspondence,
     min_distortion_by_enumeration,
@@ -167,10 +166,46 @@ def test_side_bound_refuses_before_building(gap_pair, monkeypatch):
         raise AssertionError("no gap set may be built above the side bound")
 
     monkeypatch.setattr(solver, "_levels", refuse)
+    monkeypatch.setattr(solver, "_Compat", refuse)
     big = _path_space(33)
     for a, b in ((x, big), (big, x), (big, big)):
         with pytest.raises(TooLarge, match="a side has more than 32 points"):
             gh_exact(a, b)
+
+
+def test_isometry_search_refuses_past_the_side_bound_before_building(
+    gap_pair, monkeypatch
+):
+    x, _ = gap_pair
+    path = _path_space(32)
+    assert are_isometric(path, _relabelled(path, range(31, -1, -1)))  # at the bound
+
+    def refuse(*args):
+        raise AssertionError("no mask may be built above the side bound")
+
+    monkeypatch.setattr(solver, "_Compat", refuse)
+    big = _path_space(33)
+    for a, b in ((x, big), (big, x), (big, big)):
+        for search in (are_isometric, isometry_cells):
+            with pytest.raises(TooLarge, match="a side has more than 32 points"):
+                search(a, b)
+
+
+def test_a_feasible_bound_probe_builds_no_level_list(monkeypatch):
+    x = random_metric_space(rng_from_seed(5), 8)
+    others = (
+        (scale(x, F(3, 2)), diameter(x) / 4),  # the identity attains the bound
+        (_relabelled(x, (7, 0, 6, 1, 5, 2, 4, 3)), 0),
+        (one_point_space(), diameter(x) / 2),  # the bound is the top level
+    )
+
+    def refuse(*args):
+        raise AssertionError("the bound probe was feasible: no level list")
+
+    monkeypatch.setattr(solver, "_levels", refuse)
+    for y, value in others:
+        assert gh_exact(x, y).value == value
+        assert gh_exact(y, x).value == value
 
 
 def _budget_pairs():
@@ -224,22 +259,66 @@ def test_isometry_cells_of_the_twin():
     assert not are_isometric(twin, other)
 
 
-def test_witness_is_lexicographic_minimum_over_optima():
-    from ghkit.correspondences import enumerate_pair_sets
-
+def _lex_min_pairs():
+    """Seeded pairs of 1-3 points; hedgehogs, most with repeated needles,
+    against each other and against a scaled copy; scaled copies of seeded
+    spaces.  Every n*m is within the enumeration oracle's 20-cell guard."""
     rng = rng_from_seed(99)
+    pairs = []
     for _ in range(40):
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         x = random_metric_space(rng, n, label_prefix="x")
-        y = random_metric_space(rng, m, label_prefix="y")
+        pairs.append((x, random_metric_space(rng, m, label_prefix="y")))
+    hogs = [
+        compile_hedgehog(HedgehogSpec.of(*needles))
+        for needles in (
+            (1, 1),
+            (1, 2),
+            (1, 1, 2),
+            (1, 2, 2),
+            (F(1, 2), 1, 2),
+            (1, 1, 2, 2),
+            (F(1, 2), F(1, 2), 3, 3),
+        )
+    ]
+    for a in hogs:
+        pairs += [(a, b) for b in hogs if len(a) * len(b) <= 20]
+        if len(a) <= 4:
+            pairs.append((a, scale(a, F(3, 2))))
+    for n in (2, 3, 4):
+        x = random_metric_space(rng, n, label_prefix="x")
+        pairs += [(x, scale(x, F(3, 2))), (scale(x, F(1, 3)), x)]
+    return pairs
+
+
+def _optimal_pair_sets(x, y, value):
+    """Reference: every correspondence of distortion `value` or less, as
+    sorted pair tuples, on the enumeration oracle's bitsets (bit s stands for
+    the cell set s): the covering sets holding no two cells of larger gap."""
+    from ghkit.correspondences import _set_bits, decode_cells, scaled_integer_matrices
+
+    n, m = len(x), len(y)
+    within, has = _set_bits(n, m)
+    denom, dx, dy = scaled_integer_matrices(x, y)
+    cells = [divmod(c, m) for c in range(n * m)]
+    for c, (i, j) in enumerate(cells):
+        for d, (k, l) in enumerate(cells):
+            if abs(dx[i][k] - dy[j][l]) > value * denom:
+                within &= ~(has[c] & has[d])
+    optima = []
+    while within:
+        low = within & -within
+        optima.append(tuple(sorted(decode_cells(low.bit_length() - 1, m))))
+        within ^= low
+    return optima
+
+
+def test_witness_is_lexicographic_minimum_over_optima():
+    for x, y in _lex_min_pairs():
+        value, _ = min_distortion_by_enumeration(x, y)
         result = gh_exact(x, y)
-        target = 2 * result.value
-        optima = [
-            tuple(sorted(pairs))
-            for pairs in enumerate_pair_sets(n, m)
-            if distortion(Correspondence(x, y, pairs)) == target
-        ]
-        assert result.witness.sorted_pairs() == min(optima)
+        assert 2 * result.value == value
+        assert result.witness.sorted_pairs() == min(_optimal_pair_sets(x, y, value))
 
 
 def test_nodes_explored_deterministic(gap_pair):
