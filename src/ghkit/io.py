@@ -8,6 +8,8 @@ in every format.
 
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from .correspondences import Correspondence
 from .dynamics import ThreadChain
 from .gluing import GluedSpace, GluingTree
 from .hedgehogs import HedgehogSpec
-from .spaces import PSEUDO, STRICT, FiniteMetricSpace, check_points, validate
+from .spaces import PSEUDO, STRICT, FiniteMetricSpace, check_points, validate_grid
 
 
 class ParseError(ValueError):
@@ -23,14 +25,22 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_fraction(token: str) -> Fraction:
-    try:
-        if "/" in token:
-            num, den = token.split("/", 1)
+    """A `p/q` or bare-integer token: ASCII digits, a sign only before p.
+
+    Anything else (underscores, non-ASCII digits, a signed q, a zero q) is a
+    `ValueError` naming the token.
+    """
+    if _RATIONAL.fullmatch(token):
+        num, _, den = token.partition("/")
+        if not den:
+            return Fraction(int(num))
+        if int(den):
             return Fraction(int(num), int(den))
-        return Fraction(int(token))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {token!r}") from exc
+    raise ValueError(f"bad rational {token!r}")
 
 
 def format_fraction(value: Fraction) -> str:
@@ -61,6 +71,12 @@ def dump_space(space: FiniteMetricSpace) -> str:
 
 
 def parse_space(text: str, source: str | Path = "<string>") -> FiniteMetricSpace:
+    """The space of a .msp text; errors name `source` and the line.
+
+    Each distinct token is parsed once, and the grid and the `Fraction` view
+    are built from that table; `validate_grid` then makes `validate`'s
+    checks, with its errors.
+    """
     lines = _content_lines(text)
     if not lines:
         raise ParseError(source, 1, "empty space file")
@@ -86,7 +102,7 @@ def parse_space(text: str, source: str | Path = "<string>") -> FiniteMetricSpace
     labels = tuple(label_line.split())
     if len(labels) != n:
         raise ParseError(source, label_lineno, f"expected {n} labels")
-    matrix = []
+    rows = []
     values: dict[str, Fraction] = {}  # each distinct token parsed once
     for lineno, row_line in lines[2:]:
         tokens = row_line.split()
@@ -98,8 +114,17 @@ def parse_space(text: str, source: str | Path = "<string>") -> FiniteMetricSpace
                     values[tok] = parse_fraction(tok)
         except ValueError as exc:
             raise ParseError(source, lineno, str(exc)) from None
-        matrix.append(list(map(values.__getitem__, tokens)))
-    return validate(matrix, mode=mode, labels=labels)
+        rows.append(tokens)
+    # the grid straight from the token table: L is the lcm of the reduced
+    # denominators, so it is canonical, and each token is scaled once
+    denom = math.lcm(*{value.denominator for value in values.values()})
+    ints = {
+        tok: value.numerator * (denom // value.denominator)
+        for tok, value in values.items()
+    }
+    grid = tuple([tuple([ints[tok] for tok in tokens]) for tokens in rows])
+    dist = tuple([tuple([values[tok] for tok in tokens]) for tokens in rows])
+    return validate_grid(labels, (denom, grid), dist, mode)
 
 
 def load_space(path: str | Path) -> FiniteMetricSpace:

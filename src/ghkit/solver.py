@@ -7,7 +7,10 @@ the candidate levels come from the two value sets.  One decision procedure,
 contains these chosen cells and otherwise uses only these allowed cells?"
 on Python-int bitsets over the n*m cells (i, j).  The mask of the cells
 compatible with a cell at t is built the first time the search reads it, by
-bisecting the sorted rows of Y.
+comparing all n*m gaps at once on rows packed into w-bit fields, one field
+per cell, with w the smallest multiple of 8 above bitlen(2*top + 1) for top
+the largest distance on the shared grid: exact for 0 <= t <= top, the only
+levels asked, and O(n*m*w) per mask (see `_Compat`).
 `gh_exact` asks it first at the diameter-gap lower bound, a gap itself and
 so the lowest level a correspondence can reach (tight on scaled copies).
 The highest, max(diam X, diam Y), is the full correspondence's distortion,
@@ -22,16 +25,16 @@ cell of that correspondence joins it with no search.  Exact GH is NP-hard,
 so two fixed guards bound the work: no side above SIDE_BOUND points (each
 node scans all n + m lines, and the gap set has up to Vx * Vy values), and
 no more than NODE_BUDGET branches over all probes and the witness scan.
-Isometry questions are the same search at t = 0, under the same guards.
+Isometry questions are the same search at t = 0, under the same guards, on
+small labels in place of the values, since at t = 0 only equality counts.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence
 
 from .correspondences import (
     Correspondence,
@@ -90,14 +93,13 @@ def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
     lines = line_masks(n, m)
     everything = (1 << nm) - 1
     tally = [0]
-    rows = [_sorted_row(row) for row in dy]
     # the full relation's distortion is the top level, so it is never
     # probed; `found` is the last feasible probe's correspondence, `compat`
     # the masks it was found with, and `best` its distortion
     best = max(diam_x, diam_y)
-    found, compat = everything, _Compat(dx, rows, best)
+    found, compat = everything, _Compat(dx, dy, best)
     if lb_int < best:
-        trial = _Compat(dx, rows, lb_int)  # the smallest level: a gap itself
+        trial = compat.at(lb_int)  # the smallest level: a gap itself
         extension = _extend(trial, lines, 0, everything, tally)
         if extension:
             best, found, compat = lb_int, extension, trial
@@ -106,7 +108,7 @@ def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
             lo, hi = 0, len(levels) - 1  # levels[hi] == best
             while lo < hi:
                 probe = (lo + hi) // 2
-                trial = _Compat(dx, rows, levels[probe])
+                trial = compat.at(levels[probe])
                 extension = _extend(trial, lines, 0, everything, tally)
                 if extension:
                     best = max_gap(decode_cells(extension, m), dx, dy)
@@ -115,7 +117,7 @@ def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
                 else:
                     lo = probe + 1
     if compat.t != best:  # the last correspondence sits below its probe
-        compat = _Compat(dx, rows, best)
+        compat = compat.at(best)
     witness_pairs = _lex_min_cells(compat, found, nm, lines, m, tally)
     return GHResult(
         value=Fraction(best, 2 * denom),
@@ -142,42 +144,81 @@ def _levels(dx: IntRows, dy: IntRows, bound: int) -> list[int]:
     return sorted(gap for gap in gaps if gap >= bound)
 
 
-def _sorted_row(row: Sequence[int]) -> tuple[list[int], list[int]]:
-    """A Y row's values in ascending order, and prefix[p], the mask of the
-    positions of its first p values, so the positions with values in
-    [lo, hi] are prefix[bisect_right(hi)] ^ prefix[bisect_left(lo)]."""
-    order = sorted(range(len(row)), key=row.__getitem__)
-    prefix = [0]
-    for l in order:
-        prefix.append(prefix[-1] | 1 << l)
-    return [row[l] for l in order], prefix
+class _Spread(dict):
+    """spread[i] is row i packed into `width`-byte fields, little-endian:
+    each value fills `inner` fields in a row, and that run of fields is
+    repeated `outer` times.  Built on first read."""
+
+    __slots__ = ("rows", "width", "inner", "outer")
+
+    def __init__(self, rows: IntRows, width: int, inner: int, outer: int) -> None:
+        self.rows, self.width, self.inner, self.outer = rows, width, inner, outer
+
+    def __missing__(self, i: int) -> int:
+        width, inner = self.width, self.inner
+        run = b"".join([v.to_bytes(width, "little") * inner for v in self.rows[i]])
+        packed = int.from_bytes(run * self.outer, "little")
+        self[i] = packed
+        return packed
+
+
+_FITS = b"1" * 128 + b"0" * 128  # a field's top byte -> 1 if its top bit is clear
 
 
 class _Compat(dict):
     """compat[c] is the mask of the cells whose gap with cell c is <= t.
 
-    Cell c = (i, j) admits (k, l) when |dx[i][k] - dy[j][l]| <= t, so its
-    mask is, for each k, the positions of Y row j's values within t of
-    dx[i][k], shifted to row k: two bisections of the sorted row per k.
-    Built on first read, so cells the search never reaches cost nothing.
-    Never empty: a cell's gap with itself is 0."""
+    Cell c = (i, j) admits (k, l) when |dx[i][k] - dy[j][l]| <= t.  The n*m
+    comparisons of one cell are made at once on rows packed into one w-bit
+    field per cell, in the order of the cell bits: field k*m + l of A_i
+    (`xs[i]`) holds dx[i][k], that of B_j (`ys[j]`) holds dy[j][l], and that
+    of K_t holds 2^(w-1) - t - 1.  Field by field, A_i + K_t - B_j holds
+    2^(w-1) + (a - b - t - 1), whose top bit is set exactly when a - b > t,
+    so the top bit of a field of (A_i + K_t - B_j) | (B_j + K_t - A_i) is
+    clear exactly for a compatible cell; the sums are taken as
+    K_t +- (A_i - B_j), the same integers.  Each field's top byte, read off
+    the big-endian bytes, becomes one binary digit of the mask.
 
-    __slots__ = ("dx", "rows", "t")
+    Field width: w is the smallest multiple of 8 with w - 1 >= bitlen(2*top
+    + 1), top the largest entry of dx and dy.  For 0 <= t <= top every field
+    then stays within 0 .. 2^w - 1, so no carry or borrow crosses a field
+    and the mask is exact; no other level is ever asked.  One mask costs a
+    few big-int operations over n*m*w bits, O(n*m*w) time.  The packed rows
+    are shared by the masks at every level of one pair (`at`) and, like the
+    masks, built on first read, so rows and cells the search never reaches
+    cost nothing.  Never empty: a cell's gap with itself is 0.
+    """
 
-    def __init__(
-        self, dx: IntRows, rows: list[tuple[list[int], list[int]]], t: int
-    ) -> None:
-        self.dx, self.rows, self.t = dx, rows, t
+    __slots__ = ("xs", "ys", "m", "width", "nbytes", "ones", "t", "offset")
+
+    def __init__(self, dx: IntRows, dy: IntRows, top: int) -> None:
+        """The masks at level `top`, the largest entry of dx and dy, which
+        the caller knows already; it sets the field width."""
+        n, m = len(dx), len(dy)
+        width = ((2 * top + 1).bit_length() + 8) // 8  # w / 8, bytes a field
+        # field k*m + l holds dx[i][k] in xs[i] and dy[j][l] in ys[j]
+        self.xs, self.ys = _Spread(dx, width, m, 1), _Spread(dy, width, 1, n)
+        self.m, self.width, self.nbytes = m, width, n * m * width
+        self.ones = int.from_bytes((1).to_bytes(width, "little") * (n * m), "little")
+        self._level(top)
+
+    def at(self, t: int) -> _Compat:
+        """The masks at level t, on the same packed rows."""
+        compat = _Compat.__new__(_Compat)
+        compat.xs, compat.ys, compat.m = self.xs, self.ys, self.m
+        compat.width, compat.nbytes, compat.ones = self.width, self.nbytes, self.ones
+        compat._level(t)
+        return compat
+
+    def _level(self, t: int) -> None:
+        self.t, self.offset = t, ((1 << 8 * self.width - 1) - t - 1) * self.ones  # K_t
 
     def __missing__(self, cell: int) -> int:
-        m, t = len(self.rows), self.t
-        i, j = divmod(cell, m)
-        values, prefix = self.rows[j]
-        mask = shift = 0
-        for v in self.dx[i]:  # a plain loop beats map chains on short rows
-            low, high = bisect_left(values, v - t), bisect_right(values, v + t)
-            mask |= (prefix[high] ^ prefix[low]) << shift
-            shift += m
+        i, j = divmod(cell, self.m)
+        gaps, offset = self.xs[i] - self.ys[j], self.offset  # A_i - B_j
+        fields = (offset + gaps) | (offset - gaps)
+        tops = fields.to_bytes(self.nbytes, "big")[:: self.width]
+        mask = int(tops.translate(_FITS), 2)
         self[cell] = mask
         return mask
 
@@ -265,8 +306,8 @@ def are_isometric(x: FiniteMetricSpace, y: FiniteMetricSpace) -> bool:
 
     On strict spaces a distortion-0 correspondence is such a bijection: two
     partners j, j' of one point i have d(j, j') <= d(i, i) + 0 = 0.  So this
-    is one `_extend` search at t = 0, after the size and diameter checks
-    that settle most pairs.  Refuses pseudo spaces (`ValueError`), and
+    is one `_extend` search at t = 0, after the size, denominator and
+    diameter checks that settle most pairs.  Refuses pseudo spaces (`ValueError`), and
     raises `TooLarge` as `gh_exact` does: before building anything when a
     side has more than SIDE_BOUND points, and once the search passes
     NODE_BUDGET branches.
@@ -305,10 +346,18 @@ def _isometry_search(
         raise ValueError("isometry search requires strict spaces")
     n = len(x)
     _check_sides(n, len(y))
-    if n != len(y) or diameter(x) != diameter(y):
+    (denom, dx), (denom_y, dy) = x.grid, y.grid
+    # an isometry keeps every distance, so the sizes, the canonical
+    # denominators and the diameters agree
+    if n != len(y) or denom != denom_y or max(map(max, dx)) != max(map(max, dy)):
         return None
-    _, dx, dy = scaled_integer_matrices(x, y)
-    compat = _Compat(dx, [_sorted_row(row) for row in dy], 0)
+    # at t = 0 only equal values match, so any one-to-one relabelling of the
+    # values serves; labels 0..V-1 keep the mask fields a byte or two wide
+    # however wide the values are
+    values = set(chain.from_iterable(dx)).union(chain.from_iterable(dy))
+    label = dict(zip(values, range(len(values)))).__getitem__
+    dx, dy = ([list(map(label, row)) for row in rows] for rows in (dx, dy))
+    compat = _Compat(dx, dy, len(values) - 1).at(0)
     lines, tally = line_masks(n, n), [0]
     found = _extend(compat, lines, 0, (1 << n * n) - 1, tally)
     return (found, compat, lines, tally) if found else None

@@ -101,8 +101,9 @@ class FiniteMetricSpace:
     the relation of equal `Fraction` matrices, since the grid is canonical.
     `dist` is the `Fraction` view, not a field: the constructor's matrix as
     tuples of `Fraction`s, or built from the grid on first read.  Construct
-    through :func:`validate` (axioms checked), :func:`from_grid` or one of
-    the derived constructors elsewhere in the package (valid by construction).
+    through :func:`validate` or :func:`validate_grid` (axioms checked),
+    :func:`from_grid` or one of the derived constructors elsewhere in the
+    package (valid by construction).
     """
 
     labels: tuple[str, ...]
@@ -180,7 +181,29 @@ def validate(
     if labels is None:
         labels = [str(i) for i in range(len(matrix))]
     space = FiniteMetricSpace(tuple(labels), matrix, mode)
-    _, g = space.grid
+    _check_axioms(space.grid[1], mode)
+    return space
+
+
+def validate_grid(
+    labels: tuple[str, ...],
+    grid: Grid,
+    dist: tuple[tuple[Fraction, ...], ...],
+    mode: str = STRICT,
+) -> FiniteMetricSpace:
+    """:func:`validate` for a caller that holds the canonical grid and the
+    `Fraction` view already (the space file reader builds both from its
+    distinct tokens): the same shape and axiom checks, with the same errors,
+    and no conversion of the entries."""
+    _check_shape(labels, grid[1], mode)
+    _check_axioms(grid[1], mode)
+    space = object.__new__(FiniteMetricSpace)
+    space.__dict__.update(labels=labels, mode=mode, grid=grid, dist=dist)
+    return space
+
+
+def _check_axioms(g: tuple[tuple[int, ...], ...], mode: str) -> None:
+    """`MetricValidationError` listing every violated axiom of the grid rows."""
     n = len(g)
     cols = tuple(zip(*g))
     violations: list = []
@@ -212,7 +235,6 @@ def validate(
                     violations.append(TriangleViolation(i, j, k))
     if violations:
         raise MetricValidationError(violations)
-    return space
 
 
 def diameter(space: FiniteMetricSpace) -> Fraction:

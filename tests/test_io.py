@@ -14,13 +14,130 @@ from ghkit.spaces import PSEUDO, FiniteMetricSpace, from_grid, validate
 
 
 def test_fraction_round_trip():
-    for token, value in (("3/4", F(3, 4)), ("5", F(5)), ("0", F(0))):
+    for token, value in (
+        ("3/4", F(3, 4)),
+        ("5", F(5)),
+        ("0", F(0)),
+        ("-0", F(0)),
+        ("+3/4", F(3, 4)),
+        ("-6/4", F(-3, 2)),
+        ("007/008", F(7, 8)),
+    ):
         assert io.parse_fraction(token) == value
         assert io.parse_fraction(io.format_fraction(value)) == value
-    with pytest.raises(ValueError):
-        io.parse_fraction("1.5.2")
-    with pytest.raises(ValueError):
-        io.parse_fraction("1/0")
+    # only ASCII [+-]?[0-9]+(/[0-9]+)? is read; a zero denominator is refused
+    refused = "1.5.2 1/0 1/00 1_0 1/2_0 \u0661\u0662 \uff11 4/-2 3/+4 +-1 1/ /2 + 1.5 1e3"
+    for token in refused.split() + ["", " 1", "1 ", "0x10"]:
+        with pytest.raises(ValueError, match=re.escape(f"bad rational {token!r}")):
+            io.parse_fraction(token)
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661\u0662", "4/-2", "3/+4"])
+def test_space_file_token_outside_the_grammar_is_refused(tmp_path, capsys, token):
+    path = tmp_path / "s.msp"
+    path.write_text(f"points 2 strict\na b\n0 {token}\n{token} 0\n")
+    message = f"s.msp:3: bad rational {token!r}"
+    with pytest.raises(io.ParseError, match=re.escape(message)):
+        io.load_space(path)
+    assert main(["validate", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        from_grid(("a", "b", "c"), 12, ((0, 6, 4), (6, 0, 9), (4, 9, 0))),
+        from_grid(("a", "b", "c"), 1, ((0, 3, 4), (3, 0, 5), (4, 5, 0))),
+        from_grid(
+            tuple(f"p{i}" for i in range(9)),
+            60,
+            random_metric_space(rng_from_seed(3), 9).grid[1],
+        ),
+        from_grid(("a", "b", "c"), 4, ((0, 0, 3), (0, 0, 3), (3, 3, 0)), PSEUDO),
+        from_grid(("pt",), 5, ((0,),)),
+    ],
+    ids=["mixed-denominators", "integers", "sixtieths", "pseudo", "one-point"],
+)
+def test_parsed_space_equals_the_validated_matrix(space):
+    parsed = io.parse_space(io.dump_space(space))
+    reference = validate(space.dist, space.mode, space.labels)
+    assert parsed.labels == reference.labels
+    assert parsed.mode == reference.mode
+    assert parsed.grid == reference.grid
+    assert parsed.dist == reference.dist
+    assert all(type(row) is tuple for row in parsed.grid[1] + parsed.dist)
+    assert parsed == reference == space
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "s.msp:1: empty space file"),
+        ("points 2\na b\n0 1\n1 0\n", "s.msp:1: expected header: points <n> <mode>"),
+        ("points two strict\n", "s.msp:1: bad point count 'two'"),
+        ("points 2 fuzzy\na b\n0 1\n1 0\n", "s.msp:1: unknown mode 'fuzzy'"),
+        ("points 2 strict\na b\n0 1\n", "s.msp:1: expected 4 content lines, found 3"),
+        ("points 2 strict\na\n0 1\n1 0\n", "s.msp:2: expected 2 labels"),
+        ("points 2 strict\na b\n0 1 1\n1 0\n", "s.msp:3: expected 2 entries"),
+        # rows are read in order: a short row after a bad token, and a bad
+        # token after a short row, each report the earlier line
+        ("points 3 strict\na b c\n0 1 x\n1 0\ny 1 0\n", "s.msp:3: bad rational 'x'"),
+        ("points 3 strict\na b c\n0 1 1\n1 0\nx 1 0\n", "s.msp:4: expected 3 entries"),
+        ("points 3 strict\na b c\n0 x y\nx 0 1\ny 1 0\n", "s.msp:3: bad rational 'x'"),
+        ("points 2 strict\na a\n0 x\nx 0\n", "s.msp:3: bad rational 'x'"),
+    ],
+)
+def test_space_parse_error_messages(text, message):
+    with pytest.raises(io.ParseError) as caught:
+        io.parse_space(text, "s.msp")
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "text", ["points 2 strict\na a\n0 1\n1 0\n", "points 2 strict\na a\n1 -1\n2 0\n"]
+)
+def test_repeated_labels_are_refused_before_the_axioms(text):
+    with pytest.raises(ValueError) as caught:
+        io.parse_space(text)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "labels must be distinct"
+
+
+@pytest.mark.parametrize(
+    "mode, rows, message",
+    [
+        (
+            "strict",
+            ["1 -1 5", "2 0 1", "5 1 0"],
+            "dist[0][0] != 0; dist[0][1] < 0; dist[0][1] != dist[1][0]; "
+            "dist[0][2] > dist[0][1] + dist[1][2]",
+        ),
+        (
+            "strict",
+            ["0 0 5", "0 0 1", "5 1 0"],
+            "dist[0][1] = 0 for distinct points (strict mode); "
+            "dist[0][2] > dist[0][1] + dist[1][2]",
+        ),
+        ("pseudo", ["0 0 5", "0 0 1", "5 1 0"], "dist[0][2] > dist[0][1] + dist[1][2]"),
+        (
+            "strict",
+            ["0 1/2 3 1", "1/2 0 1/3 1", "3 1/3 0 7/2", "1 1 7/2 0"],
+            "dist[0][2] > dist[0][1] + dist[1][2]; "
+            "dist[2][3] > dist[2][1] + dist[1][3]",
+        ),
+    ],
+)
+def test_space_file_violations_match_validate(mode, rows, message):
+    n = len(rows)
+    labels = " ".join(f"p{i}" for i in range(n))
+    text = f"points {n} {mode}\n{labels}\n" + "\n".join(rows) + "\n"
+    with pytest.raises(MetricValidationError) as parsed:
+        io.parse_space(text)
+    matrix = [[io.parse_fraction(tok) for tok in row.split()] for row in rows]
+    with pytest.raises(MetricValidationError) as reference:
+        validate(matrix, mode)
+    assert str(parsed.value) == str(reference.value) == message
+    assert parsed.value.violations == reference.value.violations
 
 
 def test_space_round_trip(tmp_path):

@@ -26,6 +26,7 @@ from ghkit.spaces import (
     STRICT,
     FiniteMetricSpace,
     diameter,
+    from_grid,
     one_point_space,
     scale,
     validate,
@@ -338,7 +339,7 @@ def test_lex_min_witness_below_the_optimum_raises_typed_error():
     from ghkit.solver import _Compat, _extend, _lex_min_cells
 
     dx, dy = ((0, 1), (1, 0)), ((0, 3), (3, 0))
-    compat, lines = _Compat(dx, _sorted_rows(dy), 1), line_masks(2, 2)
+    compat, lines = _Compat(dx, dy, 3).at(1), line_masks(2, 2)
     found = _extend(compat, lines, 0, 15, [0])
     assert found == 0
     with pytest.raises(InvariantBroken):
@@ -346,7 +347,9 @@ def test_lex_min_witness_below_the_optimum_raises_typed_error():
 
 
 def _mask_pairs():
-    """Seeded pairs from 1x1 to 12x12, square and not, random and scaled."""
+    """Seeded pairs from 1x1 to 12x12, square and not, random and scaled;
+    and grid pairs whose values need 1-, 2-, 3- and 9-byte fields, values
+    above 2^64, and tops at each side of a byte boundary of 2*top + 1."""
     rng = rng_from_seed(41)
     pairs = []
     for n, m in ((1, 1), (1, 4), (3, 2), (5, 5), (6, 9), (8, 8), (11, 7), (12, 12)):
@@ -355,7 +358,37 @@ def _mask_pairs():
         pairs.append(pytest.param(x, y, id=f"{n}x{m}"))
     x = random_metric_space(rng, 10, label_prefix="x")
     pairs.append(pytest.param(x, scale(x, F(3, 2)), id="10x10-scaled"))
+    tops = [40, 63, 64, 127, 128, 5000, 3_000_000, 2**64 + 1, 2**70 + 3]
+    names = [*map(str, tops[:-2]), "2^64+1", "2^70+3"]
+    for top, name in zip(tops, names):
+        # one pool for both sides, so the two share values
+        low = (top + 1) // 2
+        pool = [top, top - 1, low, low + 1]
+        pool += [rng.randrange(low, top) for _ in range(3)]
+        x, y = _pool_space(rng, 4, pool, "x"), _pool_space(rng, 5, pool, "y")
+        pairs.append(pytest.param(x, y, id=f"top-{name}"))
     return pairs
+
+
+def _pool_space(rng, n, pool, prefix):
+    """n points on denominator 1, distances drawn from `pool`, with pool[0]
+    between points 0 and 1; all lie in [top/2, top], so every triangle
+    holds."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.choice(pool)
+    rows[0][1] = rows[1][0] = pool[0]
+    labels = tuple(f"{prefix}{i}" for i in range(n))
+    return from_grid(labels, 1, tuple(map(tuple, rows)))
+
+
+def _mask_levels(dx, dy, gaps):
+    """Every gap, and one below each, ascending: 0 and top = max(dx, dy)
+    are among them."""
+    levels = sorted({t for gap in set(gaps) for t in (gap - 1, gap) if t >= 0})
+    assert levels[0] == 0 and levels[-1] == max(max(map(max, dx)), max(map(max, dy)))
+    return levels
 
 
 def _gap_table(x, y):
@@ -366,12 +399,6 @@ def _gap_table(x, y):
     denom, dx, dy = scaled_integer_matrices(x, y)
     gaps = [abs(a - b) for rx in dx for ry in dy for a in rx for b in ry]
     return denom, dx, dy, gaps
-
-
-def _sorted_rows(dy):
-    from ghkit.solver import _sorted_row
-
-    return [_sorted_row(row) for row in dy]
 
 
 def _eager_compat(gaps, nm, t):
@@ -415,13 +442,20 @@ def test_lazy_masks_equal_an_eager_reference_at_every_level(x, y):
 
     nm = len(x) * len(y)
     _, dx, dy, gaps = _gap_table(x, y)
-    rows = _sorted_rows(dy)
-    for t in sorted(set(gaps)):
-        lazy, eager = _Compat(dx, rows, t), _eager_compat(gaps, nm, t)
+    levels = _mask_levels(dx, dy, gaps)
+    packed = _Compat(dx, dy, levels[-1])
+    assert [packed[c] for c in range(nm)] == _eager_compat(gaps, nm, levels[-1])
+    for t in levels:
+        lazy, eager = packed.at(t), _eager_compat(gaps, nm, t)
         assert len(lazy) == 0
         assert lazy[nm - 1] == eager[nm - 1]
         assert len(lazy) == 1  # reading one cell builds that cell's mask only
         assert [lazy[c] for c in range(nm)] == eager
+        fresh = _Compat(dx, dy, levels[-1]).at(t)
+        assert fresh[0] == eager[0]
+        # ... and packs only that cell's two rows
+        assert list(fresh.xs) == list(fresh.ys) == [0]
+        assert [fresh[c] for c in range(nm)] == eager
 
 
 @pytest.mark.parametrize("x, y", _mask_pairs())
@@ -434,9 +468,10 @@ def test_search_and_witness_scan_agree_with_eager_masks(x, y):
     nm = n * m
     lines, everything = line_masks(n, m), (1 << nm) - 1
     denom, dx, dy, gaps = _gap_table(x, y)
-    rows, feasible = _sorted_rows(dy), []
+    top = max(max(map(max, dx)), max(map(max, dy)))
+    packed, feasible = _Compat(dx, dy, top), []
     for t in sorted(set(gaps)):
-        lazy, eager = _Compat(dx, rows, t), _eager_compat(gaps, nm, t)
+        lazy, eager = packed.at(t), _eager_compat(gaps, nm, t)
         lazy_tally, eager_tally = [0], [0]
         found = _extend(lazy, lines, 0, everything, lazy_tally)
         assert found == _extend(eager, lines, 0, everything, eager_tally)
@@ -454,10 +489,10 @@ def test_search_and_witness_scan_agree_with_eager_masks(x, y):
         assert witness == decode_cells(_scan_from_scratch(eager, nm, lines), m)
     # the top level is never probed: the full relation stands in for its
     # correspondence and must give the same witness
-    top = _Compat(dx, rows, feasible[-1])
-    found = _extend(top, lines, 0, everything, [0])
-    assert _lex_min_cells(top, everything, nm, lines, m, [0]) == _lex_min_cells(
-        top, found, nm, lines, m, [0]
+    last = packed.at(feasible[-1])
+    found = _extend(last, lines, 0, everything, [0])
+    assert _lex_min_cells(last, everything, nm, lines, m, [0]) == _lex_min_cells(
+        last, found, nm, lines, m, [0]
     )
     assert gh_exact(x, y).value == F(feasible[0], 2 * denom)
 
@@ -570,7 +605,8 @@ def _brute_isometry_cells(x, y):
 
 def _small_isometry_pairs():
     """Up to 6 points: seeded pairs, relabelled copies, and hedgehogs with
-    repeated needles against relabelled copies of themselves."""
+    repeated needles against relabelled copies of themselves, some of them
+    with values over 4,000 bits wide."""
     rng = rng_from_seed(8080)
     pairs = []
     for n in range(1, 7):
@@ -591,6 +627,14 @@ def _small_isometry_pairs():
             compile_hedgehog(HedgehogSpec.of(1, 2, 2)),
         )
     )
+    # 4,100-bit values; the two triangles order their sides alike but
+    # differ in one length, so only ranks taken over both sides tell them apart
+    wide = F(2**4096 + 1, 2**4096 - 1)
+    hog = scale(compile_hedgehog(HedgehogSpec.of(1, 1, 2, 3)), wide)
+    pairs.append((hog, _relabelled(hog, rng.sample(range(5), 5))))
+    short = validate([[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+    longer = validate([[0, F(3, 2), 2], [F(3, 2), 0, 2], [2, 2, 0]])
+    pairs.append((scale(short, wide), scale(longer, wide)))
     return pairs
 
 
