@@ -25,7 +25,18 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_INTEGER = r"[+-]?[0-9]+"  # ASCII digits only: no underscores, no other scripts
+_INTEGER_TOKEN = re.compile(_INTEGER)
+_RATIONAL = re.compile(rf"{_INTEGER}(?:/[0-9]+)?")
+
+
+def parse_integer(token: str) -> int:
+    """A `[+-]?[0-9]+` token, the grammar of a rational's p; anything else
+    `int()` would take (`1_0`, non-ASCII digits, spaces) is a `ValueError`
+    naming the token."""
+    if _INTEGER_TOKEN.fullmatch(token):
+        return int(token)
+    raise ValueError(f"bad integer {token!r}")
 
 
 def parse_fraction(token: str) -> Fraction:
@@ -85,7 +96,7 @@ def parse_space(text: str, source: str | Path = "<string>") -> FiniteMetricSpace
     if len(parts) != 3 or parts[0] != "points":
         raise ParseError(source, lineno, "expected header: points <n> <mode>")
     try:
-        n = int(parts[1])
+        n = parse_integer(parts[1])
     except ValueError:
         raise ParseError(source, lineno, f"bad point count {parts[1]!r}") from None
     if n < 1:
@@ -151,7 +162,7 @@ def parse_correspondence(
         if len(tokens) != 2:
             raise ParseError(source, lineno, "expected: <left index> <right index>")
         try:
-            pairs.add((int(tokens[0]), int(tokens[1])))
+            pairs.add((parse_integer(tokens[0]), parse_integer(tokens[1])))
         except ValueError:
             raise ParseError(source, lineno, "indices must be integers") from None
     try:
@@ -187,7 +198,7 @@ def parse_hedgehog(text: str, source: str | Path = "<string>") -> HedgehogSpec:
             raise ParseError(source, lineno, "expected: <length> [multiplicity]")
         try:
             length = parse_fraction(tokens[0])
-            mult = int(tokens[1]) if len(tokens) == 2 else 1
+            mult = parse_integer(tokens[1]) if len(tokens) == 2 else 1
         except ValueError as exc:
             raise ParseError(source, lineno, str(exc)) from None
         pairs.append((length, mult))
@@ -240,7 +251,7 @@ def load_gluing_tree(path: str | Path) -> GluingTree:
 
 def _vertex_ids(path: Path, lineno: int, tokens: list[str]) -> list[int]:
     try:
-        return [int(token) for token in tokens]
+        return [parse_integer(token) for token in tokens]
     except ValueError:
         raise ParseError(
             path, lineno, f"vertex ids must be integers, got {' '.join(tokens)}"

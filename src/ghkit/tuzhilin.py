@@ -12,16 +12,21 @@ against the first space, witnessed by the pair (m, 1) vs (m, 1 + 1/m).
 
 Points are built as ints (needle, k): k >= 1 stands for 1 + 1/k, k = 0 for
 the limit 1, and a space whose largest k is t lies on D = lcm(1..t) as
-D + D // k (D for the limit).  The needle shift builds one space, the
-ambient; the second space is never built as a space, only its rows on the
-ambient's D, checked row by row against the ambient's.
+D + D // k (D for the limit).  A config builds both spaces' points, labels
+and rows once, on the common D = lcm(1..max(n + 1, k)), on its first shift,
+and keeps them.  Each shift then builds only the long needle's block: the
+ambient is the first space plus the long needle's points the first space
+lacks, spliced into the first space's cached rows; the second space's
+cached rows are checked row by row against the ambient's at their images.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -34,6 +39,7 @@ GRID_BITS_CAP = 4 * 10**8  # points² × bits of the denominator, per space
 Harmonic = tuple[str, int]  # (needle id, k): coordinate 1 + 1/k, or 1 for k = 0
 Placed = tuple[str, int, int]  # (needle id, coordinate * D, k)
 Rows = tuple[tuple[int, ...], ...]
+Side = tuple[tuple[Placed, ...], tuple[str, ...], Rows]  # points, labels, rows
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,18 @@ class TuzhilinConfig:
         in the second."""
         return (self.n + 1) ** 2 + self.k + 1
 
+    @cached_property
+    def _sides(self) -> tuple[int, Side, Side]:
+        """D = lcm(1..max(n + 1, k)) and each space on it, as
+        `_harmonic_grid` gives it: what every shift shares, built on the
+        first shift, not on construction, and kept for the config's life."""
+        denom = math.lcm(*range(1, max(self.n + 1, self.k) + 1))  # k of either
+        return (
+            denom,
+            _harmonic_grid(_x_points(self), denom),
+            _harmonic_grid(_y_points(self), denom),
+        )
+
 
 def _check_size(what: str, points: int, top: int) -> None:
     """`TooLarge` when the points are over the point cap, or else when
@@ -67,43 +85,54 @@ def _check_size(what: str, points: int, top: int) -> None:
         )
 
 
-def _rows(placed: Sequence[tuple]) -> Rows:
-    """Needle rows on distinct points sorted by (needle, coordinate), each
-    given as a tuple starting (needle, coordinate * denom)."""
+def _block(points: Sequence[tuple], placed: Sequence[tuple]) -> Rows:
+    """The rows of `points` over the columns `placed`, distinct points sorted
+    by (needle, coordinate) so that each needle is one span; every point is
+    a tuple starting (needle, coordinate * denom)."""
     coords = [p[1] for p in placed]
     span: dict[str, list[int]] = {}  # needle -> [first, last + 1] position
     for g, p in enumerate(placed):
         span.setdefault(p[0], [g, g])[1] = g + 1
     rows = []
-    for p in placed:
+    for p in points:
         a = p[1]
         row = [a + b for b in coords]  # through the center
-        first, end = span[p[0]]
-        row[first:end] = [abs(a - b) for b in coords[first:end]]
+        if p[0] in span:
+            first, end = span[p[0]]
+            row[first:end] = [abs(a - b) for b in coords[first:end]]
         rows.append(tuple(row))
     return tuple(rows)
 
 
-def _harmonic_grid(
-    points: Iterable[Harmonic], denom: int
-) -> tuple[list[Placed], tuple[str, ...], Rows]:
+def _rows(placed: Sequence[tuple]) -> Rows:
+    """The full rows of a space's placed points."""
+    return _block(placed, placed)
+
+
+def _labels(placed: Sequence[Placed]) -> tuple[str, ...]:
+    # the labels str(Fraction) gives: 1 + 1/k is (k + 1)/k in lowest terms
+    names = {0: "1", 1: "2"}
+    return tuple(
+        [f"{needle}:{names.get(k) or f'{k + 1}/{k}'}" for needle, _, k in placed]
+    )
+
+
+def _harmonic_grid(points: Iterable[Harmonic], denom: int) -> Side:
     """The distinct points sorted by (needle, coordinate) as (needle,
     coordinate on denom: D + D // k, or D for the limit, k), their labels and
     their rows on denom."""
-    placed = sorted(
-        (needle, denom + denom // k if k else denom, k) for needle, k in set(points)
+    placed = tuple(
+        sorted(
+            (needle, denom + denom // k if k else denom, k)
+            for needle, k in set(points)
+        )
     )
-    # the labels str(Fraction) gives: 1 + 1/k is (k + 1)/k in lowest terms
-    names = {0: "1", 1: "2"}
-    labels = tuple(
-        [f"{needle}:{names.get(k) or f'{k + 1}/{k}'}" for needle, _, k in placed]
-    )
-    return placed, labels, _rows(placed)
+    return placed, _labels(placed), _rows(placed)
 
 
 def _harmonic_space(
     points: Iterable[Harmonic],
-) -> tuple[list[Placed], FiniteMetricSpace]:
+) -> tuple[tuple[Placed, ...], FiniteMetricSpace]:
     """`_harmonic_grid`'s points, and their space on D = lcm(1..largest k)."""
     distinct = set(points)
     denom = math.lcm(*range(1, max(k for _, k in distinct) + 1))
@@ -124,7 +153,10 @@ def _y_points(cfg: TuzhilinConfig) -> list[Harmonic]:
 def tuzhilin_spaces(
     cfg: TuzhilinConfig,
 ) -> tuple[FiniteMetricSpace, FiniteMetricSpace]:
-    return _harmonic_space(_x_points(cfg))[1], _harmonic_space(_y_points(cfg))[1]
+    """The first and second space, from the config's cached sides; `from_grid`
+    reduces each to its own denominator."""
+    denom, (_, x_labels, x_rows), (_, y_labels, y_rows) = cfg._sides
+    return from_grid(x_labels, denom, x_rows), from_grid(y_labels, denom, y_rows)
 
 
 def _relocate(m: int, point: Harmonic) -> Harmonic:
@@ -151,23 +183,34 @@ class TuzhilinEmbedding:
 def tuzhilin_isometry(cfg: TuzhilinConfig, m: int) -> TuzhilinEmbedding:
     """Embed the second space via the needle shift h_m and measure the gap.
 
-    The ambient's int rows, built once, serve `from_grid` and the distance
-    check; the second space is not built, only its rows on the ambient's D,
-    compared in full with the ambient's rows and columns at its images.
+    The ambient is the first space plus the long needle's points it lacks,
+    (m, 0) and (m, k) for m < k <= cfg.k.  Their coordinates, D and
+    D + D // k, lie below the first space's on needle m, so in (needle,
+    coordinate) order they form one run just before that needle's block.
+    Only that run's rows and its columns in the first space's cached rows
+    are built, and spliced in there; the ambient's int rows then serve
+    `from_grid` and the distance check, which compares the second space's
+    cached rows in full with the ambient's rows and columns at its images.
     """
     if not (1 <= m <= cfg.n):
         raise IndexOutOfRange(f"m must be in 1..{cfg.n}, got {m}")
-    x_points, y_points = _x_points(cfg), _y_points(cfg)
-    denom = math.lcm(*range(1, max(cfg.n + 1, cfg.k) + 1))  # k of either space
-    placed, labels, rows = _harmonic_grid(
-        x_points + [_relocate(m, p) for p in y_points], denom
+    denom, (x_placed, x_labels, x_rows), (y_placed, y_labels, y_rows) = cfg._sides
+    slot = str(m)
+    # ascending coordinates: the limit, then k = cfg.k down to m + 1
+    run = ((slot, denom, 0),) + tuple(
+        [(slot, denom + denom // k, k) for k in range(cfg.k, m, -1)]
     )
+    at = bisect_left(x_placed, (slot,))  # the first space's needle m
+    placed = x_placed[:at] + run + x_placed[at:]
+    labels = x_labels[:at] + _labels(run) + x_labels[at:]
+    spliced = [
+        row[:at] + cols + row[at:] for row, cols in zip(x_rows, _block(x_placed, run))
+    ]
+    rows = tuple(spliced[:at]) + _block(run, placed) + tuple(spliced[at:])
     ambient = from_grid(labels, denom, rows)
     index = {(needle, k): g for g, (needle, _, k) in enumerate(placed)}
-    # the second space's points in its own order, on the same D
-    y_placed, y_labels, y_rows = _harmonic_grid(y_points, denom)
     image = [index[_relocate(m, (needle, k))] for needle, _, k in y_placed]
-    x_part = SubsetRef(ambient, frozenset([index[p] for p in x_points]))
+    x_part = SubsetRef(ambient, frozenset([index[p[0], p[2]] for p in x_placed]))
     image_part = SubsetRef(ambient, frozenset(image))
     mapping = tuple(zip(y_labels, map(ambient.labels.__getitem__, image)))
     preserved = tuple(map(itemgetter(*image), map(rows.__getitem__, image))) == y_rows

@@ -43,6 +43,69 @@ def test_space_file_token_outside_the_grammar_is_refused(tmp_path, capsys, token
     assert message in capsys.readouterr().err
 
 
+def test_integer_fields_read_the_numerator_grammar():
+    for token, value in (("0", 0), ("-3", -3), ("+4", 4), ("007", 7)):
+        assert io.parse_integer(token) == value
+    # what int() also takes: underscores, other scripts' digits, spaces
+    refused = "1_0 \u0661 \u0662 \uff11 1/2 +-1 + 1.0 1e3 0x10"
+    for token in refused.split() + ["", " 1", "1 ", "1\n"]:
+        with pytest.raises(ValueError, match=re.escape(f"bad integer {token!r}")):
+            io.parse_integer(token)
+
+
+# tokens that int() reads as 2 or 1, which the file formats refuse
+TWO = ["0_2", "\u0662", "\uff12"]
+ONE = ["0_1", "\u0661", "\uff11"]
+
+
+@pytest.mark.parametrize("token", TWO)
+def test_space_header_count_outside_the_grammar_is_refused(tmp_path, capsys, token):
+    path = tmp_path / "s.msp"
+    path.write_text(f"points {token} strict\na b\n0 1\n1 0\n")
+    message = f"s.msp:1: bad point count {token!r}"
+    with pytest.raises(io.ParseError, match=re.escape(message)):
+        io.load_space(path)
+    assert main(["validate", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    # a sign is part of the grammar, and a negative count keeps its message
+    signed = io.parse_space("points +2 strict\na b\n0 1\n1 0\n")
+    assert signed == io.parse_space("points 2 strict\na b\n0 1\n1 0\n")
+    with pytest.raises(io.ParseError, match="point count -1 is below 1"):
+        io.parse_space("points -1 strict\n")
+
+
+@pytest.mark.parametrize("token", ONE)
+def test_correspondence_index_outside_the_grammar_is_refused(
+    tmp_path, capsys, token
+):
+    x = validate([[0, 1], [1, 0]])
+    for name in ("x.msp", "y.msp"):
+        (tmp_path / name).write_text(io.dump_space(x))
+    path = tmp_path / "r.corr"
+    path.write_text(f"0 0\n{token} 1\n")
+    message = "r.corr:2: indices must be integers"
+    with pytest.raises(io.ParseError, match=re.escape(message)):
+        io.load_correspondence(path, x, x)
+    files = [str(tmp_path / name) for name in ("x.msp", "y.msp", "r.corr")]
+    assert main(["glue", "--pair", *files]) == 2
+    assert message in capsys.readouterr().err
+    assert io.parse_correspondence("+0 0\n1 +1\n", x, x).pairs == {(0, 0), (1, 1)}
+
+
+@pytest.mark.parametrize("token", TWO)
+def test_hedgehog_multiplicity_outside_the_grammar_is_refused(
+    tmp_path, capsys, token
+):
+    path = tmp_path / "s.hh"
+    path.write_text(f"1/2\n1 {token}\n")
+    message = f"s.hh:2: bad integer {token!r}"
+    with pytest.raises(io.ParseError, match=re.escape(message)):
+        io.load_hedgehog(path)
+    assert main(["hedgehog", "compile", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert io.parse_hedgehog("1 +2\n") == io.parse_hedgehog("1 2\n")
+
+
 @pytest.mark.parametrize(
     "space",
     [
@@ -342,6 +405,18 @@ def tree_files(tmp_path):
         (
             "vertex 0 a.msp\nvertex 1 b.msp\nedge 0 5 r.corr\n",
             "t.tree:3: edge (0, 5) names an undefined vertex",
+        ),
+        # what int() reads as 1: underscores and other scripts' digits
+        *[
+            (
+                f"vertex 0 a.msp\nvertex {token} b.msp\nedge 0 1 r.corr\n",
+                f"t.tree:2: vertex ids must be integers, got {token}",
+            )
+            for token in ONE
+        ],
+        (
+            "vertex 0 a.msp\nvertex 1 b.msp\nedge 0 \u0661 r.corr\n",
+            "t.tree:3: vertex ids must be integers, got 0 \u0661",
         ),
     ],
 )

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -192,3 +193,92 @@ def test_embedding_matches_golden(entry):
 
 def test_needle_set_hausdorff_matches_golden():
     assert needle_sets() == _tuzhilin_golden()["needle_sets"]
+
+
+# ---------------------------------------------------------------------------
+# each shift splices the long needle's block into the config's cached sides;
+# the reference below builds the whole ambient from scratch instead
+
+
+def _from_scratch(cfg, m):
+    """The embedding's parts with every row built: `_harmonic_grid` over the
+    full ambient point set, and the second space's own rows."""
+    denom = math.lcm(*range(1, max(cfg.n + 1, cfg.k) + 1))
+    x_points, y_points = tuzhilin._x_points(cfg), tuzhilin._y_points(cfg)
+    shifted = [tuzhilin._relocate(m, p) for p in y_points]
+    placed, labels, rows = tuzhilin._harmonic_grid(x_points + shifted, denom)
+    ambient = spaces.from_grid(labels, denom, rows)
+    index = {(needle, k): g for g, (needle, _, k) in enumerate(placed)}
+    y_placed, y_labels, y_rows = tuzhilin._harmonic_grid(y_points, denom)
+    image = [index[tuzhilin._relocate(m, (needle, k))] for needle, _, k in y_placed]
+    x_part = spaces.subset(ambient, [index[p] for p in x_points])
+    image_part = spaces.subset(ambient, image)
+    preserved = all(
+        rows[gi][gj] == y_rows[i][j]
+        for i, gi in enumerate(image)
+        for j, gj in enumerate(image)
+    )
+    return {
+        "labels": ambient.labels,
+        "grid": ambient.grid,
+        "x_part": x_part.indices,
+        "image_part": image_part.indices,
+        "mapping": tuple(zip(y_labels, [labels[g] for g in image])),
+        "distance_preserving": preserved,
+        "hausdorff_value": spaces.hausdorff(x_part, image_part),
+    }
+
+
+@pytest.mark.parametrize(
+    "n, k", [(n, k) for n in (11, 12) for k in sorted({n, n + 1, 30})]
+)
+def test_spliced_embedding_equals_the_one_built_from_scratch(n, k):
+    cfg = TuzhilinConfig(n, k)
+    for m in range(1, n + 1):
+        embedding = tuzhilin_isometry(cfg, m)
+        assert {
+            "labels": embedding.ambient.labels,
+            "grid": embedding.ambient.grid,
+            "x_part": embedding.x_part.indices,
+            "image_part": embedding.image_part.indices,
+            "mapping": embedding.mapping,
+            "distance_preserving": embedding.distance_preserving,
+            "hausdorff_value": embedding.hausdorff_value,
+        } == _from_scratch(cfg, m)
+        assert embedding.distance_preserving
+        assert embedding.hausdorff_value == F(1, m)
+
+
+def test_shifts_build_each_side_once(monkeypatch):
+    built = []
+    rows = tuzhilin._rows
+
+    def counting(placed):
+        built.append(len(placed))
+        return rows(placed)
+
+    monkeypatch.setattr(tuzhilin, "_rows", counting)
+    cfg = TuzhilinConfig(5, 9)
+    for m in range(1, cfg.n + 1):
+        tuzhilin_isometry(cfg, m)
+    x, y = tuzhilin_spaces(cfg)
+    assert built == [len(x), len(y)] == [21, 25]
+
+
+def test_config_builds_no_rows_until_its_first_shift(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a config builds no rows on construction")
+
+    monkeypatch.setattr(tuzhilin, "_rows", refuse)
+    monkeypatch.setattr(tuzhilin, "_block", refuse)
+    cfg = TuzhilinConfig(43, 63)  # 2,000 points at the cap
+    assert cfg == TuzhilinConfig(43, 63)
+    monkeypatch.undo()
+    shifted = TuzhilinConfig(4, 7)
+    tuzhilin_isometry(shifted, 2)
+    fresh = TuzhilinConfig(4, 7)
+    assert shifted == fresh and hash(shifted) == hash(fresh)
+    assert shifted != TuzhilinConfig(4, 8)
+    assert repr(shifted) == "TuzhilinConfig(n=4, k=7)"
+    with pytest.raises(AttributeError):
+        shifted.n = 5
