@@ -39,7 +39,6 @@ from .spaces import (
 )
 
 THREAD_CAP = 10**6  # threads `Threads` will enumerate
-RATIO_CAP = 10**5  # (distinct values)^2 `stabilizer_finite` will turn into ratios
 CENTER_POWER_BITS = 10_000  # bits any lam^n computed here may take: ~3,000 digits
 
 
@@ -305,7 +304,7 @@ def center_iterate(
 @dataclass(frozen=True)
 class StabilizerReport:
     accepted: tuple[Fraction, ...]  # factors whose scaled copy is isometric
-    candidates: tuple[Fraction, ...]
+    candidates: tuple[Fraction, ...]  # the distinct sampled factors and 1, ascending
     zero_distance_sampled: tuple[Fraction, ...]
     finite_sampled: tuple[Fraction, ...]
     note: str
@@ -326,29 +325,19 @@ def stabilizer_finite(
     obj: FiniteMetricSpace | HedgehogSpec,
     sampled: Sequence[int | Fraction] = DEFAULT_SAMPLED_FACTORS,
 ) -> StabilizerReport:
-    """Factors lam with lam*X isometric to X, among the candidates.
+    """Factors lam with lam*X isometric to X, among the sampled factors and 1.
 
-    Only ratios of realized positive values can permute a finite set, so the
-    candidates are those ratios plus the sampled factors.  An isometry keeps
-    the diameter and diam(lam*X) = lam * diam X, so lam is accepted when
-    lam = 1 or X has no positive distance (a one-point space).  V distinct
-    values give up to V^2 ratios: above RATIO_CAP, `TooLarge` is raised
-    before any ratio is built.
+    An isometry keeps the diameter and diam(lam*X) = lam * diam X, so lam is
+    accepted exactly when lam = 1 or X is a one-point space.  A hedgehog has
+    a needle, so it accepts only 1.
     """
     sampled_factors = tuple(as_fraction(x) for x in sampled)
-    if isinstance(obj, HedgehogSpec):
-        values = [length for length, _ in obj.needles]
-    else:
-        if obj.mode != STRICT:
-            raise ValueError("stabilizer_finite requires a strict space")
-        denom, rows = obj.grid
-        values = [Fraction(v, denom) for v in set().union(*rows) if v]
+    hedgehog = isinstance(obj, HedgehogSpec)
+    if not hedgehog and obj.mode != STRICT:
+        raise ValueError("stabilizer_finite requires a strict space")
     positive_factor(min(sampled_factors, default=1))  # names the smallest <= 0
-    if (count := len(values) ** 2) > RATIO_CAP:
-        raise TooLarge(f"{len(values)} values give {count} ratios, cap is {RATIO_CAP}")
-    ratios = {b / a for a in values for b in values}
-    candidates = sorted(ratios | set(sampled_factors) | {Fraction(1)})
-    accepted = tuple(lam for lam in candidates if lam == 1 or not values)
+    candidates = tuple(sorted({*sampled_factors, Fraction(1)}))
+    accepted = (Fraction(1),) if hedgehog or len(obj) > 1 else candidates
     zero_sampled = tuple(lam for lam in sampled_factors if lam in accepted)
     note = (
         "zero-distance stabilizer is {1} for positive diameter, everything "
@@ -356,7 +345,7 @@ def stabilizer_finite(
     )
     return StabilizerReport(
         accepted=accepted,
-        candidates=tuple(candidates),
+        candidates=candidates,
         zero_distance_sampled=zero_sampled,
         finite_sampled=sampled_factors,
         note=note,

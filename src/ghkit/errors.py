@@ -100,8 +100,8 @@ class TooLarge(GhkitError):
     n*m cells, a distance matrix over the point cap (checked in one place,
     `spaces.check_points`, by every dense builder and generator and by the
     space file reader), a Tuzhilin space or needle line whose points² ×
-    denominator bits exceed GRID_BITS_CAP, or a center iterate or
-    geometric-bound report whose power lam^n could exceed its bit cap."""
+    denominator bits exceed GRID_BITS_CAP, or a center iterate whose power
+    lam^n could exceed CENTER_POWER_BITS."""
 
 
 class ZeroDistortion(GhkitError):

@@ -129,6 +129,8 @@ def dense_hedgehog_spec(
 ) -> HedgehogSpec:
     """Random spec with `count` distinct needle lengths on the 1/8 grid, each
     of multiplicity 1 or 2, so up to 1 + 2*count points."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     check_points("hedgehog may have", 1 + 2 * count)
     max_length = as_fraction(max_length)
     grid_size = int(max_length * 8)

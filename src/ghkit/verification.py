@@ -417,8 +417,9 @@ def check_stabilizers(seed: int) -> str | None:
             return f"hedgehog {spec.needles}: accepted {report.accepted}, found {found}"
     point = one_point_space()
     report = stabilizer_finite(point)
-    if _isometric_factors(report, point) != report.accepted:
-        return "one-point space: the isometry search rejects a factor"
+    found = _isometric_factors(report, point)
+    if found != report.accepted:
+        return f"one-point space: accepted {report.accepted}, found {found}"
     missing = [lam for lam in DEFAULT_SAMPLED_FACTORS if lam not in report.accepted]
     if missing:
         return f"one-point space rejected factors {missing}"

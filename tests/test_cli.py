@@ -19,7 +19,7 @@ from ghkit.correspondences import Correspondence, identity_correspondence
 from ghkit.errors import InvariantBroken, TooLarge
 from ghkit.generate import random_metric_space, rng_from_seed
 from ghkit.hedgehogs import HedgehogSpec
-from ghkit.spaces import validate
+from ghkit.spaces import one_point_space, validate
 
 
 @pytest.fixture
@@ -420,14 +420,24 @@ def test_scaling_commands_refuse_bad_factors_and_pseudo_spaces(
     assert captured.out == ""
 
 
-def test_stab_answers_200_needles_and_refuses_above_the_ratio_cap(tmp_path, capsys):
-    ok, big = tmp_path / "ok.hh", tmp_path / "big.hh"
-    ok.write_text("".join(f"{k}/8 1\n" for k in range(1, 201)))
-    big.write_text("".join(f"{k} 1\n" for k in range(1, 318)))
-    assert main(["stab", str(ok)]) == 0
+def test_stab_answers_317_needles_and_300_points(tmp_path, capsys):
+    needles, points = tmp_path / "n.hh", tmp_path / "p.msp"
+    needles.write_text("".join(f"{k} 1\n" for k in range(1, 318)))
+    space = random_metric_space(rng_from_seed(7), 300, coord_max=2000)
+    points.write_text(io.dump_space(space))
+    assert main(["stab", str(needles)]) == 0
     assert "accepted 1\n" in capsys.readouterr().out
-    assert main(["stab", str(big)]) == 2
-    assert "317 values give 100489 ratios, cap is 100000" in capsys.readouterr().err
+    assert main(["stab", str(points), "--csv", "--lambdas", "3,1/2,3"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows == ["1/2,false,false", "1,true,false", "3,false,false"]
+
+
+def test_stab_csv_on_a_point_lists_the_sampled_factors_and_1(tmp_path, capsys):
+    point = tmp_path / "pt.msp"
+    point.write_text(io.dump_space(one_point_space()))
+    assert main(["stab", str(point), "--csv", "--lambdas", "2,1/2"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows == ["1/2,true,true", "1,true,false", "2,true,true"]
 
 
 def test_generate_deterministic(tmp_path):
@@ -487,6 +497,18 @@ def test_generate_refuses_above_the_point_cap(
     out = tmp_path / "g.out"
     assert main(["generate", *command, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["-2", "0"])
+def test_generate_dense_spec_refuses_a_count_below_1(
+    tmp_path, capsys, monkeypatch, count
+):
+    monkeypatch.setattr(cli, "rng_from_seed", lambda seed: NoSampling())
+    out = tmp_path / "g.hh"
+    argv = ["generate", "dense-spec", "--count", count, "--max-length", "3"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"count must be at least 1, got {count}" in capsys.readouterr().err
     assert not out.exists()
 
 
