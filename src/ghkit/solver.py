@@ -7,10 +7,8 @@ the candidate levels come from the two value sets.  One decision procedure,
 contains these chosen cells and otherwise uses only these allowed cells?"
 on Python-int bitsets over the n*m cells (i, j).  The mask of the cells
 compatible with a cell at t is built the first time the search reads it, by
-comparing all n*m gaps at once on rows packed into w-bit fields, one field
-per cell, with w the smallest multiple of 8 above bitlen(2*top + 1) for top
-the largest distance on the shared grid: exact for 0 <= t <= top, the only
-levels asked, and O(n*m*w) per mask (see `_Compat`).
+comparing all n*m gaps at once on rows packed into one field per cell (see
+`_packing` for the field width and `_Compat` for the comparison).
 `gh_exact` asks it first at the diameter-gap lower bound, a gap itself and
 so the lowest level a correspondence can reach (tight on scaled copies).
 The highest, max(diam X, diam Y), is the full correspondence's distortion,
@@ -34,6 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 
 from .correspondences import (
@@ -97,9 +96,10 @@ def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
     # probed; `found` is the last feasible probe's correspondence, `compat`
     # the masks it was found with, and `best` its distortion
     best = max(diam_x, diam_y)
-    found, compat = everything, _Compat(dx, dy, best)
+    packing = _packing(dx, dy, best)
+    found, compat = everything, _Compat(packing, best)
     if lb_int < best:
-        trial = compat.at(lb_int)  # the smallest level: a gap itself
+        trial = _Compat(packing, lb_int)  # the smallest level: a gap itself
         extension = _extend(trial, lines, 0, everything, tally)
         if extension:
             best, found, compat = lb_int, extension, trial
@@ -108,7 +108,7 @@ def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
             lo, hi = 0, len(levels) - 1  # levels[hi] == best
             while lo < hi:
                 probe = (lo + hi) // 2
-                trial = compat.at(levels[probe])
+                trial = _Compat(packing, levels[probe])
                 extension = _extend(trial, lines, 0, everything, tally)
                 if extension:
                     best = max_gap(decode_cells(extension, m), dx, dy)
@@ -117,7 +117,7 @@ def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
                 else:
                     lo = probe + 1
     if compat.t != best:  # the last correspondence sits below its probe
-        compat = compat.at(best)
+        compat = _Compat(packing, best)
     witness_pairs = _lex_min_cells(compat, found, nm, lines, m, tally)
     return GHResult(
         value=Fraction(best, 2 * denom),
@@ -144,22 +144,29 @@ def _levels(dx: IntRows, dy: IntRows, bound: int) -> list[int]:
     return sorted(gap for gap in gaps if gap >= bound)
 
 
-class _Spread(dict):
-    """spread[i] is row i packed into `width`-byte fields, little-endian:
-    each value fills `inner` fields in a row, and that run of fields is
-    repeated `outer` times.  Built on first read."""
+_Packing = tuple[list[int], list[int], int, int, int, int]
 
-    __slots__ = ("rows", "width", "inner", "outer")
 
-    def __init__(self, rows: IntRows, width: int, inner: int, outer: int) -> None:
-        self.rows, self.width, self.inner, self.outer = rows, width, inner, outer
+def _packing(dx: IntRows, dy: IntRows, top: int) -> _Packing:
+    """Both sides' rows packed into one w-bit field per cell, for `_Compat`.
 
-    def __missing__(self, i: int) -> int:
-        width, inner = self.width, self.inner
-        run = b"".join([v.to_bytes(width, "little") * inner for v in self.rows[i]])
-        packed = int.from_bytes(run * self.outer, "little")
-        self[i] = packed
-        return packed
+    Returns (xs, ys, m, width, nbytes, ones): field k*m + l of xs[i] holds
+    dx[i][k] and that of ys[j] holds dy[j][l], little-endian, so fields run
+    in the order of the cell bits; width = w/8 bytes a field, nbytes the
+    bytes of all n*m fields, and ones the value 1 in every field.
+
+    Field width: w is the smallest multiple of 8 with w - 1 >= bitlen(2*top
+    + 1), top the largest entry of dx and dy.  For 0 <= t <= top every field
+    of `_Compat`'s sums then stays within 0 .. 2^w - 1, so no carry or borrow
+    crosses a field and each mask is exact; no other level is ever asked.
+    """
+    n, m = len(dx), len(dy)
+    width = ((2 * top + 1).bit_length() + 8) // 8
+    pack = partial(int.from_bytes, byteorder="little")
+    xs = [pack(b"".join([v.to_bytes(width, "little") * m for v in row])) for row in dx]
+    ys = [pack(b"".join([v.to_bytes(width, "little") for v in row]) * n) for row in dy]
+    ones = pack((1).to_bytes(width, "little") * (n * m))
+    return xs, ys, m, width, n * m * width, ones
 
 
 _FITS = b"1" * 128 + b"0" * 128  # a field's top byte -> 1 if its top bit is clear
@@ -169,49 +176,24 @@ class _Compat(dict):
     """compat[c] is the mask of the cells whose gap with cell c is <= t.
 
     Cell c = (i, j) admits (k, l) when |dx[i][k] - dy[j][l]| <= t.  The n*m
-    comparisons of one cell are made at once on rows packed into one w-bit
-    field per cell, in the order of the cell bits: field k*m + l of A_i
-    (`xs[i]`) holds dx[i][k], that of B_j (`ys[j]`) holds dy[j][l], and that
-    of K_t holds 2^(w-1) - t - 1.  Field by field, A_i + K_t - B_j holds
-    2^(w-1) + (a - b - t - 1), whose top bit is set exactly when a - b > t,
-    so the top bit of a field of (A_i + K_t - B_j) | (B_j + K_t - A_i) is
-    clear exactly for a compatible cell; the sums are taken as
-    K_t +- (A_i - B_j), the same integers.  Each field's top byte, read off
-    the big-endian bytes, becomes one binary digit of the mask.
-
-    Field width: w is the smallest multiple of 8 with w - 1 >= bitlen(2*top
-    + 1), top the largest entry of dx and dy.  For 0 <= t <= top every field
-    then stays within 0 .. 2^w - 1, so no carry or borrow crosses a field
-    and the mask is exact; no other level is ever asked.  One mask costs a
-    few big-int operations over n*m*w bits, O(n*m*w) time.  The packed rows
-    are shared by the masks at every level of one pair (`at`) and, like the
-    masks, built on first read, so rows and cells the search never reaches
-    cost nothing.  Never empty: a cell's gap with itself is 0.
+    comparisons of one cell are made at once on the rows of a `_packing`:
+    A_i = xs[i] and B_j = ys[j], and K_t holds 2^(w-1) - t - 1 in every
+    field.  Field by field, A_i + K_t - B_j holds 2^(w-1) + (a - b - t - 1),
+    whose top bit is set exactly when a - b > t, so the top bit of a field
+    of (A_i + K_t - B_j) | (B_j + K_t - A_i) is clear exactly for a
+    compatible cell; the sums are taken as K_t +- (A_i - B_j), the same
+    integers.  Each field's top byte, read off the big-endian bytes, becomes
+    one binary digit of the mask.  One mask costs a few big-int operations
+    over n*m*w bits, O(n*m*w) time, and is built on first read, so cells the
+    search never reaches cost nothing.  Never empty: a cell's gap with
+    itself is 0.
     """
 
-    __slots__ = ("xs", "ys", "m", "width", "nbytes", "ones", "t", "offset")
+    __slots__ = ("xs", "ys", "m", "width", "nbytes", "t", "offset")
 
-    def __init__(self, dx: IntRows, dy: IntRows, top: int) -> None:
-        """The masks at level `top`, the largest entry of dx and dy, which
-        the caller knows already; it sets the field width."""
-        n, m = len(dx), len(dy)
-        width = ((2 * top + 1).bit_length() + 8) // 8  # w / 8, bytes a field
-        # field k*m + l holds dx[i][k] in xs[i] and dy[j][l] in ys[j]
-        self.xs, self.ys = _Spread(dx, width, m, 1), _Spread(dy, width, 1, n)
-        self.m, self.width, self.nbytes = m, width, n * m * width
-        self.ones = int.from_bytes((1).to_bytes(width, "little") * (n * m), "little")
-        self._level(top)
-
-    def at(self, t: int) -> _Compat:
-        """The masks at level t, on the same packed rows."""
-        compat = _Compat.__new__(_Compat)
-        compat.xs, compat.ys, compat.m = self.xs, self.ys, self.m
-        compat.width, compat.nbytes, compat.ones = self.width, self.nbytes, self.ones
-        compat._level(t)
-        return compat
-
-    def _level(self, t: int) -> None:
-        self.t, self.offset = t, ((1 << 8 * self.width - 1) - t - 1) * self.ones  # K_t
+    def __init__(self, packing: _Packing, t: int) -> None:
+        self.xs, self.ys, self.m, self.width, self.nbytes, ones = packing
+        self.t, self.offset = t, ((1 << 8 * self.width - 1) - t - 1) * ones  # K_t
 
     def __missing__(self, cell: int) -> int:
         i, j = divmod(cell, self.m)
@@ -357,7 +339,7 @@ def _isometry_search(
     values = set(chain.from_iterable(dx)).union(chain.from_iterable(dy))
     label = dict(zip(values, range(len(values)))).__getitem__
     dx, dy = ([list(map(label, row)) for row in rows] for rows in (dx, dy))
-    compat = _Compat(dx, dy, len(values) - 1).at(0)
+    compat = _Compat(_packing(dx, dy, len(values) - 1), 0)
     lines, tally = line_masks(n, n), [0]
     found = _extend(compat, lines, 0, (1 << n * n) - 1, tally)
     return (found, compat, lines, tally) if found else None

@@ -8,7 +8,8 @@ against a copy with every needle nudged by less than 1/4), solves each with
 `gh_exact`, and records both integer grids with the exact value and the
 lex-min witness.  The grids are stored, so the golden does not depend on the
 generators.  Only a deliberate change of the solver's contract should ever
-re-freeze it; the test that reads it is tests/test_solver.py.
+re-freeze it; the test that reads it is tests/test_solver.py.  `build_pair`
+also draws the pairs that tests/test_map_reference.py checks.
 """
 
 from __future__ import annotations

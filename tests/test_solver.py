@@ -167,6 +167,7 @@ def test_side_bound_refuses_before_building(gap_pair, monkeypatch):
         raise AssertionError("no gap set may be built above the side bound")
 
     monkeypatch.setattr(solver, "_levels", refuse)
+    monkeypatch.setattr(solver, "_packing", refuse)
     monkeypatch.setattr(solver, "_Compat", refuse)
     big = _path_space(33)
     for a, b in ((x, big), (big, x), (big, big)):
@@ -184,6 +185,7 @@ def test_isometry_search_refuses_past_the_side_bound_before_building(
     def refuse(*args):
         raise AssertionError("no mask may be built above the side bound")
 
+    monkeypatch.setattr(solver, "_packing", refuse)
     monkeypatch.setattr(solver, "_Compat", refuse)
     big = _path_space(33)
     for a, b in ((x, big), (big, x), (big, big)):
@@ -336,10 +338,10 @@ def test_lex_min_witness_below_the_optimum_raises_typed_error():
     # check alive under python -O
     from ghkit.correspondences import line_masks
     from ghkit.errors import InvariantBroken
-    from ghkit.solver import _Compat, _extend, _lex_min_cells
+    from ghkit.solver import _Compat, _extend, _lex_min_cells, _packing
 
     dx, dy = ((0, 1), (1, 0)), ((0, 3), (3, 0))
-    compat, lines = _Compat(dx, dy, 3).at(1), line_masks(2, 2)
+    compat, lines = _Compat(_packing(dx, dy, 3), 1), line_masks(2, 2)
     found = _extend(compat, lines, 0, 15, [0])
     assert found == 0
     with pytest.raises(InvariantBroken):
@@ -438,23 +440,20 @@ def test_levels_are_the_cell_pair_gaps_at_or_above_the_bound(x, y):
 
 @pytest.mark.parametrize("x, y", _mask_pairs())
 def test_lazy_masks_equal_an_eager_reference_at_every_level(x, y):
-    from ghkit.solver import _Compat
+    from ghkit.solver import _Compat, _packing
 
     nm = len(x) * len(y)
     _, dx, dy, gaps = _gap_table(x, y)
     levels = _mask_levels(dx, dy, gaps)
-    packed = _Compat(dx, dy, levels[-1])
-    assert [packed[c] for c in range(nm)] == _eager_compat(gaps, nm, levels[-1])
+    packing = _packing(dx, dy, levels[-1])
     for t in levels:
-        lazy, eager = packed.at(t), _eager_compat(gaps, nm, t)
+        lazy, eager = _Compat(packing, t), _eager_compat(gaps, nm, t)
         assert len(lazy) == 0
         assert lazy[nm - 1] == eager[nm - 1]
         assert len(lazy) == 1  # reading one cell builds that cell's mask only
         assert [lazy[c] for c in range(nm)] == eager
-        fresh = _Compat(dx, dy, levels[-1]).at(t)
+        fresh = _Compat(_packing(dx, dy, levels[-1]), t)
         assert fresh[0] == eager[0]
-        # ... and packs only that cell's two rows
-        assert list(fresh.xs) == list(fresh.ys) == [0]
         assert [fresh[c] for c in range(nm)] == eager
 
 
@@ -462,16 +461,16 @@ def test_lazy_masks_equal_an_eager_reference_at_every_level(x, y):
 def test_search_and_witness_scan_agree_with_eager_masks(x, y):
     from ghkit.correspondences import decode_cells, line_masks
     from ghkit.errors import InvariantBroken
-    from ghkit.solver import _Compat, _extend, _lex_min_cells
+    from ghkit.solver import _Compat, _extend, _lex_min_cells, _packing
 
     n, m = len(x), len(y)
     nm = n * m
     lines, everything = line_masks(n, m), (1 << nm) - 1
     denom, dx, dy, gaps = _gap_table(x, y)
     top = max(max(map(max, dx)), max(map(max, dy)))
-    packed, feasible = _Compat(dx, dy, top), []
+    packing, feasible = _packing(dx, dy, top), []
     for t in sorted(set(gaps)):
-        lazy, eager = packed.at(t), _eager_compat(gaps, nm, t)
+        lazy, eager = _Compat(packing, t), _eager_compat(gaps, nm, t)
         lazy_tally, eager_tally = [0], [0]
         found = _extend(lazy, lines, 0, everything, lazy_tally)
         assert found == _extend(eager, lines, 0, everything, eager_tally)
@@ -489,7 +488,7 @@ def test_search_and_witness_scan_agree_with_eager_masks(x, y):
         assert witness == decode_cells(_scan_from_scratch(eager, nm, lines), m)
     # the top level is never probed: the full relation stands in for its
     # correspondence and must give the same witness
-    last = packed.at(feasible[-1])
+    last = _Compat(packing, feasible[-1])
     found = _extend(last, lines, 0, everything, [0])
     assert _lex_min_cells(last, everything, nm, lines, m, [0]) == _lex_min_cells(
         last, found, nm, lines, m, [0]
@@ -725,6 +724,51 @@ def test_stressed_golden_values_and_lex_min_witnesses(x, y, value, witness):
     result = gh_exact(x, y)
     assert result.value == value
     assert [list(pair) for pair in result.witness.sorted_pairs()] == witness
+    assert distortion(result.witness) == 2 * value
+
+
+# Swapping the sides and relabelling X both change the search order, so a
+# pruning rule that depends on that order shows here as a value above the
+# golden one.  The budget is cut to 200,000 nodes, about seven times the
+# most (29,526) any other of these solves took over twelve seeded
+# relabellings, so an order that blows the search up is refused in a second
+# rather than in a minute.  One such order is known: X relabelled on
+# near_scaled-16x16-16001 takes 12,586,807 nodes (2,054 unrelabelled) to
+# the right value.
+
+
+@pytest.mark.parametrize("x, y, value, witness", _golden_pairs())
+def test_stressed_golden_values_survive_swapping_the_sides(
+    x, y, value, witness, monkeypatch
+):
+    monkeypatch.setattr(solver, "NODE_BUDGET", 200_000)
+    result = gh_exact(y, x)
+    assert result.value == value
+    assert distortion(result.witness) == 2 * value
+
+
+def _relabelling_pairs():
+    blowup = pytest.mark.xfail(
+        raises=TooLarge, strict=True, reason="the relabelled search passes the budget"
+    )
+    return [
+        pytest.param(*p.values, id=p.id, marks=blowup)
+        if p.id == "near_scaled-16x16-16001"
+        else p
+        for p in _golden_pairs()
+    ]
+
+
+@pytest.mark.parametrize("x, y, value, witness", _relabelling_pairs())
+def test_stressed_golden_values_survive_relabelling(
+    x, y, value, witness, monkeypatch
+):
+    monkeypatch.setattr(solver, "NODE_BUDGET", 200_000)
+    order = list(range(len(x)))
+    rng_from_seed(100 * len(x) + len(y)).shuffle(order)
+    assert order != sorted(order)
+    result = gh_exact(_relabelled(x, order), y)
+    assert result.value == value
     assert distortion(result.witness) == 2 * value
 
 
