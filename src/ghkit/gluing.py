@@ -3,16 +3,17 @@
 Two spaces joined by a correspondence R get the cross metric
 |xy| = min over (x', y') in R of |xx'| + (1/2) dis R + |y'y|; the realized
 Hausdorff distance between the two copies is then exactly (1/2) dis R.
-Trees of spaces extend this edge metric along unique paths, relaying through
-intermediate spaces.
+Trees of spaces extend this edge metric along unique paths.
 
 The min-plus passes run on integers: every vertex grid is rescaled to one
 denominator 2L (L the lcm of the vertex denominators), on which each
-(1/2) dis R is integral too.  Each edge's cross block is factored as
-|pq| = (1/2) dis R + min over x' of |px'| + near[x'][q], with near[x'][q]
-the least |y'q| over the partners y' of x': C-level mins, no pass over R
-for each (p, q).  The carrier's exact `Fraction` distances are built once
-at the end, with that grid cached on it.
+(1/2) dis R is integral too.  Attaching w to a placed vertex u along R gives
+each placed point z the distance |zq| = (1/2) dis R + min over x' of
+|zx'| + near[x'][q], near[x'][q] the least |y'q| over the partners y' of x':
+one C-level pass over the carrier.  It is exact because the carrier built so
+far is a metric whose u block is u's own rows (rows are only ever extended),
+so min over x in u of |zx| + |xx'| is |zx'|: >= by the triangle inequality,
+= at x = x'.  Exact `Fraction` distances are built once at the end.
 """
 
 from __future__ import annotations
@@ -138,11 +139,10 @@ def glue_pair(
 def glue_tree(tree: GluingTree) -> GluedSpace:
     """Extend the vertex metrics to the whole disjoint union.
 
-    Distances between points of distant vertices relay through the unique
-    tree path; the minimum over relay points factorizes, so each new vertex
-    is attached, in the order the tree recorded, with one min-plus pass
-    against everything already placed.  The carrier lists the vertices in
-    that order, each as one contiguous block of its points.
+    Each new vertex is attached, in the order the tree recorded, with one
+    min-plus pass against everything already placed, through the block of
+    its tree parent.  The carrier lists the vertices in that order, each as
+    one contiguous block of its points.
     """
     for v_space in tree.vertices:
         if v_space.mode != STRICT:
@@ -158,21 +158,20 @@ def glue_tree(tree: GluingTree) -> GluedSpace:
     for u, w, pairs, weight in tree._attach:
         # (1/2) dis R has a denominator dividing 2L, so omega is exact
         omega = weight.numerator * (denom // weight.denominator)
-        du, dw = rows[u], rows[w]
-        nu, nw = len(du), len(dw)
+        dw = rows[w]
+        nu, nw = len(rows[u]), len(dw)
         partners: list[list[int]] = [[] for _ in range(nu)]
         for i, j in pairs:
             partners[i].append(j)
         # near[x'][q], the least |y' q| over the partners y' of x', column
         # by column; the first partner's row twice gives min two arguments
         near = [list(map(min, dw[js[0]], *map(dw.__getitem__, js))) for js in partners]
-        cross = [[omega + min(map(add, row, nq)) for row in du] for nq in zip(*near)]
         base = offsets[u]
         offsets[w] = len(provenance)
         provenance.extend((w, p) for p in range(nw))
         columns = [
-            [min(map(add, row[base : base + nu], cross_q)) for row in dist]
-            for cross_q in cross
+            [omega + min(map(add, row[base : base + nu], near_q)) for row in dist]
+            for near_q in zip(*near)
         ]
         for z, row in enumerate(dist):
             row.extend(column[z] for column in columns)

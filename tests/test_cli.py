@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from ghkit import (
     solver,
     spaces,
     tuzhilin,
+    verification,
 )
 from ghkit.cli import main
 from ghkit.correspondences import Correspondence, identity_correspondence
@@ -159,6 +161,10 @@ def test_hedgehog_compile_and_iso(tmp_path, capsys):
     assert out.startswith("points 3 strict")
     assert main(["hedgehog", "iso", str(a), str(b)]) == 0
     assert "isometric" in capsys.readouterr().out
+    msp = tmp_path / "a.msp"
+    assert main(["hedgehog", "compile", str(a), "--out", str(msp)]) == 0
+    assert capsys.readouterr().out == f"wrote {msp}\n"
+    assert msp.read_text() == "points 3 strict\n0 1 2\n0 1 2\n1 0 3\n2 3 0\n"
 
 
 def test_hedgehog_bucket(tmp_path, capsys):
@@ -168,6 +174,15 @@ def test_hedgehog_bucket(tmp_path, capsys):
     b.write_text("1/8 1\n3/8 1\n")
     assert main(["hedgehog", "bucket", str(a), str(b), "--eps", "1/4"]) == 0
     assert "distortion" in capsys.readouterr().out
+    out = tmp_path / "ab.corr"
+    argv = ["hedgehog", "bucket", str(a), str(b), "--eps", "1/4", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "distortion 1/4 (bound 1/2)\n"
+        "gh_upper_bound 1/8 (bound 1/4)\n"
+        f"wrote {out}\n"
+    )
+    assert out.read_text() == "0 0\n1 1\n2 2\n"
     c = tmp_path / "c.hh"
     c.write_text("1/8 1\n1/4 1\n")  # two needles in the first quarter bucket
     assert main(["hedgehog", "bucket", str(a), str(c), "--eps", "1/4"]) == 1
@@ -305,6 +320,8 @@ def test_limit_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "threads 2" in out
     assert "certificate[1] 0" in out
+    assert main(["limit", str(chain), "--csv"]) == 0
+    assert capsys.readouterr().out == "1,0\n2,0\n"
 
 
 def test_limit_certifies_a_chain_above_the_thread_cap(
@@ -545,3 +562,105 @@ def test_verify_list(capsys):
     names = capsys.readouterr().out.split()
     assert "solver-oracle-equivalence" in names
     assert len(names) == 10
+
+
+# the exact output of command paths no other test runs
+
+
+def test_tuzhilin_text_mode(capsys):
+    assert main(["tuzhilin", "--n", "2", "--k", "2", "--m", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "# first space\n"
+        "points 6 strict\n"
+        "1:2 2:3/2 2:2 3:4/3 3:3/2 3:2\n"
+        "0 7/2 4 10/3 7/2 4\n"
+        "7/2 0 1/2 17/6 3 7/2\n"
+        "4 1/2 0 10/3 7/2 4\n"
+        "10/3 17/6 10/3 0 1/6 2/3\n"
+        "7/2 3 7/2 1/6 0 1/2\n"
+        "4 7/2 4 2/3 1/2 0\n"
+        "# second space\n"
+        "points 6 strict\n"
+        "1:2 2:3/2 2:2 inf:1 inf:3/2 inf:2\n"
+        "0 7/2 4 3 7/2 4\n"
+        "7/2 0 1/2 5/2 3 7/2\n"
+        "4 1/2 0 3 7/2 4\n"
+        "3 5/2 3 0 1/2 1\n"
+        "7/2 3 7/2 1/2 0 1/2\n"
+        "4 7/2 4 1 1/2 0\n"
+        "distance_preserving true\n"
+        "hausdorff 1 expected 1\n"
+        "map:\n"
+        "  1:2 -> 2:2\n"
+        "  2:3/2 -> 3:3/2\n"
+        "  2:2 -> 3:2\n"
+        "  inf:1 -> 1:1\n"
+        "  inf:3/2 -> 1:3/2\n"
+        "  inf:2 -> 1:2\n"
+    )
+
+
+def test_verify_csv(capsys):
+    argv = ["verify", "--suite", "bucket-construction,hedgehog-rigidity", "--csv"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "bucket-construction,pass,\nhedgehog-rigidity,pass,\n"
+    )
+
+
+def test_verify_prints_the_witness_of_a_failed_check(monkeypatch, capsys):
+    monkeypatch.setitem(
+        verification.CHECKS, "bucket-construction", ("claim", lambda seed: "a, b")
+    )
+    assert main(["verify", "--suite", "bucket-construction"]) == 1
+    status, witness = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"FAIL bucket-construction \(\d+\.\d\ds\): claim", status)
+    assert witness == "     witness: a, b"
+    assert main(["verify", "--suite", "bucket-construction", "--csv"]) == 1
+    # the comma inside the witness may not split the CSV row
+    assert capsys.readouterr().out == "bucket-construction,fail,a; b\n"
+
+
+def test_probe_and_center_text_modes(gap_files, capsys):
+    _, _, xp, _ = gap_files
+    assert main(["probe", str(xp), "--lambdas", "1,1/2,2"]) == 0
+    assert capsys.readouterr().out == "d(1) = 0\nd(1/2) = 1/4\nd(2) = 1/2\n"
+    assert main(["center", str(xp), "--lambda", "1/2", "--n", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "step_distance 1/4\n"
+        "tail_bound 1/16\n"
+        "points 2 strict\n"
+        "a b\n"
+        "0 1/8\n"
+        "1/8 0\n"
+    )
+
+
+def test_generate_dense_spec(tmp_path, capsys):
+    out = tmp_path / "d.hh"
+    argv = ["generate", "dense-spec", "--count", "3", "--max-length", "2"]
+    assert main([*argv, "--seed", "5", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_text() == "3/4 1\n9/8 1\n3/2 2\n"
+
+
+def test_a_bad_rational_option_is_a_usage_error(tmp_path, capsys):
+    p = tmp_path / "p.hh"
+    p.write_text("1 1\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["hedgehog", "bucket", str(p), str(p), "--eps", "abc"])
+    assert exit_info.value.code == 2
+    assert "argument --eps: bad rational 'abc'" in capsys.readouterr().err
+
+
+def test_gh_on_a_space_file_that_breaks_the_triangle_inequality(gap_files, capsys):
+    _, _, xp, _ = gap_files
+    bad = xp.with_name("bad.msp")
+    bad.write_text("points 3 strict\na b c\n0 1 5\n1 0 1\n5 1 0\n")
+    assert main(["gh", str(bad), str(xp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: input space is not a valid metric: "
+        "dist[0][2] > dist[0][1] + dist[1][2]\n"
+    )
+    assert captured.out == ""

@@ -23,7 +23,12 @@ from ghkit.errors import (
     TriangleViolation,
     ZeroDistanceDistinctPoints,
 )
-from ghkit.generate import perturbed_hedgehog, random_metric_space, rng_from_seed
+from ghkit.generate import (
+    perturbed_hedgehog,
+    random_correspondence,
+    random_metric_space,
+    rng_from_seed,
+)
 from ghkit.gluing import GluingTree, glue_pair, glue_tree
 from ghkit.hedgehogs import HedgehogSpec, check_center_location, compile_hedgehog
 from ghkit.spaces import (
@@ -323,6 +328,48 @@ def test_glue_tree_carrier_matches_reference(tree):
     for e, (u, w, rel) in enumerate(tree.edges):
         x, y = tree.vertices[u], tree.vertices[w]
         assert tree.weight(e) == reference_distortion(x, y, rel.pairs) / 2
+
+
+
+def deep_gluing_tree(seed, shape):
+    """A seeded path- or star-shaped tree of 6-8 vertices with 2-6 points each,
+    on mixed denominators.  The shape is laid over a shuffled vertex order, so
+    vertex 0 may sit inside the path or at a leaf of the star, and some edges
+    are listed child-first."""
+    rng = rng_from_seed(seed)
+    count = rng.randint(6, 8)
+    vertices = tuple(
+        random_metric_space(
+            rng,
+            rng.randint(2, 6),
+            denominator=rng.choice(DENOMINATORS),
+            coord_max=12,
+            label_prefix=f"v{v}p",
+        )
+        for v in range(count)
+    )
+    order = rng.sample(range(count), count)
+    if shape == "path":
+        links = list(zip(order, order[1:]))
+    else:
+        links = [(order[0], w) for w in order[1:]]
+    edges = []
+    for u, w in links:
+        if rng.random() < 0.5:
+            u, w = w, u
+        edges.append((u, w, random_correspondence(rng, vertices[u], vertices[w])))
+    return GluingTree(vertices, tuple(edges))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("shape", ["path", "star"])
+def test_glue_tree_matches_reference_through_many_vertices(shape, seed):
+    # distances between far vertices run through up to six edges here,
+    # which the small drawn trees above never reach
+    tree = deep_gluing_tree(seed, shape)
+    glued = glue_tree(tree)
+    assert glued.carrier.dist == reference_glued(tree, glued.provenance)
+    assert_grid_exact(glued.carrier)
 
 
 harmonic_points = st.lists(

@@ -1,11 +1,15 @@
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+import ghkit.hedgehogs as hedgehogs
 import ghkit.verification as verification
 from ghkit.dynamics import DEFAULT_SAMPLED_FACTORS
+from ghkit.gluing import GluedSpace
 from ghkit.hedgehogs import HedgehogSpec
+from ghkit.spaces import STRICT, from_grid
 from ghkit.verification import CHECKS, run_check, suite_names
 
 
@@ -87,3 +91,163 @@ def test_scaling_dynamics_fails_on_a_doubled_closed_form(monkeypatch):
     result = run_check("scaling-dynamics")
     assert not result.passed
     assert "space 0: d_lambda gave" in result.witness
+
+
+# planted faults in glued carriers: each family of the gluing and center checks
+# must see a carrier that breaks what it claims
+
+
+def _replanted(glued, change, provenance=None):
+    """`glued` with `change(rows, denom)` applied to a copy of its carrier grid."""
+    denom, grid = glued.carrier.grid
+    rows = [list(row) for row in grid]
+    change(rows, denom)
+    carrier = from_grid(glued.carrier.labels, denom, tuple(map(tuple, rows)), STRICT)
+    return GluedSpace(carrier, glued.provenance if provenance is None else provenance)
+
+
+def _raise_last_block(glued):
+    """The last block's distances to every other point, one grid unit up: still
+    a strict metric, but that block's gap to its tree parent moves."""
+    last = glued.provenance[-1][0]
+    start = next(g for g, (v, _) in enumerate(glued.provenance) if v == last)
+
+    def change(rows, denom):
+        for p in range(start):
+            for q in range(start, len(rows)):
+                rows[p][q] += 1
+                rows[q][p] += 1
+
+    return _replanted(glued, change)
+
+
+def _break_triangle(glued):
+    """|0 z| one grid unit past |0 1| + |1 z|, z the last point."""
+
+    def change(rows, denom):
+        z = len(rows) - 1
+        rows[0][z] = rows[z][0] = rows[0][1] + rows[1][z] + 1
+
+    return _replanted(glued, change)
+
+
+def _swap_first_two(glued):
+    """Points 0 and 1 of the first block swapped in the provenance only."""
+    provenance = list(glued.provenance)
+    provenance[0], provenance[1] = provenance[1], provenance[0]
+    return _replanted(glued, lambda rows, denom: None, tuple(provenance))
+
+
+@pytest.mark.parametrize(
+    "fault,witness",
+    [
+        (_break_triangle, r"pair 0: carrier is not a strict metric: .*"),
+        (
+            _raise_last_block,
+            r"pair 0: realized Hausdorff gap is not half the distortion",
+        ),
+        (_swap_first_two, r"pair 0: carrier does not restrict to the inputs"),
+    ],
+)
+def test_gluing_realization_fails_on_a_planted_pair_carrier(
+    monkeypatch, fault, witness
+):
+    real = verification.glue_pair
+    monkeypatch.setattr(
+        verification, "glue_pair", lambda x, y, rel: fault(real(x, y, rel))
+    )
+    result = run_check("gluing-realization")
+    assert not result.passed
+    assert re.fullmatch(witness, result.witness, re.DOTALL)
+
+
+@pytest.mark.parametrize(
+    "fault,witness",
+    [
+        (_break_triangle, r"tree 0: carrier is not a strict metric: .*"),
+        (_raise_last_block, r"tree 0: edge \(\d,\d\) gap differs from its weight"),
+    ],
+)
+def test_gluing_realization_fails_on_a_planted_tree_carrier(
+    monkeypatch, fault, witness
+):
+    real = verification.glue_tree
+    monkeypatch.setattr(verification, "glue_tree", lambda tree: fault(real(tree)))
+    result = run_check("gluing-realization")
+    assert not result.passed
+    assert re.fullmatch(witness, result.witness, re.DOTALL)
+
+
+@pytest.mark.parametrize(
+    "leaf_count,witness",
+    [
+        # the last leaf's gap moves off dis R / 2
+        (3, r"star 0: leaf 2 gap \S+ not below budget \S+"),
+        # the two-leaf star no longer agrees with the three-leaf one
+        (2, r"star 0: adding a leaf moved existing points"),
+    ],
+)
+def test_gluing_realization_fails_on_a_planted_star_carrier(
+    monkeypatch, leaf_count, witness
+):
+    real = verification.glue_star
+
+    def plant(center, leaves):
+        glued = real(center, leaves)
+        return _raise_last_block(glued) if len(leaves) == leaf_count else glued
+
+    monkeypatch.setattr(verification, "glue_star", plant)
+    result = run_check("gluing-realization")
+    assert not result.passed
+    assert re.fullmatch(witness, result.witness)
+
+
+def _center_plant(monkeypatch, change):
+    """Route the center check's gluing through `change(rows, denom, na, b)`."""
+    real = hedgehogs.glue_pair
+
+    def plant(a, b, rel):
+        glued = real(a, b, rel)
+        return _replanted(glued, lambda rows, denom: change(rows, denom, len(a), b))
+
+    monkeypatch.setattr(hedgehogs, "glue_pair", plant)
+
+
+def _set(rows, p, q, value):
+    rows[p][q] = rows[q][p] = value
+
+
+def test_center_location_fails_on_centers_4m_apart(monkeypatch):
+    def change(rows, denom, na, b):
+        _set(rows, 0, na, denom)  # M = 1/4, so 4M is one whole unit
+        _set(rows, 0, na + 1, 1)  # the first center keeps a point within M
+
+    _center_plant(monkeypatch, change)
+    result = run_check("center-location")
+    assert not result.passed
+    assert result.witness == "trial 0: centers at 1 >= 4M"
+
+
+def test_center_location_fails_when_far_needles_sit_by_the_other_center(monkeypatch):
+    def change(rows, denom, na, b):
+        for p in range(1, na):
+            _set(rows, p, na, 1)
+
+    _center_plant(monkeypatch, change)
+    result = run_check("center-location")
+    assert not result.passed
+    assert result.witness == "trial 0: a far needle lacks a close non-center partner"
+
+
+def test_center_location_fails_on_a_partner_outside_the_band(monkeypatch):
+    def change(rows, denom, na, b):
+        # the longest needle of the first copy is put next to the second
+        # copy's needle of most different length
+        length = F(rows[0][na - 1], denom)
+        far = max(range(1, len(b)), key=lambda j: abs(b.dist[0][j] - length))
+        _set(rows, na - 1, na + far, 1)
+
+    _center_plant(monkeypatch, change)
+    result = run_check("center-location")
+    assert not result.passed
+    assert re.fullmatch(r"trial 0: near-needle band failed at \S+", result.witness)
