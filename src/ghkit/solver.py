@@ -8,7 +8,7 @@ contains these chosen cells and otherwise uses only these allowed cells?"
 on Python-int bitsets over the n*m cells (i, j).  The mask of the cells
 compatible with a cell at t is built the first time the search reads it, by
 comparing all n*m gaps at once on rows packed into one field per cell (see
-`_packing` for the field width and `_Compat` for the comparison).
+`spaces.pack_rows` for the field width and `_Compat` for the comparison).
 `gh_exact` asks it first at the diameter-gap lower bound, a gap itself and
 so the lowest level a correspondence can reach (tight on scaled copies).
 The highest, max(diam X, diam Y), is the full correspondence's distortion,
@@ -45,7 +45,7 @@ from .correspondences import (
     scaled_integer_matrices,
 )
 from .errors import InvariantBroken, TooLarge
-from .spaces import STRICT, FiniteMetricSpace, diameter
+from .spaces import STRICT, FiniteMetricSpace, diameter, pack_rows
 
 SIDE_BOUND = 32  # points a side
 NODE_BUDGET = 2**22  # branches of one gh_exact call
@@ -153,18 +153,16 @@ def _packing(dx: IntRows, dy: IntRows, top: int) -> _Packing:
     Returns (xs, ys, m, width, nbytes, ones): field k*m + l of xs[i] holds
     dx[i][k] and that of ys[j] holds dy[j][l], little-endian, so fields run
     in the order of the cell bits; width = w/8 bytes a field, nbytes the
-    bytes of all n*m fields, and ones the value 1 in every field.
-
-    Field width: w is the smallest multiple of 8 with w - 1 >= bitlen(2*top
-    + 1), top the largest entry of dx and dy.  For 0 <= t <= top every field
-    of `_Compat`'s sums then stays within 0 .. 2^w - 1, so no carry or borrow
-    crosses a field and each mask is exact; no other level is ever asked.
+    bytes of all n*m fields, and ones the value 1 in every field.  The
+    width is `pack_rows`'s for `top`, the largest entry of dx and dy, which
+    keeps every mask at a level 0 <= t <= top exact (see `_Compat`); no
+    other level is ever asked.
     """
     n, m = len(dx), len(dy)
-    width = ((2 * top + 1).bit_length() + 8) // 8
+    width, rows = pack_rows(dy, top)
     pack = partial(int.from_bytes, byteorder="little")
     xs = [pack(b"".join([v.to_bytes(width, "little") * m for v in row])) for row in dx]
-    ys = [pack(b"".join([v.to_bytes(width, "little") for v in row]) * n) for row in dy]
+    ys = [pack(row * n) for row in rows]
     ones = pack((1).to_bytes(width, "little") * (n * m))
     return xs, ys, m, width, n * m * width, ones
 
@@ -179,14 +177,15 @@ class _Compat(dict):
     comparisons of one cell are made at once on the rows of a `_packing`:
     A_i = xs[i] and B_j = ys[j], and K_t holds 2^(w-1) - t - 1 in every
     field.  Field by field, A_i + K_t - B_j holds 2^(w-1) + (a - b - t - 1),
-    whose top bit is set exactly when a - b > t, so the top bit of a field
-    of (A_i + K_t - B_j) | (B_j + K_t - A_i) is clear exactly for a
-    compatible cell; the sums are taken as K_t +- (A_i - B_j), the same
-    integers.  Each field's top byte, read off the big-endian bytes, becomes
-    one binary digit of the mask.  One mask costs a few big-int operations
-    over n*m*w bits, O(n*m*w) time, and is built on first read, so cells the
-    search never reaches cost nothing.  Never empty: a cell's gap with
-    itself is 0.
+    and |a - b - t - 1| <= 2*top + 1, so by `pack_rows`'s width rule no
+    carry or borrow crosses a field and its top bit is set exactly when
+    a - b > t.  So the top bit of a field of (A_i + K_t - B_j) | (B_j + K_t
+    - A_i) is clear exactly for a compatible cell; the sums are taken as
+    K_t +- (A_i - B_j), the same integers.  Each field's top byte, read off
+    the big-endian bytes, becomes one binary digit of the mask.  One mask
+    costs a few big-int operations over n*m*w bits, O(n*m*w) time, and is
+    built on first read, so cells the search never reaches cost nothing.
+    Never empty: a cell's gap with itself is 0.
     """
 
     __slots__ = ("xs", "ys", "m", "width", "nbytes", "t", "offset")

@@ -9,16 +9,20 @@ share no factor.  Hot loops and space equality run on the grid, which is
 exact and compares and adds at machine-integer speed; the `Fraction` matrix
 is built on first read.  `POINT_CAP` bounds every such matrix: each builder
 of a dense layout, and the space file reader, refuses a larger one through
-`check_points` before it builds anything.
+`check_points` before it builds anything.  The axiom check settles each
+pair's triangle inequalities with one big-int sum of rows packed into one
+field per point by `pack_rows`, which owns the field width the solver's
+masks use too, so a 2,000-point space validates in seconds.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import add, itemgetter
+from functools import cached_property, partial
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -202,33 +206,81 @@ def validate_grid(
     return space
 
 
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # bytes -> `struct` code
+
+
+def pack_rows(rows: Iterable[Sequence[int]], top: int) -> tuple[int, list[bytes]]:
+    """(width, packed): each row of ints in 0 .. top as little-endian fields
+    of `width` bytes, one field per entry.
+
+    Field width: w = 8 * width is the smallest multiple of 8 with w - 1 >=
+    bitlen(2*top + 1), so 2^(w-1) >= 2*top + 2.  A field value 2^(w-1) + s
+    with |s| <= 2*top + 1 then lies in 0 .. 2^w - 1, and its top bit is set
+    exactly when s >= 0.  So when every field of a sum of packed rows and
+    integer multiples of `ones` (1 in every field) works out to such a
+    value, the sum's w-bit digits are exactly those values, whatever the
+    order of the operations: no carry or borrow crosses a field, and one
+    AND against the top bits reads every sign at once.  Widths of 1, 2, 4
+    and 8 bytes are packed by `struct` at C speed, any other entry by entry.
+    """
+    width = ((2 * top + 1).bit_length() + 8) // 8
+    code = _STRUCT_CODES.get(width)
+    if code:
+        return width, [struct.pack(f"<{len(row)}{code}", *row) for row in rows]
+    return width, [b"".join([v.to_bytes(width, "little") for v in row]) for row in rows]
+
+
 def _check_axioms(g: tuple[tuple[int, ...], ...], mode: str) -> None:
-    """`MetricValidationError` listing every violated axiom of the grid rows."""
+    """`MetricValidationError` listing every violated axiom of the grid rows.
+
+    Each kind of violation is first tested on whole rows at C speed, and
+    only a kind that fails runs its listing loop, so the violations and
+    their order are those of the loops alone.  The triangle test of a pair
+    i < j is one sum of packed rows (see `pack_rows`): field k of P_i + Q_j
+    + (2^(w-1) - d(i, j)) * ones, P_i row i and Q_j column j, holds 2^(w-1)
+    + d(i, k) + d(k, j) - d(i, j), so its top bit is set for every k exactly
+    when no detour, not even through i or j, undercuts the direct value.
+    Only a pair that fails runs the per-k loop.  Negative entries are packed
+    offset by c = -min, and the constant takes the two offsets back.
+    """
     n = len(g)
     cols = tuple(zip(*g))
-    violations: list = []
-    for i in range(n):
-        if g[i][i] != 0:
-            violations.append(NonzeroDiagonal(i))
-    for i in range(n):
-        for j in range(n):
-            if i != j and g[i][j] < 0:
-                violations.append(NegativeEntry(i, j))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if g[i][j] != g[j][i]:
-                violations.append(AsymmetricEntry(i, j))
-    if mode == STRICT:
+    diagonal = [row[i] for i, row in enumerate(g)]
+    violations: list = [NonzeroDiagonal(i) for i in range(n) if diagonal[i] != 0]
+    low = min(map(min, g))
+    if low < 0:
+        for i in range(n):
+            for j in range(n):
+                if i != j and g[i][j] < 0:
+                    violations.append(NegativeEntry(i, j))
+    symmetric = g == cols
+    if not symmetric:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if g[i][j] != g[j][i]:
+                    violations.append(AsymmetricEntry(i, j))
+    if mode == STRICT and sum([row.count(0) for row in g]) > diagonal.count(0):
         for i in range(n):
             for j in range(i + 1, n):
                 if g[i][j] == 0:
                     violations.append(ZeroDistanceDistinctPoints(i, j))
+    # offset entries lie in 0 .. top - c and d(i, j) + 2c in 0 .. top, so
+    # each field's d(i, k) + d(k, j) - d(i, j) is within 2*top of 0
+    c = max(0, -low)
+    shifted = [[value + c for value in row] for row in g] if c else g
+    top = max(map(max, g)) + 2 * c
+    width, packed = pack_rows(shifted, top)
+    pack = partial(int.from_bytes, byteorder="little")
+    heads = list(map(pack, packed))
+    tails = heads if symmetric else list(map(pack, pack_rows(zip(*shifted), top)[1]))
+    ones = pack((1).to_bytes(width, "little") * n)
+    signs = ones << 8 * width - 1
+    lift = signs - 2 * c * ones
     for i in range(n):
-        row = g[i]
+        row, base = g[i], heads[i] + lift
         for j in range(i + 1, n):
             direct = row[j]
-            # no detour, not even through i or j, undercuts the direct value
-            if direct <= min(map(add, row, cols[j])):
+            if (base + tails[j] - direct * ones) & signs == signs:
                 continue
             for k in range(n):
                 if k != i and k != j and direct > row[k] + g[k][j]:

@@ -348,6 +348,44 @@ def test_lex_min_witness_below_the_optimum_raises_typed_error():
         _lex_min_cells(compat, found, 4, lines, 2, [0])
 
 
+# tops at each side of a byte boundary of 2*top + 1, and above 2^64
+_TOPS = {
+    **{str(top): top for top in (40, 63, 64, 127, 128, 5000, 3_000_000)},
+    "2^64+1": 2**64 + 1,
+    "2^70+3": 2**70 + 3,
+}
+
+
+# and the 2|3, 4|5 and 8|9-byte boundaries, past the ends of `struct` codes
+@pytest.mark.parametrize(
+    "top", [*_TOPS.values(), 16383, 16384, 2**30 - 1, 2**30, 2**62 - 1, 2**62]
+)
+def test_packed_fields_at_width_boundaries(top):
+    """`pack_rows` takes the smallest whole-byte width with w - 1 >=
+    bitlen(2*top + 1), packs the `struct` widths and the others alike, and
+    a field 2^(w-1) + s with |s| <= 2*top + 1 stays in its field with its
+    top bit set exactly when s >= 0."""
+    from ghkit.spaces import pack_rows
+
+    rows = [[0, top, 1, top - 1, top // 2], [top, 0, top, 1, top - 1]]
+    width, packed = pack_rows(rows, top)
+    w = 8 * width
+    assert w - 9 < (2 * top + 1).bit_length() <= w - 1
+    assert packed == [b"".join([v.to_bytes(width, "little") for v in r]) for r in rows]
+    p, q = (int.from_bytes(fields, "little") for fields in packed)
+    ones = int.from_bytes((1).to_bytes(width, "little") * 5, "little")
+    for d in (0, 1, top, top + 1, 2 * top, 2 * top + 1):
+        total = p + q + ((1 << w - 1) - d) * ones
+        digits = total.to_bytes(5 * width, "little")  # no field left its range
+        fields = [
+            int.from_bytes(digits[k : k + width], "little")
+            for k in range(0, 5 * width, width)
+        ]
+        assert fields == [(1 << w - 1) + a + b - d for a, b in zip(*rows)]
+        signs = [field >> w - 1 for field in fields]
+        assert signs == [int(a + b >= d) for a, b in zip(*rows)]
+
+
 def _mask_pairs():
     """Seeded pairs from 1x1 to 12x12, square and not, random and scaled;
     and grid pairs whose values need 1-, 2-, 3- and 9-byte fields, values
@@ -360,9 +398,7 @@ def _mask_pairs():
         pairs.append(pytest.param(x, y, id=f"{n}x{m}"))
     x = random_metric_space(rng, 10, label_prefix="x")
     pairs.append(pytest.param(x, scale(x, F(3, 2)), id="10x10-scaled"))
-    tops = [40, 63, 64, 127, 128, 5000, 3_000_000, 2**64 + 1, 2**70 + 3]
-    names = [*map(str, tops[:-2]), "2^64+1", "2^70+3"]
-    for top, name in zip(tops, names):
+    for name, top in _TOPS.items():
         # one pool for both sides, so the two share values
         low = (top + 1) // 2
         pool = [top, top - 1, low, low + 1]

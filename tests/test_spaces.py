@@ -248,3 +248,168 @@ def test_every_dense_builder_reads_the_one_point_cap(monkeypatch, entry):
     with pytest.raises(TooLarge) as caught:
         call()  # one point over it
     assert str(caught.value) == f"{what} {points} points, cap is {points - 1}"
+
+
+# ---------------------------------------------------------------------------
+# the axiom check against a plain listing of every violation
+
+# tops on both sides of the 1-2 and 2-3 byte field boundaries, and one above
+# 2^64
+_WIDTH_TOPS = (63, 64, 16383, 16384, 2**64 + 5)
+
+
+def _triple_loop_violations(g, mode):
+    """Reference: every violation of the grid rows, kind by kind, listed by
+    plain loops over every pair and every third point."""
+    n = len(g)
+    found = [NonzeroDiagonal(i) for i in range(n) if g[i][i] != 0]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    found += [
+        NegativeEntry(i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and g[i][j] < 0
+    ]
+    found += [AsymmetricEntry(i, j) for i, j in pairs if g[i][j] != g[j][i]]
+    if mode == STRICT:
+        found += [ZeroDistanceDistinctPoints(i, j) for i, j in pairs if g[i][j] == 0]
+    found += [
+        TriangleViolation(i, j, k)
+        for i, j in pairs
+        for k in range(n)
+        if k != i and k != j and g[i][j] > g[i][k] + g[k][j]
+    ]
+    return tuple(found)
+
+
+def _half_range_grid(rng, n, top):
+    """Every distance in [top/2, top], `top` itself between points 0 and 1:
+    every triangle holds."""
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = rng.randint((top + 1) // 2, top)
+    if n > 1:
+        g[0][1] = g[1][0] = top
+    return g
+
+
+def _line_grid(rng, n, top):
+    """Distinct points of the line 0..top, the ends 0 and top among them, in
+    shuffled order, and the sorted order: d(i, j) = d(i, k) + d(k, j) for
+    every k between i and j."""
+    coords = sorted({0, top, *(rng.randint(1, top - 1) for _ in range(n - 2))})
+    order = list(range(len(coords)))
+    rng.shuffle(order)
+    at = [coords[p] for p in order]
+    g = [[abs(a - b) for b in at] for a in at]
+    return g, sorted(range(len(at)), key=at.__getitem__)
+
+
+def _plant(kind, g, rng):
+    """One violation of `kind` at random points of the grid."""
+    n = len(g)
+    i, j = rng.sample(range(n), 2)
+    if kind == "diagonal":
+        g[i][i] = rng.choice([1, g[i][j]])
+    elif kind == "negative":
+        g[i][j] = g[j][i] = -rng.randint(1, g[i][j])
+    elif kind == "asymmetric":
+        g[i][j] += 1
+    elif kind == "zero":
+        g[i][j] = g[j][i] = 0
+    else:
+        k = rng.choice([k for k in range(n) if k != i and k != j])
+        g[i][j] = g[j][i] = g[i][k] + g[k][j] + 1
+
+
+_KINDS = ("diagonal", "negative", "asymmetric", "zero", "triangle")
+
+
+def _axiom_grids():
+    rng = rng_from_seed(29)
+    cases = [
+        ([[0]], "1pt"),
+        ([[5]], "1pt-diagonal"),
+        ([[-3]], "1pt-negative-diagonal"),
+    ]
+    for top, name in zip(_WIDTH_TOPS, ("63", "64", "16383", "16384", "2^64+5")):
+        for n in (2, 5, 40):
+            cases.append((_half_range_grid(rng, n, top), f"valid-{n}pt-top{name}"))
+        for kind in _KINDS:
+            g = _half_range_grid(rng, 9, top)
+            _plant(kind, g, rng)
+            cases.append((g, f"{kind}-9pt-top{name}"))
+        g = _half_range_grid(rng, 23, top)
+        for kind in rng.sample(_KINDS, 3) + ["triangle"]:
+            _plant(kind, g, rng)
+        cases.append((g, f"several-23pt-top{name}"))
+        g = _half_range_grid(rng, 6, top)
+        g[2][2] = -1  # a negative diagonal: no pair's detour through it counts
+        cases.append((g, f"negative-diagonal-6pt-top{name}"))
+        g, ranked = _line_grid(rng, 12, top)
+        cases.append(([row[:] for row in g], f"line-tight-top{name}"))
+        a, c = ranked[3], ranked[5]  # ranked[4] lies between them
+        g[a][c] = g[c][a] = g[a][c] + 1
+        cases.append((g, f"line-one-over-top{name}"))
+    g = _half_range_grid(rng, 30, 40)
+    g[3][17] = g[17][3] = -(2**70)
+    cases.append((g, "negative-below-2^70"))
+    # every entry negative: the offset c outgrows every offset entry
+    cases.append(([[-129] * 3 for _ in range(3)], "all-negative"))
+    # two nonzero diagonal entries and as many zeros off it as the diagonal lost
+    g = _half_range_grid(rng, 7, 64)
+    g[1][1] = g[4][4] = 5
+    g[2][5] = g[5][2] = 0
+    cases.append((g, "zero-and-diagonal"))
+    g = _half_range_grid(rng, 7, 64)
+    g[1][4] = 0  # a zero above the diagonal only
+    cases.append((g, "one-sided-zero"))
+    return [pytest.param(tuple(map(tuple, g)), id=name) for g, name in cases]
+
+
+@pytest.mark.parametrize("mode", [STRICT, PSEUDO])
+@pytest.mark.parametrize("grid", _axiom_grids())
+def test_axiom_check_lists_what_plain_loops_list(grid, mode):
+    expected = _triple_loop_violations(grid, mode)
+    if not expected:
+        spaces._check_axioms(grid, mode)
+        return
+    with pytest.raises(MetricValidationError) as caught:
+        spaces._check_axioms(grid, mode)
+    assert caught.value.violations == expected
+
+
+def test_planted_triangle_violations_at_both_ends_of_a_row(tmp_path, capsys):
+    from ghkit.cli import main
+
+    n, r = 200, 100
+    space = random_metric_space(rng_from_seed(7), n)
+    matrix = [list(row) for row in space.dist]
+    for j in (0, n - 1):
+        detour = min(matrix[r][k] + matrix[k][j] for k in range(n) if k not in (r, j))
+        matrix[r][j] = matrix[j][r] = detour + F(1, 6)
+    # the space was metric, so only the two raised pairs can break a triangle
+    expected = tuple(
+        TriangleViolation(i, j, k)
+        for i, j in ((0, r), (r, n - 1))
+        for k in range(n)
+        if k != i and k != j and matrix[i][j] > matrix[i][k] + matrix[k][j]
+    )
+    assert {(v.i, v.j) for v in expected} == {(0, r), (r, n - 1)}
+    message = "; ".join(map(str, expected))
+    with pytest.raises(MetricValidationError) as validated:
+        validate(matrix, labels=space.labels)
+    text = f"points {n} strict\n{' '.join(space.labels)}\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in matrix
+    )
+    with pytest.raises(MetricValidationError) as parsed:
+        parse_space(text)
+    for caught in (validated, parsed):
+        assert caught.value.violations == expected
+        assert str(caught.value) == message
+    path = tmp_path / "planted.msp"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    lines = [f"invalid: {len(expected)} violation(s)"]
+    assert capsys.readouterr().out.splitlines() == lines + [f"  {v}" for v in expected]
