@@ -5,14 +5,15 @@ rest of the package relies on (diameter scaling, realized Hausdorff
 distances, gluing weights) are checked with equality, never with tolerances.
 A space is built from its integer grid: one denominator L and int rows with
 dist[i][j] == Fraction(rows[i][j], L), reduced so that L and the entries
-share no factor.  Hot loops and space equality run on the grid, which is
-exact and compares and adds at machine-integer speed; the `Fraction` matrix
-is built on first read.  `POINT_CAP` bounds every such matrix: each builder
-of a dense layout, and the space file reader, refuses a larger one through
-`check_points` before it builds anything.  The axiom check settles each
-pair's triangle inequalities with one big-int sum of rows packed into one
-field per point by `pack_rows`, which owns the field width the solver's
-masks use too, so a 2,000-point space validates in seconds.
+share no factor.  It keeps only that grid, also when `validate` builds it
+from a matrix: hot loops and equality run on it at machine-integer speed,
+and the `Fraction` matrix is built from it on first read; only the space
+file reader hands over an eager one.  `POINT_CAP` bounds every dense layout:
+each builder, and the space file reader, refuses a larger one through
+`check_points` before it builds anything.  The axiom check packs each row
+one field per point (`pack_rows`, which owns the field width the solver's
+masks use too) and settles each pair's triangle inequalities with one
+big-int sum, so a 2,000-point space validates in seconds.
 """
 
 from __future__ import annotations
@@ -103,11 +104,11 @@ class FiniteMetricSpace:
     A frozen dataclass over labels, mode and the canonical grid (L, rows)
     that `_grid` builds, so equality and hash compare (labels, mode, grid):
     the relation of equal `Fraction` matrices, since the grid is canonical.
-    `dist` is the `Fraction` view, not a field: the constructor's matrix as
-    tuples of `Fraction`s, or built from the grid on first read.  Construct
-    through :func:`validate` or :func:`validate_grid` (axioms checked),
-    :func:`from_grid` or one of the derived constructors elsewhere in the
-    package (valid by construction).
+    No field holds a matrix: `dist`, the `Fraction` view, is built from the
+    grid on first read unless the space file reader hands its own to
+    :func:`validate_grid`.  Construct through :func:`validate` or
+    :func:`validate_grid` (axioms checked), :func:`from_grid` or a derived
+    constructor elsewhere in the package (valid by construction).
     """
 
     labels: tuple[str, ...]
@@ -122,7 +123,7 @@ class FiniteMetricSpace:
     ) -> None:
         dist = tuple([tuple([as_fraction(x) for x in row]) for row in dist])
         _check_shape(labels, dist, mode)
-        self.__dict__.update(labels=labels, mode=mode, grid=_grid(dist), dist=dist)
+        self.__dict__.update(labels=labels, mode=mode, grid=_grid(dist))
 
     def __repr__(self) -> str:
         return (
@@ -244,7 +245,6 @@ def _check_axioms(g: tuple[tuple[int, ...], ...], mode: str) -> None:
     offset by c = -min, and the constant takes the two offsets back.
     """
     n = len(g)
-    cols = tuple(zip(*g))
     diagonal = [row[i] for i, row in enumerate(g)]
     violations: list = [NonzeroDiagonal(i) for i in range(n) if diagonal[i] != 0]
     low = min(map(min, g))
@@ -253,7 +253,7 @@ def _check_axioms(g: tuple[tuple[int, ...], ...], mode: str) -> None:
             for j in range(n):
                 if i != j and g[i][j] < 0:
                     violations.append(NegativeEntry(i, j))
-    symmetric = g == cols
+    symmetric = g == tuple(zip(*g))
     if not symmetric:
         for i in range(n):
             for j in range(i + 1, n):
@@ -264,27 +264,28 @@ def _check_axioms(g: tuple[tuple[int, ...], ...], mode: str) -> None:
             for j in range(i + 1, n):
                 if g[i][j] == 0:
                     violations.append(ZeroDistanceDistinctPoints(i, j))
-    # offset entries lie in 0 .. top - c and d(i, j) + 2c in 0 .. top, so
-    # each field's d(i, k) + d(k, j) - d(i, j) is within 2*top of 0
-    c = max(0, -low)
-    shifted = [[value + c for value in row] for row in g] if c else g
-    top = max(map(max, g)) + 2 * c
-    width, packed = pack_rows(shifted, top)
-    pack = partial(int.from_bytes, byteorder="little")
-    heads = list(map(pack, packed))
-    tails = heads if symmetric else list(map(pack, pack_rows(zip(*shifted), top)[1]))
-    ones = pack((1).to_bytes(width, "little") * n)
-    signs = ones << 8 * width - 1
-    lift = signs - 2 * c * ones
-    for i in range(n):
-        row, base = g[i], heads[i] + lift
-        for j in range(i + 1, n):
-            direct = row[j]
-            if (base + tails[j] - direct * ones) & signs == signs:
-                continue
-            for k in range(n):
-                if k != i and k != j and direct > row[k] + g[k][j]:
-                    violations.append(TriangleViolation(i, j, k))
+    if n > 2:  # a triangle needs a third point
+        # offset entries lie in 0 .. top - c and d(i, j) + 2c in 0 .. top, so
+        # each field's d(i, k) + d(k, j) - d(i, j) is within 2*top of 0
+        c = max(0, -low)
+        shifted = [[value + c for value in row] for row in g] if c else g
+        top = max(map(max, g)) + 2 * c
+        width, packed = pack_rows(shifted, top)
+        pack = partial(int.from_bytes, byteorder="little")
+        heads = list(map(pack, packed))
+        tails = heads if symmetric else list(map(pack, pack_rows(zip(*shifted), top)[1]))
+        ones = pack((1).to_bytes(width, "little") * n)
+        signs = ones << 8 * width - 1
+        lift = signs - 2 * c * ones
+        for i in range(n):
+            row, base = g[i], heads[i] + lift
+            for j in range(i + 1, n):
+                direct = row[j]
+                if (base + tails[j] - direct * ones) & signs == signs:
+                    continue
+                for k in range(n):
+                    if k != i and k != j and direct > row[k] + g[k][j]:
+                        violations.append(TriangleViolation(i, j, k))
     if violations:
         raise MetricValidationError(violations)
 
@@ -308,7 +309,7 @@ def scale(space: FiniteMetricSpace, factor: int | Fraction) -> FiniteMetricSpace
 
 
 def one_point_space(label: str = "pt") -> FiniteMetricSpace:
-    return FiniteMetricSpace((label,), ((0,),), STRICT)
+    return from_grid((label,), 1, ((0,),))
 
 
 @dataclass(frozen=True)

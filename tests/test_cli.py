@@ -1,3 +1,5 @@
+import functools
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -664,3 +666,111 @@ def test_gh_on_a_space_file_that_breaks_the_triangle_inequality(gap_files, capsy
         "dist[0][2] > dist[0][1] + dist[1][2]\n"
     )
     assert captured.out == ""
+
+
+
+# Tokens a mutation may insert: a negative, a zero denominator, an
+# underscore int() accepts, a non-ASCII digit, a 30-digit integer and the
+# keywords of the space, tree and comment syntax.
+MUTATION_TOKENS = ("-1", "1/0", "1_0", "\u0662", str(10**29 + 7), "points", "edge", "#")
+
+# The commands each kind of file feeds, m.<kind> being the mutated file and
+# the others the clean files `_robustness_files` writes.
+MUTATION_RUNS = {
+    "msp": (
+        ("validate", "m.msp"),
+        ("gh", "m.msp", "y.msp"),
+        ("gh", "m.msp", "y.msp", "--enumerate-oracle"),
+        ("glue", "--pair", "m.msp", "y.msp", "r.corr"),
+        ("probe", "m.msp", "--lambdas", "1/2,2"),
+        ("center", "m.msp", "--lambda", "1/2", "--n", "3"),
+        ("stab", "m.msp"),
+    ),
+    "corr": (("glue", "--pair", "x.msp", "y.msp", "m.corr"),),
+    "hh": (
+        ("hedgehog", "compile", "m.hh"),
+        ("hedgehog", "iso", "m.hh", "b.hh"),
+        ("hedgehog", "bucket", "m.hh", "b.hh", "--eps", "1/4"),
+        ("stab", "m.hh"),
+    ),
+    "tree": (("glue", "--tree", "m.tree"),),
+    "chain": (("limit", "m.chain"),),
+}
+
+
+def _robustness_files(tmp_path):
+    """Write the clean input files; return the text of one file of each kind."""
+    x = validate([[0, 1, 2], [1, 0, 1], [2, 1, 0]], labels=["a", "b", "c"])
+    y = validate([[0, 3, 3], [3, 0, 3], [3, 3, 0]], labels=["p", "q", "r"])
+    diagonal = Correspondence(x, y, frozenset((i, i) for i in range(3)))
+    texts = {
+        "x.msp": io.dump_space(x),
+        "y.msp": io.dump_space(y),
+        "r.corr": io.dump_correspondence(diagonal),
+        "i.corr": io.dump_correspondence(identity_correspondence(x)),
+        "a.hh": "1/4 1\n1/2 1\n",
+        "b.hh": "1/8 1\n3/8 1\n",
+        "t.tree": "vertex 0 x.msp\nvertex 1 y.msp\nedge 0 1 r.corr\n",
+        "c.chain": "space x.msp\nlink i.corr\nspace x.msp\n",
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    return {
+        "msp": texts["x.msp"],
+        "corr": texts["r.corr"],
+        "hh": texts["a.hh"],
+        "tree": texts["t.tree"],
+        "chain": texts["c.chain"],
+    }
+
+
+def _mutate(rng, text):
+    """`text` after one seeded edit: a character deleted, a token inserted, a
+    character replaced, the lines shuffled or one line duplicated."""
+    op = rng.randrange(5)
+    at = rng.randrange(len(text) + 1)
+    if op == 0:
+        return text[:at] + text[at + 1 :]
+    if op == 1:
+        return text[:at] + rng.choice(MUTATION_TOKENS) + text[at:]
+    if op == 2:
+        return text[:at] + rng.choice("0129 /-.\n#ab") + text[at + 1 :]
+    lines = text.splitlines(keepends=True)
+    if op == 3:
+        rng.shuffle(lines)
+    else:
+        line = rng.randrange(len(lines))
+        lines.insert(line, lines[line])
+    return "".join(lines)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refuses a usage with SystemExit(2)
+        return f"SystemExit({exc.code})"
+
+
+def test_mutated_input_files_end_in_a_documented_exit_code(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)  # tree and chain files name their parts relatively
+    # one parser serves every run: building it costs more than most runs
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    bases = _robustness_files(tmp_path)
+    kinds = sorted(bases)
+    for kind in kinds:
+        (tmp_path / f"m.{kind}").write_text(bases[kind])
+        for run in MUTATION_RUNS[kind]:
+            assert _exit_code(list(run)) == 0, run
+    capsys.readouterr()
+    for seed in range(400):
+        kind = kinds[seed % len(kinds)]
+        text = _mutate(random.Random(seed), bases[kind])
+        (tmp_path / f"m.{kind}").write_text(text, encoding="utf-8")
+        for run in MUTATION_RUNS[kind]:
+            code = _exit_code(list(run))
+            capsys.readouterr()
+            assert code in (0, 1, 2, "SystemExit(2)"), (
+                f"seed {seed}: ghkit {' '.join(run)} gave {code} on {text!r}"
+            )

@@ -65,6 +65,37 @@ def test_space_is_a_frozen_dataclass_over_its_grid():
     assert "dist" not in vars(twin) and twin.dist == space.dist
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[0, 3, F(1, 2)], [3, 0, F(5, 2)], [F(1, 2), F(5, 2), 0]],
+        [[F(0), F(7, 3)], [F(7, 3), F(0)]],
+    ],
+    ids=["int-and-fraction", "fraction"],
+)
+def test_a_space_keeps_only_its_grid_until_dist_is_read(matrix):
+    labels = tuple("pqr"[: len(matrix)])
+    expected = tuple(tuple(F(value) for value in row) for row in matrix)
+    parsed = parse_space(dump_space(spaces.from_grid(labels, *spaces._grid(expected))))
+    for space in (
+        validate(matrix, labels=labels),
+        spaces.FiniteMetricSpace(labels, matrix),
+    ):
+        assert "dist" not in vars(space)
+        assert space == parsed and hash(space) == hash(parsed)
+        assert repr(space) == (
+            f"FiniteMetricSpace(labels={labels!r}, dist={expected!r}, mode='strict')"
+        )
+        assert "dist" in vars(space) and space.dist == expected
+
+
+def test_one_point_space_is_its_grid():
+    point = one_point_space()
+    assert "dist" not in vars(point)
+    assert point == validate([[0]], labels=["pt"])
+    assert point.grid == (1, ((0,),)) and point.dist == ((0,),)
+
+
 def test_validate_reports_triangle_violation():
     with pytest.raises(MetricValidationError) as excinfo:
         validate([[0, 1, 3], [1, 0, 1], [3, 1, 0]])
@@ -377,6 +408,35 @@ def test_axiom_check_lists_what_plain_loops_list(grid, mode):
         return
     with pytest.raises(MetricValidationError) as caught:
         spaces._check_axioms(grid, mode)
+    assert caught.value.violations == expected
+
+
+@pytest.mark.parametrize("mode", [STRICT, PSEUDO])
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        pytest.param([[0]], id="1pt"),
+        pytest.param([[5]], id="1pt-diagonal"),
+        pytest.param([[-3]], id="1pt-negative-diagonal"),
+        pytest.param([[0, 1], [1, 0]], id="2pt"),
+        pytest.param([[1, 2], [2, 0]], id="2pt-diagonal"),
+        pytest.param([[0, -1], [-1, 0]], id="2pt-negative"),
+        pytest.param([[0, 1], [2, 0]], id="2pt-asymmetric"),
+        pytest.param([[0, 0], [0, 0]], id="2pt-zero"),
+        pytest.param([[4, -2], [3, 0]], id="2pt-several"),
+    ],
+)
+def test_grids_below_three_points_pack_nothing(monkeypatch, matrix, mode):
+    def no_packing(*args):
+        raise AssertionError("a grid with no third point has no triangle to pack")
+
+    monkeypatch.setattr(spaces, "pack_rows", no_packing)
+    expected = _triple_loop_violations(matrix, mode)
+    if not expected:
+        validate(matrix, mode)
+        return
+    with pytest.raises(MetricValidationError) as caught:
+        validate(matrix, mode)
     assert caught.value.violations == expected
 
 

@@ -182,7 +182,7 @@ def test_gluing_realization_fails_on_a_planted_tree_carrier(
     "leaf_count,witness",
     [
         # the last leaf's gap moves off dis R / 2
-        (3, r"star 0: leaf 2 gap \S+ not below budget \S+"),
+        (3, r"star 0: leaf 2 gap \S+ is not half the distortion"),
         # the two-leaf star no longer agrees with the three-leaf one
         (2, r"star 0: adding a leaf moved existing points"),
     ],
