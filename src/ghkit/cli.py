@@ -10,6 +10,7 @@ read and written as `p/q` or bare integers everywhere.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -56,6 +57,7 @@ def _fraction_list(token: str) -> list[Fraction | None]:
     return [_fraction(part) if part else None for part in token.split(",")]
 
 
+@functools.cache  # one parser per process: building it costs more than most commands
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghkit",
@@ -188,6 +190,15 @@ def _cmd_gh(args) -> int:
     return PASS
 
 
+def _emit(text: str, out: Path | None) -> None:
+    """Print `text`, or write it to `out` and say so."""
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        out.write_text(text)
+        print(f"wrote {out}")
+
+
 def _emit_glued(glued, out: Path | None) -> None:
     text = io.dump_space(glued.carrier)
     if out is None:
@@ -214,13 +225,7 @@ def _cmd_glue(args) -> int:
 
 def _cmd_hedgehog(args) -> int:
     if args.hh_command == "compile":
-        space = compile_hedgehog(io.load_hedgehog(args.spec))
-        text = io.dump_space(space)
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            args.out.write_text(text)
-            print(f"wrote {args.out}")
+        _emit(io.dump_space(compile_hedgehog(io.load_hedgehog(args.spec))), args.out)
         return PASS
     if args.hh_command == "iso":
         a = io.load_hedgehog(args.left)
@@ -237,12 +242,7 @@ def _cmd_hedgehog(args) -> int:
     dis = distortion(rel)
     print(f"distortion {dis} (bound {2 * args.eps})")
     print(f"gh_upper_bound {gh_upper_from(rel)} (bound {args.eps})")
-    if args.out is not None:
-        args.out.write_text(io.dump_correspondence(rel))
-        print(f"wrote {args.out}")
-    else:
-        for i, j in rel.sorted_pairs():
-            print(f"{i} {j}")
+    _emit(io.dump_correspondence(rel), args.out)
     return PASS
 
 
@@ -354,14 +354,13 @@ def _cmd_generate(args) -> int:
             coord_max=args.coord_max,
             distinct_distances=args.distinct_distances,
         )
-        args.out.write_text(io.dump_space(space))
+        text = io.dump_space(space)
     elif args.gen_command == "grid-hedgehog":
-        args.out.write_text(io.dump_hedgehog(grid_hedgehog(args.eps, args.diam)))
+        text = io.dump_hedgehog(grid_hedgehog(args.eps, args.diam))
     else:
         rng = rng_from_seed(args.seed)
-        spec = dense_hedgehog_spec(rng, args.count, args.max_length)
-        args.out.write_text(io.dump_hedgehog(spec))
-    print(f"wrote {args.out}")
+        text = io.dump_hedgehog(dense_hedgehog_spec(rng, args.count, args.max_length))
+    _emit(text, args.out)
     return PASS
 
 

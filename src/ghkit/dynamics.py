@@ -33,8 +33,8 @@ from .spaces import (
     FiniteMetricSpace,
     as_fraction,
     diameter,
-    from_grid,
     positive_factor,
+    restrict,
     scale,
 )
 
@@ -164,10 +164,8 @@ class ThreadLimitResult:
             "|".join(self.chain.spaces[n].labels[p] for n, p in enumerate(thread))
             for thread in self.threads
         )
-        denom, rows = self.chain.spaces[-1].grid
         ends = [thread[-1] for thread in self.threads]
-        grid = tuple([tuple([rows[a][b] for b in ends]) for a in ends])
-        return from_grid(labels, denom, grid, PSEUDO)
+        return restrict(self.chain.spaces[-1], ends, labels, PSEUDO)
 
 
 def _zero_classes(space: FiniteMetricSpace) -> tuple[list[int], list[int]]:
@@ -193,12 +191,7 @@ def thread_limit(chain: ThreadChain) -> ThreadLimitResult:
     spaces = chain.spaces
     last = spaces[-1]
     reps, assignment = _zero_classes(last)
-    denom, rows = last.grid
-    approx = from_grid(
-        tuple([last.labels[r] for r in reps]),
-        denom,
-        tuple([tuple([rows[a][b] for b in reps]) for a in reps]),
-    )
+    approx = restrict(last, reps, tuple([last.labels[r] for r in reps]))
 
     successors: list[list[list[int]]] = []
     for n, link in enumerate(chain.links):

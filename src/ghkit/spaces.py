@@ -5,15 +5,17 @@ rest of the package relies on (diameter scaling, realized Hausdorff
 distances, gluing weights) are checked with equality, never with tolerances.
 A space is built from its integer grid: one denominator L and int rows with
 dist[i][j] == Fraction(rows[i][j], L), reduced so that L and the entries
-share no factor.  It keeps only that grid, also when `validate` builds it
-from a matrix: hot loops and equality run on it at machine-integer speed,
-and the `Fraction` matrix is built from it on first read; only the space
-file reader hands over an eager one.  `POINT_CAP` bounds every dense layout:
-each builder, and the space file reader, refuses a larger one through
-`check_points` before it builds anything.  The axiom check packs each row
-one field per point (`pack_rows`, which owns the field width the solver's
-masks use too) and settles each pair's triangle inequalities with one
-big-int sum, so a 2,000-point space validates in seconds.
+share no factor.  It keeps only that grid: `validate` reads a matrix's ints
+and `Fraction`s straight into it, with no `Fraction` copy, and `restrict`
+cuts a sub-space's block from it.  Hot loops and equality run on the grid
+at machine-integer speed, and the `Fraction` matrix is built from it on
+first read; only the space file reader hands over an eager one.
+`POINT_CAP` bounds every dense layout: each builder, and the space file
+reader, refuses a larger one through `check_points` before it builds
+anything.  The axiom check packs each row one field per point (`pack_rows`,
+which owns the field width the solver's masks use too) and settles each
+pair's triangle inequalities with one big-int sum, so a 2,000-point space
+validates in seconds.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ Grid = tuple[int, tuple[tuple[int, ...], ...]]
 
 def _grid(rows: Sequence[Sequence[int | Fraction]]) -> Grid:
     """(L, int rows) with rows[i][j] / L exact; L is the lcm of the denominators."""
-    denom = math.lcm(*{value.denominator for row in rows for value in row})
+    denom = math.lcm(*{as_fraction(value).denominator for row in rows for value in row})
     # Rows are frozen from lists, here and in every other row builder:
     # tuple(list) allocates at the final size, while a tuple grown from a
     # generator is resized and, once freed, parked on CPython's per-size
@@ -121,9 +123,9 @@ class FiniteMetricSpace:
         dist: Sequence[Sequence[int | Fraction]],
         mode: str = STRICT,
     ) -> None:
-        dist = tuple([tuple([as_fraction(x) for x in row]) for row in dist])
-        _check_shape(labels, dist, mode)
-        self.__dict__.update(labels=labels, mode=mode, grid=_grid(dist))
+        grid = _grid(tuple([tuple(row) for row in dist]))  # read each row once
+        _check_shape(labels, grid[1], mode)
+        self.__dict__.update(labels=labels, mode=mode, grid=grid)
 
     def __repr__(self) -> str:
         return (
@@ -170,6 +172,19 @@ def from_grid(
     space = object.__new__(FiniteMetricSpace)
     space.__dict__.update(labels=labels, mode=mode, grid=(denom, rows))
     return space
+
+
+def restrict(
+    space: FiniteMetricSpace,
+    indices: Sequence[int],
+    labels: tuple[str, ...],
+    mode: str = STRICT,
+) -> FiniteMetricSpace:
+    """The points at `indices`, in that order (repeats only in `PSEUDO` mode),
+    as a space: their block of `space.grid`, reduced by `from_grid`."""
+    denom, rows = space.grid
+    block = tuple([tuple([rows[a][b] for b in indices]) for a in indices])
+    return from_grid(labels, denom, block, mode)
 
 
 def validate(

@@ -56,6 +56,7 @@ from .spaces import (
     diameter,
     hausdorff,
     one_point_space,
+    restrict,
     scale,
     validate,
 )
@@ -145,12 +146,7 @@ def check_diameter_identities(seed: int) -> str | None:
 
 def _restriction_matches(glued, vertex: int, space) -> bool:
     indices = [glued.locate(vertex, p) for p in range(len(space))]
-    d = glued.carrier.dist
-    return all(
-        d[indices[p]][indices[q]] == space.dist[p][q]
-        for p in range(len(space))
-        for q in range(len(space))
-    )
+    return restrict(glued.carrier, indices, space.labels, space.mode) == space
 
 
 def check_gluing_realization(seed: int) -> str | None:
@@ -162,7 +158,7 @@ def check_gluing_realization(seed: int) -> str | None:
         rel = random_correspondence(rng, x, y)
         glued = glue_pair(x, y, rel)
         try:
-            validate(glued.carrier.dist, STRICT, glued.carrier.labels)
+            validate(glued.carrier.grid[1], STRICT, glued.carrier.labels)
         except Exception as exc:  # MetricValidationError carries the details
             return f"pair {index}: carrier is not a strict metric: {exc}"
         if hausdorff(glued.part(0), glued.part(1)) != distortion(rel) / 2:
@@ -173,7 +169,7 @@ def check_gluing_realization(seed: int) -> str | None:
         tree = random_gluing_tree(rng, 4)
         glued = glue_tree(tree)
         try:
-            validate(glued.carrier.dist, STRICT, glued.carrier.labels)
+            validate(glued.carrier.grid[1], STRICT, glued.carrier.labels)
         except Exception as exc:
             return f"tree {index}: carrier is not a strict metric: {exc}"
         for e, (u, v, rel) in enumerate(tree.edges):
@@ -195,13 +191,9 @@ def check_gluing_realization(seed: int) -> str | None:
             gap = hausdorff(glued.part(0), glued.part(leaf_no + 1))
             if gap != distortion(rel) / 2:
                 return f"star {index}: leaf {leaf_no} gap {gap} is not half the distortion"
-        smaller = glue_star(center, leaves[:2])
-        ns = len(smaller.carrier)
-        if any(
-            smaller.carrier.dist[p][q] != glued.carrier.dist[p][q]
-            for p in range(ns)
-            for q in range(ns)
-        ):
+        smaller = glue_star(center, leaves[:2]).carrier
+        prefix = restrict(glued.carrier, range(len(smaller)), smaller.labels)
+        if prefix != smaller:
             return f"star {index}: adding a leaf moved existing points"
     return None
 

@@ -1,4 +1,3 @@
-import functools
 import random
 import re
 import tracemalloc
@@ -755,8 +754,6 @@ def test_mutated_input_files_end_in_a_documented_exit_code(
     tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)  # tree and chain files name their parts relatively
-    # one parser serves every run: building it costs more than most runs
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
     bases = _robustness_files(tmp_path)
     kinds = sorted(bases)
     for kind in kinds:

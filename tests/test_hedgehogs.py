@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
@@ -226,6 +227,20 @@ def test_center_location_perturbed_pair_passes():
     # needles of length >= 5M = 5/4 must appear among the far witnesses
     far_lengths = {w.length for w in report.far_needles}
     assert F(2) in far_lengths and F(3) in far_lengths
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"center_bound_ok": False}, {"coverage_ok": False}, {"near_probe_ok": False}],
+    ids=["centers-apart", "far-needle-uncovered", "near-band-broken"],
+)
+def test_center_location_report_fails_on_any_broken_conclusion(change):
+    spec = HedgehogSpec.of(F(3, 4), F(5, 4), 2, 3)
+    other, rel = perturbed_hedgehog(rng_from_seed(41), spec, F(1, 4))
+    report = check_center_location(spec, other, rel, F(1, 4))
+    assert report.passed is True
+    assert replace(report, near_probe=None, near_probe_ok=None).passed is True
+    assert replace(report, **change).passed is False
 
 
 def test_center_location_needs_two_tall_needles():

@@ -1,5 +1,8 @@
+import ast
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, is_dataclass
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -473,3 +476,113 @@ def test_planted_triangle_violations_at_both_ends_of_a_row(tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
     lines = [f"invalid: {len(expected)} violation(s)"]
     assert capsys.readouterr().out.splitlines() == lines + [f"  {v}" for v in expected]
+
+
+def test_validate_of_int_rows_makes_no_fraction_copy():
+    rows = [list(row) for row in random_metric_space(rng_from_seed(7), 200).grid[1]]
+    tracemalloc.start()
+    try:
+        space = validate(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.grid == (1, tuple(map(tuple, rows)))
+    # the grid alone takes about 0.33 MiB; a Fraction copy of the rows took 2.48
+    assert peak <= 1.25 * 2**20
+
+
+_RATIONAL_ROWS = [[0, 1, F(1, 2)], [1, 0, F(3, 2)], [F(1, 2), F(3, 2), 0]]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda m: [iter(row) for row in m],
+        lambda m: (list(row) for row in m),
+        lambda m: (iter(row) for row in m),
+    ],
+    ids=["iterator-rows", "generator-matrix", "generator-of-iterators"],
+)
+def test_rows_are_read_once(make):
+    space = validate(make(_RATIONAL_ROWS), labels="abc")
+    assert space.grid == (2, ((0, 2, 1), (2, 0, 3), (1, 3, 0)))
+    assert space == validate(_RATIONAL_ROWS, labels="abc")
+
+
+_SHAPE = "distance matrix shape does not match labels"
+
+
+class _NotRational:
+    numerator, denominator = 1, 2
+
+
+@pytest.mark.parametrize(
+    ("matrix", "error", "message"),
+    [
+        ([[0, 1.5], [1.5, 0]], TypeError, "expected int or Fraction, got float"),
+        ([[0, "1"], ["1", 0]], TypeError, "expected int or Fraction, got str"),
+        (["01", "10"], TypeError, "expected int or Fraction, got str"),
+        ([[0, 1], [1, 0, 2.0]], TypeError, "expected int or Fraction, got float"),
+        ([[0, 1], [1, 0, 2]], ValueError, _SHAPE),
+        (
+            [[0, _NotRational()], [_NotRational(), 0]],
+            TypeError,
+            "expected int or Fraction, got _NotRational",
+        ),
+        ([1, 2], TypeError, "'int' object is not iterable"),
+        ([], ValueError, "a space needs at least one point"),
+    ],
+    ids=[
+        "float",
+        "str",
+        "str-rows",
+        "ragged-float",
+        "ragged",
+        "not-rational",
+        "int-rows",
+        "empty",
+    ],
+)
+def test_bad_entries_are_refused_before_the_shape(matrix, error, message):
+    with pytest.raises(error) as caught:
+        validate(matrix)
+    assert str(caught.value) == message
+    # an entry's type is refused before the mode and the shape are looked at
+    with pytest.raises(error if error is TypeError else ValueError) as caught:
+        spaces.FiniteMetricSpace(("a",), matrix, "bogus")
+    if error is TypeError:
+        assert str(caught.value) == message
+
+
+def test_restrict_cuts_the_block_in_index_order():
+    space = validate([[0, 2, 4, 6], [2, 0, 4, 6], [4, 4, 0, 6], [6, 6, 6, 0]])
+    cut = spaces.restrict(space, [2, 0, 1], tuple("cab"))
+    assert cut.grid == (1, ((0, 4, 4), (4, 0, 2), (4, 2, 0)))
+    assert cut == validate([[0, 4, 4], [4, 0, 2], [4, 2, 0]], labels="cab")
+    assert spaces.restrict(space, range(4), space.labels) == space
+    sixth = scale(space, F(1, 6))
+    assert sixth.grid[0] == 3
+    # the block of 0 and 3 is [[0, 3], [3, 0]] / 3, which reduces to [[0, 1], [1, 0]]
+    assert spaces.restrict(sixth, [3, 0], ("d", "a")).grid == (1, ((0, 1), (1, 0)))
+    assert spaces.restrict(sixth, [0, 2], ("a", "c")).grid == (3, ((0, 2), (2, 0)))
+
+
+def test_restrict_repeats_points_in_a_pseudo_space():
+    space = validate([[0, F(1, 2)], [F(1, 2), 0]])
+    cut = spaces.restrict(space, [1, 0, 1], ("b", "a", "b2"), PSEUDO)
+    assert cut.mode == PSEUDO and cut.grid == (2, ((0, 1, 0), (1, 0, 1), (0, 1, 0)))
+    half = F(1, 2)
+    matrix = [[0, half, 0], [half, 0, half], [0, half, 0]]
+    assert cut == validate(matrix, PSEUDO, ("b", "a", "b2"))
+
+
+def test_no_module_but_spaces_reads_the_fraction_view():
+    package = Path(spaces.__file__).parent
+    readers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in package.glob("*.py")
+        if path.name != "spaces.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "dist"
+    )
+    assert readers == []

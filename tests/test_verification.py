@@ -1,11 +1,13 @@
 import re
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
 import ghkit.hedgehogs as hedgehogs
 import ghkit.verification as verification
+from ghkit.correspondences import Correspondence
 from ghkit.dynamics import DEFAULT_SAMPLED_FACTORS
 from ghkit.gluing import GluedSpace
 from ghkit.hedgehogs import HedgehogSpec
@@ -91,6 +93,95 @@ def test_scaling_dynamics_fails_on_a_doubled_closed_form(monkeypatch):
     result = run_check("scaling-dynamics")
     assert not result.passed
     assert "space 0: d_lambda gave" in result.witness
+
+
+def _plant_oracle_off_by_one(monkeypatch):
+    real = verification.min_distortion_by_enumeration
+    monkeypatch.setattr(
+        verification,
+        "min_distortion_by_enumeration",
+        lambda x, y: (real(x, y)[0] + 1, None),
+    )
+
+
+def _plant_diameter_off_by_one(monkeypatch):
+    real = verification.diameter
+    monkeypatch.setattr(verification, "diameter", lambda space: real(space) + 1)
+
+
+def _plant_negated_hedgehog_verdict(monkeypatch):
+    real = verification.hedgehog_isometric
+    monkeypatch.setattr(verification, "hedgehog_isometric", lambda a, b: not real(a, b))
+
+
+def _plant_full_bucket_relation(monkeypatch):
+    def plant(a, b, eps):
+        rel = real(a, b, eps)
+        everything = product(range(len(rel.left)), range(len(rel.right)))
+        return Correspondence(rel.left, rel.right, frozenset(everything))
+
+    real = verification.bucket_correspondence
+    monkeypatch.setattr(verification, "bucket_correspondence", plant)
+
+
+def _plant_unfaithful_shift(monkeypatch):
+    real = verification.tuzhilin_isometry
+    monkeypatch.setattr(
+        verification,
+        "tuzhilin_isometry",
+        lambda cfg, m: replace(real(cfg, m), distance_preserving=False),
+    )
+
+
+def _plant_raised_certificates(monkeypatch):
+    def plant(chain):
+        result = real(chain)
+        return replace(result, certificates=tuple(c + 1 for c in result.certificates))
+
+    real = verification.thread_limit
+    monkeypatch.setattr(verification, "thread_limit", plant)
+
+
+@pytest.mark.parametrize(
+    "name,plant,witness",
+    [
+        (
+            "solver-oracle-equivalence",
+            _plant_oracle_off_by_one,
+            r"trial 0: solver 2\*value \S+ != enumerated min distortion \S+",
+        ),
+        (
+            "diameter-identities",
+            _plant_diameter_off_by_one,
+            r"one-point identity failed on space 0",
+        ),
+        (
+            "hedgehog-rigidity",
+            _plant_negated_hedgehog_verdict,
+            r"specs 0,0: multiset equality False but \d+ cells held by isometries",
+        ),
+        (
+            "bucket-construction",
+            _plant_full_bucket_relation,
+            r"eps 1: distortion \S+ above 2\*eps",
+        ),
+        (
+            "tuzhilin-example",
+            _plant_unfaithful_shift,
+            r"m=1: the shift does not preserve distances",
+        ),
+        (
+            "thread-limits",
+            _plant_raised_certificates,
+            r"constant chain produced nonzero certificates",
+        ),
+    ],
+)
+def test_each_check_fails_on_a_planted_fault(monkeypatch, name, plant, witness):
+    plant(monkeypatch)
+    result = run_check(name)
+    assert result.passed is False
+    assert re.fullmatch(witness, result.witness)
 
 
 # planted faults in glued carriers: each family of the gluing and center checks
