@@ -75,7 +75,7 @@ def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
     The witness is the lexicographically smallest pair set among all
     correspondences attaining the minimum distortion, so repeated runs (and
     snapshot tests) see one canonical answer.  `nodes_explored` counts the
-    branches of the feasibility search over every threshold probe and the
+    branches of the feasibility search over every level probe and the
     witness scan.  Raises `TooLarge` before building anything when a side
     has more than SIDE_BOUND points, and once the search passes NODE_BUDGET
     branches; under both, every answer is the same as with no guard.
@@ -88,42 +88,40 @@ def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
     denom, dx, dy = scaled_integer_matrices(x, y)
     diam_x, diam_y = max(map(max, dx)), max(map(max, dy))
     lb_int = abs(diam_x - diam_y)
-    nm = n * m
-    lines = line_masks(n, m)
-    everything = (1 << nm) - 1
-    tally = [0]
+    everything = (1 << n * m) - 1
     # the full relation's distortion is the top level, so it is never
     # probed; `found` is the last feasible probe's correspondence, `compat`
     # the masks it was found with, and `best` its distortion
     best = max(diam_x, diam_y)
     packing = _packing(dx, dy, best)
-    found, compat = everything, _Compat(packing, best)
+    search = _Search(_Compat(packing, best), n, m)
+    found, compat = everything, search.compat
     if lb_int < best:
-        trial = _Compat(packing, lb_int)  # the smallest level: a gap itself
-        extension = _extend(trial, lines, 0, everything, tally)
+        search.compat = _Compat(packing, lb_int)  # the smallest level: a gap itself
+        extension = _extend(search, 0, everything)
         if extension:
-            best, found, compat = lb_int, extension, trial
+            best, found, compat = lb_int, extension, search.compat
         else:
             levels = _levels(dx, dy, lb_int + 1)
             lo, hi = 0, len(levels) - 1  # levels[hi] == best
             while lo < hi:
                 probe = (lo + hi) // 2
-                trial = _Compat(packing, levels[probe])
-                extension = _extend(trial, lines, 0, everything, tally)
+                search.compat = _Compat(packing, levels[probe])
+                extension = _extend(search, 0, everything)
                 if extension:
                     best = max_gap(decode_cells(extension, m), dx, dy)
                     hi = bisect_left(levels, best)
-                    found, compat = extension, trial
+                    found, compat = extension, search.compat
                 else:
                     lo = probe + 1
-    if compat.t != best:  # the last correspondence sits below its probe
-        compat = _Compat(packing, best)
-    witness_pairs = _lex_min_cells(compat, found, nm, lines, m, tally)
+    # the masks at best: the last probe's, unless `found` sits below its level
+    search.compat = compat if compat.t == best else _Compat(packing, best)
+    witness_pairs = _lex_min_cells(search, found)
     return GHResult(
         value=Fraction(best, 2 * denom),
         witness=Correspondence(x, y, witness_pairs),
         lower_bound=Fraction(lb_int, 2 * denom),
-        nodes_explored=tally[0],
+        nodes_explored=search.nodes,
     )
 
 
@@ -204,21 +202,31 @@ class _Compat(dict):
         return mask
 
 
-def _extend(
-    compat: _Compat, lines: list[int], chosen: int, avail: int, tally: list[int]
-) -> int:
-    """A correspondence within budget containing `chosen`, else 0.
+class _Search:
+    """The state of one solve: `compat`, the masks of the level being
+    searched; the line masks of the n x m cells; the node count; and the
+    node budget, NODE_BUDGET as it stood when the solve started."""
 
-    The budget is the one `compat` was built for; cells outside `chosen`
-    come from `avail`, which the caller keeps inside the compat masks of the
-    chosen cells.  Branches on the uncovered row or column with the fewest
-    candidates and fails as soon as one has none; a candidate that fails is
-    dropped for its siblings.  Returns the correspondence's cell mask and
-    counts one node per branch in `tally[0]`, raising `TooLarge` past
-    NODE_BUDGET.
+    __slots__ = ("compat", "lines", "m", "nodes", "budget")
+
+    def __init__(self, compat: _Compat | list[int], n: int, m: int) -> None:
+        self.compat, self.lines, self.m = compat, line_masks(n, m), m
+        self.nodes, self.budget = 0, NODE_BUDGET
+
+
+def _extend(search: _Search, chosen: int, avail: int) -> int:
+    """A correspondence at the level searched containing `chosen`, else 0.
+
+    Cells outside `chosen` come from `avail`, which the caller keeps inside
+    the compat masks of the chosen cells.  Branches on the uncovered row or
+    column with the fewest candidates and fails as soon as one has none; a
+    candidate that fails is dropped for its siblings.  Returns the
+    correspondence's cell mask and counts one node per branch in
+    `search.nodes`, raising `TooLarge` past `search.budget`.
     """
+    compat = search.compat
     fewest, count = 0, 0
-    for line in lines:
+    for line in search.lines:
         if not chosen & line:
             candidates = avail & line
             if not candidates:
@@ -230,38 +238,38 @@ def _extend(
     while fewest:
         bit = fewest & -fewest
         fewest ^= bit
-        tally[0] += 1
-        if tally[0] > NODE_BUDGET:
-            raise TooLarge(f"the search passed its budget of {NODE_BUDGET} nodes")
+        search.nodes += 1
+        if search.nodes > search.budget:
+            raise TooLarge(f"the search passed its budget of {search.budget} nodes")
         narrowed = avail & compat[bit.bit_length() - 1]
-        found = _extend(compat, lines, chosen | bit, narrowed, tally)
+        found = _extend(search, chosen | bit, narrowed)
         if found:
             return found
         avail ^= bit
     return 0
 
 
-def _lex_min_cells(
-    compat: _Compat, found: int, nm: int, lines: list[int], m: int, tally: list[int]
-) -> frozenset[tuple[int, int]]:
-    """Lexicographically smallest correspondence within the budget of `compat`.
+def _lex_min_cells(search: _Search, found: int) -> frozenset[tuple[int, int]]:
+    """Lexicographically smallest correspondence at the level searched.
 
-    `found` is a correspondence within that budget, such as the one the
-    last feasible probe returned, so the scan starts with no search of its
-    own.  Cells are scanned in index order; a cell joins the witness
-    whenever the prefix (chosen cells, earlier cells excluded) still extends
-    to a full correspondence.  `found` stays such an extension: it holds
-    the chosen cells and none of the excluded ones, so an available cell
-    whose mask holds all of `found` joins with no new search, and `found`
-    with it (a cell of `found` is one such).  Prefix-closed comparison: once
-    the chosen set covers both sides, any extension sorts later, so the
-    scan stops; `uncovered` keeps the lines the chosen set has not met.
+    `found` is a correspondence at that level, such as the one the last
+    feasible probe returned, so the scan starts with no search of its own.
+    Cells are scanned in index order; a cell joins the witness whenever the
+    prefix (chosen cells, earlier cells excluded) still extends to a full
+    correspondence.  `found` stays such an extension: it holds the chosen
+    cells and none of the excluded ones, so an available cell whose mask
+    holds all of `found` joins with no new search, and `found` with it (a
+    cell of `found` is one such).  Prefix-closed comparison: once the chosen
+    set covers both sides, any extension sorts later, so the scan stops;
+    `uncovered` keeps the lines the chosen set has not met.
     """
     if not found:
         raise InvariantBroken(
-            "the distortion budget admits no correspondence (solver bug)"
+            "the distortion level admits no correspondence (solver bug)"
         )
-    avail, chosen, uncovered = (1 << nm) - 1, 0, lines
+    compat, m = search.compat, search.m
+    nm = (len(search.lines) - m) * m
+    avail, chosen, uncovered = (1 << nm) - 1, 0, search.lines
     for cell in range(nm):
         if not uncovered:
             break
@@ -270,7 +278,7 @@ def _lex_min_cells(
             continue
         mask = compat[cell]
         if found & ~mask:
-            trial = _extend(compat, lines, chosen | bit, avail & mask, tally)
+            trial = _extend(search, chosen | bit, avail & mask)
             if not trial:
                 avail ^= bit
                 continue
@@ -307,22 +315,22 @@ def isometry_cells(
     are.  Refuses and raises as `are_isometric` does, with NODE_BUDGET over
     all the searches.
     """
-    search = _isometry_search(x, y)
-    if search is None:
+    isometry = _isometry_search(x, y)
+    if isometry is None:
         return frozenset()
-    held, compat, lines, tally = search
+    held, search = isometry
     n = len(x)
     for cell in range(n * n):
         if not held >> cell & 1:
-            held |= _extend(compat, lines, 1 << cell, compat[cell], tally)
+            held |= _extend(search, 1 << cell, search.compat[cell])
     return decode_cells(held, n)
 
 
 def _isometry_search(
     x: FiniteMetricSpace, y: FiniteMetricSpace
-) -> tuple[int, _Compat, list[int], list[int]] | None:
-    """An isometry's cell mask with the t = 0 masks, the line masks and the
-    node tally it was found with; None when there is no isometry."""
+) -> tuple[int, _Search] | None:
+    """An isometry's cell mask with the t = 0 search state it was found
+    with; None when there is no isometry."""
     if x.mode != STRICT or y.mode != STRICT:
         raise ValueError("isometry search requires strict spaces")
     n = len(x)
@@ -338,7 +346,6 @@ def _isometry_search(
     values = set(chain.from_iterable(dx)).union(chain.from_iterable(dy))
     label = dict(zip(values, range(len(values)))).__getitem__
     dx, dy = ([list(map(label, row)) for row in rows] for rows in (dx, dy))
-    compat = _Compat(_packing(dx, dy, len(values) - 1), 0)
-    lines, tally = line_masks(n, n), [0]
-    found = _extend(compat, lines, 0, (1 << n * n) - 1, tally)
-    return (found, compat, lines, tally) if found else None
+    search = _Search(_Compat(_packing(dx, dy, len(values) - 1), 0), n, n)
+    found = _extend(search, 0, (1 << n * n) - 1)
+    return (found, search) if found else None

@@ -1,6 +1,7 @@
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,21 @@ def test_gh_oracle_flag(gap_files, capsys):
     _, _, xp, yp = gap_files
     assert main(["gh", str(xp), str(yp), "--enumerate-oracle"]) == 0
     assert "match true" in capsys.readouterr().err
+
+
+def test_gh_oracle_mismatch_is_a_failed_check(gap_files, monkeypatch, capsys):
+    # a solver whose value is off by one: the oracle must catch it
+    def off_by_one(x, y):
+        result = real(x, y)
+        return replace(result, value=result.value + 1)
+
+    real = cli.gh_exact
+    monkeypatch.setattr(cli, "gh_exact", off_by_one)
+    _, _, xp, yp = gap_files
+    assert main(["gh", str(xp), str(yp), "--enumerate-oracle"]) == 1
+    captured = capsys.readouterr()
+    assert "value 2\n" in captured.out
+    assert captured.err == "oracle 1 match false\n"
 
 
 def test_gh_oracle_guard_is_input_error(tmp_path, monkeypatch, capsys):

@@ -336,16 +336,15 @@ def test_lex_min_witness_below_the_optimum_raises_typed_error():
     # every correspondence of {0,1} at distance 1 with {0,1} at distance 3
     # has distortion 2, so a budget of 1 admits none; pytest.raises keeps the
     # check alive under python -O
-    from ghkit.correspondences import line_masks
     from ghkit.errors import InvariantBroken
-    from ghkit.solver import _Compat, _extend, _lex_min_cells, _packing
+    from ghkit.solver import _Compat, _Search, _extend, _lex_min_cells, _packing
 
     dx, dy = ((0, 1), (1, 0)), ((0, 3), (3, 0))
-    compat, lines = _Compat(_packing(dx, dy, 3), 1), line_masks(2, 2)
-    found = _extend(compat, lines, 0, 15, [0])
+    search = _Search(_Compat(_packing(dx, dy, 3), 1), 2, 2)
+    found = _extend(search, 0, 15)
     assert found == 0
-    with pytest.raises(InvariantBroken):
-        _lex_min_cells(compat, found, 4, lines, 2, [0])
+    with pytest.raises(InvariantBroken, match="distortion level admits no"):
+        _lex_min_cells(search, found)
 
 
 # tops at each side of a byte boundary of 2*top + 1, and above 2^64
@@ -446,17 +445,17 @@ def _eager_compat(gaps, nm, t):
     ]
 
 
-def _scan_from_scratch(compat, nm, lines):
+def _scan_from_scratch(search, nm):
     # reference lex-min scan: one search per cell, no correspondence reused
     from ghkit.solver import _extend
 
     chosen, avail = 0, (1 << nm) - 1
     for cell in range(nm):
-        if all(chosen & line for line in lines):
+        if all(chosen & line for line in search.lines):
             break
         bit = 1 << cell
-        narrowed = avail & compat[cell]
-        if avail & bit and _extend(compat, lines, chosen | bit, narrowed, [0]):
+        narrowed = avail & search.compat[cell]
+        if avail & bit and _extend(search, chosen | bit, narrowed):
             chosen, avail = chosen | bit, narrowed
         else:
             avail &= ~bit
@@ -495,40 +494,39 @@ def test_lazy_masks_equal_an_eager_reference_at_every_level(x, y):
 
 @pytest.mark.parametrize("x, y", _mask_pairs())
 def test_search_and_witness_scan_agree_with_eager_masks(x, y):
-    from ghkit.correspondences import decode_cells, line_masks
+    from ghkit.correspondences import decode_cells
     from ghkit.errors import InvariantBroken
-    from ghkit.solver import _Compat, _extend, _lex_min_cells, _packing
+    from ghkit.solver import _Compat, _Search, _extend, _lex_min_cells, _packing
 
     n, m = len(x), len(y)
     nm = n * m
-    lines, everything = line_masks(n, m), (1 << nm) - 1
+    everything = (1 << nm) - 1
     denom, dx, dy, gaps = _gap_table(x, y)
     top = max(max(map(max, dx)), max(map(max, dy)))
     packing, feasible = _packing(dx, dy, top), []
     for t in sorted(set(gaps)):
-        lazy, eager = _Compat(packing, t), _eager_compat(gaps, nm, t)
-        lazy_tally, eager_tally = [0], [0]
-        found = _extend(lazy, lines, 0, everything, lazy_tally)
-        assert found == _extend(eager, lines, 0, everything, eager_tally)
-        assert lazy_tally == eager_tally
+        lazy = _Search(_Compat(packing, t), n, m)
+        eager = _Search(_eager_compat(gaps, nm, t), n, m)
+        found = _extend(lazy, 0, everything)
+        assert found == _extend(eager, 0, everything)
+        assert lazy.nodes == eager.nodes
         if not found:
             with pytest.raises(InvariantBroken):
-                _lex_min_cells(lazy, found, nm, lines, m, [0])
+                _lex_min_cells(lazy, found)
             continue
         feasible.append(t)
-        witness = _lex_min_cells(lazy, found, nm, lines, m, lazy_tally)
-        assert witness == _lex_min_cells(eager, found, nm, lines, m, eager_tally)
-        assert lazy_tally == eager_tally
+        witness = _lex_min_cells(lazy, found)
+        assert witness == _lex_min_cells(eager, found)
+        assert lazy.nodes == eager.nodes
         # handed the probe's correspondence, the scan returns the witness a
         # scan from scratch returns
-        assert witness == decode_cells(_scan_from_scratch(eager, nm, lines), m)
+        scratch = _Search(eager.compat, n, m)
+        assert witness == decode_cells(_scan_from_scratch(scratch, nm), m)
     # the top level is never probed: the full relation stands in for its
     # correspondence and must give the same witness
-    last = _Compat(packing, feasible[-1])
-    found = _extend(last, lines, 0, everything, [0])
-    assert _lex_min_cells(last, everything, nm, lines, m, [0]) == _lex_min_cells(
-        last, found, nm, lines, m, [0]
-    )
+    last = _Search(_Compat(packing, feasible[-1]), n, m)
+    found = _extend(last, 0, everything)
+    assert _lex_min_cells(last, everything) == _lex_min_cells(last, found)
     assert gh_exact(x, y).value == F(feasible[0], 2 * denom)
 
 
@@ -761,6 +759,33 @@ def test_stressed_golden_values_and_lex_min_witnesses(x, y, value, witness):
     assert result.value == value
     assert [list(pair) for pair in result.witness.sorted_pairs()] == witness
     assert distortion(result.witness) == 2 * value
+
+
+# The node count of every golden solve, as given and with the sides swapped.
+# They depend on the branch order alone, so a change to the search that
+# keeps that order keeps them all, and one that changes it shows here.
+_GOLDEN_NODES = {
+    "random-12x12-12002": (15289, 7807),
+    "random-14x14-14005": (6211, 3723),
+    "random-16x16-16002": (4978, 4316),
+    "random-10x16-11600": (5123, 3227),
+    "random-16x11-17101": (3074, 1839),
+    "random-13x15-14503": (4532, 4262),
+    "near_scaled-12x12-12004": (8489, 76),
+    "near_scaled-14x14-14005": (38, 46),
+    "near_scaled-16x16-16001": (2054, 798),
+    "hedgehog-12x12-12005": (212, 325),
+    "hedgehog-14x14-14004": (22189, 2628),
+    "hedgehog-16x16-16000": (434, 284),
+    "hedgehog-16x16-16003": (1578, 268),
+}
+
+
+@pytest.mark.parametrize("x, y, value, witness", _golden_pairs())
+def test_stressed_golden_node_counts(x, y, value, witness, request):
+    given, swapped = _GOLDEN_NODES[request.node.callspec.id]
+    assert gh_exact(x, y).nodes_explored == given
+    assert gh_exact(y, x).nodes_explored == swapped
 
 
 # Swapping the sides and relabelling X both change the search order, so a

@@ -7,11 +7,11 @@ import pytest
 
 import ghkit.hedgehogs as hedgehogs
 import ghkit.verification as verification
-from ghkit.correspondences import Correspondence
+from ghkit.correspondences import Correspondence, full_correspondence
 from ghkit.dynamics import DEFAULT_SAMPLED_FACTORS
 from ghkit.gluing import GluedSpace
 from ghkit.hedgehogs import HedgehogSpec
-from ghkit.spaces import STRICT, from_grid
+from ghkit.spaces import STRICT, diameter, from_grid
 from ghkit.verification import CHECKS, run_check, suite_names
 
 
@@ -104,6 +104,68 @@ def _plant_oracle_off_by_one(monkeypatch):
     )
 
 
+def _plant_solver(monkeypatch, change):
+    """Route every `gh_exact` call of the checks through `change(x, y, result)`."""
+    real = verification.gh_exact
+    monkeypatch.setattr(verification, "gh_exact", lambda x, y: change(x, y, real(x, y)))
+
+
+def _plant_full_witness(monkeypatch):
+    # the right value, but the full relation as its witness
+    _plant_solver(
+        monkeypatch, lambda x, y, r: replace(r, witness=full_correspondence(x, y))
+    )
+
+
+def _plant_value_past_the_diameters(monkeypatch):
+    # the first side's diameter added: a one-point first side keeps its value
+    _plant_solver(
+        monkeypatch,
+        lambda x, y, r: replace(r, value=r.value + diameter(x)),
+    )
+
+
+def _plant_lower_bound_past_the_value(monkeypatch):
+    _plant_solver(monkeypatch, lambda x, y, r: replace(r, lower_bound=r.value + 1))
+
+
+def _plant_value_halfway_to_the_upper_bound(monkeypatch):
+    # halfway to max(diam X, diam Y) / 2, which a one-point side attains
+    def change(x, y, r):
+        top = max(diameter(x), diameter(y))
+        return replace(r, value=(r.value + top / 2) / 2)
+
+    _plant_solver(monkeypatch, change)
+
+
+def _plant_value_one_below(monkeypatch):
+    # one unit below the value, but never below the lower bound, which is
+    # tight on one-point sides and scaled copies
+    _plant_solver(
+        monkeypatch,
+        lambda x, y, r: replace(r, value=max(r.lower_bound, r.value - 1)),
+    )
+
+
+def _plant_isometry_cells(monkeypatch, extra):
+    """Add the cells `extra(y)` to every nonempty `isometry_cells` answer."""
+    real = verification.isometry_cells
+
+    def plant(x, y):
+        cells = real(x, y)
+        return cells | extra(y) if cells else cells
+
+    monkeypatch.setattr(verification, "isometry_cells", plant)
+
+
+def _plant_center_moved(monkeypatch):
+    _plant_isometry_cells(monkeypatch, lambda y: {(0, 1)})
+
+
+def _plant_needle_moved(monkeypatch):
+    _plant_isometry_cells(monkeypatch, lambda y: {(1, q) for q in range(1, len(y))})
+
+
 def _plant_diameter_off_by_one(monkeypatch):
     real = verification.diameter
     monkeypatch.setattr(verification, "diameter", lambda space: real(space) + 1)
@@ -151,14 +213,49 @@ def _plant_raised_certificates(monkeypatch):
             r"trial 0: solver 2\*value \S+ != enumerated min distortion \S+",
         ),
         (
+            "solver-oracle-equivalence",
+            _plant_full_witness,
+            r"trial 1: witness does not attain the reported value",
+        ),
+        (
             "diameter-identities",
             _plant_diameter_off_by_one,
             r"one-point identity failed on space 0",
         ),
         (
+            "diameter-identities",
+            _plant_value_past_the_diameters,
+            r"pair 0: 2\*value exceeds max diameter",
+        ),
+        (
+            "diameter-identities",
+            _plant_lower_bound_past_the_value,
+            r"pair 0: lower bound above exact value",
+        ),
+        (
+            "diameter-identities",
+            _plant_value_halfway_to_the_upper_bound,
+            r"space 0: scaled copies 1/2,1/2 gave 13/16, expected 0",
+        ),
+        (
+            "diameter-identities",
+            _plant_value_one_below,
+            r"pair 2: equivariance failed at 2",
+        ),
+        (
             "hedgehog-rigidity",
             _plant_negated_hedgehog_verdict,
             r"specs 0,0: multiset equality False but \d+ cells held by isometries",
+        ),
+        (
+            "hedgehog-rigidity",
+            _plant_center_moved,
+            r"specs 1,1: an isometry moves the center",
+        ),
+        (
+            "hedgehog-rigidity",
+            _plant_needle_moved,
+            r"specs 3,3: an isometry changes a needle length",
         ),
         (
             "bucket-construction",
