@@ -159,8 +159,8 @@ def perturbed_hedgehog(
     delta = as_fraction(delta)
     if delta <= 0:
         raise ValueError("delta must be positive")
+    compiled = compile_hedgehog(spec)  # refuses a spec over the point cap first
     lengths = spec.expanded()
-    compiled = compile_hedgehog(spec)
     for _ in range(1000):
         moved = []
         for x in lengths:

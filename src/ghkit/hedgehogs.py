@@ -5,13 +5,16 @@ at distance x from a needle of length x, and distinct needle points sit at
 distance x1 + x2 (the intrinsic metric through the center).  Isometry theory
 is multiset equality of needles, which the bucket construction turns into
 quantitative closeness: matching needles within length buckets of width eps
-yields a correspondence of distortion at most 2*eps.
+yields a correspondence of distortion at most 2*eps.  `HedgehogSpec.grid`
+puts the needle lengths on their common denominator, the one place that rule
+lives: compiling, bucket matching and center location read it, and build
+`Fraction`s only for the values they return.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
 from typing import Iterable
@@ -33,14 +36,18 @@ CENTER_LABEL = "0"
 
 @dataclass(frozen=True)
 class HedgehogSpec:
-    """Multiset of needle lengths: ((length, multiplicity), ...) sorted by length."""
+    """Multiset of needle lengths: ((length, multiplicity), ...) sorted by length;
+    `grid` is (L, one int x per distinct length), length == x / L with L the
+    lcm of the denominators, and is not compared, hashed or shown."""
 
     needles: tuple[tuple[Fraction, int], ...]
+    grid: tuple[int, tuple[int, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.needles:
             raise ValueError("a hedgehog needs at least one needle")
-        lengths = [length for length, _ in self.needles]
+        denom = math.lcm(*(as_fraction(x).denominator for x, _ in self.needles))
+        lengths = [x.numerator * (denom // x.denominator) for x, _ in self.needles]
         if any(length <= 0 for length in lengths):
             raise ValueError("needle lengths must be positive")
         if not all(isinstance(mult, int) for _, mult in self.needles):
@@ -49,15 +56,14 @@ class HedgehogSpec:
             raise ValueError("multiplicities must be positive")
         if any(a >= b for a, b in pairwise(lengths)):
             raise ValueError("needles must be sorted with distinct lengths")
+        object.__setattr__(self, "grid", (denom, tuple(lengths)))
 
     @classmethod
     def of(cls, *lengths: int | Fraction) -> "HedgehogSpec":
         return cls.from_pairs((as_fraction(x), 1) for x in lengths)
 
     @classmethod
-    def from_pairs(
-        cls, pairs: Iterable[tuple[int | Fraction, int]]
-    ) -> "HedgehogSpec":
+    def from_pairs(cls, pairs: Iterable[tuple[int | Fraction, int]]) -> "HedgehogSpec":
         merged: dict[Fraction, int] = {}
         for length, mult in pairs:
             # checked per pair: a merged sum can hide a zero or negative count
@@ -67,10 +73,7 @@ class HedgehogSpec:
                 raise ValueError("multiplicities must be positive")
             key = as_fraction(length)
             merged[key] = merged.get(key, 0) + mult
-        # the Fraction order, sorted on int keys over the common denominator
-        denom = math.lcm(*(x.denominator for x in merged))
-        order = sorted(merged, key=lambda x: x.numerator * (denom // x.denominator))
-        return cls(tuple([(x, merged[x]) for x in order]))
+        return cls(tuple(sorted(merged.items())))
 
     @property
     def point_count(self) -> int:
@@ -78,22 +81,17 @@ class HedgehogSpec:
 
     def expanded(self) -> tuple[Fraction, ...]:
         """Needle lengths repeated by multiplicity, ascending."""
-        return tuple(
-            length for length, mult in self.needles for _ in range(mult)
-        )
+        return tuple(length for length, mult in self.needles for _ in range(mult))
 
     def scaled(self, factor: int | Fraction) -> "HedgehogSpec":
         lam = positive_factor(factor)
-        return HedgehogSpec(
-            tuple((length * lam, mult) for length, mult in self.needles)
-        )
+        return HedgehogSpec(tuple((x * lam, mult) for x, mult in self.needles))
 
 
 def compile_hedgehog(spec: HedgehogSpec) -> FiniteMetricSpace:
     """Center plus one point per needle copy, intrinsic metric through the center.
 
-    Refuses with `TooLarge`, before building anything, a spec over the
-    point cap.
+    Refuses a spec over the point cap with `TooLarge` before building anything.
     """
     check_points("hedgehog has", spec.point_count)
     labels = (CENTER_LABEL,) + tuple(
@@ -101,8 +99,8 @@ def compile_hedgehog(spec: HedgehogSpec) -> FiniteMetricSpace:
         for length, mult in spec.needles
         for copy in range(1, mult + 1)
     )
-    denom = math.lcm(*(length.denominator for length, _ in spec.needles))
-    grid = [0] + [x.numerator * (denom // x.denominator) for x in spec.expanded()]
+    denom, lengths = spec.grid
+    grid = [0] + _copies(spec, lengths)
     rows = []
     for i, a in enumerate(grid):
         row = [a + b for b in grid]  # through the center, which sits at 0
@@ -111,14 +109,14 @@ def compile_hedgehog(spec: HedgehogSpec) -> FiniteMetricSpace:
     return from_grid(labels, denom, tuple(rows), STRICT)
 
 
+def _copies(spec: HedgehogSpec, values: Iterable) -> list:
+    """One value per distinct length, repeated by multiplicity (compiled order)."""
+    return [v for v, (_, mult) in zip(values, spec.needles) for _ in range(mult)]
+
+
 def hedgehog_isometric(a: HedgehogSpec, b: HedgehogSpec) -> bool:
     """Compiled hedgehogs are isometric exactly when the needle multisets agree."""
     return a.needles == b.needles
-
-
-def bucket_index(length: Fraction, eps: Fraction) -> int:
-    """1-based index of the half-open bucket ((n-1)*eps, n*eps] containing length."""
-    return math.ceil(length / eps)
 
 
 def bucket_correspondence(
@@ -126,21 +124,23 @@ def bucket_correspondence(
 ) -> Correspondence:
     """Match needles within common length buckets; centers match each other.
 
-    Requires equal per-bucket counts (with multiplicity) and matches within a
-    bucket ascending by length, so the result is deterministic.  Matched
-    lengths differ by less than eps, hence the distortion is at most 2*eps.
+    Bucket n is the half-open ((n-1)*eps, n*eps].  Requires equal per-bucket
+    counts (with multiplicity) and matches within a bucket ascending by
+    length, so the result is deterministic.  Matched lengths differ by less
+    than eps, hence the distortion is at most 2*eps.
     """
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    compiled_a = compile_hedgehog(a)
-    compiled_b = compile_hedgehog(b)
+    compiled_a, compiled_b = compile_hedgehog(a), compile_hedgehog(b)
     buckets_a: dict[int, list[int]] = {}  # bucket index -> compiled indices
     buckets_b: dict[int, list[int]] = {}
     for spec, buckets in ((a, buckets_a), (b, buckets_b)):
-        # compiled order: center, then needle copies ascending
-        for idx, length in enumerate(spec.expanded(), start=1):
-            buckets.setdefault(bucket_index(length, eps), []).append(idx)
+        # x / L is in bucket ceil(x / (L * eps)); copies in compiled order, from 1
+        denom, lengths = spec.grid
+        per = [-(-x * eps.denominator // (denom * eps.numerator)) for x in lengths]
+        for idx, n in enumerate(_copies(spec, per), start=1):
+            buckets.setdefault(n, []).append(idx)
     pairs = {(0, 0)}
     for n in sorted(set(buckets_a) | set(buckets_b)):
         left = buckets_a.get(n, [])
@@ -193,16 +193,12 @@ class CenterLocationReport:
 
     @property
     def passed(self) -> bool:
-        if not (self.center_bound_ok and self.coverage_ok):
-            return False
-        return self.near_probe_ok is not False
+        ok = self.center_bound_ok and self.coverage_ok
+        return ok and self.near_probe_ok is not False
 
 
 def check_center_location(
-    a: HedgehogSpec,
-    b: HedgehogSpec,
-    rel: Correspondence,
-    m: int | Fraction,
+    a: HedgehogSpec, b: HedgehogSpec, rel: Correspondence, m: int | Fraction
 ) -> CenterLocationReport:
     """Locate the second hedgehog's center and far needles inside a gluing.
 
@@ -219,27 +215,29 @@ def check_center_location(
     m = as_fraction(m)
     if m <= 0:
         raise ValueError("M must be positive")
-    compiled_a = compile_hedgehog(a)
-    compiled_b = compile_hedgehog(b)
+    compiled_a, compiled_b = compile_hedgehog(a), compile_hedgehog(b)
     if rel.left != compiled_a or rel.right != compiled_b:
         raise ValueError("correspondence does not match the compiled hedgehogs")
 
-    two_m, five_m = 2 * m, 5 * m  # fixed per call, read for every needle
-    big = [x for x in a.expanded() if x >= two_m]
-    if len(big) < 2:
+    def at_least(k: int, denom: int) -> int:  # the least int d with d / denom >= k*M
+        return -(-k * m.numerator * denom // m.denominator)
+
+    denom, lengths = a.grid
+    big = _copies(a, [x >= at_least(2, denom) for x in lengths])
+    if big.count(True) < 2:
         raise PremiseViolated(
             "need at least two needles of length >= 2M",
-            f"lengths >= 2M: {[str(x) for x in big]}",
+            f"lengths >= 2M: {[str(x) for x, y in zip(a.expanded(), big) if y]}",
         )
 
     glued = glue_pair(compiled_a, compiled_b, rel)
     na = len(compiled_a)
     denom, grid = glued.carrier.grid
     # the carrier lists the first copy, then the second (glue_tree's attach
-    # order), so row i of the cross block is point i of A against all of B;
-    # an int d there has d / denom < M exactly when d < m_grid
+    # order), so row i of the cross block is point i of A against all of B,
+    # and each center's row holds its needle lengths
     cross = [row[na:] for row in grid[:na]]
-    m_grid = -(-m.numerator * denom // m.denominator)
+    m_grid, two_m, four_m, five_m = (at_least(k, denom) for k in (1, 2, 4, 5))
 
     for label, row in zip(compiled_a.labels, cross):
         if min(row) >= m_grid:
@@ -248,43 +246,44 @@ def check_center_location(
                 f"point {label} at distance {Fraction(min(row), denom)} >= {m}",
             )
 
-    lengths_b = (Fraction(0), *b.expanded())
+    lengths_a, lengths_b = grid[0][1:na], grid[na][na:]
+    partners = b.expanded()  # the report's lengths: point j of B has partners[j - 1]
     matched = (0, 0) in rel.pairs
     far, probe = [], []
-    for label, length, row in zip(compiled_a.labels[1:], a.expanded(), cross[1:]):
-        if length < two_m:  # every far needle (>= 5M) is also >= 2M
+    rows = zip(compiled_a.labels[1:], a.expanded(), lengths_a, cross[1:])
+    for label, length, x, row in rows:
+        if x < two_m:  # every far needle (>= 5M) is also >= 2M
             continue
         j = row.index(min(row[1:]), 1)  # first closest non-center partner
-        if length >= five_m:
+        if x >= five_m:
             far.append(
                 FarNeedleWitness(
                     label=label,
                     length=length,
                     partner_label=compiled_b.labels[j],
-                    partner_length=lengths_b[j],
+                    partner_length=partners[j - 1],
                     carrier_distance=Fraction(row[j], denom),
                     within_m=row[j] < m_grid,
                     center_excluded=row[0] >= m_grid,
                 )
             )
         if matched:
-            gap = length - lengths_b[j]
+            gap = x - lengths_b[j]
             probe.append(
                 NearNeedleWitness(
                     label=label,
                     length=length,
                     partner_label=compiled_b.labels[j],
-                    partner_length=lengths_b[j],
-                    length_gap=gap,
+                    partner_length=partners[j - 1],
+                    length_gap=Fraction(gap, denom),
                     within_band=abs(gap) < two_m,
                 )
             )
 
-    center_distance = Fraction(cross[0][0], denom)
     return CenterLocationReport(
         m=m,
-        center_distance=center_distance,
-        center_bound_ok=center_distance < 4 * m,
+        center_distance=Fraction(cross[0][0], denom),
+        center_bound_ok=cross[0][0] < four_m,
         far_needles=tuple(far),
         coverage_ok=all(w.within_m and w.center_excluded for w in far),
         near_probe=tuple(probe) if matched else None,

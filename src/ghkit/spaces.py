@@ -6,10 +6,11 @@ distances, gluing weights) are checked with equality, never with tolerances.
 A space is built from its integer grid: one denominator L and int rows with
 dist[i][j] == Fraction(rows[i][j], L), reduced so that L and the entries
 share no factor.  It keeps only that grid: `validate` reads a matrix's ints
-and `Fraction`s straight into it, with no `Fraction` copy, and `restrict`
-cuts a sub-space's block from it.  Hot loops and equality run on the grid
-at machine-integer speed, and the `Fraction` matrix is built from it on
-first read; only the space file reader hands over an eager one.
+and `Fraction`s straight into it (`_grid`'s type guard sends only a matrix
+of other types through `as_fraction`), and `restrict` cuts a sub-space's
+block from it.  Hot loops and equality run on the grid at machine-integer
+speed, and the `Fraction` matrix is built from it on first read; only the
+space file reader hands over an eager one.
 `POINT_CAP` bounds every dense layout: each builder, and the space file
 reader, refuses a larger one through `check_points` before it builds
 anything.  The axiom check packs each row one field per point (`pack_rows`,
@@ -74,7 +75,9 @@ Grid = tuple[int, tuple[tuple[int, ...], ...]]
 
 def _grid(rows: Sequence[Sequence[int | Fraction]]) -> Grid:
     """(L, int rows) with rows[i][j] / L exact; L is the lcm of the denominators."""
-    denom = math.lcm(*{as_fraction(value).denominator for row in rows for value in row})
+    if not {type(value) for row in rows for value in row} <= {int, Fraction}:
+        rows = [[as_fraction(value) for value in row] for row in rows]  # or TypeError
+    denom = math.lcm(*{value.denominator for row in rows for value in row})
     # Rows are frozen from lists, here and in every other row builder:
     # tuple(list) allocates at the final size, while a tuple grown from a
     # generator is resized and, once freed, parked on CPython's per-size

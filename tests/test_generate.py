@@ -15,6 +15,7 @@ from ghkit.generate import (
     rng_from_seed,
 )
 from ghkit.gluing import glue_tree
+from ghkit.hedgehogs import HedgehogSpec
 from ghkit.spaces import STRICT, validate
 
 
@@ -115,6 +116,18 @@ def test_generator_point_cap_boundary(monkeypatch):
         grid_hedgehog(1, 5)
     with pytest.raises(TooLarge):
         dense_hedgehog_spec(NoSampling(), 3, 1)
+
+
+def test_perturbed_hedgehog_refuses_a_spec_over_the_cap_before_expanding(monkeypatch):
+    # one needle line of 10^7 copies: expanding it first would allocate them all
+    spec = HedgehogSpec(((F(1), 10**7),))
+
+    def no_expansion(self):
+        raise AssertionError("the point cap must be checked before expanding")
+
+    monkeypatch.setattr(HedgehogSpec, "expanded", no_expansion)
+    with pytest.raises(TooLarge, match="hedgehog has 10000001 points"):
+        perturbed_hedgehog(NoSampling(), spec, F(1, 4))
 
 
 def test_dense_spec_counts():

@@ -18,7 +18,6 @@ from ghkit.generate import perturbed_hedgehog, rng_from_seed
 from ghkit.hedgehogs import (
     HedgehogSpec,
     bucket_correspondence,
-    bucket_index,
     check_center_location,
     compile_hedgehog,
     hedgehog_isometric,
@@ -69,6 +68,25 @@ def test_from_pairs_sorts_as_fractions_do(seed):
     spec = HedgehogSpec.from_pairs(pairs)
     assert spec.needles == tuple(sorted(merged.items()))
     assert all(type(length) is F for length, _ in spec.needles)
+
+
+def test_direct_spec_refuses_a_zero_multiplicity():
+    with pytest.raises(ValueError, match="^multiplicities must be positive$"):
+        HedgehogSpec(((F(1), 0),))
+
+
+def test_direct_spec_refuses_a_float_length_by_type():
+    with pytest.raises(TypeError, match="^expected int or Fraction, got float$"):
+        HedgehogSpec(((1.5, 1),))
+
+
+def test_spec_grid_is_one_int_per_distinct_length():
+    spec = HedgehogSpec.from_pairs([(F(1, 2), 3), (F(2, 3), 1), (2, 2)])
+    assert spec.grid == (6, (3, 4, 12))
+    assert spec == HedgehogSpec(((F(1, 2), 3), (F(2, 3), 1), (F(2), 2)))
+    assert "grid" not in repr(spec)
+    # a legal line of ten million copies keeps one int: the point cap refuses it later
+    assert HedgehogSpec(((F(1, 3), 10**7),)).grid == (3, (1,))
 
 
 def test_non_integer_multiplicities_are_refused():
@@ -163,12 +181,15 @@ def test_scale_isometry_check():
             assert hedgehog_isometric(spec.scaled(lam), spec) == (lam == 1)
 
 
-def test_bucket_index_half_open():
+def test_bucket_correspondence_buckets_are_half_open():
+    # bucket n is ((n-1)*eps, n*eps]: 1/4 and 1/2 share bucket 1, 3/4 and 1 bucket 2
     eps = F(1, 2)
-    assert bucket_index(F(1, 2), eps) == 1
-    assert bucket_index(F(1, 4), eps) == 1
-    assert bucket_index(F(3, 4), eps) == 2
-    assert bucket_index(F(1), eps) == 2
+    a, b = HedgehogSpec.of(F(1, 4), F(3, 4)), HedgehogSpec.of(F(1, 2), F(1))
+    assert bucket_correspondence(a, b, eps).pairs == {(0, 0), (1, 1), (2, 2)}
+    with pytest.raises(BucketMismatch) as excinfo:
+        bucket_correspondence(HedgehogSpec.of(F(1, 2)), HedgehogSpec.of(F(3, 4)), eps)
+    mismatch = excinfo.value
+    assert (mismatch.bucket, mismatch.count_a, mismatch.count_b) == (1, 1, 0)
 
 
 def test_bucket_identity_on_equal_specs():
@@ -274,6 +295,16 @@ def test_center_location_skips_probe_without_center_match():
     assert distortion(rel) == F(1, 4)
     report = check_center_location(spec, spec, rel, F(1, 4))
     assert report.near_probe is None and report.near_probe_ok is None
+
+
+def test_center_location_refuses_a_correspondence_over_other_spaces():
+    spec, other = HedgehogSpec.of(2, 3), HedgehogSpec.of(2, 4)
+    compiled, compiled_other = compile_hedgehog(spec), compile_hedgehog(other)
+    rel = Correspondence(compiled, compiled_other, frozenset((i, i) for i in range(3)))
+    with pytest.raises(ValueError, match="does not match the compiled hedgehogs"):
+        check_center_location(spec, spec, rel, F(1, 4))
+    with pytest.raises(ValueError, match="does not match the compiled hedgehogs"):
+        check_center_location(other, other, rel, F(1, 4))
 
 
 def test_center_location_zero_distortion_propagates():

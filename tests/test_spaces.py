@@ -509,6 +509,40 @@ def test_rows_are_read_once(make):
     assert space == validate(_RATIONAL_ROWS, labels="abc")
 
 
+def test_int_and_fraction_matrices_skip_as_fraction(monkeypatch):
+    space = random_metric_space(rng_from_seed(3), 40)  # on a grid of sixths
+    rows = space.grid[1]
+
+    def refuse(value):
+        raise AssertionError("int and Fraction entries are read as they are")
+
+    monkeypatch.setattr(spaces, "as_fraction", refuse)
+    labels = space.labels
+    assert spaces.FiniteMetricSpace(labels, space.dist) == space
+    assert spaces.FiniteMetricSpace(labels, rows) == spaces.from_grid(labels, 1, rows)
+    assert validate(_RATIONAL_ROWS).grid == (2, ((0, 2, 1), (2, 0, 3), (1, 3, 0)))
+
+
+def test_a_bool_matrix_equals_its_int_twin():
+    assert validate([[False, True], [True, False]]) == validate([[0, 1], [1, 0]])
+    mixed = [[0, True, F(1, 2)], [True, 0, F(1, 2)], [F(1, 2), F(1, 2), False]]
+    assert validate(mixed).grid == (2, ((0, 2, 1), (2, 0, 1), (1, 1, 0)))
+
+
+@pytest.mark.parametrize(
+    ("matrix", "named"),
+    [
+        ([[0, 1, 2.5], [1, 0, "x"], [2, 1, 0]], "float"),
+        ([[0, F(1, 2), "x"], [F(1, 2), 0, 2.5], [2, 1, 0]], "str"),
+        ([[0, 1, 2], [1, 0, 1], [2, None, 1.0]], "NoneType"),
+    ],
+    ids=["float-then-str", "str-then-float", "last-row"],
+)
+def test_the_first_bad_entry_in_row_major_order_is_named(matrix, named):
+    with pytest.raises(TypeError, match=f"^expected int or Fraction, got {named}$"):
+        validate(matrix)
+
+
 _SHAPE = "distance matrix shape does not match labels"
 
 

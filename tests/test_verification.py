@@ -10,7 +10,7 @@ import ghkit.verification as verification
 from ghkit.correspondences import Correspondence, full_correspondence
 from ghkit.dynamics import DEFAULT_SAMPLED_FACTORS
 from ghkit.gluing import GluedSpace
-from ghkit.hedgehogs import HedgehogSpec
+from ghkit.hedgehogs import HedgehogSpec, compile_hedgehog
 from ghkit.spaces import STRICT, diameter, from_grid
 from ghkit.verification import CHECKS, run_check, suite_names
 
@@ -204,6 +204,63 @@ def _plant_raised_certificates(monkeypatch):
     monkeypatch.setattr(verification, "thread_limit", plant)
 
 
+def _plant_multiplicity_blind_verdict(monkeypatch):
+    # compares the needle lengths but not how often each occurs
+    monkeypatch.setattr(
+        verification,
+        "hedgehog_isometric",
+        lambda a, b: [x for x, _ in a.needles] == [x for x, _ in b.needles],
+    )
+
+
+def _plant_bound_of_the_full_relation(monkeypatch):
+    real = verification.gh_upper_from
+    monkeypatch.setattr(
+        verification,
+        "gh_upper_from",
+        lambda rel: real(full_correspondence(rel.left, rel.right)),
+    )
+
+
+def _plant_distortion_floor(monkeypatch):
+    # a distortion clamped below at 1/64, so an exact match never reads 0
+    real = verification.distortion
+    monkeypatch.setattr(verification, "distortion", lambda rel: max(real(rel), F(1, 64)))
+
+
+def _plant_dyadic_only_matcher(monkeypatch):
+    # right on every grid of the eps loop (all dyadic), the full relation once
+    # a length's denominator has an odd factor
+    def plant(a, b, eps):
+        if any(L & (L - 1) for L in (a.grid[0], b.grid[0])):
+            return full_correspondence(compile_hedgehog(a), compile_hedgehog(b))
+        return real(a, b, eps)
+
+    real = verification.bucket_correspondence
+    monkeypatch.setattr(verification, "bucket_correspondence", plant)
+
+
+def _plant_skipped_near_probe(monkeypatch):
+    # the report of a matched pair drops its near-needle probe
+    real = verification.check_center_location
+    monkeypatch.setattr(
+        verification,
+        "check_center_location",
+        lambda *args: replace(real(*args), near_probe=None, near_probe_ok=None),
+    )
+
+
+def _plant_hedgehog_accepting_2(monkeypatch):
+    def plant(obj, sampled=DEFAULT_SAMPLED_FACTORS):
+        report = real(obj, sampled)
+        if not isinstance(obj, HedgehogSpec):
+            return report
+        return replace(report, accepted=(F(1), F(2)))
+
+    real = verification.stabilizer_finite
+    monkeypatch.setattr(verification, "stabilizer_finite", plant)
+
+
 @pytest.mark.parametrize(
     "name,plant,witness",
     [
@@ -258,9 +315,34 @@ def _plant_raised_certificates(monkeypatch):
             r"specs 3,3: an isometry changes a needle length",
         ),
         (
+            "hedgehog-rigidity",
+            _plant_multiplicity_blind_verdict,
+            r"specs 0,1: equal multisets but different sizes",
+        ),
+        (
             "bucket-construction",
             _plant_full_bucket_relation,
             r"eps 1: distortion \S+ above 2\*eps",
+        ),
+        (
+            "bucket-construction",
+            _plant_bound_of_the_full_relation,
+            r"eps 1: upper bound above eps",
+        ),
+        (
+            "bucket-construction",
+            _plant_distortion_floor,
+            r"eps 1: identical grids did not match identically",
+        ),
+        (
+            "bucket-construction",
+            _plant_dyadic_only_matcher,
+            r"thirds vs dyadic: bucket correspondence exceeded its bound",
+        ),
+        (
+            "center-location",
+            _plant_skipped_near_probe,
+            r"trial 0: centers were not matched by the correspondence",
         ),
         (
             "tuzhilin-example",
@@ -271,6 +353,12 @@ def _plant_raised_certificates(monkeypatch):
             "thread-limits",
             _plant_raised_certificates,
             r"constant chain produced nonzero certificates",
+        ),
+        (
+            "stabilizers",
+            _plant_hedgehog_accepting_2,
+            r"hedgehog \(\(Fraction\(1, 1\), 1\), \(Fraction\(2, 1\), 1\)\): "
+            r"accepted \(Fraction\(1, 1\), Fraction\(2, 1\)\), found \(Fraction\(1, 1\),\)",
         ),
     ],
 )
