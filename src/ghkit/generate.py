@@ -154,7 +154,7 @@ def perturbed_hedgehog(
     Both compilations list needles ascending and sorted matching minimizes
     the bottleneck gap on a line, so identity index pairing matches every
     needle within delta of one of its nudged copies; the distortion is then
-    below 2*delta, and positive (zero perturbations are resampled).
+    below 2*delta, and positive: a draw equal to `spec` (a zero move) is redrawn.
     """
     delta = as_fraction(delta)
     if delta <= 0:
@@ -170,9 +170,7 @@ def perturbed_hedgehog(
                 shift = -shift
             moved.append(x + shift)
         other = HedgehogSpec.from_pairs((x, 1) for x in moved)
-        compiled_other = compile_hedgehog(other)
-        pairs = frozenset((i, i) for i in range(spec.point_count))
-        rel = Correspondence(compiled, compiled_other, pairs)
-        if distortion(rel) > 0:
-            return other, rel
+        if other != spec:
+            pairs = frozenset((i, i) for i in range(spec.point_count))
+            return other, Correspondence(compiled, compile_hedgehog(other), pairs)
     raise ValueError("could not build a positive-distortion perturbation")

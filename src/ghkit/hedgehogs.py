@@ -6,8 +6,8 @@ distance x1 + x2 (the intrinsic metric through the center).  Isometry theory
 is multiset equality of needles, which the bucket construction turns into
 quantitative closeness: matching needles within length buckets of width eps
 yields a correspondence of distortion at most 2*eps.  `HedgehogSpec.grid`
-puts the needle lengths on their common denominator, the one place that rule
-lives: compiling, bucket matching and center location read it, and build
+puts the needle lengths on their common denominator (`from_pairs` sorts by
+those ints): compiling, bucket matching and center location read it, and build
 `Fraction`s only for the values they return.
 """
 
@@ -60,7 +60,7 @@ class HedgehogSpec:
 
     @classmethod
     def of(cls, *lengths: int | Fraction) -> "HedgehogSpec":
-        return cls.from_pairs((as_fraction(x), 1) for x in lengths)
+        return cls.from_pairs((x, 1) for x in lengths)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int | Fraction, int]]) -> "HedgehogSpec":
@@ -73,7 +73,9 @@ class HedgehogSpec:
                 raise ValueError("multiplicities must be positive")
             key = as_fraction(length)
             merged[key] = merged.get(key, 0) + mult
-        return cls(tuple(sorted(merged.items())))
+        denom = math.lcm(*(x.denominator for x in merged))  # sort on the grid's ints
+        order = sorted(merged, key=lambda x: x.numerator * (denom // x.denominator))
+        return cls(tuple([(x, merged[x]) for x in order]))
 
     @property
     def point_count(self) -> int:

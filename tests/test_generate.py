@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from ghkit import spaces
-from ghkit.correspondences import distortion
+from ghkit import generate, spaces
+from ghkit.correspondences import Correspondence, distortion
 from ghkit.errors import TooLarge
 from ghkit.generate import (
     dense_hedgehog_spec,
@@ -15,7 +16,7 @@ from ghkit.generate import (
     rng_from_seed,
 )
 from ghkit.gluing import glue_tree
-from ghkit.hedgehogs import HedgehogSpec
+from ghkit.hedgehogs import HedgehogSpec, compile_hedgehog
 from ghkit.spaces import STRICT, validate
 
 
@@ -145,3 +146,55 @@ def test_perturbed_hedgehog_contract():
     assert 0 < dis < 2 * delta
     assert (0, 0) in rel.pairs
     assert other.point_count == spec.point_count
+
+
+class ZeroFirstDraw(random.Random):
+    """A seeded Random whose first `zeros` randrange calls give 0."""
+
+    def __init__(self, seed, zeros):
+        super().__init__(seed)
+        self.zeros = zeros
+        self.calls = 0
+
+    def randrange(self, *args):
+        self.calls += 1
+        return 0 if self.calls <= self.zeros else super().randrange(*args)
+
+
+def test_perturbed_hedgehog_redraws_a_zero_move_once(monkeypatch):
+    spec = HedgehogSpec.from_pairs(((F(1, 2), 1), (F(3, 2), 2)))
+    delta = F(1, 4)
+    expected, _ = perturbed_hedgehog(random.Random(5), spec, delta)
+    compiled = []
+    real = generate.compile_hedgehog
+    monkeypatch.setattr(
+        generate, "compile_hedgehog", lambda s: compiled.append(s) or real(s)
+    )
+    rng = ZeroFirstDraw(5, zeros=3)  # every step of the first draw is 0
+    other, rel = perturbed_hedgehog(rng, spec, delta)
+    assert rng.calls == 6  # the zero move and one accepted draw of 3 copies
+    assert compiled == [spec, other]  # the zero move was never compiled
+    assert other == expected != spec
+    assert 0 < distortion(rel) < 2 * delta
+
+
+def test_spec_equality_is_positive_distortion_of_the_identity_pairing():
+    # draws as perturbed_hedgehog makes them, with steps often 0 or +-1/8, so
+    # equal multisets come from zero moves and from needles trading places
+    delta = F(1, 2)
+    seen = set()
+    for seed in range(300):
+        rng = rng_from_seed(seed)
+        spec = dense_hedgehog_spec(rng, rng.randint(1, 4), F(1, 2))
+        moved, steps = [], []
+        for x in spec.expanded():
+            step = rng.choice((0, 0, 16, -16, rng.randrange(-63, 64)))
+            shift = F(step, 64) * delta
+            moved.append(x - shift if x + shift <= 0 else x + shift)
+            steps.append(step)
+        other = HedgehogSpec.from_pairs((x, 1) for x in moved)
+        pairs = frozenset((i, i) for i in range(spec.point_count))
+        rel = Correspondence(compile_hedgehog(spec), compile_hedgehog(other), pairs)
+        assert (other != spec) == (distortion(rel) > 0)
+        seen.add((other != spec, any(steps)))
+    assert seen == {(True, True), (False, False), (False, True)}

@@ -56,12 +56,15 @@ def test_spec_refuses_unsorted_or_repeated_lengths(needles):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_from_pairs_sorts_as_fractions_do(seed):
+    # thirds, sevenths and 1/64 steps interleave closely: 21/64 < 1/3 < 22/64
     rng = rng_from_seed(seed)
+    denominators = (1, 2, 3, 5, 7, 8, 12, 64)
     pairs = [
-        (F(rng.randint(1, 60), rng.choice((1, 2, 3, 5, 8, 12))), rng.randint(1, 3))
+        (F(rng.randint(1, 60), rng.choice(denominators)), rng.randint(1, 3))
         for _ in range(rng.randint(1, 20))
     ]
     pairs += [(rng.randint(1, 6), 1) for _ in range(rng.randint(0, 3))]
+    pairs += [(x, 1) for x in (F(22, 64), F(1, 3), F(21, 64), F(2, 7), F(18, 64))]
     merged: dict[F, int] = {}
     for length, mult in pairs:
         merged[F(length)] = merged.get(F(length), 0) + mult

@@ -8,10 +8,10 @@ import pytest
 import ghkit.hedgehogs as hedgehogs
 import ghkit.verification as verification
 from ghkit.correspondences import Correspondence, full_correspondence
-from ghkit.dynamics import DEFAULT_SAMPLED_FACTORS
+from ghkit.dynamics import DEFAULT_SAMPLED_FACTORS, ThreadChain
 from ghkit.gluing import GluedSpace
 from ghkit.hedgehogs import HedgehogSpec, compile_hedgehog
-from ghkit.spaces import STRICT, diameter, from_grid
+from ghkit.spaces import STRICT, diameter, from_grid, scale
 from ghkit.verification import CHECKS, run_check, suite_names
 
 
@@ -261,6 +261,128 @@ def _plant_hedgehog_accepting_2(monkeypatch):
     monkeypatch.setattr(verification, "stabilizer_finite", plant)
 
 
+def _plant_tuzhilin_gap_doubled(monkeypatch):
+    real = verification.tuzhilin_isometry
+
+    def plant(cfg, m):
+        embedding = real(cfg, m)
+        return replace(embedding, hausdorff_value=2 * embedding.hausdorff_value)
+
+    monkeypatch.setattr(verification, "tuzhilin_isometry", plant)
+
+
+def _plant_needle_set_gap_raised(monkeypatch):
+    real = verification.needle_set_hausdorff
+    monkeypatch.setattr(
+        verification, "needle_set_hausdorff", lambda n, m: real(n, m) + 1
+    )
+
+
+def _plant_value_one_up(monkeypatch):
+    _plant_solver(monkeypatch, lambda x, y, r: replace(r, value=r.value + 1))
+
+
+def _plant_chain_over_budget(monkeypatch):
+    class OverBudget(ThreadChain):
+        def __post_init__(self):
+            super().__post_init__()
+            object.__setattr__(self, "budget_checked", False)
+
+    monkeypatch.setattr(verification, "ThreadChain", OverBudget)
+
+
+def _plant_raised_positive_certificates(monkeypatch):
+    # the constant chain's zero certificates stay zero
+    def plant(chain):
+        result = real(chain)
+        raised = tuple(c + 1 if c else c for c in result.certificates)
+        return replace(result, certificates=raised)
+
+    real = verification.thread_limit
+    monkeypatch.setattr(verification, "thread_limit", plant)
+
+
+SCALING_GRID = (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2), F(3), F(4))
+
+
+def _scaling_factor(x, y):
+    """lam of a `gh_exact(x, scale(x, lam))` call, by the diameters."""
+    return diameter(y) / diameter(x)
+
+
+def _plant_value_times_factor(monkeypatch):
+    # d(lam) * lam: d(1) stays 0, but d(1/lam) = d(lam)/lam fails
+    _plant_solver(
+        monkeypatch,
+        lambda x, y, r: replace(r, value=r.value * _scaling_factor(x, y)),
+    )
+
+
+def _plant_doubled_value(monkeypatch):
+    # 2 * d(lam) keeps the inversion identity but not the closed form
+    _plant_solver(monkeypatch, lambda x, y, r: replace(r, value=2 * r.value))
+
+
+def _plant_value_raised_off_the_grid(monkeypatch):
+    # exact on the grid, one up off it, where only the products lam*mu are probed
+    def change(x, y, r):
+        if _scaling_factor(x, y) in SCALING_GRID:
+            return r
+        return replace(r, value=r.value + 1)
+
+    _plant_solver(monkeypatch, change)
+
+
+def _plant_center_iterate(monkeypatch, change):
+    real = verification.center_iterate
+    monkeypatch.setattr(
+        verification,
+        "center_iterate",
+        lambda x, lam, n: change(real(x, lam, n)),
+    )
+
+
+def _plant_doubled_iterate(monkeypatch):
+    _plant_center_iterate(
+        monkeypatch, lambda state: replace(state, iterate=scale(state.iterate, 2))
+    )
+
+
+def _plant_zero_tail_bound(monkeypatch):
+    _plant_center_iterate(monkeypatch, lambda state: replace(state, tail_bound=F(0)))
+
+
+def _plant_one_point_report(monkeypatch, change):
+    """The one-point space's stabilizer report replaced by `change(report)`."""
+    real = verification.stabilizer_finite
+
+    def plant(obj, sampled=DEFAULT_SAMPLED_FACTORS):
+        report = real(obj, sampled)
+        if isinstance(obj, HedgehogSpec) or len(obj) > 1:
+            return report
+        return change(report)
+
+    monkeypatch.setattr(verification, "stabilizer_finite", plant)
+
+
+def _plant_point_without_factor_2(monkeypatch):
+    # dropped from the candidates too, so the isometry search agrees
+    def keep(factors):
+        return tuple(lam for lam in factors if lam != 2)
+
+    _plant_one_point_report(
+        monkeypatch,
+        lambda r: replace(r, accepted=keep(r.accepted), candidates=keep(r.candidates)),
+    )
+
+
+def _plant_point_missing_a_zero_sample(monkeypatch):
+    _plant_one_point_report(
+        monkeypatch,
+        lambda r: replace(r, zero_distance_sampled=r.zero_distance_sampled[1:]),
+    )
+
+
 @pytest.mark.parametrize(
     "name,plant,witness",
     [
@@ -350,15 +472,85 @@ def _plant_hedgehog_accepting_2(monkeypatch):
             r"m=1: the shift does not preserve distances",
         ),
         (
+            "tuzhilin-example",
+            _plant_tuzhilin_gap_doubled,
+            r"m=1: realized gap 2, expected 1",
+        ),
+        (
+            "tuzhilin-example",
+            _plant_needle_set_gap_raised,
+            r"needle sets 1,1: gap differs from \|1/n - 1/m\|",
+        ),
+        (
             "thread-limits",
             _plant_raised_certificates,
             r"constant chain produced nonzero certificates",
+        ),
+        (
+            "thread-limits",
+            _plant_value_one_up,
+            r"constant chain limit is not isometric to the base space",
+        ),
+        (
+            "thread-limits",
+            _plant_chain_over_budget,
+            r"contraction chain does not satisfy the 1/2\^n link budget",
+        ),
+        (
+            "thread-limits",
+            _plant_diameter_off_by_one,
+            r"contraction limit diameter \S+ != \S+",
+        ),
+        (
+            "thread-limits",
+            _plant_raised_positive_certificates,
+            r"layer 1: certificate \S+ above 1/2\^\(n-1\)",
+        ),
+        (
+            "scaling-dynamics",
+            _plant_value_one_up,
+            r"space 0: d\(1\) != 0",
+        ),
+        (
+            "scaling-dynamics",
+            _plant_value_times_factor,
+            r"space 0: inversion identity failed at 1/4",
+        ),
+        (
+            "scaling-dynamics",
+            _plant_doubled_value,
+            r"space 0: closed form failed at 1/4",
+        ),
+        (
+            "scaling-dynamics",
+            _plant_value_raised_off_the_grid,
+            r"space 0: subdivision bound failed at 1/4,1/4",
+        ),
+        (
+            "scaling-dynamics",
+            _plant_doubled_iterate,
+            r"space 0: iterate gap is not the closed form",
+        ),
+        (
+            "scaling-dynamics",
+            _plant_zero_tail_bound,
+            r"space 0: tail bound fails to dominate the gap",
         ),
         (
             "stabilizers",
             _plant_hedgehog_accepting_2,
             r"hedgehog \(\(Fraction\(1, 1\), 1\), \(Fraction\(2, 1\), 1\)\): "
             r"accepted \(Fraction\(1, 1\), Fraction\(2, 1\)\), found \(Fraction\(1, 1\),\)",
+        ),
+        (
+            "stabilizers",
+            _plant_point_without_factor_2,
+            r"one-point space rejected factors \[Fraction\(2, 1\)\]",
+        ),
+        (
+            "stabilizers",
+            _plant_point_missing_a_zero_sample,
+            r"one-point space: a sampled factor is not at zero distance",
         ),
     ],
 )
