@@ -137,11 +137,11 @@ def _enumerate_threads(
 
 @dataclass(frozen=True)
 class ThreadLimitResult:
-    chain: ThreadChain
-    threads: Threads
-    approx: FiniteMetricSpace
-    projections: tuple[Correspondence, ...]  # limit -> layer n relation
-    certificates: tuple[Fraction, ...]  # half distortion of each projection
+    chain: ThreadChain  # determines every other field: == and hash read only it
+    threads: Threads = field(compare=False)
+    approx: FiniteMetricSpace = field(compare=False)
+    projections: tuple[Correspondence, ...] = field(compare=False)  # limit -> layer n
+    certificates: tuple[Fraction, ...] = field(compare=False)  # half of each dis
 
     @cached_property
     def thread_classes(self) -> tuple[int, ...]:

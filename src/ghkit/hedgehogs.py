@@ -14,6 +14,7 @@ those ints): compiling, bucket matching and center location read it, and build
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
@@ -64,18 +65,19 @@ class HedgehogSpec:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int | Fraction, int]]) -> "HedgehogSpec":
-        merged: dict[Fraction, int] = {}
+        """Merge repeated lengths on the int key (numerator, denominator)."""
+        merged: dict[tuple[int, int], list] = {}  # key -> [length, multiplicity]
         for length, mult in pairs:
             # checked per pair: a merged sum can hide a zero or negative count
             if not isinstance(mult, int):
                 raise ValueError("multiplicities must be integers")
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
-            key = as_fraction(length)
-            merged[key] = merged.get(key, 0) + mult
-        denom = math.lcm(*(x.denominator for x in merged))  # sort on the grid's ints
-        order = sorted(merged, key=lambda x: x.numerator * (denom // x.denominator))
-        return cls(tuple([(x, merged[x]) for x in order]))
+            x = as_fraction(length)
+            merged.setdefault((x.numerator, x.denominator), [x, 0])[1] += mult
+        denom = math.lcm(*(d for _, d in merged))  # sort on the grid's ints
+        order = sorted(merged, key=lambda key: key[0] * (denom // key[1]))
+        return cls(tuple([tuple(merged[key]) for key in order]))
 
     @property
     def point_count(self) -> int:
@@ -127,30 +129,27 @@ def bucket_correspondence(
     """Match needles within common length buckets; centers match each other.
 
     Bucket n is the half-open ((n-1)*eps, n*eps].  Requires equal per-bucket
-    counts (with multiplicity) and matches within a bucket ascending by
-    length, so the result is deterministic.  Matched lengths differ by less
-    than eps, hence the distortion is at most 2*eps.
+    counts (with multiplicity), else `BucketMismatch` names the first bucket
+    that differs.  Both compilations list copies ascending, so the match is
+    copy i <-> copy i.  Matched lengths differ by less than eps, hence the
+    distortion is at most 2*eps.
     """
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     compiled_a, compiled_b = compile_hedgehog(a), compile_hedgehog(b)
-    buckets_a: dict[int, list[int]] = {}  # bucket index -> compiled indices
-    buckets_b: dict[int, list[int]] = {}
-    for spec, buckets in ((a, buckets_a), (b, buckets_b)):
-        # x / L is in bucket ceil(x / (L * eps)); copies in compiled order, from 1
+    counts = []
+    for spec in (a, b):
+        # x / L is in bucket ceil(x / (L * eps)); one entry per needle copy
         denom, lengths = spec.grid
         per = [-(-x * eps.denominator // (denom * eps.numerator)) for x in lengths]
-        for idx, n in enumerate(_copies(spec, per), start=1):
-            buckets.setdefault(n, []).append(idx)
-    pairs = {(0, 0)}
-    for n in sorted(set(buckets_a) | set(buckets_b)):
-        left = buckets_a.get(n, [])
-        right = buckets_b.get(n, [])
-        if len(left) != len(right):
-            raise BucketMismatch(n, len(left), len(right))
-        pairs.update(zip(left, right))
-    return Correspondence(compiled_a, compiled_b, frozenset(pairs))
+        counts.append(Counter(_copies(spec, per)))
+    count_a, count_b = counts
+    if count_a != count_b:
+        n = min(count_a.items() ^ count_b.items())[0]  # the first differing bucket
+        raise BucketMismatch(n, count_a[n], count_b[n])
+    pairs = frozenset((i, i) for i in range(len(compiled_a)))
+    return Correspondence(compiled_a, compiled_b, pairs)
 
 
 # ---------------------------------------------------------------------------

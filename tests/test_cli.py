@@ -546,6 +546,54 @@ def test_generate_dense_spec_refuses_a_count_below_1(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "files,argv,message",
+    [
+        (
+            {"c.chain": ""},
+            ["limit", "c.chain"],
+            "error: a chain needs at least one space",
+        ),
+        (
+            {"h.hh": "# comments only\n\n  # and a blank line\n"},
+            ["hedgehog", "compile", "h.hh"],
+            "error: h.hh:1: empty hedgehog file",
+        ),
+        (
+            {"t.tree": "vertex 0 x.msp\nvertex 2 y.msp\nedge 0 2 r.corr\n"},
+            ["glue", "--tree", "t.tree"],
+            "error: t.tree:1: vertex ids must be 0..n-1",
+        ),
+        (
+            {},
+            ["center", "x.msp", "--lambda", "1/2", "--n", "-1"],
+            "error: n must be nonnegative",
+        ),
+        (
+            {},
+            ["generate", "grid-hedgehog", "--eps", "0", "--diam", "1", "--out", "g.hh"],
+            "error: need 0 < eps <= diam",
+        ),
+        (
+            {},
+            ["generate", "dense-spec", "--count", "1", "--max-length", "0"]
+            + ["--out", "g.hh"],
+            "error: not enough grid points for the requested count",
+        ),
+    ],
+)
+def test_input_guards_exit_2_with_their_message(
+    gap_files, tmp_path, monkeypatch, capsys, files, argv, message
+):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)  # gap_files wrote x.msp and y.msp here
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+    assert not (tmp_path / "g.hh").exists()
+
+
 def test_generate_grid_hedgehog(tmp_path):
     out = tmp_path / "g.hh"
     assert main(

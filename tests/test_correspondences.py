@@ -91,6 +91,12 @@ def test_enumeration_guard():
         list(enumerate_pair_sets(5, 5))
 
 
+@pytest.mark.parametrize("n,m", [(0, 2), (2, 0), (-1, -1)])
+def test_enumeration_refuses_an_empty_side(n, m):
+    with pytest.raises(ValueError, match="^sizes must be positive$"):
+        list(enumerate_pair_sets(n, m))
+
+
 def test_enumerate_correspondences_objects(gap_pair):
     x, y = gap_pair
     rels = list(enumerate_correspondences(x, y))

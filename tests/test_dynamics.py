@@ -69,6 +69,11 @@ def test_chain_validation(base_space):
     other = validate([[0, 2], [2, 0]])
     with pytest.raises(ValueError):
         ThreadChain((base_space, other), (identity_correspondence(base_space),))
+    with pytest.raises(ValueError, match="^a chain needs at least one space$"):
+        ThreadChain((), ())
+    link = identity_correspondence(base_space)
+    with pytest.raises(ValueError, match="^a chain of k spaces needs k-1 links$"):
+        ThreadChain((base_space, base_space), (link, link))
 
 
 def test_budget_flag(base_space):
@@ -189,6 +194,21 @@ def test_thread_cap(base_space, monkeypatch):
         with pytest.raises(ThreadCapExceeded) as caught:
             read()
         assert (caught.value.count, caught.value.cap) == (3**13, THREAD_CAP)
+
+
+def test_results_of_one_chain_compare_and_hash_by_the_chain(base_space, monkeypatch):
+    # 3^13 threads, over THREAD_CAP: == and hash must not read them
+    monkeypatch.setattr(dynamics, "_enumerate_threads", no_build)
+    chain = full_chain(base_space, 13)
+    first, second = thread_limit(chain), thread_limit(chain)
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+    assert first != thread_limit(full_chain(base_space, 12))
+    monkeypatch.setattr(dynamics, "THREAD_CAP", 2)
+    small = thread_limit(full_chain(base_space, 2))  # 9 threads
+    assert hash(small) == hash(thread_limit(full_chain(base_space, 2)))
+    with pytest.raises(ThreadCapExceeded):
+        list(small.threads)
 
 
 def test_thread_space_cap(base_space, monkeypatch):
@@ -394,6 +414,13 @@ def test_scaling_reads_the_diameter_once_per_call(base_space, monkeypatch):
     assert [value for _, value in probe.samples] == [
         abs(1 - lam) * diameter(base_space) / 2 for lam, _ in probe.samples
     ]
+
+
+def test_probe_value_refuses_an_unsampled_factor(base_space):
+    probe = d_lambda_probe(base_space, [F(1, 2), 2])
+    assert probe.value(2) == F(1, 2)  # |1 - 2| * diam / 2, diam 1
+    with pytest.raises(KeyError, match="lambda 3/2 was not sampled"):
+        probe.value(F(3, 2))
 
 
 def test_center_iterate_zero_and_tail(base_space):

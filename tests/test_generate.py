@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -176,6 +177,53 @@ def test_perturbed_hedgehog_redraws_a_zero_move_once(monkeypatch):
     assert compiled == [spec, other]  # the zero move was never compiled
     assert other == expected != spec
     assert 0 < distortion(rel) < 2 * delta
+
+
+class CyclingDraws:
+    """A stub RNG whose `randrange` cycles through fixed values."""
+
+    def __init__(self, *values):
+        self.values = itertools.cycle(values)
+        self.calls = 0
+
+    def randrange(self, *args):
+        self.calls += 1
+        return next(self.values)
+
+
+def test_generators_give_up_when_no_draw_is_acceptable():
+    # the points (0,0,0), (1,1,1), (2,2,2) repeat the distance 1 on every draw
+    rng = CyclingDraws(0, 0, 0, 1, 1, 1, 2, 2, 2)
+    message = "^could not sample a space with the requested properties$"
+    with pytest.raises(ValueError, match=message):
+        random_metric_space(rng, 3, distinct_distances=True)
+    assert rng.calls == 1000 * 9
+    # every step 0: each draw is the spec itself
+    rng = CyclingDraws(0)
+    spec = HedgehogSpec.of(F(1, 2), 1)
+    with pytest.raises(ValueError, match="^could not build a positive-distortion"):
+        perturbed_hedgehog(rng, spec, F(1, 4))
+    assert rng.calls == 1000 * 2
+
+
+class NoDraws:
+    def __getattr__(self, name):
+        raise AssertionError("the refusal must come before any draw")
+
+
+def test_generators_refuse_empty_or_nonpositive_requests():
+    rng = NoDraws()
+    with pytest.raises(ValueError, match="^need at least one point$"):
+        random_metric_space(rng, 0)
+    with pytest.raises(ValueError, match="^need at least two vertices$"):
+        random_gluing_tree(rng, 1)
+    for eps, diam in ((0, 1), (F(-1, 2), 1), (2, 1)):
+        with pytest.raises(ValueError, match=r"^need 0 < eps <= diam$"):
+            grid_hedgehog(eps, diam)
+    with pytest.raises(ValueError, match="^not enough grid points for the requested"):
+        dense_hedgehog_spec(rng, 3, F(1, 4))
+    with pytest.raises(ValueError, match="^delta must be positive$"):
+        perturbed_hedgehog(rng, HedgehogSpec.of(1), 0)
 
 
 def test_spec_equality_is_positive_distortion_of_the_identity_pairing():

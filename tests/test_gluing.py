@@ -10,7 +10,7 @@ from ghkit.correspondences import (
 from ghkit.errors import DistortionBudgetExceeded, NotATree, ZeroDistortion
 from ghkit.generate import random_correspondence, random_metric_space, rng_from_seed
 from ghkit.gluing import GluingTree, glue_pair, glue_star, glue_tree
-from ghkit.spaces import STRICT, hausdorff, scale, validate
+from ghkit.spaces import PSEUDO, STRICT, hausdorff, scale, validate
 
 
 @pytest.fixture
@@ -22,6 +22,16 @@ def gap_pair():
 def gap_bijection(gap_pair):
     x, y = gap_pair
     return Correspondence(x, y, frozenset({(0, 0), (1, 1)}))
+
+
+def test_gluing_refuses_an_empty_tree_a_pseudo_vertex_and_a_leafless_star(gap_pair):
+    with pytest.raises(ValueError, match="^a gluing tree needs at least one vertex$"):
+        GluingTree((), ())
+    pseudo = validate([[0, 0], [0, 0]], mode=PSEUDO)
+    with pytest.raises(ValueError, match="^gluing is defined for strict spaces$"):
+        glue_tree(GluingTree((pseudo,), ()))
+    with pytest.raises(ValueError, match="^a star needs at least one leaf$"):
+        glue_star(gap_pair[0], [])
 
 
 def test_glue_pair_cross_distances(gap_pair, gap_bijection):

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
@@ -14,7 +15,7 @@ from ghkit.errors import (
     PremiseViolated,
     ZeroDistortion,
 )
-from ghkit.generate import perturbed_hedgehog, rng_from_seed
+from ghkit.generate import dense_hedgehog_spec, perturbed_hedgehog, rng_from_seed
 from ghkit.hedgehogs import (
     HedgehogSpec,
     bucket_correspondence,
@@ -23,7 +24,7 @@ from ghkit.hedgehogs import (
     hedgehog_isometric,
 )
 from ghkit.solver import gh_exact, gh_upper_from, isometry_cells
-from ghkit.spaces import STRICT, scale, validate
+from ghkit.spaces import STRICT, as_fraction, scale, validate
 
 
 def test_spec_normalization_and_validation():
@@ -71,6 +72,62 @@ def test_from_pairs_sorts_as_fractions_do(seed):
     spec = HedgehogSpec.from_pairs(pairs)
     assert spec.needles == tuple(sorted(merged.items()))
     assert all(type(length) is F for length, _ in spec.needles)
+
+
+def _fraction_keyed_from_pairs(pairs):
+    """The `Fraction`-keyed merge `HedgehogSpec.from_pairs` replaced."""
+    merged = {}
+    for length, mult in pairs:
+        if not isinstance(mult, int):
+            raise ValueError("multiplicities must be integers")
+        if mult < 1:
+            raise ValueError("multiplicities must be positive")
+        key = as_fraction(length)
+        merged[key] = merged.get(key, 0) + mult
+    denom = math.lcm(*(x.denominator for x in merged))
+    order = sorted(merged, key=lambda x: x.numerator * (denom // x.denominator))
+    return HedgehogSpec(tuple([(x, merged[x]) for x in order]))
+
+
+def _spec_outcome(build, pairs):
+    try:
+        spec = build(pairs)
+    except (TypeError, ValueError) as exc:
+        return (type(exc), str(exc))
+    return (spec, repr(spec), spec.grid)
+
+
+def test_from_pairs_matches_the_fraction_keyed_merge():
+    rng = rng_from_seed(340)
+    bad = ((1.5, 1), (F(1), 0), (F(1), -2), (2, 0.5), (F(-1, 2), 1), (0, 1))
+    refused = 0
+    for _ in range(3000):
+        pairs = []
+        for _ in range(rng.randint(1, 12)):
+            if rng.random() < 0.3:
+                length = rng.randint(1, 9)  # an int, often equal to a Fraction below
+            else:
+                length = F(rng.randint(1, 200), rng.randint(1, 64))
+            pairs.append((length, rng.randint(1, 3)))
+        pairs += rng.sample(pairs, rng.randint(0, len(pairs)))  # repeated lengths
+        if rng.random() < 0.2:
+            pairs.insert(rng.randrange(len(pairs) + 1), rng.choice(bad))
+        got = _spec_outcome(HedgehogSpec.from_pairs, pairs)
+        assert got == _spec_outcome(_fraction_keyed_from_pairs, pairs)
+        refused += isinstance(got[0], type)
+    assert 300 < refused < 900
+
+
+def test_from_pairs_hashes_no_fraction(monkeypatch):
+    spec = dense_hedgehog_spec(rng_from_seed(3), 14, 3)
+    pairs = spec.needles + tuple((x, 1) for x, _ in spec.needles)
+
+    def refuse(self):
+        raise AssertionError("a Fraction was hashed")
+
+    monkeypatch.setattr(F, "__hash__", refuse)
+    merged = HedgehogSpec.from_pairs(pairs)
+    assert merged.needles == tuple((x, mult + 1) for x, mult in spec.needles)
 
 
 def test_direct_spec_refuses_a_zero_multiplicity():
@@ -218,6 +275,55 @@ def test_bucket_mismatch_reported_with_counts():
         bucket_correspondence(a, b, F(1, 2))
     assert excinfo.value.bucket == 1
     assert (excinfo.value.count_a, excinfo.value.count_b) == (1, 2)
+
+
+def _dict_bucket_correspondence(a, b, eps):
+    """The dict-of-index-lists matcher `bucket_correspondence` replaced."""
+    eps = F(eps)
+    compiled_a, compiled_b = compile_hedgehog(a), compile_hedgehog(b)
+    buckets_a, buckets_b = {}, {}
+    for spec, buckets in ((a, buckets_a), (b, buckets_b)):
+        for idx, x in enumerate(spec.expanded(), start=1):
+            n = -(-x.numerator * eps.denominator // (x.denominator * eps.numerator))
+            buckets.setdefault(n, []).append(idx)
+    pairs = {(0, 0)}
+    for n in sorted(set(buckets_a) | set(buckets_b)):
+        left, right = buckets_a.get(n, []), buckets_b.get(n, [])
+        if len(left) != len(right):
+            raise BucketMismatch(n, len(left), len(right))
+        pairs.update(zip(left, right))
+    return Correspondence(compiled_a, compiled_b, frozenset(pairs))
+
+
+def _bucket_outcome(match, a, b, eps):
+    try:
+        rel = match(a, b, eps)
+    except BucketMismatch as exc:
+        return ("mismatch", exc.bucket, exc.count_a, exc.count_b, str(exc))
+    return ("matched", rel.left, rel.right, rel.sorted_pairs())
+
+
+def test_bucket_correspondence_matches_the_dict_matcher_on_seeded_pairs():
+    rng = rng_from_seed(34)
+    outcomes = {"matched": 0, "mismatch": 0}
+    for _ in range(2000):
+        eps = F(rng.randint(1, 4), rng.choice((1, 2, 3, 4, 8)))
+        left = [F(rng.randint(1, 48), rng.choice((1, 2, 3, 4, 8))) for _ in range(6)]
+        left = left[: rng.randint(1, 6)]
+        if rng.random() < 0.6:  # each copy moved inside its own bucket
+            right = [
+                eps * (-(-x // eps) - 1) + eps * F(rng.randint(1, 8), 8) for x in left
+            ]
+            if rng.random() < 0.3:  # a copy dropped, or every copy doubled
+                right = right[1:] if right[1:] and rng.random() < 0.5 else right * 2
+        else:
+            right = [F(rng.randint(1, 48), rng.choice((1, 2, 4))) for _ in left]
+        a = HedgehogSpec.from_pairs((x, 1) for x in left)
+        b = HedgehogSpec.from_pairs((x, 1) for x in right)
+        got = _bucket_outcome(bucket_correspondence, a, b, eps)
+        assert got == _bucket_outcome(_dict_bucket_correspondence, a, b, eps)
+        outcomes[got[0]] += 1
+    assert min(outcomes.values()) > 500  # both branches are exercised
 
 
 @pytest.mark.parametrize("factor", [0, -1, F(-1, 2)])

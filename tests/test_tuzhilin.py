@@ -16,6 +16,12 @@ from ghkit.tuzhilin import (
 )
 
 
+@pytest.mark.parametrize("n,m", [(0, 1), (1, 0), (-2, 3)])
+def test_needle_set_hausdorff_refuses_a_nonpositive_index(n, m):
+    with pytest.raises(ValueError, match="^needle indices must be positive$"):
+        needle_set_hausdorff(n, m)
+
+
 def test_config_invariants():
     with pytest.raises(ValueError):
         TuzhilinConfig(1, 5)
