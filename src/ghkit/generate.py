@@ -151,6 +151,8 @@ def perturbed_hedgehog(
     return the perturbed spec and the needle-to-needle correspondence
     (centers matched) on compiled spaces.
 
+    Draws move ints on d = 64*q*L (delta = p/q, L = `spec.grid[0]`): a copy
+    x is x*d, and a nudge s/64 * delta is s*p*L, reflected if it ends <= 0.
     Both compilations list needles ascending and sorted matching minimizes
     the bottleneck gap on a line, so identity index pairing matches every
     needle within delta of one of its nudged copies; the distortion is then
@@ -160,15 +162,14 @@ def perturbed_hedgehog(
     if delta <= 0:
         raise ValueError("delta must be positive")
     compiled = compile_hedgehog(spec)  # refuses a spec over the point cap first
-    lengths = spec.expanded()
+    d = 64 * delta.denominator * spec.grid[0]
+    copies = [x.numerator * (d // x.denominator) for x in spec.expanded()]
+    step = delta.numerator * spec.grid[0]
     for _ in range(1000):
         moved = []
-        for x in lengths:
-            step = Fraction(rng.randrange(-63, 64), 64)
-            shift = step * delta
-            if x + shift <= 0:
-                shift = -shift
-            moved.append(x + shift)
+        for x in copies:
+            y = x + rng.randrange(-63, 64) * step
+            moved.append(Fraction(y if y > 0 else 2 * x - y, d))
         other = HedgehogSpec.from_pairs((x, 1) for x in moved)
         if other != spec:
             pairs = frozenset((i, i) for i in range(spec.point_count))

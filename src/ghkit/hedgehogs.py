@@ -130,26 +130,25 @@ def bucket_correspondence(
 
     Bucket n is the half-open ((n-1)*eps, n*eps].  Requires equal per-bucket
     counts (with multiplicity), else `BucketMismatch` names the first bucket
-    that differs.  Both compilations list copies ascending, so the match is
-    copy i <-> copy i.  Matched lengths differ by less than eps, hence the
-    distortion is at most 2*eps.
+    that differs; only a matched pair is compiled.  Both compilations list
+    copies ascending, so the match is copy i <-> copy i.  Matched lengths
+    differ by less than eps, hence the distortion is at most 2*eps.
     """
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    compiled_a, compiled_b = compile_hedgehog(a), compile_hedgehog(b)
     counts = []
     for spec in (a, b):
-        # x / L is in bucket ceil(x / (L * eps)); one entry per needle copy
-        denom, lengths = spec.grid
+        check_points("hedgehog has", spec.point_count)  # before any copy is listed
+        denom, lengths = spec.grid  # x / L is in bucket ceil(x / (L * eps))
         per = [-(-x * eps.denominator // (denom * eps.numerator)) for x in lengths]
         counts.append(Counter(_copies(spec, per)))
     count_a, count_b = counts
     if count_a != count_b:
         n = min(count_a.items() ^ count_b.items())[0]  # the first differing bucket
         raise BucketMismatch(n, count_a[n], count_b[n])
-    pairs = frozenset((i, i) for i in range(len(compiled_a)))
-    return Correspondence(compiled_a, compiled_b, pairs)
+    pairs = frozenset((i, i) for i in range(a.point_count))
+    return Correspondence(compile_hedgehog(a), compile_hedgehog(b), pairs)
 
 
 # ---------------------------------------------------------------------------

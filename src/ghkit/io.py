@@ -162,10 +162,13 @@ def parse_correspondence(
         if len(tokens) != 2:
             raise ParseError(source, lineno, "expected: <left index> <right index>")
         try:
-            pairs.add((parse_integer(tokens[0]), parse_integer(tokens[1])))
+            i, j = parse_integer(tokens[0]), parse_integer(tokens[1])
         except ValueError:
             raise ParseError(source, lineno, "indices must be integers") from None
-    try:
+        if not (0 <= i < len(left) and 0 <= j < len(right)):
+            raise ParseError(source, lineno, f"pair ({i}, {j}) out of range")
+        pairs.add((i, j))
+    try:  # emptiness and surjectivity are properties of the whole file
         return Correspondence(left, right, frozenset(pairs))
     except ValueError as exc:
         raise ParseError(source, 1, str(exc)) from None
@@ -201,13 +204,14 @@ def parse_hedgehog(text: str, source: str | Path = "<string>") -> HedgehogSpec:
             mult = parse_integer(tokens[1]) if len(tokens) == 2 else 1
         except ValueError as exc:
             raise ParseError(source, lineno, str(exc)) from None
+        if length <= 0:
+            raise ParseError(source, lineno, "needle lengths must be positive")
+        if mult < 1:
+            raise ParseError(source, lineno, "multiplicities must be positive")
         pairs.append((length, mult))
     if not pairs:
         raise ParseError(source, 1, "empty hedgehog file")
-    try:
-        return HedgehogSpec.from_pairs(pairs)
-    except ValueError as exc:
-        raise ParseError(source, 1, str(exc)) from None
+    return HedgehogSpec.from_pairs(pairs)  # cannot refuse: every pair was checked
 
 
 def load_hedgehog(path: str | Path) -> HedgehogSpec:

@@ -179,6 +179,61 @@ def test_perturbed_hedgehog_redraws_a_zero_move_once(monkeypatch):
     assert 0 < distortion(rel) < 2 * delta
 
 
+def _fraction_perturbed_hedgehog(rng, spec, delta, reflected):
+    """`perturbed_hedgehog` with `Fraction` arithmetic per needle copy, as it
+    was before the draws moved ints; counts its reflections in `reflected`."""
+    delta = F(delta)
+    compiled = compile_hedgehog(spec)
+    for _ in range(1000):
+        moved = []
+        for x in spec.expanded():
+            shift = F(rng.randrange(-63, 64), 64) * delta
+            if x + shift <= 0:
+                shift = -shift
+                reflected.append(x)
+            moved.append(x + shift)
+        other = HedgehogSpec.from_pairs((x, 1) for x in moved)
+        if other != spec:
+            pairs = frozenset((i, i) for i in range(spec.point_count))
+            return other, Correspondence(compiled, compile_hedgehog(other), pairs)
+    raise ValueError("could not build a positive-distortion perturbation")
+
+
+def _seeded_spec(rng):
+    """1-6 lengths of multiplicity 1 or 2 on mixed denominators, some near 0."""
+    lengths = [F(rng.randint(1, 48), rng.choice((1, 2, 3, 8, 64))) for _ in range(6)]
+    lengths = lengths[: rng.randint(1, 6)]
+    return HedgehogSpec.from_pairs((x, rng.randint(1, 2)) for x in lengths)
+
+
+def test_perturbed_hedgehog_matches_the_fraction_draws_on_seeded_specs():
+    deltas = (F(1, 4), F(1, 3), F(5, 7), 2)
+    reflected = []
+    for seed in range(3000):
+        spec, delta = _seeded_spec(random.Random(seed)), deltas[seed % 4]
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = perturbed_hedgehog(rng, spec, delta)
+        want = _fraction_perturbed_hedgehog(ref, spec, delta, reflected)
+        assert got == want
+        assert repr(got) == repr(want)
+        assert rng.random() == ref.random()  # the same number of draws
+    assert len(reflected) > 500  # the reflection at zero ran
+
+
+def test_perturbed_hedgehog_does_no_fraction_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in perturbed_hedgehog")
+
+    deltas = (F(1, 4), F(5, 7), 2)
+    cases = [(_seeded_spec(random.Random(s)), deltas[s % 3]) for s in range(30)]
+    expected = [perturbed_hedgehog(random.Random(7), *case) for case in cases]
+    for name in ("add", "radd", "sub", "rsub", "mul", "rmul", "neg", "truediv"):
+        monkeypatch.setattr(F, f"__{name}__", refuse)
+    got = [perturbed_hedgehog(random.Random(7), *case) for case in cases]
+    monkeypatch.undo()
+    assert got == expected
+
+
 class CyclingDraws:
     """A stub RNG whose `randrange` cycles through fixed values."""
 

@@ -8,11 +8,13 @@ from pathlib import Path
 import pytest
 from freeze_center_golden import outcome, spec_from_record
 
+from ghkit import hedgehogs
 from ghkit.correspondences import Correspondence, distortion
 from ghkit.errors import (
     BucketMismatch,
     NonpositiveScale,
     PremiseViolated,
+    TooLarge,
     ZeroDistortion,
 )
 from ghkit.generate import dense_hedgehog_spec, perturbed_hedgehog, rng_from_seed
@@ -303,7 +305,27 @@ def _bucket_outcome(match, a, b, eps):
     return ("matched", rel.left, rel.right, rel.sorted_pairs())
 
 
-def test_bucket_correspondence_matches_the_dict_matcher_on_seeded_pairs():
+@pytest.fixture
+def compiled(monkeypatch):
+    """The specs `hedgehogs.compile_hedgehog` is called on, in call order."""
+    calls, real = [], hedgehogs.compile_hedgehog
+    monkeypatch.setattr(
+        hedgehogs, "compile_hedgehog", lambda spec: calls.append(spec) or real(spec)
+    )
+    return calls
+
+
+def test_bucket_correspondence_checks_the_cap_before_the_counts(compiled):
+    # 10^7 copies in one bucket against one in another: the cap comes first
+    huge = HedgehogSpec(((F(1), 10**7),))
+    with pytest.raises(TooLarge, match="^hedgehog has 10000001 points, cap is"):
+        bucket_correspondence(huge, HedgehogSpec.of(2), 1)
+    with pytest.raises(TooLarge, match="^hedgehog has 10000001 points, cap is"):
+        bucket_correspondence(HedgehogSpec.of(2), huge, 1)
+    assert compiled == []
+
+
+def test_bucket_correspondence_matches_the_dict_matcher_on_seeded_pairs(compiled):
     rng = rng_from_seed(34)
     outcomes = {"matched": 0, "mismatch": 0}
     for _ in range(2000):
@@ -321,6 +343,8 @@ def test_bucket_correspondence_matches_the_dict_matcher_on_seeded_pairs():
         a = HedgehogSpec.from_pairs((x, 1) for x in left)
         b = HedgehogSpec.from_pairs((x, 1) for x in right)
         got = _bucket_outcome(bucket_correspondence, a, b, eps)
+        assert compiled == ([a, b] if got[0] == "matched" else [])
+        compiled.clear()
         assert got == _bucket_outcome(_dict_bucket_correspondence, a, b, eps)
         outcomes[got[0]] += 1
     assert min(outcomes.values()) > 500  # both branches are exercised

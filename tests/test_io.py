@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -358,6 +359,48 @@ def test_hedgehog_multiplicity_below_one_is_refused_before_merging(
     path.write_text(text)
     assert main(["hedgehog", "compile", str(path)]) == 2
     assert "multiplicities must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name,text,message",
+    [
+        ("f.hh", "1 1\n2 1\n0 1\n", "f.hh:3: needle lengths must be positive"),
+        ("f.hh", "1 1\n2 1\n3 0\n", "f.hh:3: multiplicities must be positive"),
+        # a line's length is checked before its multiplicity
+        ("f.hh", "1\n# c\n\n-1/2 0\n", "f.hh:4: needle lengths must be positive"),
+        ("r.corr", "0 0\n1 1\n# c\n2 0\n", "r.corr:4: pair (2, 0) out of range"),
+        ("r.corr", "0 0\n0 -1\n1 1\n", "r.corr:2: pair (0, -1) out of range"),
+        # emptiness and surjectivity belong to the whole file
+        ("r.corr", "# none\n", "r.corr:1: a correspondence needs at least one pair"),
+        ("r.corr", "\n0 0\n0 1\n", "r.corr:1: not surjective onto the left space"),
+    ],
+    ids=[
+        "zero-length",
+        "zero-multiplicity",
+        "length-before-multiplicity",
+        "index-past-the-end",
+        "negative-index",
+        "empty",
+        "not-surjective",
+    ],
+)
+def test_hedgehog_and_correspondence_errors_name_their_line(
+    tmp_path, monkeypatch, capsys, name, text, message
+):
+    monkeypatch.chdir(tmp_path)
+    x = validate([[0, 1], [1, 0]])
+    Path("x.msp").write_text(io.dump_space(x))
+    Path(name).write_text(text)
+    with pytest.raises(io.ParseError) as excinfo:
+        if name == "f.hh":
+            argv = ["hedgehog", "compile", name]
+            io.load_hedgehog(name)
+        else:
+            argv = ["glue", "--pair", "x.msp", "x.msp", name]
+            io.load_correspondence(name, x, x)
+    assert str(excinfo.value) == message
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_gluing_tree_loader(tmp_path):
