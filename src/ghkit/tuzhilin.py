@@ -12,23 +12,29 @@ against the first space, witnessed by the pair (m, 1) vs (m, 1 + 1/m).
 
 Points are built as ints (needle, k): k >= 1 stands for 1 + 1/k, k = 0 for
 the limit 1, and a space whose largest k is t lies on D = lcm(1..t) as
-D + D // k (D for the limit).  A config builds both spaces' points, labels
-and rows once, on the common D = lcm(1..max(n + 1, k)), on its first shift,
-and keeps them.  Each shift then builds only the long needle's block: the
-ambient is the first space plus the long needle's points the first space
-lacks, spliced into the first space's cached rows; the second space's
-cached rows are checked row by row against the ambient's at their images.
+D + D // k (D for the limit).  A config works on the common
+D = lcm(1..max(n + 1, k)), and on its first shift, never on construction,
+builds two int tables and keeps them: for each coordinate, its sums with
+every coordinate (through the center) and its gaps |a - b| (along one
+needle), columns in ascending order.  Every needle of either space is a run
+of those columns, so both spaces' rows are sliced from the tables' rows and
+hold the same int objects.  A shift computes no entry: the ambient is the
+first space plus the long needle's points it lacks on needle m, its rows
+the first space's rows with the run's columns sliced from the tables, and
+the run's rows sliced from them too.  The distance check compares the
+second space's rows in full with the ambient's at their images; as both
+hold the tables' ints, each compare meets one int object twice.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, TooLarge
 from .spaces import FiniteMetricSpace, SubsetRef, check_points, from_grid, hausdorff
@@ -39,7 +45,34 @@ GRID_BITS_CAP = 4 * 10**8  # points² × bits of the denominator, per space
 Harmonic = tuple[str, int]  # (needle id, k): coordinate 1 + 1/k, or 1 for k = 0
 Placed = tuple[str, int, int]  # (needle id, coordinate * D, k)
 Rows = tuple[tuple[int, ...], ...]
-Side = tuple[tuple[Placed, ...], tuple[str, ...], Rows]  # points, labels, rows
+
+
+class _Tables(NamedTuple):
+    """A config's ints on D = lcm(1..top), top = max(n + 1, k), that no shift
+    changes.  The columns are the coordinates in ascending order, the limit D
+    and then D + D // k for k = top down to 1, so needle v, k = v..1, is the
+    last v of them; row k (0 for the limit) holds coordinate k's `sums` with
+    each, and its `gaps` |a - b|.  `long_sums` and `long_gaps` are the same
+    rows over the long needle's columns, the limit and k = cfg.k down to 1:
+    the same tuples, unless top = n + 1 is the first space's alone."""
+
+    denom: int
+    sums: Rows
+    gaps: Rows
+    long_sums: Rows
+    long_gaps: Rows
+
+
+class _Side(NamedTuple):
+    """A space sliced from the tables: labels, each point's k and rows, each
+    needle's first row and point count in row order, and `through`, whose
+    row k holds coordinate k's sums with every point, through the center."""
+
+    labels: tuple[str, ...]
+    ks: tuple[int, ...]
+    needles: dict[str, tuple[int, int]]
+    rows: Rows
+    through: Rows
 
 
 @dataclass(frozen=True)
@@ -61,15 +94,18 @@ class TuzhilinConfig:
         return (self.n + 1) ** 2 + self.k + 1
 
     @cached_property
-    def _sides(self) -> tuple[int, Side, Side]:
-        """D = lcm(1..max(n + 1, k)) and each space on it, as
-        `_harmonic_grid` gives it: what every shift shares, built on the
-        first shift, not on construction, and kept for the config's life."""
-        denom = math.lcm(*range(1, max(self.n + 1, self.k) + 1))  # k of either
+    def _tables(self) -> _Tables:
+        """What every shift shares, built on the first shift, not on
+        construction, and kept for the config's life."""
+        return _coordinate_tables(self)
+
+    @cached_property
+    def _sides(self) -> tuple[_Side, _Side]:
+        """The first and the second space, sliced from `_tables`."""
+        finite = [str(v) for v in range(1, self.n + 1)]
         return (
-            denom,
-            _harmonic_grid(_x_points(self), denom),
-            _harmonic_grid(_y_points(self), denom),
+            _side(self._tables, finite + [str(self.n + 1)]),
+            _side(self._tables, finite + [INF_NEEDLE]),
         )
 
 
@@ -85,39 +121,83 @@ def _check_size(what: str, points: int, top: int) -> None:
         )
 
 
-def _block(points: Sequence[tuple], placed: Sequence[tuple]) -> Rows:
-    """The rows of `points` over the columns `placed`, distinct points sorted
-    by (needle, coordinate) so that each needle is one span; every point is
-    a tuple starting (needle, coordinate * denom)."""
+def _coordinate_tables(cfg: TuzhilinConfig) -> _Tables:
+    top = max(cfg.n + 1, cfg.k)
+    denom = math.lcm(*range(1, top + 1))
+    coords = [denom] + [denom + denom // k for k in range(1, top + 1)]  # by k
+    cols = coords[:1] + coords[:0:-1]
+    sums = tuple([tuple([a + b for b in cols]) for a in coords])
+    gaps = tuple([tuple([abs(a - b) for b in cols]) for a in coords])
+    if top == cfg.k:
+        return _Tables(denom, sums, gaps, sums, gaps)
+    # column 1 is k = top = n + 1, on the first space's needle n + 1 only
+    return _Tables(
+        denom,
+        sums,
+        gaps,
+        tuple([row[:1] + row[2:] for row in sums]),
+        tuple([row[:1] + row[2:] for row in gaps]),
+    )
+
+
+def _side(tables: _Tables, needles: Iterable[str]) -> _Side:
+    """The space on `needles`, each finite needle v holding k = v..1 and the
+    long needle the limit and k = cfg.k..1, in (needle, coordinate) order;
+    each row is coordinate k's `through` row with its own needle's span
+    replaced by its gaps there."""
+    top = len(tables.sums) - 1
+    layout = []  # (needle, its ks in coordinate order, its tables, first column)
+    for needle in sorted(needles):
+        if needle == INF_NEEDLE:
+            ks = (0, *range(len(tables.long_sums[0]) - 1, 0, -1))
+            layout.append((needle, ks, tables.long_sums, tables.long_gaps, 0))
+        else:
+            ks = range(int(needle), 0, -1)
+            layout.append((needle, ks, tables.sums, tables.gaps, top + 1 - len(ks)))
+    spans = [(sums, first) for _, _, sums, _, first in layout]
+    through = tuple(
+        [
+            tuple(chain.from_iterable([sums[k][first:] for sums, first in spans]))
+            for k in range(top + 1)
+        ]
+    )
+    labels: list[str] = []
+    point_ks: list[int] = []
+    needle_rows: dict[str, tuple[int, int]] = {}
+    rows: list[tuple[int, ...]] = []
+    for needle, ks, _, gaps, first in layout:
+        at, end = len(rows), len(rows) + len(ks)
+        needle_rows[needle] = (at, len(ks))
+        labels += [_label(needle, k) for k in ks]
+        point_ks += ks
+        rows += [through[k][:at] + gaps[k][first:] + through[k][end:] for k in ks]
+    return _Side(tuple(labels), tuple(point_ks), needle_rows, tuple(rows), through)
+
+
+def _rows(placed: Sequence[Placed]) -> Rows:
+    """The full rows of distinct points sorted by (needle, coordinate), so
+    that each needle is one span."""
     coords = [p[1] for p in placed]
     span: dict[str, list[int]] = {}  # needle -> [first, last + 1] position
     for g, p in enumerate(placed):
         span.setdefault(p[0], [g, g])[1] = g + 1
     rows = []
-    for p in points:
-        a = p[1]
+    for needle, a, _ in placed:
         row = [a + b for b in coords]  # through the center
-        if p[0] in span:
-            first, end = span[p[0]]
-            row[first:end] = [abs(a - b) for b in coords[first:end]]
+        first, end = span[needle]
+        row[first:end] = [abs(a - b) for b in coords[first:end]]
         rows.append(tuple(row))
     return tuple(rows)
 
 
-def _rows(placed: Sequence[tuple]) -> Rows:
-    """The full rows of a space's placed points."""
-    return _block(placed, placed)
+def _label(needle: str, k: int) -> str:
+    # the label str(Fraction) gives: 1 + 1/k is (k + 1)/k in lowest terms
+    return f"{needle}:{'1' if k == 0 else '2' if k == 1 else f'{k + 1}/{k}'}"
 
 
-def _labels(placed: Sequence[Placed]) -> tuple[str, ...]:
-    # the labels str(Fraction) gives: 1 + 1/k is (k + 1)/k in lowest terms
-    names = {0: "1", 1: "2"}
-    return tuple(
-        [f"{needle}:{names.get(k) or f'{k + 1}/{k}'}" for needle, _, k in placed]
-    )
-
-
-def _harmonic_grid(points: Iterable[Harmonic], denom: int) -> Side:
+def _harmonic_grid(
+    points: Iterable[Harmonic], denom: int
+) -> tuple[tuple[Placed, ...], tuple[str, ...], Rows]:
     """The distinct points sorted by (needle, coordinate) as (needle,
     coordinate on denom: D + D // k, or D for the limit, k), their labels and
     their rows on denom."""
@@ -127,7 +207,7 @@ def _harmonic_grid(points: Iterable[Harmonic], denom: int) -> Side:
             for needle, k in set(points)
         )
     )
-    return placed, _labels(placed), _rows(placed)
+    return placed, tuple([_label(needle, k) for needle, _, k in placed]), _rows(placed)
 
 
 def _harmonic_space(
@@ -155,8 +235,8 @@ def tuzhilin_spaces(
 ) -> tuple[FiniteMetricSpace, FiniteMetricSpace]:
     """The first and second space, from the config's cached sides; `from_grid`
     reduces each to its own denominator."""
-    denom, (_, x_labels, x_rows), (_, y_labels, y_rows) = cfg._sides
-    return from_grid(x_labels, denom, x_rows), from_grid(y_labels, denom, y_rows)
+    denom = cfg._tables.denom
+    return tuple([from_grid(side.labels, denom, side.rows) for side in cfg._sides])
 
 
 def _relocate(m: int, point: Harmonic) -> Harmonic:
@@ -184,36 +264,45 @@ def tuzhilin_isometry(cfg: TuzhilinConfig, m: int) -> TuzhilinEmbedding:
     """Embed the second space via the needle shift h_m and measure the gap.
 
     The ambient is the first space plus the long needle's points it lacks,
-    (m, 0) and (m, k) for m < k <= cfg.k.  Their coordinates, D and
-    D + D // k, lie below the first space's on needle m, so in (needle,
-    coordinate) order they form one run just before that needle's block.
-    Only that run's rows and its columns in the first space's cached rows
-    are built, and spliced in there; the ambient's int rows then serve
-    `from_grid` and the distance check, which compares the second space's
-    cached rows in full with the ambient's rows and columns at its images.
+    the run (m, 0) and (m, k) for k = cfg.k down to m + 1.  Their
+    coordinates lie below the first space's on needle m, so the run goes
+    just before that needle, which then holds the whole long needle.  The
+    ambient's rows are the first space's rows with the run's columns, sliced
+    from the config's tables, put in there, and the run's rows are its
+    `through` rows with the long needle's gaps put in; no entry is computed.
+    Each needle of the second space lands on the last points of the ambient
+    needle `_relocate` sends it to, and the distance check compares the
+    second space's rows in full with the ambient's rows and columns there.
     """
     if not (1 <= m <= cfg.n):
         raise IndexOutOfRange(f"m must be in 1..{cfg.n}, got {m}")
-    denom, (x_placed, x_labels, x_rows), (y_placed, y_labels, y_rows) = cfg._sides
+    tables = cfg._tables
+    x, y = cfg._sides
     slot = str(m)
-    # ascending coordinates: the limit, then k = cfg.k down to m + 1
-    run = ((slot, denom, 0),) + tuple(
-        [(slot, denom + denom // k, k) for k in range(cfg.k, m, -1)]
-    )
-    at = bisect_left(x_placed, (slot,))  # the first space's needle m
-    placed = x_placed[:at] + run + x_placed[at:]
-    labels = x_labels[:at] + _labels(run) + x_labels[at:]
+    at = x.needles[slot][0]
+    run = (0, *range(cfg.k, m, -1))
+    cut = len(run)
+    run_sums = [row[:cut] for row in tables.long_sums]
+    run_gaps = [row[:cut] for row in tables.long_gaps]
     spliced = [
-        row[:at] + cols + row[at:] for row, cols in zip(x_rows, _block(x_placed, run))
+        row[:at] + (run_gaps if at <= g < at + m else run_sums)[k] + row[at:]
+        for g, (k, row) in enumerate(zip(x.ks, x.rows))
     ]
-    rows = tuple(spliced[:at]) + _block(run, placed) + tuple(spliced[at:])
-    ambient = from_grid(labels, denom, rows)
-    index = {(needle, k): g for g, (needle, _, k) in enumerate(placed)}
-    image = [index[_relocate(m, (needle, k))] for needle, _, k in y_placed]
-    x_part = SubsetRef(ambient, frozenset([index[p[0], p[2]] for p in x_placed]))
+    run_rows = [
+        x.through[k][:at] + tables.long_gaps[k] + x.through[k][at + m :] for k in run
+    ]
+    rows = tuple(spliced[:at] + run_rows + spliced[at:])
+    labels = x.labels[:at] + tuple([_label(slot, k) for k in run]) + x.labels[at:]
+    ambient = from_grid(labels, tables.denom, rows)
+    image: list[int] = []
+    for needle, (_, count) in y.needles.items():
+        first, size = x.needles[_relocate(m, (needle, 0))[0]]
+        end = first + size + (cut if first >= at else 0)
+        image += range(end - count, end)
+    x_part = SubsetRef(ambient, frozenset([*range(at), *range(at + cut, len(rows))]))
     image_part = SubsetRef(ambient, frozenset(image))
-    mapping = tuple(zip(y_labels, map(ambient.labels.__getitem__, image)))
-    preserved = tuple(map(itemgetter(*image), map(rows.__getitem__, image))) == y_rows
+    mapping = tuple(zip(y.labels, map(labels.__getitem__, image)))
+    preserved = tuple(map(itemgetter(*image), map(rows.__getitem__, image))) == y.rows
 
     return TuzhilinEmbedding(
         ambient=ambient,

@@ -257,26 +257,33 @@ def test_spliced_embedding_equals_the_one_built_from_scratch(n, k):
 
 def test_shifts_build_each_side_once(monkeypatch):
     built = []
-    rows = tuzhilin._rows
+    tables, side = tuzhilin._coordinate_tables, tuzhilin._side
 
-    def counting(placed):
-        built.append(len(placed))
-        return rows(placed)
+    def counting_tables(cfg):
+        built.append("tables")
+        return tables(cfg)
 
-    monkeypatch.setattr(tuzhilin, "_rows", counting)
+    def counting_side(*args):
+        result = side(*args)
+        built.append(len(result.rows))
+        return result
+
+    monkeypatch.setattr(tuzhilin, "_coordinate_tables", counting_tables)
+    monkeypatch.setattr(tuzhilin, "_side", counting_side)
     cfg = TuzhilinConfig(5, 9)
     for m in range(1, cfg.n + 1):
         tuzhilin_isometry(cfg, m)
     x, y = tuzhilin_spaces(cfg)
-    assert built == [len(x), len(y)] == [21, 25]
+    assert built == ["tables", len(x), len(y)] == ["tables", 21, 25]
 
 
 def test_config_builds_no_rows_until_its_first_shift(monkeypatch):
     def refuse(*args):
         raise AssertionError("a config builds no rows on construction")
 
+    monkeypatch.setattr(tuzhilin, "_coordinate_tables", refuse)
+    monkeypatch.setattr(tuzhilin, "_side", refuse)
     monkeypatch.setattr(tuzhilin, "_rows", refuse)
-    monkeypatch.setattr(tuzhilin, "_block", refuse)
     cfg = TuzhilinConfig(43, 63)  # 2,000 points at the cap
     assert cfg == TuzhilinConfig(43, 63)
     monkeypatch.undo()
@@ -288,3 +295,52 @@ def test_config_builds_no_rows_until_its_first_shift(monkeypatch):
     assert repr(shifted) == "TuzhilinConfig(n=4, k=7)"
     with pytest.raises(AttributeError):
         shifted.n = 5
+
+
+def _fields(embedding):
+    return (
+        embedding.ambient.labels,
+        embedding.ambient.grid,
+        embedding.x_part.indices,
+        embedding.image_part.indices,
+        embedding.mapping,
+        embedding.distance_preserving,
+        embedding.hausdorff_value,
+    )
+
+
+@pytest.mark.parametrize("n, k", [(5, 9), (6, 6)])
+def test_shifts_in_any_order_equal_those_of_a_fresh_config(n, k):
+    # a table or row that one shift mutated would show in a later one
+    cfg = TuzhilinConfig(n, k)
+    for m in range(n, 0, -1):
+        assert tuzhilin_spaces(cfg) == tuzhilin_spaces(TuzhilinConfig(n, k))
+        got = tuzhilin_isometry(cfg, m)
+        assert _fields(got) == _fields(tuzhilin_isometry(TuzhilinConfig(n, k), m))
+        assert got.distance_preserving and got.hausdorff_value == F(1, m)
+    assert tuzhilin_spaces(cfg) == tuzhilin_spaces(TuzhilinConfig(n, k))
+
+
+def _bump(rows, i, j):
+    """`rows` with entry (i, j) one larger."""
+    row = rows[i][:j] + (rows[i][j] + 1,) + rows[i][j + 1 :]
+    return rows[:i] + (row,) + rows[i + 1 :]
+
+
+@pytest.mark.parametrize("n, k", [(5, 9), (6, 6)])
+@pytest.mark.parametrize("planted", ["second-space rows", "long-needle gaps"])
+def test_a_planted_fault_fails_the_distance_check(n, k, planted):
+    # the check compares every entry: one wrong int in the cached second
+    # space, or in a table only the ambient reads after the sides are built
+    cfg = TuzhilinConfig(n, k)
+    assert tuzhilin_isometry(cfg, 1).distance_preserving
+    if planted == "second-space rows":
+        x, y = cfg._sides
+        cfg.__dict__["_sides"] = (x, y._replace(rows=_bump(y.rows, 3, 1)))
+    else:  # the limit's gap to k = cfg.k, read by every shift's run
+        tables = cfg._tables
+        cfg.__dict__["_tables"] = tables._replace(
+            long_gaps=_bump(tables.long_gaps, 0, 1)
+        )
+    for m in range(1, n + 1):
+        assert not tuzhilin_isometry(cfg, m).distance_preserving
