@@ -340,8 +340,7 @@ class SubsetRef:
     def __post_init__(self) -> None:
         if not self.indices:
             raise ValueError("subset must be nonempty")
-        n = len(self.space)
-        if any(i < 0 or i >= n for i in self.indices):
+        if min(self.indices) < 0 or max(self.indices) >= len(self.space):
             raise ValueError("subset index out of range")
 
 

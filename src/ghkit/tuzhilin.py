@@ -10,9 +10,8 @@ Re-slotting the long needle onto needle m (and shifting needles m..N up by
 one) is distance-preserving and realizes Hausdorff distance exactly 1/m
 against the first space, witnessed by the pair (m, 1) vs (m, 1 + 1/m).
 
-Points are built as ints (needle, k): k >= 1 stands for 1 + 1/k, k = 0 for
-the limit 1, and a space whose largest k is t lies on D = lcm(1..t) as
-D + D // k (D for the limit).  A config works on the common
+Every coordinate is an int on one denominator D: k >= 1 stands for
+1 + 1/k, at D + D // k, and k = 0 for the limit 1, at D.  A config works on
 D = lcm(1..max(n + 1, k)), and on its first shift, never on construction,
 builds two int tables and keeps them: for each coordinate, its sums with
 every coordinate (through the center) and its gaps |a - b| (along one
@@ -23,7 +22,9 @@ first space plus the long needle's points it lacks on needle m, its rows
 the first space's rows with the run's columns sliced from the tables, and
 the run's rows sliced from them too.  The distance check compares the
 second space's rows in full with the ambient's at their images; as both
-hold the tables' ints, each compare meets one int object twice.
+hold the tables' ints, each compare meets one int object twice.  The single
+needle line of `needle_set_hausdorff` is built apart, by the same rule on
+D = lcm(1..max(n, m)): its gaps |a - b| and nothing else.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import IndexOutOfRange, TooLarge
 from .spaces import FiniteMetricSpace, SubsetRef, check_points, from_grid, hausdorff
@@ -42,8 +43,6 @@ from .spaces import FiniteMetricSpace, SubsetRef, check_points, from_grid, hausd
 INF_NEEDLE = "inf"
 GRID_BITS_CAP = 4 * 10**8  # points² × bits of the denominator, per space
 
-Harmonic = tuple[str, int]  # (needle id, k): coordinate 1 + 1/k, or 1 for k = 0
-Placed = tuple[str, int, int]  # (needle id, coordinate * D, k)
 Rows = tuple[tuple[int, ...], ...]
 
 
@@ -174,60 +173,9 @@ def _side(tables: _Tables, needles: Iterable[str]) -> _Side:
     return _Side(tuple(labels), tuple(point_ks), needle_rows, tuple(rows), through)
 
 
-def _rows(placed: Sequence[Placed]) -> Rows:
-    """The full rows of distinct points sorted by (needle, coordinate), so
-    that each needle is one span."""
-    coords = [p[1] for p in placed]
-    span: dict[str, list[int]] = {}  # needle -> [first, last + 1] position
-    for g, p in enumerate(placed):
-        span.setdefault(p[0], [g, g])[1] = g + 1
-    rows = []
-    for needle, a, _ in placed:
-        row = [a + b for b in coords]  # through the center
-        first, end = span[needle]
-        row[first:end] = [abs(a - b) for b in coords[first:end]]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def _label(needle: str, k: int) -> str:
     # the label str(Fraction) gives: 1 + 1/k is (k + 1)/k in lowest terms
     return f"{needle}:{'1' if k == 0 else '2' if k == 1 else f'{k + 1}/{k}'}"
-
-
-def _harmonic_grid(
-    points: Iterable[Harmonic], denom: int
-) -> tuple[tuple[Placed, ...], tuple[str, ...], Rows]:
-    """The distinct points sorted by (needle, coordinate) as (needle,
-    coordinate on denom: D + D // k, or D for the limit, k), their labels and
-    their rows on denom."""
-    placed = tuple(
-        sorted(
-            (needle, denom + denom // k if k else denom, k)
-            for needle, k in set(points)
-        )
-    )
-    return placed, tuple([_label(needle, k) for needle, _, k in placed]), _rows(placed)
-
-
-def _harmonic_space(
-    points: Iterable[Harmonic],
-) -> tuple[tuple[Placed, ...], FiniteMetricSpace]:
-    """`_harmonic_grid`'s points, and their space on D = lcm(1..largest k)."""
-    distinct = set(points)
-    denom = math.lcm(*range(1, max(k for _, k in distinct) + 1))
-    placed, labels, rows = _harmonic_grid(distinct, denom)
-    return placed, from_grid(labels, denom, rows)
-
-
-def _x_points(cfg: TuzhilinConfig) -> list[Harmonic]:
-    return [(str(n), k) for n in range(1, cfg.n + 2) for k in range(1, n + 1)]
-
-
-def _y_points(cfg: TuzhilinConfig) -> list[Harmonic]:
-    pts = [(str(n), k) for n in range(1, cfg.n + 1) for k in range(1, n + 1)]
-    pts.extend((INF_NEEDLE, k) for k in range(cfg.k + 1))  # k = 0: the limit 1
-    return pts
 
 
 def tuzhilin_spaces(
@@ -239,12 +187,12 @@ def tuzhilin_spaces(
     return tuple([from_grid(side.labels, denom, side.rows) for side in cfg._sides])
 
 
-def _relocate(m: int, point: Harmonic) -> Harmonic:
-    needle, k = point
+def _slot(m: int, needle: str) -> str:
+    """The first-space needle that the shift h_m sends a second-space needle
+    to: the long needle to m, needles m..n each up by one."""
     if needle == INF_NEEDLE:
-        return (str(m), k)
-    n = int(needle)
-    return point if n < m else (str(n + 1), k)
+        return str(m)
+    return needle if int(needle) < m else str(int(needle) + 1)
 
 
 @dataclass(frozen=True)
@@ -271,7 +219,7 @@ def tuzhilin_isometry(cfg: TuzhilinConfig, m: int) -> TuzhilinEmbedding:
     from the config's tables, put in there, and the run's rows are its
     `through` rows with the long needle's gaps put in; no entry is computed.
     Each needle of the second space lands on the last points of the ambient
-    needle `_relocate` sends it to, and the distance check compares the
+    needle `_slot` sends it to, and the distance check compares the
     second space's rows in full with the ambient's rows and columns there.
     """
     if not (1 <= m <= cfg.n):
@@ -296,7 +244,7 @@ def tuzhilin_isometry(cfg: TuzhilinConfig, m: int) -> TuzhilinEmbedding:
     ambient = from_grid(labels, tables.denom, rows)
     image: list[int] = []
     for needle, (_, count) in y.needles.items():
-        first, size = x.needles[_relocate(m, (needle, 0))[0]]
+        first, size = x.needles[_slot(m, needle)]
         end = first + size + (cut if first >= at else 0)
         image += range(end - count, end)
     x_part = SubsetRef(ambient, frozenset([*range(at), *range(at + cut, len(rows))]))
@@ -327,8 +275,10 @@ def needle_set_hausdorff(n: int, m: int) -> Fraction:
         raise ValueError("needle indices must be positive")
     top = max(n, m)
     _check_size("needle line has", top, top)
-    placed, line = _harmonic_space(("1", k) for k in range(1, top + 1))
-    index = {k: g for g, (_, _, k) in enumerate(placed)}
-    a = SubsetRef(line, frozenset([index[k] for k in range(1, n + 1)]))
-    b = SubsetRef(line, frozenset([index[k] for k in range(1, m + 1)]))
+    denom = math.lcm(*range(1, top + 1))
+    coords = [denom + denom // k for k in range(top, 0, -1)]  # ascending
+    rows = tuple([tuple([abs(a - b) for b in coords]) for a in coords])
+    line = from_grid(tuple([_label("1", k) for k in range(top, 0, -1)]), denom, rows)
+    a = SubsetRef(line, frozenset(range(top - n, top)))  # k = n..1
+    b = SubsetRef(line, frozenset(range(top - m, top)))
     return hausdorff(a, b)

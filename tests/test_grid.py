@@ -42,12 +42,7 @@ from ghkit.spaces import (
     scale,
     validate,
 )
-from ghkit.tuzhilin import (
-    TuzhilinConfig,
-    _harmonic_space,
-    tuzhilin_isometry,
-    tuzhilin_spaces,
-)
+from ghkit.tuzhilin import TuzhilinConfig, tuzhilin_isometry, tuzhilin_spaces
 
 DENOMINATORS = (1, 2, 3, 5, 7, 12)
 examples = settings(max_examples=60, deadline=None)
@@ -372,22 +367,30 @@ def test_glue_tree_matches_reference_through_many_vertices(shape, seed):
     assert_grid_exact(glued.carrier)
 
 
-harmonic_points = st.lists(
-    st.tuples(st.sampled_from(["1", "2", "inf"]), st.integers(0, 12)),
-    min_size=1,
-    max_size=8,
-)
+@st.composite
+def tuzhilin_configs(draw):
+    n = draw(st.integers(2, 6))
+    return TuzhilinConfig(n, draw(st.integers(n, n + 6)))
+
+
+def tuzhilin_points(cfg):
+    """Both spaces' points as (needle, coordinate): needle v holds 1 + 1/k,
+    k = 1..v; the long needle, 1 + 1/k for k = 1..cfg.k and the limit 1."""
+    finite = [
+        (str(v), 1 + F(1, k)) for v in range(1, cfg.n + 1) for k in range(1, v + 1)
+    ]
+    extra = [(str(cfg.n + 1), 1 + F(1, k)) for k in range(1, cfg.n + 2)]
+    long = [("inf", 1 + F(1, k)) for k in range(1, cfg.k + 1)] + [("inf", F(1))]
+    return finite + extra, finite + long
 
 
 @examples
-@given(harmonic_points)
-def test_harmonic_space_matches_reference(points):
-    # k >= 1 stands for the coordinate 1 + 1/k, k = 0 for the limit 1
-    coords = [(needle, 1 + F(1, k) if k else F(1)) for needle, k in points]
-    _, space = _harmonic_space(points)
-    assert space.dist == reference_needle_rows(coords)
-    assert space.labels == tuple(f"{n}:{c}" for n, c in sorted(set(coords)))
-    assert_grid_exact(space)
+@given(tuzhilin_configs())
+def test_tuzhilin_spaces_match_reference(cfg):
+    for space, points in zip(tuzhilin_spaces(cfg), tuzhilin_points(cfg)):
+        assert space.dist == reference_needle_rows(points)
+        assert space.labels == tuple(f"{v}:{c}" for v, c in sorted(set(points)))
+        assert_grid_exact(space)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -236,6 +236,8 @@ def test_subset_validation(two_point):
         subset(space, [])
     with pytest.raises(ValueError):
         subset(space, [5])
+    with pytest.raises(ValueError, match="^subset index out of range$"):
+        subset(space, [0, -1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
+import functools
 import json
-import math
 from fractions import Fraction as F
 
 import pytest
@@ -115,8 +115,7 @@ def test_needle_set_hausdorff_refuses_above_point_cap(monkeypatch):
     def refuse(*args):
         raise AssertionError("no coordinate may be built above the cap")
 
-    monkeypatch.setattr(tuzhilin, "_harmonic_grid", refuse)
-    monkeypatch.setattr(tuzhilin, "_rows", refuse)
+    monkeypatch.setattr(tuzhilin, "_label", refuse)
     monkeypatch.setattr(tuzhilin, "from_grid", refuse)
     for n, m in ((2001, 1), (2, 2001), (10**9, 10**9)):
         with pytest.raises(TooLarge, match=f"has {max(n, m)} points, cap is 2000"):
@@ -133,8 +132,7 @@ def test_grids_refused_above_the_bit_cap(monkeypatch):
     def refuse(*args):
         raise AssertionError("no coordinate may be built above the cap")
 
-    monkeypatch.setattr(tuzhilin, "_harmonic_grid", refuse)
-    monkeypatch.setattr(tuzhilin, "_rows", refuse)
+    monkeypatch.setattr(tuzhilin, "_label", refuse)
     monkeypatch.setattr(tuzhilin, "from_grid", refuse)
     with pytest.raises(TooLarge, match="1922 points on a 2600-bit denominator"):
         TuzhilinConfig(10, 1800)
@@ -206,18 +204,54 @@ def test_needle_set_hausdorff_matches_golden():
 # the reference below builds the whole ambient from scratch instead
 
 
+def _x_points(cfg):
+    return [(str(v), k) for v in range(1, cfg.n + 2) for k in range(1, v + 1)]
+
+
+def _y_points(cfg):
+    points = [(str(v), k) for v in range(1, cfg.n + 1) for k in range(1, v + 1)]
+    return points + [("inf", k) for k in range(cfg.k + 1)]  # k = 0: the limit 1
+
+
+def _relocate(m, point):
+    """The shift h_m: the long needle onto needle m, needles m..n up by one."""
+    needle, k = point
+    if needle == "inf":
+        return (str(m), k)
+    return point if int(needle) < m else (str(int(needle) + 1), k)
+
+
+@functools.cache
+def _coordinate(k):
+    return 1 + F(1, k) if k else F(1)  # k = 0: the limit
+
+
+@functools.cache
+def _distance(same_needle, k, j):
+    """|a - b| along one needle, a + b across needles, through the center."""
+    a, b = _coordinate(k), _coordinate(j)
+    return abs(a - b) if same_needle else a + b
+
+
+def _needle_space(points):
+    """The distinct points (needle, k), sorted by (needle, coordinate), and
+    their space on `Fraction` coordinates, labelled needle:coordinate."""
+    placed = sorted(set(points), key=lambda p: (p[0], _coordinate(p[1])))
+    rows = [[_distance(u == v, k, j) for v, j in placed] for u, k in placed]
+    labels = tuple(f"{needle}:{_coordinate(k)}" for needle, k in placed)
+    return placed, rows, spaces.FiniteMetricSpace(labels, rows)
+
+
 def _from_scratch(cfg, m):
-    """The embedding's parts with every row built: `_harmonic_grid` over the
-    full ambient point set, and the second space's own rows."""
-    denom = math.lcm(*range(1, max(cfg.n + 1, cfg.k) + 1))
-    x_points, y_points = tuzhilin._x_points(cfg), tuzhilin._y_points(cfg)
-    shifted = [tuzhilin._relocate(m, p) for p in y_points]
-    placed, labels, rows = tuzhilin._harmonic_grid(x_points + shifted, denom)
-    ambient = spaces.from_grid(labels, denom, rows)
-    index = {(needle, k): g for g, (needle, _, k) in enumerate(placed)}
-    y_placed, y_labels, y_rows = tuzhilin._harmonic_grid(y_points, denom)
-    image = [index[tuzhilin._relocate(m, (needle, k))] for needle, _, k in y_placed]
-    x_part = spaces.subset(ambient, [index[p] for p in x_points])
+    """The embedding's parts with every distance written out on `Fraction`
+    coordinates, the full ambient point set's and the second space's own."""
+    y_placed, y_rows, y = _needle_space(_y_points(cfg))
+    placed, rows, ambient = _needle_space(
+        [_relocate(m, p) for p in _y_points(cfg)] + _x_points(cfg)
+    )
+    index = {p: g for g, p in enumerate(placed)}
+    image = [index[_relocate(m, p)] for p in y_placed]
+    x_part = spaces.subset(ambient, [index[p] for p in _x_points(cfg)])
     image_part = spaces.subset(ambient, image)
     preserved = all(
         rows[gi][gj] == y_rows[i][j]
@@ -229,7 +263,7 @@ def _from_scratch(cfg, m):
         "grid": ambient.grid,
         "x_part": x_part.indices,
         "image_part": image_part.indices,
-        "mapping": tuple(zip(y_labels, [labels[g] for g in image])),
+        "mapping": tuple(zip(y.labels, [ambient.labels[g] for g in image])),
         "distance_preserving": preserved,
         "hausdorff_value": spaces.hausdorff(x_part, image_part),
     }
@@ -283,7 +317,6 @@ def test_config_builds_no_rows_until_its_first_shift(monkeypatch):
 
     monkeypatch.setattr(tuzhilin, "_coordinate_tables", refuse)
     monkeypatch.setattr(tuzhilin, "_side", refuse)
-    monkeypatch.setattr(tuzhilin, "_rows", refuse)
     cfg = TuzhilinConfig(43, 63)  # 2,000 points at the cap
     assert cfg == TuzhilinConfig(43, 63)
     monkeypatch.undo()
