@@ -169,8 +169,9 @@ def glue_tree(tree: GluingTree) -> GluedSpace:
         base = offsets[u]
         offsets[w] = len(provenance)
         provenance.extend((w, p) for p in range(nw))
+        blocks = [row[base : base + nu] for row in dist]  # each placed row's u block
         columns = [
-            [omega + min(map(add, row[base : base + nu], near_q)) for row in dist]
+            [omega + min(map(add, block, near_q)) for block in blocks]
             for near_q in zip(*near)
         ]
         for z, row in enumerate(dist):

@@ -119,8 +119,9 @@ def _copies(spec: HedgehogSpec, values: Iterable) -> list:
 
 
 def hedgehog_isometric(a: HedgehogSpec, b: HedgehogSpec) -> bool:
-    """Compiled hedgehogs are isometric exactly when the needle multisets agree."""
-    return a.needles == b.needles
+    """Compiled hedgehogs are isometric exactly when the needle multisets agree:
+    the same grid ints (so the same lengths) with the same multiplicities."""
+    return a.grid == b.grid and [k for _, k in a.needles] == [k for _, k in b.needles]
 
 
 def bucket_correspondence(

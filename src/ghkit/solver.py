@@ -29,6 +29,7 @@ small labels in place of the values, since at t = 0 only equality counts.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +46,7 @@ from .correspondences import (
     scaled_integer_matrices,
 )
 from .errors import InvariantBroken, TooLarge
-from .spaces import STRICT, FiniteMetricSpace, diameter, pack_rows
+from .spaces import _STRUCT_CODES, STRICT, FiniteMetricSpace, diameter, pack_rows
 
 SIDE_BOUND = 32  # points a side
 NODE_BUDGET = 2**22  # branches of one gh_exact call
@@ -154,14 +155,25 @@ def _packing(dx: IntRows, dy: IntRows, top: int) -> _Packing:
     bytes of all n*m fields, and ones the value 1 in every field.  The
     width is `pack_rows`'s for `top`, the largest entry of dx and dy, which
     keeps every mask at a level 0 <= t <= top exact (see `_Compat`); no
-    other level is ever asked.
+    other level is ever asked.  With a `struct` code for the width, an x
+    row is packed spaced, dx[i][k] in field k*m and pad bytes in the m - 1
+    fields after it, and one multiply by `ones` of the first m fields copies
+    every entry into its m fields, with no carry, as each entry fits its
+    own field.  Other widths join each entry's bytes m times over.
     """
     n, m = len(dx), len(dy)
     width, rows = pack_rows(dy, top)
     pack = partial(int.from_bytes, byteorder="little")
-    xs = [pack(b"".join([v.to_bytes(width, "little") * m for v in row])) for row in dx]
+    one = (1).to_bytes(width, "little")
+    code = _STRUCT_CODES.get(width)
+    if code:
+        spaced = struct.Struct("<" + f"{code}{(m - 1) * width}x" * n)
+        spread = pack(one * m)
+        xs = [pack(spaced.pack(*row)) * spread for row in dx]
+    else:
+        xs = [pack(b"".join([v.to_bytes(width, "little") * m for v in row])) for row in dx]
     ys = [pack(row * n) for row in rows]
-    ones = pack((1).to_bytes(width, "little") * (n * m))
+    ones = pack(one * (n * m))
     return xs, ys, m, width, n * m * width, ones
 
 

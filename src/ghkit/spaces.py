@@ -65,7 +65,7 @@ def as_fraction(value: int | Fraction) -> Fraction:
 def positive_factor(factor: int | Fraction) -> Fraction:
     """The factor as a `Fraction`; `NonpositiveScale` unless it is positive."""
     lam = as_fraction(factor)
-    if lam <= 0:
+    if lam.numerator <= 0:  # a `Fraction`'s denominator is positive
         raise NonpositiveScale(f"scale factor must be positive, got {lam}")
     return lam
 

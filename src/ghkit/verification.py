@@ -3,16 +3,18 @@
 Each check states a mathematical claim, runs a deterministic battery of
 instances, and returns None (pass) or a witness string describing the first
 failure.  All comparisons are exact rational equalities or inequalities; no
-check uses a tolerance.  The CLI `verify` subcommand and the acceptance test
-module both run this suite.
+check uses a tolerance.  Identities among solver values are compared on one
+integer grid per space: each value times the lcm of that space's value
+denominators, an exact int.  The CLI `verify` subcommand and the acceptance
+test module both run this suite.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from typing import Callable
 
@@ -126,13 +128,14 @@ def check_diameter_identities(seed: int) -> str | None:
     lams = (F(1, 2), F(2, 3), F(1), F(3, 2))
     for index in range(12):
         x = random_metric_space(rng, rng.randint(2, 6))
-        for lam in lams:
-            for mu in lams:
-                value = gh_exact(scale(x, lam), scale(x, mu)).value
-                if 2 * value != abs(lam - mu) * diameter(x):
+        diam, copies = diameter(x), [scale(x, lam) for lam in lams]
+        for lam, x_lam in zip(lams, copies):
+            for mu, x_mu in zip(lams, copies):
+                value = gh_exact(x_lam, x_mu).value
+                if 2 * value != abs(lam - mu) * diam:
                     return (
                         f"space {index}: scaled copies {lam},{mu} gave {value}, "
-                        f"expected {abs(lam - mu) * diameter(x) / 2}"
+                        f"expected {abs(lam - mu) * diam / 2}"
                     )
     for index in range(15):
         x = random_metric_space(rng, rng.randint(1, 4), label_prefix="x")
@@ -345,35 +348,52 @@ def check_thread_limits(seed: int) -> str | None:
 
 
 def check_scaling_dynamics(seed: int) -> str | None:
-    """Scaling-probe identities, the closed form, and Cauchy tails."""
+    """Scaling-probe identities, the closed form, and Cauchy tails.
+
+    The solver is asked once per factor of one table: 1, the grid, the
+    inverses and the products lam*mu.  The identities among its values are
+    compared as ints I = d * D, D the lcm of one space's value denominators.
+    """
     rng = rng_from_seed(seed)
     grid = (F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2), F(3), F(4))
+    # every factor read, once; at[f] is f's place in the table
+    inverses, products = [1 / lam for lam in grid], [a * b for a in grid for b in grid]
+    factors = list(dict.fromkeys((F(1), *grid, *inverses, *products)))
+    at = {lam: k for k, lam in enumerate(factors)}
+    probed = [(lam.numerator, lam.denominator, at[lam], at[1 / lam]) for lam in grid]
+    subdivisions = [
+        (lam, mu, lam.numerator, lam.denominator, at[lam], at[mu], at[lam * mu])
+        for lam in grid
+        for mu in grid
+    ]
     for index in range(20):
         x = random_metric_space(rng, 4)
         diam = diameter(x)
+        d = [gh_exact(x, scale(x, lam)).value for lam in factors]
+        denom = math.lcm(*(v.denominator for v in d))
+        ints = [v.numerator * (denom // v.denominator) for v in d]
+        top, bottom = diam.numerator * denom, diam.denominator
 
-        @cache
-        def d(lam: Fraction) -> Fraction:
-            return gh_exact(x, scale(x, lam)).value
-
-        if d(F(1)) != 0:
+        if ints[at[1]]:
             return f"space {index}: d(1) != 0"
-        for lam, closed in d_lambda_probe(x, grid).samples:
-            if d(1 / lam) != d(lam) / lam:
+        samples = d_lambda_probe(x, grid).samples
+        for (lam, closed), (p, q, k, inverse) in zip(samples, probed):
+            # d(1/lam) * lam = d(lam) and 2 * d(lam) = |lam - 1| * diam
+            if p * ints[inverse] != q * ints[k]:
                 return f"space {index}: inversion identity failed at {lam}"
-            if 2 * d(lam) != abs(lam - 1) * diam:
+            if 2 * q * bottom * ints[k] != abs(p - q) * top:
                 return f"space {index}: closed form failed at {lam}"
-            if closed != d(lam):
-                return f"space {index}: d_lambda gave {closed}, the solver {d(lam)}"
-        for lam in grid:
-            for mu in grid:
-                if d(lam * mu) > d(lam) + lam * d(mu):
-                    return f"space {index}: subdivision bound failed at {lam},{mu}"
-        lam = F(1, 2)
+            if closed != d[k]:
+                return f"space {index}: d_lambda gave {closed}, the solver {d[k]}"
+        for lam, mu, p, q, k, l, kl in subdivisions:
+            # d(lam*mu) <= d(lam) + lam * d(mu), times q * D
+            if q * ints[kl] > q * ints[k] + p * ints[l]:
+                return f"space {index}: subdivision bound failed at {lam},{mu}"
+        half = F(1, 2)
         for larger, smaller in ((1, 0), (2, 1), (4, 2), (6, 3)):
-            state = center_iterate(x, lam, smaller)
-            actual = gh_exact(scale(x, lam**larger), state.iterate).value
-            closed = (lam**smaller - lam**larger) * diam / 2
+            state = center_iterate(x, half, smaller)
+            actual = gh_exact(scale(x, half**larger), state.iterate).value
+            closed = (half**smaller - half**larger) * diam / 2
             if actual != closed:
                 return f"space {index}: iterate gap is not the closed form"
             if actual > state.tail_bound:

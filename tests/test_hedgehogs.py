@@ -6,6 +6,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from freeze_center_golden import outcome, spec_from_record
 
 from ghkit import hedgehogs
@@ -227,6 +229,60 @@ def test_isometric_agrees_with_gh_zero_on_small_specs():
             expected = hedgehog_isometric(a, b)
             value = gh_exact(compile_hedgehog(a), compile_hedgehog(b)).value
             assert (value == 0) == expected  # finite closure analogue
+
+
+def _rigidity_specs():
+    """The 80 specs of the hedgehog-rigidity check: lengths 1..4, each 0-2 times."""
+    lengths = (F(1), F(2), F(3), F(4))
+    return [
+        HedgehogSpec.from_pairs((x, m) for x, m in zip(lengths, mults) if m)
+        for mults in product((0, 1, 2), repeat=4)
+        if any(mults)
+    ]
+
+
+def test_isometric_is_needle_equality_on_the_rigidity_specs():
+    specs = _rigidity_specs()
+    assert len(specs) == 80
+    for a in specs:
+        for b in specs:
+            assert hedgehog_isometric(a, b) == (a.needles == b.needles)
+
+
+_needle_lengths = st.builds(F, st.integers(1, 12), st.sampled_from([1, 2, 3, 4, 6]))
+_needle_pairs = st.lists(
+    st.tuples(_needle_lengths, st.integers(1, 3)), min_size=1, max_size=5
+)
+
+
+@st.composite
+def _spec_pairs(draw):
+    """A spec and a second one that is often equal to it or close: the same
+    needles with int lengths where they are whole, new multiplicities on
+    the same lengths, one length redrawn, or a fresh draw."""
+    pairs = draw(_needle_pairs)
+    a = HedgehogSpec.from_pairs(pairs)
+    kind = draw(st.sampled_from(["ints", "multiplicities", "length", "fresh"]))
+    if kind == "ints":
+        b = HedgehogSpec(
+            tuple((int(x) if x.denominator == 1 else x, k) for x, k in a.needles)
+        )
+    elif kind == "multiplicities":
+        b = HedgehogSpec(tuple((x, draw(st.integers(1, 3))) for x, _ in a.needles))
+    elif kind == "length":
+        index = draw(st.integers(0, len(pairs) - 1))
+        pairs[index] = (draw(_needle_lengths), pairs[index][1])
+        b = HedgehogSpec.from_pairs(pairs)
+    else:
+        b = HedgehogSpec.from_pairs(draw(_needle_pairs))
+    return a, b
+
+
+@given(_spec_pairs())
+def test_isometric_is_needle_equality_on_drawn_specs(pair):
+    a, b = pair
+    assert hedgehog_isometric(a, b) == (a.needles == b.needles)
+    assert hedgehog_isometric(b, a) == (a.needles == b.needles)
 
 
 def test_scale_isometry_check():

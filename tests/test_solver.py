@@ -385,6 +385,79 @@ def test_packed_fields_at_width_boundaries(top):
         assert signs == [int(a + b >= d) for a, b in zip(*rows)]
 
 
+def _reference_packing(dx, dy, top):
+    """Reference: every field written on its own, at the smallest whole-byte
+    width with 2^(w-1) >= 2*top + 2; field k*m + l of x row i holds
+    dx[i][k], that of y row j holds dy[j][l]."""
+    width = 1
+    while 1 << 8 * width - 1 < 2 * top + 2:
+        width += 1
+    n, m, shift = len(dx), len(dy), 8 * width
+
+    def fields(values):
+        return sum(v << shift * f for f, v in enumerate(values))
+
+    xs = [fields([v for v in row for _ in range(m)]) for row in dx]
+    ys = [fields(list(row) * n) for row in dy]
+    return xs, ys, m, width, n * m * width, fields([1] * (n * m))
+
+
+# widths 1, 2, 4 and 8 bytes pack by `struct`; 3, 9 and 10 by the fallback
+@pytest.mark.parametrize(
+    "top, width",
+    [(63, 1), (16383, 2), (16384, 3), (2**30 - 1, 4), (2**62 - 1, 8), (2**62, 9)]
+    + [(2**70 + 3, 10)],
+)
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (4, 1), (3, 5), (7, 7)])
+def test_packing_equals_a_per_value_reference(top, width, n, m):
+    rng = random.Random(1000 * width + 10 * n + m)
+    values = (0, 1, top - 1, top, *(rng.randint(0, top) for _ in range(4)))
+    dx = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+    dy = [[rng.choice(values) for _ in range(m)] for _ in range(m)]
+    packing = solver._packing(dx, dy, top)
+    assert packing == _reference_packing(dx, dy, top)
+    assert packing[3] == width
+
+
+def _distinct_space(n):
+    """n points whose n(n-1)/2 distances are 100, 101, ...: all distinct, and
+    all within a factor 2 of each other, so every triangle holds."""
+    rows = [[0] * n for _ in range(n)]
+    for k, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n)):
+        rows[i][j] = rows[j][i] = 100 + k
+    return from_grid(tuple(f"p{i}" for i in range(n)), 1, tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        random_metric_space(rng_from_seed(43), 5),
+        scale(random_metric_space(rng_from_seed(44), 6), F(2**61 + 1, 2**61 - 1)),
+        _distinct_space(12),
+    ],
+    ids=["5-points", "wide-values", "67-labels"],
+)
+def test_isometry_search_packs_its_labels_like_the_reference(monkeypatch, x):
+    seen = []
+
+    def spy(dx, dy, top):
+        seen.append((dx, dy, top))
+        return real(dx, dy, top)
+
+    real = solver._packing
+    monkeypatch.setattr(solver, "_packing", spy)
+    n, (denom, rows) = len(x), x.grid
+    order = list(range(n))
+    random.Random(n).shuffle(order)
+    relabelled = tuple(tuple(rows[p][q] for q in order) for p in order)
+    y = from_grid(x.labels, denom, relabelled)
+    assert are_isometric(x, y)
+    [(dx, dy, top)] = seen
+    values = {v for row in rows for v in row}
+    assert top == len(values) - 1  # labels 0 .. V-1
+    assert real(dx, dy, top) == _reference_packing(dx, dy, top)
+
+
 def _mask_pairs():
     """Seeded pairs from 1x1 to 12x12, square and not, random and scaled;
     and grid pairs whose values need 1-, 2-, 3- and 9-byte fields, values
