@@ -8,7 +8,10 @@ This module owns the cell encoding both searches share: on an n x m grid,
 the pair (i, j) is cell c = i*m + j and a set of pairs is the int with bit c
 set for each cell.  `line_masks` gives each row's and column's cells,
 `covering_masks` yields the cell sets meeting all of them, and
-`decode_cells` turns a mask back into pairs.
+`decode_cells` turns a mask back into pairs.  The line masks and the
+oracle's bitsets depend only on the shape (n, m), so each is built once per
+shape behind a bounded cache and handed out as tuples, which no caller can
+change.
 
 `covering_masks` and the enumeration oracle run on bitsets over all
 2^(n*m) cell sets, bit s standing for the set s, so each exhaustive step is
@@ -21,9 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress, count
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import TooLarge
@@ -46,6 +49,9 @@ class Correspondence:
         if not self.pairs:
             raise ValueError("a correspondence needs at least one pair")
         n, m = len(self.left), len(self.right)
+        if _covers(self.pairs, n, m):
+            return
+        # the loops run only to name the first fault
         for i, j in self.pairs:
             if not (0 <= i < n and 0 <= j < m):
                 raise ValueError(f"pair ({i}, {j}) out of range")
@@ -56,6 +62,21 @@ class Correspondence:
 
     def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.pairs))
+
+
+def _covers(pairs: frozenset, n: int, m: int) -> bool:
+    """Whether the pairs' first fields are exactly 0..n-1 and their second
+    fields exactly 0..m-1, read at C speed: then every pair is in range and
+    covers both sides.  False, never an error, for a pair that cannot be
+    read so; `Correspondence`'s loops then name the fault."""
+    try:
+        left, right = set(map(_FIRST, pairs)), set(map(_SECOND, pairs))
+    except (TypeError, LookupError):
+        return False
+    return left == set(range(n)) and right == set(range(m))
+
+
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
 
 
 def distortion(rel: Correspondence) -> Fraction:
@@ -120,11 +141,12 @@ def _guard_cells(n: int, m: int) -> None:
         )
 
 
-def line_masks(n: int, m: int) -> list[int]:
+@lru_cache(maxsize=256)
+def line_masks(n: int, m: int) -> tuple[int, ...]:
     """Cell masks of the rows, then of the columns, of the n x m grid."""
     row = (1 << m) - 1
     column = sum(1 << (i * m) for i in range(n))
-    return [row << (i * m) for i in range(n)] + [column << j for j in range(m)]
+    return (*(row << (i * m) for i in range(n)), *(column << j for j in range(m)))
 
 
 def covering_masks(n: int, m: int) -> Iterator[int]:
@@ -138,25 +160,37 @@ def covering_masks(n: int, m: int) -> Iterator[int]:
     return compress(count(), digits.translate(bytes.maketrans(b"01", b"\0\1")))
 
 
-def _set_bits(n: int, m: int) -> tuple[int, list[int]]:
+@lru_cache(maxsize=16)
+def _set_bits(n: int, m: int) -> tuple[int, tuple[int, ...]]:
     """Bitsets over all 2^(n*m) cell sets: bit s stands for the cell set s.
 
-    `has[c]`, the sets containing cell c, doubles the pattern "2^c zeros,
-    then 2^c ones"; `covering`, the sets meeting every line, is the AND over
-    the rows and columns of the OR of `has` over each line's cells.
+    `has[c]`, the sets containing cell c (see `_has_bits`); `covering`, the
+    sets meeting every line, is the AND over the rows and columns of the OR
+    of `has` over each line's cells.  A refused shape raises on every call
+    and is never stored.
     """
     _guard_cells(n, m)
-    size = 1 << (n * m)
+    has = _has_bits(n * m)
+    lines = [has[i * m : i * m + m] for i in range(n)] + [has[j::m] for j in range(m)]
+    return reduce(and_, [reduce(or_, line) for line in lines]), has
+
+
+@lru_cache(maxsize=ENUMERATION_CELL_GUARD)
+def _has_bits(cells: int) -> tuple[int, ...]:
+    """`has[c]` for c < cells over 2^cells sets: the pattern "2^c zeros,
+    then 2^c ones", doubled.  It depends on the cell count alone, so the
+    shapes of one size share it, and the cache holds at most one table per
+    size up to the guard: under 6 MB all told."""
+    size = 1 << cells
     has = []
-    for c in range(n * m):
+    for c in range(cells):
         run = 1 << c
         pattern, width = ((1 << run) - 1) << run, 2 * run
         while width < size:
             pattern |= pattern << width
             width <<= 1
         has.append(pattern)
-    lines = [has[i * m : i * m + m] for i in range(n)] + [has[j::m] for j in range(m)]
-    return reduce(and_, [reduce(or_, line) for line in lines]), has
+    return tuple(has)
 
 
 def decode_cells(mask: int, m: int) -> frozenset[tuple[int, int]]:

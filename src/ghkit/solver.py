@@ -23,8 +23,12 @@ cell of that correspondence joins it with no search.  Exact GH is NP-hard,
 so two fixed guards bound the work: no side above SIDE_BOUND points (each
 node scans all n + m lines, and the gap set has up to Vx * Vy values), and
 no more than NODE_BUDGET branches over all probes and the witness scan.
-Isometry questions are the same search at t = 0, under the same guards, on
-small labels in place of the values, since at t = 0 only equality counts.
+Isometry questions are the same search at t = 0, under the same guards;
+as only equality counts there, values too wide for one-byte fields are
+replaced by small labels first.  The tables that depend on the shape alone,
+the line masks and the packing's `struct` layouts, are built once per shape
+behind bounded caches; nothing that depends on a space's values outlives
+its call.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 
 from .correspondences import (
@@ -91,17 +95,17 @@ def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
     lb_int = abs(diam_x - diam_y)
     everything = (1 << n * m) - 1
     # the full relation's distortion is the top level, so it is never
-    # probed; `found` is the last feasible probe's correspondence, `compat`
-    # the masks it was found with, and `best` its distortion
+    # probed; `found` is the last feasible probe's correspondence (the full
+    # relation until one is feasible), `compat` the masks it was found
+    # with, and `best` its distortion
     best = max(diam_x, diam_y)
     packing = _packing(dx, dy, best)
-    search = _Search(_Compat(packing, best), n, m)
+    search = _Search(_Compat(packing, lb_int), n, m)  # the smallest level: a gap itself
     found, compat = everything, search.compat
     if lb_int < best:
-        search.compat = _Compat(packing, lb_int)  # the smallest level: a gap itself
         extension = _extend(search, 0, everything)
         if extension:
-            best, found, compat = lb_int, extension, search.compat
+            best, found = lb_int, extension
         else:
             levels = _levels(dx, dy, lb_int + 1)
             lo, hi = 0, len(levels) - 1  # levels[hi] == best
@@ -115,7 +119,9 @@ def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
                     found, compat = extension, search.compat
                 else:
                     lo = probe + 1
-    # the masks at best: the last probe's, unless `found` sits below its level
+    # the masks at best: the last feasible probe's (the bound's, when the
+    # bound is feasible or is the top), unless `found` sits below its level
+    # or no probe was feasible; the top level's masks are built only then
     search.compat = compat if compat.t == best else _Compat(packing, best)
     witness_pairs = _lex_min_cells(search, found)
     return GHResult(
@@ -144,6 +150,7 @@ def _levels(dx: IntRows, dy: IntRows, bound: int) -> list[int]:
 
 
 _Packing = tuple[list[int], list[int], int, int, int, int]
+_pack = partial(int.from_bytes, byteorder="little")
 
 
 def _packing(dx: IntRows, dy: IntRows, top: int) -> _Packing:
@@ -157,24 +164,36 @@ def _packing(dx: IntRows, dy: IntRows, top: int) -> _Packing:
     keeps every mask at a level 0 <= t <= top exact (see `_Compat`); no
     other level is ever asked.  With a `struct` code for the width, an x
     row is packed spaced, dx[i][k] in field k*m and pad bytes in the m - 1
-    fields after it, and one multiply by `ones` of the first m fields copies
-    every entry into its m fields, with no carry, as each entry fits its
-    own field.  Other widths join each entry's bytes m times over.
+    fields after it, and one multiply by `spread`, 1 in each of the first
+    m fields, copies every entry into its m fields, with no carry, as each
+    entry fits its own field; the layout, `spread` and `ones` come from
+    `_struct_layout`, built once per shape.  Other widths join each entry's
+    bytes m times over.
     """
     n, m = len(dx), len(dy)
     width, rows = pack_rows(dy, top)
-    pack = partial(int.from_bytes, byteorder="little")
-    one = (1).to_bytes(width, "little")
     code = _STRUCT_CODES.get(width)
     if code:
-        spaced = struct.Struct("<" + f"{code}{(m - 1) * width}x" * n)
-        spread = pack(one * m)
-        xs = [pack(spaced.pack(*row)) * spread for row in dx]
+        spaced, spread, ones = _struct_layout(code, width, n, m)
+        xs = [_pack(spaced.pack(*row)) * spread for row in dx]
     else:
-        xs = [pack(b"".join([v.to_bytes(width, "little") * m for v in row])) for row in dx]
-    ys = [pack(row * n) for row in rows]
-    ones = pack(one * (n * m))
+        xs = [_pack(b"".join([v.to_bytes(width, "little") * m for v in row])) for row in dx]
+        ones = _pack((1).to_bytes(width, "little") * (n * m))
+    ys = [_pack(row * n) for row in rows]
     return xs, ys, m, width, n * m * width, ones
+
+
+@lru_cache(maxsize=256)
+def _struct_layout(
+    code: str, width: int, n: int, m: int
+) -> tuple[struct.Struct, int, int]:
+    """`_packing`'s tables for a `struct` width: the spaced x-row layout,
+    `spread` and `ones`.  They depend on the shape alone, never on a value,
+    so each (code, width, n, m) is built once; an entry is a few KiB at
+    most, as n, m <= SIDE_BOUND and width <= 8."""
+    one = (1).to_bytes(width, "little")
+    spaced = struct.Struct("<" + f"{code}{(m - 1) * width}x" * n)
+    return spaced, _pack(one * m), _pack(one * (n * m))
 
 
 _FITS = b"1" * 128 + b"0" * 128  # a field's top byte -> 1 if its top bit is clear
@@ -348,16 +367,20 @@ def _isometry_search(
     n = len(x)
     _check_sides(n, len(y))
     (denom, dx), (denom_y, dy) = x.grid, y.grid
+    top = max(map(max, dx))
     # an isometry keeps every distance, so the sizes, the canonical
     # denominators and the diameters agree
-    if n != len(y) or denom != denom_y or max(map(max, dx)) != max(map(max, dy)):
+    if n != len(y) or denom != denom_y or top != max(map(max, dy)):
         return None
     # at t = 0 only equal values match, so any one-to-one relabelling of the
-    # values serves; labels 0..V-1 keep the mask fields a byte or two wide
-    # however wide the values are
-    values = set(chain.from_iterable(dx)).union(chain.from_iterable(dy))
-    label = dict(zip(values, range(len(values)))).__getitem__
-    dx, dy = ([list(map(label, row)) for row in rows] for rows in (dx, dy))
-    search = _Search(_Compat(_packing(dx, dy, len(values) - 1), 0), n, n)
+    # values serves.  Values up to 63 fit `pack_rows`'s one-byte fields and
+    # are packed as they are; wider ones are relabelled 0..V-1, which keeps
+    # the fields a byte or two wide however wide the values are
+    if top > 63:
+        values = set(chain.from_iterable(dx)).union(chain.from_iterable(dy))
+        label = dict(zip(values, range(len(values)))).__getitem__
+        dx, dy = ([list(map(label, row)) for row in rows] for rows in (dx, dy))
+        top = len(values) - 1
+    search = _Search(_Compat(_packing(dx, dy, top), 0), n, n)
     found = _extend(search, 0, (1 << n * n) - 1)
     return (found, search) if found else None

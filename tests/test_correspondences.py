@@ -5,7 +5,10 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ghkit import correspondences
 from ghkit.correspondences import (
     Correspondence,
     covering_masks,
@@ -67,6 +70,110 @@ def test_correspondence_requires_coverage(gap_pair):
         Correspondence(x, y, frozenset())
     with pytest.raises(ValueError):
         Correspondence(x, y, frozenset({(0, 0), (1, 1), (2, 0)}))
+
+
+def _reference_check(pairs, n, m):
+    """Reference: `Correspondence`'s checks as one loop over the pairs, then
+    the two surjectivity tests."""
+    if not pairs:
+        raise ValueError("a correspondence needs at least one pair")
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < m):
+            raise ValueError(f"pair ({i}, {j}) out of range")
+    if {i for i, _ in pairs} != set(range(n)):
+        raise ValueError("not surjective onto the left space")
+    if {j for _, j in pairs} != set(range(m)):
+        raise ValueError("not surjective onto the right space")
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _path(n):
+    return validate([[abs(i - j) for j in range(n)] for i in range(n)])
+
+
+_SIDES = {n: _path(n) for n in range(1, 5)}
+
+
+@st.composite
+def _faulty_pair_sets(draw):
+    """(n, m, pairs) on grids up to 4x4: a covering pair set, then any of
+    the faults at once: no pairs, a negative or too-large index on either
+    side, a row or a column with no pair."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pairs = {(i, draw(st.integers(0, m - 1))) for i in range(n)}
+    pairs |= {(draw(st.integers(0, n - 1)), j) for j in range(m)}
+    pairs |= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))))
+    faults = draw(st.sets(st.sampled_from(["row", "column", "low", "high", "empty"])))
+    if "row" in faults:
+        row = draw(st.integers(0, n - 1))
+        pairs = {(i, j) for i, j in pairs if i != row}
+    if "column" in faults:
+        column = draw(st.integers(0, m - 1))
+        pairs = {(i, j) for i, j in pairs if j != column}
+    side = st.sampled_from([0, 1])
+    if "low" in faults:
+        bad = [draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))]
+        bad[draw(side)] = draw(st.integers(-3, -1))
+        pairs.add(tuple(bad))
+    if "high" in faults:
+        bad = [draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))]
+        index = draw(side)
+        bad[index] = draw(st.integers(0, 2)) + (n, m)[index]
+        pairs.add(tuple(bad))
+    if "empty" in faults:
+        pairs = set()
+    return n, m, frozenset(pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_faulty_pair_sets())
+def test_correspondence_errors_equal_the_reference_loop(case):
+    n, m, pairs = case
+    expected = _outcome(_reference_check, pairs, n, m)
+    assert _outcome(Correspondence, _SIDES[n], _SIDES[m], pairs) == expected
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [{(0,)}, {0}, {"ab"}, {(0, 0), (1,)}, {(0, 0), (1, "a")}, {(0.0, 0), (1, 1)}],
+)
+def test_correspondence_errors_on_malformed_pairs_equal_the_reference_loop(pairs):
+    pairs = frozenset(pairs)
+    expected = _outcome(_reference_check, pairs, 2, 2)
+    assert _outcome(Correspondence, _SIDES[2], _SIDES[2], pairs) == expected
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (4, 1), (3, 5), (32, 32)])
+def test_line_masks_are_shared_immutable_tables(n, m):
+    masks = line_masks(n, m)
+    assert isinstance(masks, tuple) and masks is line_masks(n, m)
+    assert masks == line_masks.__wrapped__(n, m)
+    assert line_masks.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (3, 2), (4, 4), (4, 5)])
+def test_oracle_bitsets_are_shared_immutable_tables(n, m):
+    covering, has = correspondences._set_bits(n, m)
+    assert isinstance(has, tuple) and has is correspondences._set_bits(n, m)[1]
+    assert (covering, has) == correspondences._set_bits.__wrapped__(n, m)
+    assert has == correspondences._has_bits.__wrapped__(n * m)
+    for cached in (correspondences._set_bits, correspondences._has_bits):
+        assert cached.cache_info().maxsize is not None
+
+
+def test_refused_oracle_shapes_are_never_cached():
+    before = correspondences._set_bits.cache_info().currsize
+    for n, m in ((5, 5), (0, 2)):
+        with pytest.raises((TooLarge, ValueError)):
+            correspondences._set_bits(n, m)
+    assert correspondences._set_bits.cache_info().currsize == before
 
 
 @pytest.mark.parametrize(

@@ -419,6 +419,18 @@ def test_packing_equals_a_per_value_reference(top, width, n, m):
     assert packing[3] == width
 
 
+def test_struct_layouts_are_shared_tables_equal_to_a_fresh_build():
+    from ghkit.spaces import _STRUCT_CODES
+
+    for width, code in _STRUCT_CODES.items():
+        for n, m in ((1, 1), (3, 5), (32, 32)):
+            spaced, spread, ones = solver._struct_layout(code, width, n, m)
+            assert solver._struct_layout(code, width, n, m)[0] is spaced
+            fresh = solver._struct_layout.__wrapped__(code, width, n, m)
+            assert (spaced.format, spread, ones) == (fresh[0].format, *fresh[1:])
+    assert solver._struct_layout.cache_info().maxsize is not None
+
+
 def _distinct_space(n):
     """n points whose n(n-1)/2 distances are 100, 101, ...: all distinct, and
     all within a factor 2 of each other, so every triangle holds."""
@@ -428,16 +440,27 @@ def _distinct_space(n):
     return from_grid(tuple(f"p{i}" for i in range(n)), 1, tuple(map(tuple, rows)))
 
 
+def _pair_space(d):
+    return from_grid(("a", "b"), 1, ((0, d), (d, 0)))
+
+
 @pytest.mark.parametrize(
-    "x",
+    "x, raw",
     [
-        random_metric_space(rng_from_seed(43), 5),
-        scale(random_metric_space(rng_from_seed(44), 6), F(2**61 + 1, 2**61 - 1)),
-        _distinct_space(12),
+        (random_metric_space(rng_from_seed(43), 5), True),
+        (_pair_space(63), True),
+        (_pair_space(64), False),
+        (
+            scale(random_metric_space(rng_from_seed(44), 6), F(2**61 + 1, 2**61 - 1)),
+            False,
+        ),
+        (_distinct_space(12), False),
     ],
-    ids=["5-points", "wide-values", "67-labels"],
+    ids=["5-points", "top-63", "top-64", "wide-values", "67-labels"],
 )
-def test_isometry_search_packs_its_labels_like_the_reference(monkeypatch, x):
+def test_isometry_search_packs_its_labels_like_the_reference(monkeypatch, x, raw):
+    """Grid values up to 63 fit one-byte fields and are packed as they are;
+    wider ones are relabelled one to one onto 0..V-1."""
     seen = []
 
     def spy(dx, dy, top):
@@ -454,7 +477,15 @@ def test_isometry_search_packs_its_labels_like_the_reference(monkeypatch, x):
     assert are_isometric(x, y)
     [(dx, dy, top)] = seen
     values = {v for row in rows for v in row}
-    assert top == len(values) - 1  # labels 0 .. V-1
+    if raw:
+        assert (dx, dy, top) == (rows, relabelled, max(values))
+    else:
+        assert top == len(values) - 1  # labels 0 .. V-1
+        sides = ((rows, dx), (relabelled, dy))
+        label = {(v, u) for a, b in sides for r, s in zip(a, b) for v, u in zip(r, s)}
+        # one label per value, and V labels: a one-to-one relabelling
+        assert len(label) == len(values)
+        assert {u for _, u in label} == set(range(len(values)))
     assert real(dx, dy, top) == _reference_packing(dx, dy, top)
 
 
@@ -601,6 +632,56 @@ def test_search_and_witness_scan_agree_with_eager_masks(x, y):
     found = _extend(last, 0, everything)
     assert _lex_min_cells(last, everything) == _lex_min_cells(last, found)
     assert gh_exact(x, y).value == F(feasible[0], 2 * denom)
+
+
+def _equilateral(n, side):
+    return validate([[0 if i == j else side for j in range(n)] for i in range(n)])
+
+
+def _witness_pairs():
+    """Pairs for each way `gh_exact` reaches its witness level: 1 x m and
+    n x 1, where the bound is the top level and no probe runs; equal
+    diameters, where the bound is 0; scaled copies, where the bound probe
+    decides; and equilateral pairs, where every correspondence has the top
+    level's distortion, so the bound probe fails and no probe is feasible."""
+    rng = rng_from_seed(57)
+    pairs = []
+    for m in (1, 2, 3, 4):
+        y = random_metric_space(rng, m, label_prefix="y")
+        pairs += [(one_point_space(), y), (y, one_point_space())]
+    for n, m in ((2, 2), (3, 4), (4, 3), (5, 5)):
+        x = random_metric_space(rng, n, label_prefix="x")
+        y = random_metric_space(rng, m, label_prefix="y")
+        pairs.append((x, scale(y, diameter(x) / diameter(y))))
+    for n in (2, 3, 4, 6):
+        x = random_metric_space(rng, n, label_prefix="x")
+        pairs += [(x, scale(x, lam)) for lam in (F(1, 3), F(3, 2), F(2))]
+    for n, m, side in ((3, 2, 1), (4, 2, 1), (4, 3, 2), (5, 3, 2)):
+        a, b = _equilateral(n, 2), _equilateral(m, side)
+        pairs += [(a, b), (b, a)]
+    return pairs
+
+
+def test_witness_equals_a_scan_from_scratch_at_the_answer_level():
+    """The witness scan reads the masks at the answer's level however that
+    level was reached, including the top level, whose masks `gh_exact`
+    builds only when no probe gave them."""
+    from ghkit.correspondences import decode_cells
+    from ghkit.solver import _Search
+
+    tops = 0
+    for x, y in _witness_pairs():
+        n, m = len(x), len(y)
+        denom, dx, dy, gaps = _gap_table(x, y)
+        result = gh_exact(x, y)
+        level = 2 * result.value * denom
+        assert level.denominator == 1
+        top = max(max(map(max, dx)), max(map(max, dy)))
+        tops += result.lower_bound < result.value and level == top
+        reference = _Search(_eager_compat(gaps, n * m, int(level)), n, m)
+        expected = decode_cells(_scan_from_scratch(reference, n * m), m)
+        assert result.witness.pairs == expected
+    assert tops == 8  # the equilateral pairs: top level with a failed bound probe
 
 
 def test_solves_and_isometry_searches_leave_no_reference_cycles():
