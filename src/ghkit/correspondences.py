@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress, count
-from operator import and_, itemgetter, or_
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import TooLarge
@@ -49,9 +49,6 @@ class Correspondence:
         if not self.pairs:
             raise ValueError("a correspondence needs at least one pair")
         n, m = len(self.left), len(self.right)
-        if _covers(self.pairs, n, m):
-            return
-        # the loops run only to name the first fault
         for i, j in self.pairs:
             if not (0 <= i < n and 0 <= j < m):
                 raise ValueError(f"pair ({i}, {j}) out of range")
@@ -62,21 +59,6 @@ class Correspondence:
 
     def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.pairs))
-
-
-def _covers(pairs: frozenset, n: int, m: int) -> bool:
-    """Whether the pairs' first fields are exactly 0..n-1 and their second
-    fields exactly 0..m-1, read at C speed: then every pair is in range and
-    covers both sides.  False, never an error, for a pair that cannot be
-    read so; `Correspondence`'s loops then name the fault."""
-    try:
-        left, right = set(map(_FIRST, pairs)), set(map(_SECOND, pairs))
-    except (TypeError, LookupError):
-        return False
-    return left == set(range(n)) and right == set(range(m))
-
-
-_FIRST, _SECOND = itemgetter(0), itemgetter(1)
 
 
 def distortion(rel: Correspondence) -> Fraction:
@@ -164,33 +146,25 @@ def covering_masks(n: int, m: int) -> Iterator[int]:
 def _set_bits(n: int, m: int) -> tuple[int, tuple[int, ...]]:
     """Bitsets over all 2^(n*m) cell sets: bit s stands for the cell set s.
 
-    `has[c]`, the sets containing cell c (see `_has_bits`); `covering`, the
-    sets meeting every line, is the AND over the rows and columns of the OR
-    of `has` over each line's cells.  A refused shape raises on every call
-    and is never stored.
+    `has[c]`, the sets containing cell c, doubles the pattern "2^c zeros,
+    then 2^c ones"; `covering`, the sets meeting every line, is the AND over
+    the rows and columns of the OR of `has` over each line's cells.  A
+    refused shape raises on every call and is never stored.  The cache keeps
+    16 shapes: a few hundred KiB for shapes up to 4 x 4, and about 22 MB in
+    the worst case of 16 shapes at or near the 20-cell guard.
     """
     _guard_cells(n, m)
-    has = _has_bits(n * m)
-    lines = [has[i * m : i * m + m] for i in range(n)] + [has[j::m] for j in range(m)]
-    return reduce(and_, [reduce(or_, line) for line in lines]), has
-
-
-@lru_cache(maxsize=ENUMERATION_CELL_GUARD)
-def _has_bits(cells: int) -> tuple[int, ...]:
-    """`has[c]` for c < cells over 2^cells sets: the pattern "2^c zeros,
-    then 2^c ones", doubled.  It depends on the cell count alone, so the
-    shapes of one size share it, and the cache holds at most one table per
-    size up to the guard: under 6 MB all told."""
-    size = 1 << cells
+    size = 1 << (n * m)
     has = []
-    for c in range(cells):
+    for c in range(n * m):
         run = 1 << c
         pattern, width = ((1 << run) - 1) << run, 2 * run
         while width < size:
             pattern |= pattern << width
             width <<= 1
         has.append(pattern)
-    return tuple(has)
+    lines = [has[i * m : i * m + m] for i in range(n)] + [has[j::m] for j in range(m)]
+    return reduce(and_, [reduce(or_, line) for line in lines]), tuple(has)
 
 
 def decode_cells(mask: int, m: int) -> frozenset[tuple[int, int]]:

@@ -50,7 +50,14 @@ from .correspondences import (
     scaled_integer_matrices,
 )
 from .errors import InvariantBroken, TooLarge
-from .spaces import _STRUCT_CODES, STRICT, FiniteMetricSpace, diameter, pack_rows
+from .spaces import (
+    _STRUCT_CODES,
+    STRICT,
+    FiniteMetricSpace,
+    diameter,
+    field_width,
+    pack_rows,
+)
 
 SIDE_BOUND = 32  # points a side
 NODE_BUDGET = 2**22  # branches of one gh_exact call
@@ -172,9 +179,8 @@ def _packing(dx: IntRows, dy: IntRows, top: int) -> _Packing:
     """
     n, m = len(dx), len(dy)
     width, rows = pack_rows(dy, top)
-    code = _STRUCT_CODES.get(width)
-    if code:
-        spaced, spread, ones = _struct_layout(code, width, n, m)
+    if width in _STRUCT_CODES:
+        spaced, spread, ones = _struct_layout(width, n, m)
         xs = [_pack(spaced.pack(*row)) * spread for row in dx]
     else:
         xs = [_pack(b"".join([v.to_bytes(width, "little") * m for v in row])) for row in dx]
@@ -184,15 +190,13 @@ def _packing(dx: IntRows, dy: IntRows, top: int) -> _Packing:
 
 
 @lru_cache(maxsize=256)
-def _struct_layout(
-    code: str, width: int, n: int, m: int
-) -> tuple[struct.Struct, int, int]:
+def _struct_layout(width: int, n: int, m: int) -> tuple[struct.Struct, int, int]:
     """`_packing`'s tables for a `struct` width: the spaced x-row layout,
     `spread` and `ones`.  They depend on the shape alone, never on a value,
-    so each (code, width, n, m) is built once; an entry is a few KiB at
-    most, as n, m <= SIDE_BOUND and width <= 8."""
+    so each (width, n, m) is built once; an entry is a few KiB at most, as
+    n, m <= SIDE_BOUND and width <= 8."""
     one = (1).to_bytes(width, "little")
-    spaced = struct.Struct("<" + f"{code}{(m - 1) * width}x" * n)
+    spaced = struct.Struct("<" + f"{_STRUCT_CODES[width]}{(m - 1) * width}x" * n)
     return spaced, _pack(one * m), _pack(one * (n * m))
 
 
@@ -373,10 +377,10 @@ def _isometry_search(
     if n != len(y) or denom != denom_y or top != max(map(max, dy)):
         return None
     # at t = 0 only equal values match, so any one-to-one relabelling of the
-    # values serves.  Values up to 63 fit `pack_rows`'s one-byte fields and
-    # are packed as they are; wider ones are relabelled 0..V-1, which keeps
-    # the fields a byte or two wide however wide the values are
-    if top > 63:
+    # values serves.  Values that fit `pack_rows`'s one-byte fields (up to
+    # 63) are packed as they are; wider ones are relabelled 0..V-1, which
+    # keeps the fields a byte or two wide however wide the values are
+    if field_width(top) > 1:
         values = set(chain.from_iterable(dx)).union(chain.from_iterable(dy))
         label = dict(zip(values, range(len(values)))).__getitem__
         dx, dy = ([list(map(label, row)) for row in rows] for rows in (dx, dy))

@@ -228,21 +228,28 @@ def validate_grid(
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # bytes -> `struct` code
 
 
+def field_width(top: int) -> int:
+    """Bytes per field of `pack_rows` for entries in 0 .. top: w = 8 * width
+    is the smallest multiple of 8 with w - 1 >= bitlen(2*top + 1), so one
+    byte holds top <= 63."""
+    return ((2 * top + 1).bit_length() + 8) // 8
+
+
 def pack_rows(rows: Iterable[Sequence[int]], top: int) -> tuple[int, list[bytes]]:
     """(width, packed): each row of ints in 0 .. top as little-endian fields
     of `width` bytes, one field per entry.
 
-    Field width: w = 8 * width is the smallest multiple of 8 with w - 1 >=
-    bitlen(2*top + 1), so 2^(w-1) >= 2*top + 2.  A field value 2^(w-1) + s
-    with |s| <= 2*top + 1 then lies in 0 .. 2^w - 1, and its top bit is set
-    exactly when s >= 0.  So when every field of a sum of packed rows and
-    integer multiples of `ones` (1 in every field) works out to such a
-    value, the sum's w-bit digits are exactly those values, whatever the
-    order of the operations: no carry or borrow crosses a field, and one
-    AND against the top bits reads every sign at once.  Widths of 1, 2, 4
-    and 8 bytes are packed by `struct` at C speed, any other entry by entry.
+    With w = 8 * `field_width(top)`, 2^(w-1) >= 2*top + 2.  A field value
+    2^(w-1) + s with |s| <= 2*top + 1 then lies in 0 .. 2^w - 1, and its
+    top bit is set exactly when s >= 0.  So when every field of a sum of
+    packed rows and integer multiples of `ones` (1 in every field) works
+    out to such a value, the sum's w-bit digits are exactly those values,
+    whatever the order of the operations: no carry or borrow crosses a
+    field, and one AND against the top bits reads every sign at once.
+    Widths of 1, 2, 4 and 8 bytes are packed by `struct` at C speed, any
+    other entry by entry.
     """
-    width = ((2 * top + 1).bit_length() + 8) // 8
+    width = field_width(top)
     code = _STRUCT_CODES.get(width)
     if code:
         return width, [struct.pack(f"<{len(row)}{code}", *row) for row in rows]

@@ -142,7 +142,10 @@ def test_correspondence_errors_equal_the_reference_loop(case):
 
 @pytest.mark.parametrize(
     "pairs",
-    [{(0,)}, {0}, {"ab"}, {(0, 0), (1,)}, {(0, 0), (1, "a")}, {(0.0, 0), (1, 1)}],
+    [
+        *({(0,)}, {0}, {"ab"}, {(0, 0), (1,)}, {(0, 0), (1, "a")}),
+        *({(0.0, 0), (1, 1)}, {(0, 0, 0), (1, 1, 1)}, {(0, 0), (1, 1, 1)}),
+    ],
 )
 def test_correspondence_errors_on_malformed_pairs_equal_the_reference_loop(pairs):
     pairs = frozenset(pairs)
@@ -163,9 +166,7 @@ def test_oracle_bitsets_are_shared_immutable_tables(n, m):
     covering, has = correspondences._set_bits(n, m)
     assert isinstance(has, tuple) and has is correspondences._set_bits(n, m)[1]
     assert (covering, has) == correspondences._set_bits.__wrapped__(n, m)
-    assert has == correspondences._has_bits.__wrapped__(n * m)
-    for cached in (correspondences._set_bits, correspondences._has_bits):
-        assert cached.cache_info().maxsize is not None
+    assert correspondences._set_bits.cache_info().maxsize is not None
 
 
 def test_refused_oracle_shapes_are_never_cached():

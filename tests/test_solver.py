@@ -422,11 +422,11 @@ def test_packing_equals_a_per_value_reference(top, width, n, m):
 def test_struct_layouts_are_shared_tables_equal_to_a_fresh_build():
     from ghkit.spaces import _STRUCT_CODES
 
-    for width, code in _STRUCT_CODES.items():
+    for width in _STRUCT_CODES:
         for n, m in ((1, 1), (3, 5), (32, 32)):
-            spaced, spread, ones = solver._struct_layout(code, width, n, m)
-            assert solver._struct_layout(code, width, n, m)[0] is spaced
-            fresh = solver._struct_layout.__wrapped__(code, width, n, m)
+            spaced, spread, ones = solver._struct_layout(width, n, m)
+            assert solver._struct_layout(width, n, m)[0] is spaced
+            fresh = solver._struct_layout.__wrapped__(width, n, m)
             assert (spaced.format, spread, ones) == (fresh[0].format, *fresh[1:])
     assert solver._struct_layout.cache_info().maxsize is not None
 
