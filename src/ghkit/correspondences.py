@@ -39,7 +39,10 @@ IntRows = Sequence[Sequence[int]]  # distances times a shared denominator
 
 @dataclass(frozen=True)
 class Correspondence:
-    """A relation between two point sets covering every point on both sides."""
+    """A relation between two point sets covering every point on both sides.
+
+    The pairs are checked and then kept as a frozenset, so relations on the
+    same pairs compare equal whatever collection they were given as."""
 
     left: FiniteMetricSpace
     right: FiniteMetricSpace
@@ -56,6 +59,7 @@ class Correspondence:
             raise ValueError("not surjective onto the left space")
         if {j for _, j in self.pairs} != set(range(m)):
             raise ValueError("not surjective onto the right space")
+        object.__setattr__(self, "pairs", frozenset(self.pairs))
 
     def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.pairs))

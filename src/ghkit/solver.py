@@ -23,12 +23,12 @@ cell of that correspondence joins it with no search.  Exact GH is NP-hard,
 so two fixed guards bound the work: no side above SIDE_BOUND points (each
 node scans all n + m lines, and the gap set has up to Vx * Vy values), and
 no more than NODE_BUDGET branches over all probes and the witness scan.
-Isometry questions are the same search at t = 0, under the same guards;
-as only equality counts there, values too wide for one-byte fields are
-replaced by small labels first.  The tables that depend on the shape alone,
-the line masks and the packing's `struct` layouts, are built once per shape
-behind bounded caches; nothing that depends on a space's values outlives
-its call.
+Isometry questions are the same search at t = 0, under the same guards,
+on the two spaces' own grid rows packed as `gh_exact` packs its rows, at
+top = the diameter, so wide values fill wide fields there too.  The tables
+that depend on the shape alone, the line masks and the packing's `struct`
+layouts, are built once per shape behind bounded caches; nothing that
+depends on a space's values outlives its call.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .spaces import (
     STRICT,
     FiniteMetricSpace,
     diameter,
-    field_width,
     pack_rows,
 )
 
@@ -376,15 +375,6 @@ def _isometry_search(
     # denominators and the diameters agree
     if n != len(y) or denom != denom_y or top != max(map(max, dy)):
         return None
-    # at t = 0 only equal values match, so any one-to-one relabelling of the
-    # values serves.  Values that fit `pack_rows`'s one-byte fields (up to
-    # 63) are packed as they are; wider ones are relabelled 0..V-1, which
-    # keeps the fields a byte or two wide however wide the values are
-    if field_width(top) > 1:
-        values = set(chain.from_iterable(dx)).union(chain.from_iterable(dy))
-        label = dict(zip(values, range(len(values)))).__getitem__
-        dx, dy = ([list(map(label, row)) for row in rows] for rows in (dx, dy))
-        top = len(values) - 1
     search = _Search(_Compat(_packing(dx, dy, top), 0), n, n)
     found = _extend(search, 0, (1 << n * n) - 1)
     return (found, search) if found else None

@@ -109,6 +109,7 @@ class FiniteMetricSpace:
     A frozen dataclass over labels, mode and the canonical grid (L, rows)
     that `_grid` builds, so equality and hash compare (labels, mode, grid):
     the relation of equal `Fraction` matrices, since the grid is canonical.
+    The labels are kept as a tuple, whatever sequence they are given as.
     No field holds a matrix: `dist`, the `Fraction` view, is built from the
     grid on first read unless the space file reader hands its own to
     :func:`validate_grid`.  Construct through :func:`validate` or
@@ -122,13 +123,13 @@ class FiniteMetricSpace:
 
     def __init__(
         self,
-        labels: tuple[str, ...],
+        labels: Sequence[str],
         dist: Sequence[Sequence[int | Fraction]],
         mode: str = STRICT,
     ) -> None:
         grid = _grid(tuple([tuple(row) for row in dist]))  # read each row once
         _check_shape(labels, grid[1], mode)
-        self.__dict__.update(labels=labels, mode=mode, grid=grid)
+        self.__dict__.update(labels=tuple(labels), mode=mode, grid=grid)
 
     def __repr__(self) -> str:
         return (
@@ -228,20 +229,14 @@ def validate_grid(
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # bytes -> `struct` code
 
 
-def field_width(top: int) -> int:
-    """Bytes per field of `pack_rows` for entries in 0 .. top: w = 8 * width
-    is the smallest multiple of 8 with w - 1 >= bitlen(2*top + 1), so one
-    byte holds top <= 63."""
-    return ((2 * top + 1).bit_length() + 8) // 8
-
-
 def pack_rows(rows: Iterable[Sequence[int]], top: int) -> tuple[int, list[bytes]]:
     """(width, packed): each row of ints in 0 .. top as little-endian fields
     of `width` bytes, one field per entry.
 
-    With w = 8 * `field_width(top)`, 2^(w-1) >= 2*top + 2.  A field value
-    2^(w-1) + s with |s| <= 2*top + 1 then lies in 0 .. 2^w - 1, and its
-    top bit is set exactly when s >= 0.  So when every field of a sum of
+    w = 8 * width is the smallest multiple of 8 with w - 1 >= bitlen(2*top
+    + 1), so 2^(w-1) >= 2*top + 2 and one byte holds top <= 63.  A field
+    value 2^(w-1) + s with |s| <= 2*top + 1 then lies in 0 .. 2^w - 1, and
+    its top bit is set exactly when s >= 0.  So when every field of a sum of
     packed rows and integer multiples of `ones` (1 in every field) works
     out to such a value, the sum's w-bit digits are exactly those values,
     whatever the order of the operations: no carry or borrow crosses a
@@ -249,7 +244,7 @@ def pack_rows(rows: Iterable[Sequence[int]], top: int) -> tuple[int, list[bytes]
     Widths of 1, 2, 4 and 8 bytes are packed by `struct` at C speed, any
     other entry by entry.
     """
-    width = field_width(top)
+    width = ((2 * top + 1).bit_length() + 8) // 8
     code = _STRUCT_CODES.get(width)
     if code:
         return width, [struct.pack(f"<{len(row)}{code}", *row) for row in rows]

@@ -53,7 +53,7 @@ class _Tables(NamedTuple):
     last v of them; row k (0 for the limit) holds coordinate k's `sums` with
     each, and its `gaps` |a - b|.  `long_sums` and `long_gaps` are the same
     rows over the long needle's columns, the limit and k = cfg.k down to 1:
-    the same tuples, unless top = n + 1 is the first space's alone."""
+    all but k = n + 1 when cfg.k = n, and every column otherwise."""
 
     denom: int
     sums: Rows
@@ -127,15 +127,13 @@ def _coordinate_tables(cfg: TuzhilinConfig) -> _Tables:
     cols = coords[:1] + coords[:0:-1]
     sums = tuple([tuple([a + b for b in cols]) for a in coords])
     gaps = tuple([tuple([abs(a - b) for b in cols]) for a in coords])
-    if top == cfg.k:
-        return _Tables(denom, sums, gaps, sums, gaps)
-    # column 1 is k = top = n + 1, on the first space's needle n + 1 only
+    cut = 1 + top - cfg.k  # columns 1 .. top - cfg.k are k = top .. cfg.k + 1
     return _Tables(
         denom,
         sums,
         gaps,
-        tuple([row[:1] + row[2:] for row in sums]),
-        tuple([row[:1] + row[2:] for row in gaps]),
+        tuple([row[:1] + row[cut:] for row in sums]),
+        tuple([row[:1] + row[cut:] for row in gaps]),
     )
 
 

@@ -72,6 +72,18 @@ def test_correspondence_requires_coverage(gap_pair):
         Correspondence(x, y, frozenset({(0, 0), (1, 1), (2, 0)}))
 
 
+def test_correspondences_on_the_same_pairs_are_equal_whatever_the_collection(
+    gap_pair,
+):
+    x, y = gap_pair
+    pairs = [(0, 0), (1, 1)]
+    rels = [Correspondence(x, y, p) for p in (pairs, set(pairs), frozenset(pairs))]
+    assert all(type(rel.pairs) is frozenset for rel in rels)
+    assert rels[0] == rels[1] == rels[2] and len(set(rels)) == 1
+    with pytest.raises(TypeError, match="unhashable type: 'list'"):
+        Correspondence(x, y, [[0, 0], [1, 1]])
+
+
 def _reference_check(pairs, n, m):
     """Reference: `Correspondence`'s checks as one loop over the pairs, then
     the two surjectivity tests."""

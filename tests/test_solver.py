@@ -445,22 +445,19 @@ def _pair_space(d):
 
 
 @pytest.mark.parametrize(
-    "x, raw",
+    "x",
     [
-        (random_metric_space(rng_from_seed(43), 5), True),
-        (_pair_space(63), True),
-        (_pair_space(64), False),
-        (
-            scale(random_metric_space(rng_from_seed(44), 6), F(2**61 + 1, 2**61 - 1)),
-            False,
-        ),
-        (_distinct_space(12), False),
+        random_metric_space(rng_from_seed(43), 5),
+        _pair_space(63),
+        _pair_space(64),
+        scale(random_metric_space(rng_from_seed(44), 6), F(2**61 + 1, 2**61 - 1)),
+        _distinct_space(12),
     ],
     ids=["5-points", "top-63", "top-64", "wide-values", "67-labels"],
 )
-def test_isometry_search_packs_its_labels_like_the_reference(monkeypatch, x, raw):
-    """Grid values up to 63 fit one-byte fields and are packed as they are;
-    wider ones are relabelled one to one onto 0..V-1."""
+def test_isometry_search_packs_its_labels_like_the_reference(monkeypatch, x):
+    """The search packs the two spaces' own grid rows at top = the
+    diameter, as `gh_exact` does, however wide the values are."""
     seen = []
 
     def spy(dx, dy, top):
@@ -476,16 +473,8 @@ def test_isometry_search_packs_its_labels_like_the_reference(monkeypatch, x, raw
     y = from_grid(x.labels, denom, relabelled)
     assert are_isometric(x, y)
     [(dx, dy, top)] = seen
-    values = {v for row in rows for v in row}
-    if raw:
-        assert (dx, dy, top) == (rows, relabelled, max(values))
-    else:
-        assert top == len(values) - 1  # labels 0 .. V-1
-        sides = ((rows, dx), (relabelled, dy))
-        label = {(v, u) for a, b in sides for r, s in zip(a, b) for v, u in zip(r, s)}
-        # one label per value, and V labels: a one-to-one relabelling
-        assert len(label) == len(values)
-        assert {u for _, u in label} == set(range(len(values)))
+    assert dx is rows and dy is y.grid[1]
+    assert (dx, dy, top) == (rows, relabelled, max(map(max, rows)))
     assert real(dx, dy, top) == _reference_packing(dx, dy, top)
 
 
@@ -834,7 +823,9 @@ def test_isometry_cells_match_a_permutation_reference(x, y):
 
 def _isometry_candidates():
     """8 to 12 points: relabelled copies, and near misses of the same size
-    (one point moved one unit, one needle nudged below the longest two)."""
+    (one point moved one unit, one needle nudged below the longest two);
+    each pair also with both sides scaled to values over 1,000 bits wide,
+    which fill multi-byte mask fields at t = 0."""
     rng = rng_from_seed(1212)
     pairs = []
     for n in range(8, 13):
@@ -853,7 +844,8 @@ def _isometry_candidates():
         nudged = sorted(needles)
         nudged[0] += F(1, 16)
         pairs.append((hog, compile_hedgehog(HedgehogSpec.of(*nudged))))
-    return pairs
+    wide = F(2**1024 + 1, 2**1024 - 1)
+    return pairs + [(scale(x, wide), scale(y, wide)) for x, y in pairs]
 
 
 @pytest.mark.parametrize("x, y", _isometry_candidates())

@@ -68,6 +68,15 @@ def test_space_is_a_frozen_dataclass_over_its_grid():
     assert "dist" not in vars(twin) and twin.dist == space.dist
 
 
+@pytest.mark.parametrize("labels", [["a", "b"], ("a", "b")], ids=["list", "tuple"])
+def test_a_space_keeps_its_labels_as_a_tuple(labels):
+    space = spaces.FiniteMetricSpace(labels, [[0, 1], [1, 0]])
+    assert type(space.labels) is tuple and space.labels == ("a", "b")
+    assert parse_space(dump_space(space)) == space
+    twin = validate([[0, 1], [1, 0]], labels=("a", "b"))
+    assert hash(space) == hash(twin) and space in {twin}
+
+
 @pytest.mark.parametrize(
     "matrix",
     [
