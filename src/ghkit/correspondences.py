@@ -41,25 +41,26 @@ IntRows = Sequence[Sequence[int]]  # distances times a shared denominator
 class Correspondence:
     """A relation between two point sets covering every point on both sides.
 
-    The pairs are checked and then kept as a frozenset, so relations on the
-    same pairs compare equal whatever collection they were given as."""
+    The pairs are read once, checked and kept as a frozenset, so relations
+    on the same pairs compare equal whatever iterable they were given as."""
 
     left: FiniteMetricSpace
     right: FiniteMetricSpace
     pairs: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if not self.pairs:
+        pairs = tuple(self.pairs)
+        if not pairs:
             raise ValueError("a correspondence needs at least one pair")
         n, m = len(self.left), len(self.right)
-        for i, j in self.pairs:
+        for i, j in pairs:
             if not (0 <= i < n and 0 <= j < m):
                 raise ValueError(f"pair ({i}, {j}) out of range")
-        if {i for i, _ in self.pairs} != set(range(n)):
+        if {i for i, _ in pairs} != set(range(n)):
             raise ValueError("not surjective onto the left space")
-        if {j for _, j in self.pairs} != set(range(m)):
+        if {j for _, j in pairs} != set(range(m)):
             raise ValueError("not surjective onto the right space")
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
+        object.__setattr__(self, "pairs", frozenset(pairs))
 
     def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.pairs))

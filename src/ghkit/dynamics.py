@@ -51,6 +51,7 @@ class ThreadChain:
     budget_checked: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        self.__dict__.update(spaces=tuple(self.spaces), links=tuple(self.links))
         if not self.spaces:
             raise ValueError("a chain needs at least one space")
         if len(self.links) != len(self.spaces) - 1:

@@ -53,6 +53,8 @@ class GluingTree:
     _attach: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        vertices, edges = tuple(self.vertices), tuple(map(tuple, self.edges))
+        self.__dict__.update(vertices=vertices, edges=edges)
         v = len(self.vertices)
         if v == 0:
             raise ValueError("a gluing tree needs at least one vertex")

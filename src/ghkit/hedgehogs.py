@@ -45,6 +45,7 @@ class HedgehogSpec:
     grid: tuple[int, tuple[int, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.__dict__.update(needles=tuple(map(tuple, self.needles)))
         if not self.needles:
             raise ValueError("a hedgehog needs at least one needle")
         denom = math.lcm(*(as_fraction(x).denominator for x, _ in self.needles))

@@ -7,8 +7,8 @@ the candidate levels come from the two value sets.  One decision procedure,
 contains these chosen cells and otherwise uses only these allowed cells?"
 on Python-int bitsets over the n*m cells (i, j).  The mask of the cells
 compatible with a cell at t is built the first time the search reads it, by
-comparing all n*m gaps at once on rows packed into one field per cell (see
-`spaces.pack_rows` for the field width and `_Compat` for the comparison).
+comparing all n*m gaps at once on rows packed into one field per cell
+(`spaces.pack_rows` lays them out, `_Compat` compares).
 `gh_exact` asks it first at the diameter-gap lower bound, a gap itself and
 so the lowest level a correspondence can reach (tight on scaled copies).
 The highest, max(diam X, diam Y), is the full correspondence's distortion,
@@ -26,18 +26,16 @@ no more than NODE_BUDGET branches over all probes and the witness scan.
 Isometry questions are the same search at t = 0, under the same guards,
 on the two spaces' own grid rows packed as `gh_exact` packs its rows, at
 top = the diameter, so wide values fill wide fields there too.  The tables
-that depend on the shape alone, the line masks and the packing's `struct`
-layouts, are built once per shape behind bounded caches; nothing that
-depends on a space's values outlives its call.
+that depend on the shape alone, the line masks and `pack_rows`' layouts,
+are built once per shape behind bounded caches; nothing that depends on a
+space's values outlives its call.
 """
 
 from __future__ import annotations
 
-import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
 from itertools import chain
 
 from .correspondences import (
@@ -50,13 +48,7 @@ from .correspondences import (
     scaled_integer_matrices,
 )
 from .errors import InvariantBroken, TooLarge
-from .spaces import (
-    _STRUCT_CODES,
-    STRICT,
-    FiniteMetricSpace,
-    diameter,
-    pack_rows,
-)
+from .spaces import STRICT, FiniteMetricSpace, diameter, pack_rows
 
 SIDE_BOUND = 32  # points a side
 NODE_BUDGET = 2**22  # branches of one gh_exact call
@@ -156,47 +148,21 @@ def _levels(dx: IntRows, dy: IntRows, bound: int) -> list[int]:
 
 
 _Packing = tuple[list[int], list[int], int, int, int, int]
-_pack = partial(int.from_bytes, byteorder="little")
 
 
 def _packing(dx: IntRows, dy: IntRows, top: int) -> _Packing:
-    """Both sides' rows packed into one w-bit field per cell, for `_Compat`.
-
-    Returns (xs, ys, m, width, nbytes, ones): field k*m + l of xs[i] holds
-    dx[i][k] and that of ys[j] holds dy[j][l], little-endian, so fields run
-    in the order of the cell bits; width = w/8 bytes a field, nbytes the
-    bytes of all n*m fields, and ones the value 1 in every field.  The
-    width is `pack_rows`'s for `top`, the largest entry of dx and dy, which
-    keeps every mask at a level 0 <= t <= top exact (see `_Compat`); no
-    other level is ever asked.  With a `struct` code for the width, an x
-    row is packed spaced, dx[i][k] in field k*m and pad bytes in the m - 1
-    fields after it, and one multiply by `spread`, 1 in each of the first
-    m fields, copies every entry into its m fields, with no carry, as each
-    entry fits its own field; the layout, `spread` and `ones` come from
-    `_struct_layout`, built once per shape.  Other widths join each entry's
-    bytes m times over.
+    """Both sides' rows packed by `pack_rows` into one w-bit field per cell,
+    for `_Compat`: (xs, ys, m, width, nbytes, ones).  x rows are spaced by m
+    and y rows tiled n times, so field k*m + l of xs[i] holds dx[i][k] and
+    that of ys[j] holds dy[j][l], in the order of the cell bits; nbytes is
+    the bytes of all n*m fields.  `top`, the largest entry of dx and dy,
+    sets the width, which keeps every mask at a level 0 <= t <= top exact
+    (see `_Compat`); no other level is ever asked.
     """
     n, m = len(dx), len(dy)
-    width, rows = pack_rows(dy, top)
-    if width in _STRUCT_CODES:
-        spaced, spread, ones = _struct_layout(width, n, m)
-        xs = [_pack(spaced.pack(*row)) * spread for row in dx]
-    else:
-        xs = [_pack(b"".join([v.to_bytes(width, "little") * m for v in row])) for row in dx]
-        ones = _pack((1).to_bytes(width, "little") * (n * m))
-    ys = [_pack(row * n) for row in rows]
+    width, xs, ones = pack_rows(dx, top, spacing=m)
+    ys = pack_rows(dy, top, tiling=n)[1]
     return xs, ys, m, width, n * m * width, ones
-
-
-@lru_cache(maxsize=256)
-def _struct_layout(width: int, n: int, m: int) -> tuple[struct.Struct, int, int]:
-    """`_packing`'s tables for a `struct` width: the spaced x-row layout,
-    `spread` and `ones`.  They depend on the shape alone, never on a value,
-    so each (width, n, m) is built once; an entry is a few KiB at most, as
-    n, m <= SIDE_BOUND and width <= 8."""
-    one = (1).to_bytes(width, "little")
-    spaced = struct.Struct("<" + f"{_STRUCT_CODES[width]}{(m - 1) * width}x" * n)
-    return spaced, _pack(one * m), _pack(one * (n * m))
 
 
 _FITS = b"1" * 128 + b"0" * 128  # a field's top byte -> 1 if its top bit is clear

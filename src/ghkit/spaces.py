@@ -13,10 +13,10 @@ speed, and the `Fraction` matrix is built from it on first read; only the
 space file reader hands over an eager one.
 `POINT_CAP` bounds every dense layout: each builder, and the space file
 reader, refuses a larger one through `check_points` before it builds
-anything.  The axiom check packs each row one field per point (`pack_rows`,
-which owns the field width the solver's masks use too) and settles each
-pair's triangle inequalities with one big-int sum, so a 2,000-point space
-validates in seconds.
+anything.  The axiom check packs each row one field per point with
+`pack_rows`, the one packer, which lays out the solver's mask rows too,
+and settles each pair's triangle inequalities with one big-int sum, so a
+2,000-point space validates in seconds.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -227,28 +227,58 @@ def validate_grid(
 
 
 _STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # bytes -> `struct` code
+_unpack = partial(int.from_bytes, byteorder="little")
 
 
-def pack_rows(rows: Iterable[Sequence[int]], top: int) -> tuple[int, list[bytes]]:
-    """(width, packed): each row of ints in 0 .. top as little-endian fields
-    of `width` bytes, one field per entry.
+def pack_rows(
+    rows: Sequence[Sequence[int]], top: int, spacing: int = 1, tiling: int = 1
+) -> tuple[int, list[int], int]:
+    """(width, packed, ones): each row of ints in 0 .. top as one int of
+    little-endian fields of `width` bytes, and `ones`, 1 in every field of a
+    packed row; every row has the first row's length.
 
     w = 8 * width is the smallest multiple of 8 with w - 1 >= bitlen(2*top
     + 1), so 2^(w-1) >= 2*top + 2 and one byte holds top <= 63.  A field
     value 2^(w-1) + s with |s| <= 2*top + 1 then lies in 0 .. 2^w - 1, and
     its top bit is set exactly when s >= 0.  So when every field of a sum of
-    packed rows and integer multiples of `ones` (1 in every field) works
-    out to such a value, the sum's w-bit digits are exactly those values,
-    whatever the order of the operations: no carry or borrow crosses a
-    field, and one AND against the top bits reads every sign at once.
-    Widths of 1, 2, 4 and 8 bytes are packed by `struct` at C speed, any
-    other entry by entry.
+    packed rows and integer multiples of `ones` works out to such a value,
+    the sum's w-bit digits are exactly those values, whatever the order of
+    the operations: no carry or borrow crosses a field, and one AND against
+    the top bits reads every sign at once.
+
+    Entry k fills the `spacing` fields from k * spacing on, and the row is
+    laid down `tiling` times.  A `struct` width packs the row spaced at C
+    speed, entry k in field k * spacing and pad bytes after it, and one
+    multiply by `spread`, 1 in each of the first `spacing` fields, copies
+    each entry into its fields with no carry; other widths join each entry's
+    bytes `spacing` times over.
     """
     width = ((2 * top + 1).bit_length() + 8) // 8
+    spaced, spread, ones = _layout(width, len(rows[0]), spacing, tiling)
+    if spaced:
+        chunks = [spaced.pack(*row) * tiling for row in rows]
+    else:
+        chunks = [
+            b"".join([v.to_bytes(width, "little") * spacing for v in row]) * tiling
+            for row in rows
+        ]
+    packed = list(map(_unpack, chunks))
+    return width, [row * spread for row in packed] if spread > 1 else packed, ones
+
+
+@lru_cache(maxsize=256)
+def _layout(
+    width: int, length: int, spacing: int, tiling: int
+) -> tuple[struct.Struct | None, int, int]:
+    """`pack_rows`' tables for one layout, never for a value: the spaced
+    `struct` layout of a row (None with no `struct` code), spread and ones."""
+    one, pad = (1).to_bytes(width, "little"), (spacing - 1) * width
+    ones = _unpack(one * (length * spacing * tiling))
     code = _STRUCT_CODES.get(width)
-    if code:
-        return width, [struct.pack(f"<{len(row)}{code}", *row) for row in rows]
-    return width, [b"".join([v.to_bytes(width, "little") for v in row]) for row in rows]
+    if not code:
+        return None, 1, ones
+    fields = f"{code}{pad}x" * length if pad else f"{length}{code}"  # unspaced: one code
+    return struct.Struct("<" + fields), _unpack(one * spacing), ones
 
 
 def _check_axioms(g: tuple[tuple[int, ...], ...], mode: str) -> None:
@@ -290,11 +320,8 @@ def _check_axioms(g: tuple[tuple[int, ...], ...], mode: str) -> None:
         c = max(0, -low)
         shifted = [[value + c for value in row] for row in g] if c else g
         top = max(map(max, g)) + 2 * c
-        width, packed = pack_rows(shifted, top)
-        pack = partial(int.from_bytes, byteorder="little")
-        heads = list(map(pack, packed))
-        tails = heads if symmetric else list(map(pack, pack_rows(zip(*shifted), top)[1]))
-        ones = pack((1).to_bytes(width, "little") * n)
+        width, heads, ones = pack_rows(shifted, top)
+        tails = heads if symmetric else pack_rows(list(zip(*shifted)), top)[1]
         signs = ones << 8 * width - 1
         lift = signs - 2 * c * ones
         for i in range(n):
@@ -340,6 +367,7 @@ class SubsetRef:
     indices: frozenset[int]
 
     def __post_init__(self) -> None:
+        self.__dict__.update(indices=frozenset(self.indices))
         if not self.indices:
             raise ValueError("subset must be nonempty")
         if min(self.indices) < 0 or max(self.indices) >= len(self.space):
@@ -347,11 +375,11 @@ class SubsetRef:
 
 
 def subset(space: FiniteMetricSpace, indices: Iterable[int]) -> SubsetRef:
-    return SubsetRef(space, frozenset(indices))
+    return SubsetRef(space, indices)
 
 
 def whole(space: FiniteMetricSpace) -> SubsetRef:
-    return SubsetRef(space, frozenset(range(len(space))))
+    return SubsetRef(space, range(len(space)))
 
 
 def hausdorff(a: SubsetRef, b: SubsetRef) -> Fraction:

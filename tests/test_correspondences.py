@@ -84,6 +84,24 @@ def test_correspondences_on_the_same_pairs_are_equal_whatever_the_collection(
         Correspondence(x, y, [[0, 0], [1, 1]])
 
 
+def _generator(pairs):
+    return (pair for pair in pairs)
+
+
+@pytest.mark.parametrize("one_shot", [_generator, iter], ids=["generator", "iterator"])
+def test_a_correspondence_reads_a_one_shot_iterable_once(gap_pair, one_shot):
+    x, y = gap_pair
+    pairs = [(0, 0), (1, 1)]
+    rel = Correspondence(x, y, one_shot(pairs))
+    twin = Correspondence(x, y, frozenset(pairs))
+    assert rel == twin and hash(rel) == hash(twin) and type(rel.pairs) is frozenset
+    # the errors of the given order, as for any collection
+    with pytest.raises(ValueError, match=r"^pair \(5, 0\) out of range$"):
+        Correspondence(x, y, one_shot([(0, 0), (5, 0), (0, 9)]))
+    with pytest.raises(ValueError, match="^not surjective onto the right space$"):
+        Correspondence(x, y, one_shot([(0, 0), (1, 0)]))
+
+
 def _reference_check(pairs, n, m):
     """Reference: `Correspondence`'s checks as one loop over the pairs, then
     the two surjectivity tests."""

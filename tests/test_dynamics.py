@@ -76,6 +76,15 @@ def test_chain_validation(base_space):
         ThreadChain((base_space, base_space), (link, link))
 
 
+def test_a_chain_built_from_lists_equals_its_tuple_twin(base_space):
+    link = identity_correspondence(base_space)
+    chain = ThreadChain([base_space, base_space], [link])
+    twin = ThreadChain((base_space, base_space), (link,))
+    assert chain == twin and hash(chain) == hash(twin)
+    assert type(chain.spaces) is tuple and type(chain.links) is tuple
+    assert ThreadChain(iter([base_space]), iter([])) == ThreadChain((base_space,), ())
+
+
 def test_budget_flag(base_space):
     chain = contraction_chain(base_space, F(1, 2), 6)
     assert chain.budget_checked  # dis R_n = diam/2^(n+1) < 1/2^n since diam < 2

@@ -34,6 +34,15 @@ def test_gluing_refuses_an_empty_tree_a_pseudo_vertex_and_a_leafless_star(gap_pa
         glue_star(gap_pair[0], [])
 
 
+def test_a_tree_built_from_lists_equals_its_tuple_twin(gap_pair, gap_bijection):
+    x, y = gap_pair
+    tree = GluingTree([x, y], [[0, 1, gap_bijection]])
+    twin = GluingTree((x, y), ((0, 1, gap_bijection),))
+    assert tree == twin and hash(tree) == hash(twin)
+    assert tree.vertices == (x, y) and tree.edges == ((0, 1, gap_bijection),)
+    assert glue_tree(tree).carrier == glue_tree(twin).carrier
+
+
 def test_glue_pair_cross_distances(gap_pair, gap_bijection):
     x, y = gap_pair
     glued = glue_pair(x, y, gap_bijection)

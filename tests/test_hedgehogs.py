@@ -153,6 +153,15 @@ def test_spec_grid_is_one_int_per_distinct_length():
     assert HedgehogSpec(((F(1, 3), 10**7),)).grid == (3, (1,))
 
 
+def test_a_spec_built_from_lists_equals_its_tuple_twin():
+    twin = HedgehogSpec(((F(1, 2), 1), (F(2), 3)))
+    for needles in ([[F(1, 2), 1], [F(2), 3]], [(F(1, 2), 1), (F(2), 3)]):
+        spec = HedgehogSpec(needles)
+        assert spec == twin and hash(spec) == hash(twin)
+        assert spec.needles == ((F(1, 2), 1), (F(2), 3))
+    assert HedgehogSpec(pair for pair in twin.needles) == twin
+
+
 def test_non_integer_multiplicities_are_refused():
     # from_pairs used to truncate with int(): 3/2 gave one needle, 2.7 two
     for mult in (F(3, 2), 2.7, 2.0, F(2), "2"):

@@ -367,12 +367,15 @@ def test_packed_fields_at_width_boundaries(top):
     from ghkit.spaces import pack_rows
 
     rows = [[0, top, 1, top - 1, top // 2], [top, 0, top, 1, top - 1]]
-    width, packed = pack_rows(rows, top)
+    width, packed, ones = pack_rows(rows, top)
     w = 8 * width
     assert w - 9 < (2 * top + 1).bit_length() <= w - 1
-    assert packed == [b"".join([v.to_bytes(width, "little") for v in r]) for r in rows]
-    p, q = (int.from_bytes(fields, "little") for fields in packed)
-    ones = int.from_bytes((1).to_bytes(width, "little") * 5, "little")
+    assert packed == [
+        int.from_bytes(b"".join([v.to_bytes(width, "little") for v in r]), "little")
+        for r in rows
+    ]
+    p, q = packed
+    assert ones == int.from_bytes((1).to_bytes(width, "little") * 5, "little")
     for d in (0, 1, top, top + 1, 2 * top, 2 * top + 1):
         total = p + q + ((1 << w - 1) - d) * ones
         digits = total.to_bytes(5 * width, "little")  # no field left its range
@@ -420,15 +423,18 @@ def test_packing_equals_a_per_value_reference(top, width, n, m):
 
 
 def test_struct_layouts_are_shared_tables_equal_to_a_fresh_build():
-    from ghkit.spaces import _STRUCT_CODES
+    """The layouts of `_packing`'s x rows (spacing m) and y rows (tiling n)
+    and of the axiom check's rows come from one bounded `spaces` cache."""
+    from ghkit.spaces import _STRUCT_CODES, _layout
 
     for width in _STRUCT_CODES:
         for n, m in ((1, 1), (3, 5), (32, 32)):
-            spaced, spread, ones = solver._struct_layout(width, n, m)
-            assert solver._struct_layout(width, n, m)[0] is spaced
-            fresh = solver._struct_layout.__wrapped__(width, n, m)
-            assert (spaced.format, spread, ones) == (fresh[0].format, *fresh[1:])
-    assert solver._struct_layout.cache_info().maxsize is not None
+            for layout in ((width, n, m, 1), (width, m, 1, n), (width, n, 1, 1)):
+                spaced, spread, ones = _layout(*layout)
+                assert _layout(*layout)[0] is spaced
+                fresh = _layout.__wrapped__(*layout)
+                assert (spaced.format, spread, ones) == (fresh[0].format, *fresh[1:])
+    assert _layout.cache_info().maxsize is not None
 
 
 def _distinct_space(n):

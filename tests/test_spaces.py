@@ -239,6 +239,27 @@ def test_hausdorff_triangle_inequality(space, data):
     assert hausdorff(a, c) <= hausdorff(a, b) + hausdorff(b, c)
 
 
+@pytest.mark.parametrize(
+    "indices",
+    [{0, 1}, [1, 0, 1], range(2), (i for i in range(2))],
+    ids=["set", "list", "range", "generator"],
+)
+def test_a_subset_freezes_its_indices(two_point, indices):
+    space = two_point(1)
+    ref = spaces.SubsetRef(space, indices)
+    twin = spaces.SubsetRef(space, frozenset({0, 1}))
+    assert ref == twin and hash(ref) == hash(twin) and type(ref.indices) is frozenset
+    assert hausdorff(ref, subset(space, [0])) == 1
+
+
+def test_subset_errors_keep_their_order_on_a_one_shot_iterable(two_point):
+    space = two_point(1)
+    with pytest.raises(ValueError, match="^subset must be nonempty$"):
+        spaces.SubsetRef(space, iter([]))
+    with pytest.raises(ValueError, match="^subset index out of range$"):
+        spaces.SubsetRef(space, (i for i in (0, 5)))
+
+
 def test_subset_validation(two_point):
     space = two_point(1)
     with pytest.raises(ValueError):
@@ -298,9 +319,10 @@ def test_every_dense_builder_reads_the_one_point_cap(monkeypatch, entry):
 # ---------------------------------------------------------------------------
 # the axiom check against a plain listing of every violation
 
-# tops on both sides of the 1-2 and 2-3 byte field boundaries, and one above
-# 2^64
-_WIDTH_TOPS = (63, 64, 16383, 16384, 2**64 + 5)
+# tops on both sides of the 1-2, 2-3, 4-5 and 8-9 byte field boundaries,
+# and one above 2^64: every `struct` width and the join path
+_WIDTH_TOPS = (63, 64, 16383, 16384, 2**64 + 5, 2**30 - 1, 2**30, 2**62 - 1, 2**62)
+_WIDTH_NAMES = ("63", "64", "16383", "16384", "2^64+5", "2^30-1", "2^30", "2^62-1", "2^62")
 
 
 def _triple_loop_violations(g, mode):
@@ -378,7 +400,7 @@ def _axiom_grids():
         ([[5]], "1pt-diagonal"),
         ([[-3]], "1pt-negative-diagonal"),
     ]
-    for top, name in zip(_WIDTH_TOPS, ("63", "64", "16383", "16384", "2^64+5")):
+    for top, name in zip(_WIDTH_TOPS, _WIDTH_NAMES):
         for n in (2, 5, 40):
             cases.append((_half_range_grid(rng, n, top), f"valid-{n}pt-top{name}"))
         for kind in _KINDS:
