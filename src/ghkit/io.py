@@ -73,10 +73,15 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 def dump_space(space: FiniteMetricSpace) -> str:
     """The .msp text of a space, read off its grid: each distinct value is
-    formatted once, and the `Fraction` matrix `dist` is not built."""
+    formatted once, and the `Fraction` matrix `dist` is not built.  Raises
+    `ValueError` when the label line would not read back as the labels: a
+    label that is empty, holds whitespace, or starts the line with `#`."""
+    label_line = " ".join(space.labels)
+    if label_line.startswith("#") or tuple(label_line.split()) != space.labels:
+        raise ValueError(f"labels {space.labels!r} do not read back from one line")
     denom, rows = space.grid
     text = {v: format_fraction(Fraction(v, denom)) for v in set().union(*rows)}
-    out = [f"points {len(space)} {space.mode}", " ".join(space.labels)]
+    out = [f"points {len(space)} {space.mode}", label_line]
     out.extend([" ".join(map(text.__getitem__, row)) for row in rows])
     return "\n".join(out) + "\n"
 

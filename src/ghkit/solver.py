@@ -5,11 +5,11 @@ one of the gaps |a - b| between a distance a of X and a distance b of Y, so
 the candidate levels come from the two value sets.  One decision procedure,
 `_extend`, answers "is there a correspondence of distortion <= t that
 contains these chosen cells and otherwise uses only these allowed cells?"
-on Python-int bitsets over the n*m cells (i, j).  The mask of the cells
-compatible with a cell at t is built the first time the search reads it, by
-comparing all n*m gaps at once on rows packed into one field per cell
-(`spaces.pack_rows` lays them out, `_Compat` compares).
-`gh_exact` asks it first at the diameter-gap lower bound, a gap itself and
+on Python-int bitsets over the n*m cells (i, j).  One solve state, `_Search`,
+packs both sides' rows once into one field per cell (`spaces.pack_rows`) and
+makes the one root call of `_extend` in `probe(t)`; the mask of the cells
+compatible with a cell at t is built on first read (`_Compat` compares).
+`gh_exact` probes first the diameter-gap lower bound, a gap itself and
 so the lowest level a correspondence can reach (tight on scaled copies).
 The highest, max(diam X, diam Y), is the full correspondence's distortion,
 so it is never asked.  Only when the bound fails is the sorted list of the
@@ -23,9 +23,9 @@ cell of that correspondence joins it with no search.  Exact GH is NP-hard,
 so two fixed guards bound the work: no side above SIDE_BOUND points (each
 node scans all n + m lines, and the gap set has up to Vx * Vy values), and
 no more than NODE_BUDGET branches over all probes and the witness scan.
-Isometry questions are the same search at t = 0, under the same guards,
-on the two spaces' own grid rows packed as `gh_exact` packs its rows, at
-top = the diameter, so wide values fill wide fields there too.  The tables
+Isometry questions are one probe at t = 0 of the same solve state, under
+the same guards, set up from the two spaces' own grid rows at top = the
+diameter, so wide values fill wide fields there too.  The tables
 that depend on the shape alone, the line masks and `pack_rows`' layouts,
 are built once per shape behind bounded caches; nothing that depends on a
 space's values outlives its call.
@@ -83,44 +83,38 @@ def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
     has more than SIDE_BOUND points, and once the search passes NODE_BUDGET
     branches; under both, every answer is the same as with no guard.
     """
-    if x.mode != STRICT or y.mode != STRICT:
-        raise ValueError("gh_exact requires strict spaces")
-    n, m = len(x), len(y)
-    _check_sides(n, m)
-
+    _check(x, y, "gh_exact")
     denom, dx, dy = scaled_integer_matrices(x, y)
     diam_x, diam_y = max(map(max, dx)), max(map(max, dy))
     lb_int = abs(diam_x - diam_y)
-    everything = (1 << n * m) - 1
     # the full relation's distortion is the top level, so it is never
     # probed; `found` is the last feasible probe's correspondence (the full
     # relation until one is feasible), `compat` the masks it was found
     # with, and `best` its distortion
     best = max(diam_x, diam_y)
-    packing = _packing(dx, dy, best)
-    search = _Search(_Compat(packing, lb_int), n, m)  # the smallest level: a gap itself
-    found, compat = everything, search.compat
+    search = _Search(dx, dy, best)
+    found, compat = search.everything, None
     if lb_int < best:
-        extension = _extend(search, 0, everything)
+        extension = search.probe(lb_int)  # the smallest level: a gap itself
         if extension:
-            best, found = lb_int, extension
+            best, found, compat = lb_int, extension, search.compat
         else:
             levels = _levels(dx, dy, lb_int + 1)
             lo, hi = 0, len(levels) - 1  # levels[hi] == best
             while lo < hi:
-                probe = (lo + hi) // 2
-                search.compat = _Compat(packing, levels[probe])
-                extension = _extend(search, 0, everything)
+                mid = (lo + hi) // 2
+                extension = search.probe(levels[mid])
                 if extension:
-                    best = max_gap(decode_cells(extension, m), dx, dy)
+                    best = max_gap(decode_cells(extension, search.m), dx, dy)
                     hi = bisect_left(levels, best)
                     found, compat = extension, search.compat
                 else:
-                    lo = probe + 1
-    # the masks at best: the last feasible probe's (the bound's, when the
-    # bound is feasible or is the top), unless `found` sits below its level
-    # or no probe was feasible; the top level's masks are built only then
-    search.compat = compat if compat.t == best else _Compat(packing, best)
+                    lo = mid + 1
+    # the masks at best: the last feasible probe's, unless `found` sits
+    # below its level or no probe was feasible; the top level's masks are
+    # built only then
+    reuse = compat is not None and compat.t == best
+    search.compat = compat if reuse else _Compat(search, best)
     witness_pairs = _lex_min_cells(search, found)
     return GHResult(
         value=Fraction(best, 2 * denom),
@@ -130,7 +124,11 @@ def gh_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
     )
 
 
-def _check_sides(n: int, m: int) -> None:
+def _check(x: FiniteMetricSpace, y: FiniteMetricSpace, what: str) -> None:
+    """Refuse pseudo spaces, then a side above SIDE_BOUND points."""
+    if x.mode != STRICT or y.mode != STRICT:
+        raise ValueError(f"{what} requires strict spaces")
+    n, m = len(x), len(y)
     if max(n, m) > SIDE_BOUND:
         raise TooLarge(f"sizes {n}x{m}: a side has more than {SIDE_BOUND} points")
 
@@ -147,24 +145,6 @@ def _levels(dx: IntRows, dy: IntRows, bound: int) -> list[int]:
     return sorted(gap for gap in gaps if gap >= bound)
 
 
-_Packing = tuple[list[int], list[int], int, int, int, int]
-
-
-def _packing(dx: IntRows, dy: IntRows, top: int) -> _Packing:
-    """Both sides' rows packed by `pack_rows` into one w-bit field per cell,
-    for `_Compat`: (xs, ys, m, width, nbytes, ones).  x rows are spaced by m
-    and y rows tiled n times, so field k*m + l of xs[i] holds dx[i][k] and
-    that of ys[j] holds dy[j][l], in the order of the cell bits; nbytes is
-    the bytes of all n*m fields.  `top`, the largest entry of dx and dy,
-    sets the width, which keeps every mask at a level 0 <= t <= top exact
-    (see `_Compat`); no other level is ever asked.
-    """
-    n, m = len(dx), len(dy)
-    width, xs, ones = pack_rows(dx, top, spacing=m)
-    ys = pack_rows(dy, top, tiling=n)[1]
-    return xs, ys, m, width, n * m * width, ones
-
-
 _FITS = b"1" * 128 + b"0" * 128  # a field's top byte -> 1 if its top bit is clear
 
 
@@ -172,7 +152,7 @@ class _Compat(dict):
     """compat[c] is the mask of the cells whose gap with cell c is <= t.
 
     Cell c = (i, j) admits (k, l) when |dx[i][k] - dy[j][l]| <= t.  The n*m
-    comparisons of one cell are made at once on the rows of a `_packing`:
+    comparisons of one cell are made at once on the search's packed rows:
     A_i = xs[i] and B_j = ys[j], and K_t holds 2^(w-1) - t - 1 in every
     field.  Field by field, A_i + K_t - B_j holds 2^(w-1) + (a - b - t - 1),
     and |a - b - t - 1| <= 2*top + 1, so by `pack_rows`'s width rule no
@@ -183,14 +163,15 @@ class _Compat(dict):
     the big-endian bytes, becomes one binary digit of the mask.  One mask
     costs a few big-int operations over n*m*w bits, O(n*m*w) time, and is
     built on first read, so cells the search never reaches cost nothing.
-    Never empty: a cell's gap with itself is 0.
+    Never empty: a cell's gap with itself is 0; no reference to the search.
     """
 
     __slots__ = ("xs", "ys", "m", "width", "nbytes", "t", "offset")
 
-    def __init__(self, packing: _Packing, t: int) -> None:
-        self.xs, self.ys, self.m, self.width, self.nbytes, ones = packing
-        self.t, self.offset = t, ((1 << 8 * self.width - 1) - t - 1) * ones  # K_t
+    def __init__(self, search: _Search, t: int) -> None:
+        self.xs, self.ys, self.m = search.xs, search.ys, search.m
+        self.width, self.nbytes, self.t = search.width, search.nbytes, t
+        self.offset = ((1 << 8 * self.width - 1) - t - 1) * search.ones  # K_t
 
     def __missing__(self, cell: int) -> int:
         i, j = divmod(cell, self.m)
@@ -203,15 +184,35 @@ class _Compat(dict):
 
 
 class _Search:
-    """The state of one solve: `compat`, the masks of the level being
-    searched; the line masks of the n x m cells; the node count; and the
-    node budget, NODE_BUDGET as it stood when the solve started."""
+    """The one state of a solve: both sides' rows, packed once by
+    `pack_rows` into one w-bit field per cell (x rows spaced by m, y rows
+    tiled n times, so field k*m + l of xs[i] holds dx[i][k] and that of
+    ys[j] holds dy[j][l], in the order of the cell bits; nbytes is the bytes
+    of all n*m fields, and `top`, the largest entry of dx and dy, sets a
+    width that keeps every mask at a level 0 <= t <= top exact, see
+    `_Compat`); `everything`, the mask of all cells; the line masks; the
+    node count; and the node budget, NODE_BUDGET as it stood when the solve
+    started.  `probe(t)` sets `compat` to the masks at t and makes the one
+    root call of `_extend`; the witness scan and the per-cell isometry
+    searches read the `compat` it leaves."""
 
-    __slots__ = ("compat", "lines", "m", "nodes", "budget")
+    __slots__ = (
+        *("xs", "ys", "m", "width", "nbytes", "ones"),
+        *("everything", "lines", "compat", "nodes", "budget"),
+    )
 
-    def __init__(self, compat: _Compat | list[int], n: int, m: int) -> None:
-        self.compat, self.lines, self.m = compat, line_masks(n, m), m
+    def __init__(self, dx: IntRows, dy: IntRows, top: int) -> None:
+        n, m = len(dx), len(dy)
+        self.width, self.xs, self.ones = pack_rows(dx, top, spacing=m)
+        self.ys = pack_rows(dy, top, tiling=n)[1]
+        self.m, self.nbytes = m, n * m * self.width
+        self.everything, self.lines = (1 << n * m) - 1, line_masks(n, m)
         self.nodes, self.budget = 0, NODE_BUDGET
+
+    def probe(self, t: int) -> int:
+        """A correspondence of distortion <= t, as a cell mask, else 0."""
+        self.compat = _Compat(self, t)
+        return _extend(self, 0, self.everything)
 
 
 def _extend(search: _Search, chosen: int, avail: int) -> int:
@@ -268,9 +269,8 @@ def _lex_min_cells(search: _Search, found: int) -> frozenset[tuple[int, int]]:
             "the distortion level admits no correspondence (solver bug)"
         )
     compat, m = search.compat, search.m
-    nm = (len(search.lines) - m) * m
-    avail, chosen, uncovered = (1 << nm) - 1, 0, search.lines
-    for cell in range(nm):
+    avail, chosen, uncovered = search.everything, 0, search.lines
+    for cell in range(avail.bit_length()):
         if not uncovered:
             break
         bit = 1 << cell
@@ -331,16 +331,14 @@ def _isometry_search(
 ) -> tuple[int, _Search] | None:
     """An isometry's cell mask with the t = 0 search state it was found
     with; None when there is no isometry."""
-    if x.mode != STRICT or y.mode != STRICT:
-        raise ValueError("isometry search requires strict spaces")
+    _check(x, y, "isometry search")
     n = len(x)
-    _check_sides(n, len(y))
     (denom, dx), (denom_y, dy) = x.grid, y.grid
     top = max(map(max, dx))
     # an isometry keeps every distance, so the sizes, the canonical
     # denominators and the diameters agree
     if n != len(y) or denom != denom_y or top != max(map(max, dy)):
         return None
-    search = _Search(_Compat(_packing(dx, dy, top), 0), n, n)
-    found = _extend(search, 0, (1 << n * n) - 1)
+    search = _Search(dx, dy, top)
+    found = search.probe(0)
     return (found, search) if found else None

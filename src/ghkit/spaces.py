@@ -321,7 +321,9 @@ def _check_axioms(g: tuple[tuple[int, ...], ...], mode: str) -> None:
         shifted = [[value + c for value in row] for row in g] if c else g
         top = max(map(max, g)) + 2 * c
         width, heads, ones = pack_rows(shifted, top)
-        tails = heads if symmetric else pack_rows(list(zip(*shifted)), top)[1]
+        tails = heads
+        if not symmetric:  # one column at a time: the transpose is never held
+            tails = [pack_rows((column,), top)[1][0] for column in zip(*shifted)]
         signs = ones << 8 * width - 1
         lift = signs - 2 * c * ones
         for i in range(n):

@@ -250,6 +250,23 @@ def test_space_dump_reads_the_grid(space):
     assert io.parse_space(text) == space
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [["a b", "c"], ["", "b"], ["a\xa0b", "c"], ["#a", "b"], ["a", "b\n"]],
+    ids=["space", "empty", "no-break-space", "comment", "newline"],
+)
+def test_labels_that_do_not_read_back_are_refused_by_the_dump(labels):
+    space = validate([[0, 1], [1, 0]], labels=labels)
+    with pytest.raises(ValueError, match="labels .* do not read back"):
+        io.dump_space(space)
+
+
+def test_a_hash_inside_the_label_line_reads_back():
+    space = io.parse_space("points 2 strict\na #b\n0 1\n1 0\n")
+    assert space.labels == ("a", "#b")
+    assert io.parse_space(io.dump_space(space)) == space
+
+
 def test_space_comments_and_blank_lines():
     text = "# a comment\npoints 2 strict\n\na b\n0 1\n1 0\n"
     space = io.parse_space(text)

@@ -14,9 +14,15 @@ n points, and λ >= diam X:
   most λ.
 
 The reference enumerates partitions and shares no code with the solver.
+On a two-distance space X_G (distance 2 on the edges of a graph G, 1 on
+the other pairs) at λ = 2 the partition cost is 2 when a part holds an edge
+and 1 otherwise, so 2·d_GH(2Δ_k, X_G) is 1 for χ(G) <= k < n and 2 for
+k < χ(G); a colouring backtracker gives χ for the colouring family.
 """
 
+import random
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -116,3 +122,77 @@ def test_mycielski_23_against_simplexes_of_its_chromatic_number():
         simplex = _simplex(k, F(2))
         assert gh_exact(simplex, space).value == expected
         assert gh_exact(space, simplex).value == expected
+
+
+def _colour_graph(n, p, s):
+    """The edges of colouring graph n-p-s: pair i < j, i outer, both
+    ascending, is an edge when the seeded draw falls below p."""
+    rng = random.Random(f"colour/{n}/{p}/{s}")
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+
+
+@lru_cache(maxsize=None)
+def _chromatic_number(n, p, s):
+    """χ of colouring graph n-p-s by DSATUR branch and bound: colour next
+    the open vertex with the most distinct colours among its neighbours
+    (then the highest degree), try each colour it may take, and open a new
+    colour only while the count stays below the best colouring found."""
+    neighbours = [set() for _ in range(n)]
+    for i, j in _colour_graph(n, p, s):
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    colour = [None] * n
+    best = n
+
+    def saturation(v):
+        return len({colour[w] for w in neighbours[v]} - {None}), len(neighbours[v])
+
+    def backtrack(coloured, used):
+        nonlocal best
+        if coloured == n:
+            best = used
+            return
+        v = max((u for u in range(n) if colour[u] is None), key=saturation)
+        taken = {colour[w] for w in neighbours[v]}
+        for c in range(min(used + 1, best - 1)):
+            if c not in taken:
+                colour[v] = c
+                backtrack(coloured + 1, max(used, c + 1))
+                colour[v] = None
+
+    backtrack(0, 0)
+    return best
+
+
+# (n, p, s, k): k = χ or χ − 1 on graphs of 24-32 vertices that the solver
+# decides well inside its budget
+_COLOURING_CASES = [
+    *((24, 0.5, s, k) for s in range(5) for k in (6, 5)),
+    (24, 0.7, 2, 9),
+    *((24, 0.7, 3, k) for k in (8, 7)),
+    *((28, 0.5, s, 7) for s in range(5)),
+    (28, 0.5, 0, 6),
+    (28, 0.5, 4, 6),
+    (28, 0.7, 2, 10),
+    (28, 0.7, 3, 9),
+    (32, 0.5, 2, 8),
+    (32, 0.5, 3, 6),
+    (32, 0.5, 4, 7),
+    (32, 0.7, 1, 10),
+]
+
+
+@pytest.mark.parametrize(
+    "n, p, s, k",
+    _COLOURING_CASES,
+    ids=[f"{n}-{p}-{s}-k{k}" for n, p, s, k in _COLOURING_CASES],
+)
+def test_colouring_graphs_against_simplexes_at_and_below_their_chromatic_number(
+    n, p, s, k
+):
+    chi = _chromatic_number(n, p, s)
+    assert k in (chi, chi - 1)
+    space = _two_distance_space(n, _colour_graph(n, p, s))
+    assert diameter(space) == 2
+    expected = F(1, 2) if k == chi else F(1)
+    assert gh_exact(_simplex(k, F(2)), space).value == expected

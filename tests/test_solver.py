@@ -167,7 +167,7 @@ def test_side_bound_refuses_before_building(gap_pair, monkeypatch):
         raise AssertionError("no gap set may be built above the side bound")
 
     monkeypatch.setattr(solver, "_levels", refuse)
-    monkeypatch.setattr(solver, "_packing", refuse)
+    monkeypatch.setattr(solver, "_Search", refuse)
     monkeypatch.setattr(solver, "_Compat", refuse)
     big = _path_space(33)
     for a, b in ((x, big), (big, x), (big, big)):
@@ -185,7 +185,7 @@ def test_isometry_search_refuses_past_the_side_bound_before_building(
     def refuse(*args):
         raise AssertionError("no mask may be built above the side bound")
 
-    monkeypatch.setattr(solver, "_packing", refuse)
+    monkeypatch.setattr(solver, "_Search", refuse)
     monkeypatch.setattr(solver, "_Compat", refuse)
     big = _path_space(33)
     for a, b in ((x, big), (big, x), (big, big)):
@@ -337,11 +337,11 @@ def test_lex_min_witness_below_the_optimum_raises_typed_error():
     # has distortion 2, so a budget of 1 admits none; pytest.raises keeps the
     # check alive under python -O
     from ghkit.errors import InvariantBroken
-    from ghkit.solver import _Compat, _Search, _extend, _lex_min_cells, _packing
+    from ghkit.solver import _Search, _lex_min_cells
 
     dx, dy = ((0, 1), (1, 0)), ((0, 3), (3, 0))
-    search = _Search(_Compat(_packing(dx, dy, 3), 1), 2, 2)
-    found = _extend(search, 0, 15)
+    search = _Search(dx, dy, 3)
+    found = search.probe(1)
     assert found == 0
     with pytest.raises(InvariantBroken, match="distortion level admits no"):
         _lex_min_cells(search, found)
@@ -388,6 +388,11 @@ def test_packed_fields_at_width_boundaries(top):
         assert signs == [int(a + b >= d) for a, b in zip(*rows)]
 
 
+def _packing(search):
+    # the packed rows a search keeps, in the reference's order
+    return search.xs, search.ys, search.m, search.width, search.nbytes, search.ones
+
+
 def _reference_packing(dx, dy, top):
     """Reference: every field written on its own, at the smallest whole-byte
     width with 2^(w-1) >= 2*top + 2; field k*m + l of x row i holds
@@ -417,13 +422,13 @@ def test_packing_equals_a_per_value_reference(top, width, n, m):
     values = (0, 1, top - 1, top, *(rng.randint(0, top) for _ in range(4)))
     dx = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
     dy = [[rng.choice(values) for _ in range(m)] for _ in range(m)]
-    packing = solver._packing(dx, dy, top)
+    packing = _packing(solver._Search(dx, dy, top))
     assert packing == _reference_packing(dx, dy, top)
     assert packing[3] == width
 
 
 def test_struct_layouts_are_shared_tables_equal_to_a_fresh_build():
-    """The layouts of `_packing`'s x rows (spacing m) and y rows (tiling n)
+    """The layouts of a search's x rows (spacing m) and y rows (tiling n)
     and of the axiom check's rows come from one bounded `spaces` cache."""
     from ghkit.spaces import _STRUCT_CODES, _layout
 
@@ -470,8 +475,8 @@ def test_isometry_search_packs_its_labels_like_the_reference(monkeypatch, x):
         seen.append((dx, dy, top))
         return real(dx, dy, top)
 
-    real = solver._packing
-    monkeypatch.setattr(solver, "_packing", spy)
+    real = solver._Search
+    monkeypatch.setattr(solver, "_Search", spy)
     n, (denom, rows) = len(x), x.grid
     order = list(range(n))
     random.Random(n).shuffle(order)
@@ -481,7 +486,7 @@ def test_isometry_search_packs_its_labels_like_the_reference(monkeypatch, x):
     [(dx, dy, top)] = seen
     assert dx is rows and dy is y.grid[1]
     assert (dx, dy, top) == (rows, relabelled, max(map(max, rows)))
-    assert real(dx, dy, top) == _reference_packing(dx, dy, top)
+    assert _packing(real(dx, dy, top)) == _reference_packing(dx, dy, top)
 
 
 def _mask_pairs():
@@ -544,6 +549,13 @@ def _eager_compat(gaps, nm, t):
     ]
 
 
+def _eager_search(dx, dy, top, masks):
+    # a search state whose masks are the eager reference's
+    search = solver._Search(dx, dy, top)
+    search.compat = masks
+    return search
+
+
 def _scan_from_scratch(search, nm):
     # reference lex-min scan: one search per cell, no correspondence reused
     from ghkit.solver import _extend
@@ -574,19 +586,19 @@ def test_levels_are_the_cell_pair_gaps_at_or_above_the_bound(x, y):
 
 @pytest.mark.parametrize("x, y", _mask_pairs())
 def test_lazy_masks_equal_an_eager_reference_at_every_level(x, y):
-    from ghkit.solver import _Compat, _packing
+    from ghkit.solver import _Compat, _Search
 
     nm = len(x) * len(y)
     _, dx, dy, gaps = _gap_table(x, y)
     levels = _mask_levels(dx, dy, gaps)
-    packing = _packing(dx, dy, levels[-1])
+    search = _Search(dx, dy, levels[-1])
     for t in levels:
-        lazy, eager = _Compat(packing, t), _eager_compat(gaps, nm, t)
+        lazy, eager = _Compat(search, t), _eager_compat(gaps, nm, t)
         assert len(lazy) == 0
         assert lazy[nm - 1] == eager[nm - 1]
         assert len(lazy) == 1  # reading one cell builds that cell's mask only
         assert [lazy[c] for c in range(nm)] == eager
-        fresh = _Compat(_packing(dx, dy, levels[-1]), t)
+        fresh = _Compat(_Search(dx, dy, levels[-1]), t)
         assert fresh[0] == eager[0]
         assert [fresh[c] for c in range(nm)] == eager
 
@@ -595,18 +607,18 @@ def test_lazy_masks_equal_an_eager_reference_at_every_level(x, y):
 def test_search_and_witness_scan_agree_with_eager_masks(x, y):
     from ghkit.correspondences import decode_cells
     from ghkit.errors import InvariantBroken
-    from ghkit.solver import _Compat, _Search, _extend, _lex_min_cells, _packing
+    from ghkit.solver import _Search, _extend, _lex_min_cells
 
     n, m = len(x), len(y)
     nm = n * m
     everything = (1 << nm) - 1
     denom, dx, dy, gaps = _gap_table(x, y)
     top = max(max(map(max, dx)), max(map(max, dy)))
-    packing, feasible = _packing(dx, dy, top), []
+    feasible = []
     for t in sorted(set(gaps)):
-        lazy = _Search(_Compat(packing, t), n, m)
-        eager = _Search(_eager_compat(gaps, nm, t), n, m)
-        found = _extend(lazy, 0, everything)
+        lazy = _Search(dx, dy, top)
+        eager = _eager_search(dx, dy, top, _eager_compat(gaps, nm, t))
+        found = lazy.probe(t)
         assert found == _extend(eager, 0, everything)
         assert lazy.nodes == eager.nodes
         if not found:
@@ -619,12 +631,12 @@ def test_search_and_witness_scan_agree_with_eager_masks(x, y):
         assert lazy.nodes == eager.nodes
         # handed the probe's correspondence, the scan returns the witness a
         # scan from scratch returns
-        scratch = _Search(eager.compat, n, m)
+        scratch = _eager_search(dx, dy, top, eager.compat)
         assert witness == decode_cells(_scan_from_scratch(scratch, nm), m)
     # the top level is never probed: the full relation stands in for its
     # correspondence and must give the same witness
-    last = _Search(_Compat(packing, feasible[-1]), n, m)
-    found = _extend(last, 0, everything)
+    last = _Search(dx, dy, top)
+    found = last.probe(feasible[-1])
     assert _lex_min_cells(last, everything) == _lex_min_cells(last, found)
     assert gh_exact(x, y).value == F(feasible[0], 2 * denom)
 
@@ -662,7 +674,6 @@ def test_witness_equals_a_scan_from_scratch_at_the_answer_level():
     level was reached, including the top level, whose masks `gh_exact`
     builds only when no probe gave them."""
     from ghkit.correspondences import decode_cells
-    from ghkit.solver import _Search
 
     tops = 0
     for x, y in _witness_pairs():
@@ -673,7 +684,7 @@ def test_witness_equals_a_scan_from_scratch_at_the_answer_level():
         assert level.denominator == 1
         top = max(max(map(max, dx)), max(map(max, dy)))
         tops += result.lower_bound < result.value and level == top
-        reference = _Search(_eager_compat(gaps, n * m, int(level)), n, m)
+        reference = _eager_search(dx, dy, top, _eager_compat(gaps, n * m, int(level)))
         expected = decode_cells(_scan_from_scratch(reference, n * m), m)
         assert result.witness.pairs == expected
     assert tops == 8  # the equilateral pairs: top level with a failed bound probe
