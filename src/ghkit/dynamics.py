@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .correspondences import Correspondence, distortion
-from .errors import ThreadCapExceeded, TooLarge
+from .errors import IndexOutOfRange, ThreadCapExceeded, TooLarge
 from .hedgehogs import HedgehogSpec
 from .spaces import (
     POINT_CAP,
@@ -151,7 +151,14 @@ class ThreadLimitResult:
         return tuple([assignment[thread[-1]] for thread in self.threads])
 
     def layer_distance(self, t1: int, t2: int, layer: int) -> Fraction:
-        """Pseudodistance between two threads read off at a 1-based layer."""
+        """Pseudodistance between two threads read off at a 1-based layer;
+        `IndexOutOfRange` for a layer or a thread the chain does not have."""
+        depth, count = self.chain.depth, len(self.threads)
+        if not 1 <= layer <= depth:
+            raise IndexOutOfRange(f"layer must be in 1..{depth}, got {layer}")
+        for t in (t1, t2):
+            if not 0 <= t < count:
+                raise IndexOutOfRange(f"thread must be in 0..{count - 1}, got {t}")
         denom, rows = self.chain.spaces[layer - 1].grid
         a, b = self.threads[t1][layer - 1], self.threads[t2][layer - 1]
         return Fraction(rows[a][b], denom)

@@ -184,7 +184,7 @@ def glue_tree(tree: GluingTree) -> GluedSpace:
     labels = tuple(
         f"{vtx}.{tree.vertices[vtx].labels[p]}" for vtx, p in provenance
     )
-    carrier = from_grid(labels, denom, tuple([tuple(row) for row in dist]), STRICT)
+    carrier = from_grid(labels, denom, dist, STRICT)
     return GluedSpace(carrier, tuple(provenance))
 
 

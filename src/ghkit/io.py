@@ -138,8 +138,8 @@ def parse_space(text: str, source: str | Path = "<string>") -> FiniteMetricSpace
         tok: value.numerator * (denom // value.denominator)
         for tok, value in values.items()
     }
-    grid = tuple([tuple([ints[tok] for tok in tokens]) for tokens in rows])
-    dist = tuple([tuple([values[tok] for tok in tokens]) for tokens in rows])
+    grid = tuple([tuple(map(ints.__getitem__, tokens)) for tokens in rows])
+    dist = tuple([tuple(map(values.__getitem__, tokens)) for tokens in rows])
     return validate_grid(labels, (denom, grid), dist, mode)
 
 

@@ -5,12 +5,14 @@ rest of the package relies on (diameter scaling, realized Hausdorff
 distances, gluing weights) are checked with equality, never with tolerances.
 A space is built from its integer grid: one denominator L and int rows with
 dist[i][j] == Fraction(rows[i][j], L), reduced so that L and the entries
-share no factor.  It keeps only that grid: `validate` reads a matrix's ints
-and `Fraction`s straight into it (`_grid`'s type guard sends only a matrix
-of other types through `as_fraction`), and `restrict` cuts a sub-space's
-block from it.  Hot loops and equality run on the grid at machine-integer
-speed, and the `Fraction` matrix is built from it on first read; only the
-space file reader hands over an eager one.
+share no factor.  Every constructor ends in `from_grid`, which freezes what
+it is given, checks the shape and reduces the grid, so a space is the same
+whichever builder made it: `validate` reads a matrix's ints and `Fraction`s
+straight into a grid (`_grid` sends only other types through
+`as_fraction`), and `restrict` cuts a sub-space's block from one.  Hot
+loops and equality run on the grid at machine-integer speed, and the
+`Fraction` matrix is built from it on first read; only the space file
+reader hands over an eager one.
 `POINT_CAP` bounds every dense layout: each builder, and the space file
 reader, refuses a larger one through `check_points` before it builds
 anything.  The axiom check packs each row one field per point with
@@ -90,18 +92,6 @@ def _grid(rows: Sequence[Sequence[int | Fraction]]) -> Grid:
     )
 
 
-def _check_shape(labels: tuple[str, ...], rows: Sequence[Sequence], mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    n = len(labels)
-    if n == 0:
-        raise ValueError("a space needs at least one point")
-    if len(set(labels)) != n:
-        raise ValueError("labels must be distinct")
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise ValueError("distance matrix shape does not match labels")
-
-
 @dataclass(frozen=True, init=False, repr=False)
 class FiniteMetricSpace:
     """Labeled points with a symmetric matrix of exact distances.
@@ -109,7 +99,7 @@ class FiniteMetricSpace:
     A frozen dataclass over labels, mode and the canonical grid (L, rows)
     that `_grid` builds, so equality and hash compare (labels, mode, grid):
     the relation of equal `Fraction` matrices, since the grid is canonical.
-    The labels are kept as a tuple, whatever sequence they are given as.
+    Every constructor ends in :func:`from_grid`, which freezes its input.
     No field holds a matrix: `dist`, the `Fraction` view, is built from the
     grid on first read unless the space file reader hands its own to
     :func:`validate_grid`.  Construct through :func:`validate` or
@@ -128,8 +118,7 @@ class FiniteMetricSpace:
         mode: str = STRICT,
     ) -> None:
         grid = _grid(tuple([tuple(row) for row in dist]))  # read each row once
-        _check_shape(labels, grid[1], mode)
-        self.__dict__.update(labels=tuple(labels), mode=mode, grid=grid)
+        self.__dict__.update(vars(from_grid(labels, *grid, mode)))
 
     def __repr__(self) -> str:
         return (
@@ -153,18 +142,28 @@ class FiniteMetricSpace:
 
 
 def from_grid(
-    labels: tuple[str, ...],
+    labels: Iterable[str],
     denom: int,
-    rows: tuple[tuple[int, ...], ...],
+    rows: Sequence[Sequence[int]],
     mode: str = STRICT,
 ) -> FiniteMetricSpace:
-    """The space with distances rows[i][j] / denom, built from the grid alone.
+    """The space with distances rows[i][j] / denom; every constructor ends here.
 
-    The grid is reduced by the gcd of `denom` and every entry, so it is
-    canonical; the gcd is taken row by row and stops at the first row that
-    brings it to 1.  No `Fraction` is built until `dist` is first read.
+    Labels are read once and rows frozen into tuples (a tuple row is kept); the
+    grid is reduced by the gcd of `denom` and every entry, so it is canonical;
+    the gcd is taken row by row and stops at the first row that brings it to
+    1.  No `Fraction` is built until `dist` is first read.
     """
-    _check_shape(labels, rows, mode)
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    labels = tuple(labels)
+    if not labels:
+        raise ValueError("a space needs at least one point")
+    if len(set(labels)) != len(labels):
+        raise ValueError("labels must be distinct")
+    if len(rows) != len(labels) or any(len(row) != len(rows) for row in rows):
+        raise ValueError("distance matrix shape does not match labels")
+    rows = tuple([tuple(row) for row in rows])  # see `_grid` on freezing lists
     common = denom
     for row in rows:
         common = math.gcd(common, *row)
@@ -180,13 +179,24 @@ def from_grid(
 
 def restrict(
     space: FiniteMetricSpace,
-    indices: Sequence[int],
-    labels: tuple[str, ...],
+    indices: Iterable[int],
+    labels: Iterable[str],
     mode: str = STRICT,
 ) -> FiniteMetricSpace:
     """The points at `indices`, in that order (repeats only in `PSEUDO` mode),
-    as a space: their block of `space.grid`, reduced by `from_grid`."""
+    as a space: their block of `space.grid`, reduced by `from_grid`.
+
+    The indices are read once; one outside 0 .. n - 1 is a `ValueError`
+    naming it, and so is a repeated one in `STRICT` mode.
+    """
     denom, rows = space.grid
+    indices, seen = tuple(indices), set()
+    for index in indices:
+        if not 0 <= index < len(rows):
+            raise ValueError(f"index {index} is out of range for {len(rows)} points")
+        if mode == STRICT and index in seen:
+            raise ValueError(f"index {index} is repeated, which needs {PSEUDO!r} mode")
+        seen.add(index)
     block = tuple([tuple([rows[a][b] for b in indices]) for a in indices])
     return from_grid(labels, denom, block, mode)
 
@@ -204,7 +214,7 @@ def validate(
     """
     if labels is None:
         labels = [str(i) for i in range(len(matrix))]
-    space = FiniteMetricSpace(tuple(labels), matrix, mode)
+    space = FiniteMetricSpace(labels, matrix, mode)
     _check_axioms(space.grid[1], mode)
     return space
 
@@ -218,11 +228,10 @@ def validate_grid(
     """:func:`validate` for a caller that holds the canonical grid and the
     `Fraction` view already (the space file reader builds both from its
     distinct tokens): the same shape and axiom checks, with the same errors,
-    and no conversion of the entries."""
-    _check_shape(labels, grid[1], mode)
-    _check_axioms(grid[1], mode)
-    space = object.__new__(FiniteMetricSpace)
-    space.__dict__.update(labels=labels, mode=mode, grid=grid, dist=dist)
+    and no conversion of the entries; the space keeps `dist` as its view."""
+    space = from_grid(labels, *grid, mode)
+    _check_axioms(space.grid[1], mode)
+    space.__dict__["dist"] = dist
     return space
 
 

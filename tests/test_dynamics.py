@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from fractions import Fraction as F
 
@@ -16,7 +17,7 @@ from ghkit.dynamics import (
     stabilizer_finite,
     thread_limit,
 )
-from ghkit.errors import NonpositiveScale, ThreadCapExceeded, TooLarge
+from ghkit.errors import IndexOutOfRange, NonpositiveScale, ThreadCapExceeded, TooLarge
 from ghkit.generate import random_metric_space, rng_from_seed
 from ghkit.gluing import GluingTree, glue_tree
 from ghkit.hedgehogs import HedgehogSpec
@@ -364,6 +365,24 @@ def test_thread_space_and_layer_distances_read_the_grids(base_space, make):
         assert distances[n] == [
             space.dist[threads[t1][n]][threads[t2][n]] for t1, t2 in pairs
         ]
+
+
+@pytest.mark.parametrize(
+    "t1, t2, layer, message",
+    [
+        (0, 1, 0, "layer must be in 1..2, got 0"),
+        (0, 1, 3, "layer must be in 1..2, got 3"),
+        (-1, 0, 1, "thread must be in 0..2, got -1"),
+        (0, 3, 1, "thread must be in 0..2, got 3"),
+    ],
+)
+def test_layer_distance_refuses_a_layer_or_thread_the_chain_lacks(
+    base_space, t1, t2, layer, message
+):
+    result = thread_limit(contraction_chain(base_space, F(1, 2), 2))
+    assert result.layer_distance(0, 1, 1) == F(1, 2)
+    with pytest.raises(IndexOutOfRange, match=f"^{re.escape(message)}$"):
+        result.layer_distance(t1, t2, layer)
 
 
 def test_count_and_repr_build_no_thread(base_space, monkeypatch):

@@ -31,6 +31,7 @@ from ghkit.generate import (
 )
 from ghkit.gluing import GluingTree, glue_pair, glue_tree
 from ghkit.hedgehogs import HedgehogSpec, check_center_location, compile_hedgehog
+from ghkit.io import parse_space
 from ghkit.spaces import (
     PSEUDO,
     STRICT,
@@ -39,8 +40,11 @@ from ghkit.spaces import (
     _grid,
     from_grid,
     hausdorff,
+    one_point_space,
+    restrict,
     scale,
     validate,
+    validate_grid,
 )
 from ghkit.tuzhilin import TuzhilinConfig, tuzhilin_isometry, tuzhilin_spaces
 
@@ -587,3 +591,84 @@ def test_center_location_builds_no_fraction_matrix_for_its_carrier():
     report = check_center_location(spec, other, rel, m)
     assert report.passed
     assert "dist" not in vars(report.glued.carrier)
+
+
+# ---------------------------------------------------------------------------
+# one door: every builder ends in from_grid, which freezes, checks and reduces
+
+
+def _built_spaces():
+    """One space from each way a space is built, given lists and unreduced
+    grids wherever the builder takes them."""
+    base = validate([[0, 1, F(1, 2)], [1, 0, F(3, 4)], [F(1, 2), F(3, 4), 0]])
+    layers = (scale(base, F(1, 2)), scale(base, F(1, 4)))
+    fan = frozenset({(0, 0), (0, 1), (1, 1), (2, 2)})
+    limit = thread_limit(ThreadChain(layers, (Correspondence(*layers, fan),)))
+    x, y = validate([[0, 2], [2, 0]]), validate([[0, 4], [4, 0]])
+    edge = (0, 1, Correspondence(x, y, frozenset({(0, 0), (1, 1)})))
+    first, second = tuzhilin_spaces(TuzhilinConfig(3, 4))
+    return {
+        "FiniteMetricSpace": FiniteMetricSpace(
+            ["a", "b"], [[0, F(2, 4)], [F(1, 2), 0]]
+        ),
+        "validate": validate([[0, 2], [2, 0]], labels=["a", "b"]),
+        "parse_space": parse_space("points 2 strict\na b\n0 2/4\n1/2 0\n"),
+        "from_grid": from_grid(["a", "b"], 4, [[0, 2], [2, 0]]),
+        "restrict": restrict(scale(base, 4), [2, 0], ["c", "a"]),
+        "scale": scale(base, F(4, 6)),
+        "one_point_space": one_point_space(),
+        "compile_hedgehog": compile_hedgehog(HedgehogSpec.of(F(3, 4), F(5, 4), 2, 3)),
+        "glue_tree carrier": glue_tree(GluingTree((x, y), (edge,))).carrier,
+        "random_metric_space": random_metric_space(rng_from_seed(7), 5),
+        "tuzhilin_spaces first": first,
+        "tuzhilin_spaces second": second,
+        "thread_space": limit.thread_space(),
+        "thread limit approx": limit.approx,
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_built_spaces()))
+def test_every_builder_gives_frozen_labels_and_a_reduced_grid(kind):
+    space = _built_spaces()[kind]
+    denom, rows = space.grid
+    assert type(space.labels) is tuple
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    assert math.gcd(denom, *(value for row in rows for value in row)) == 1
+
+
+def _rows(seq, rows):
+    return seq([seq(row) for row in rows])
+
+
+_TWIN_BUILDERS = {
+    "FiniteMetricSpace": lambda seq: FiniteMetricSpace(
+        seq("ab"), _rows(seq, [[0, F(1, 2)], [F(1, 2), 0]])
+    ),
+    "validate": lambda seq: validate(_rows(seq, [[0, 2], [2, 0]]), labels=seq("ab")),
+    "from_grid": lambda seq: from_grid(seq("ab"), 4, _rows(seq, [[0, 2], [2, 0]])),
+    "restrict": lambda seq: restrict(
+        validate([[0, 1, 2], [1, 0, 3], [2, 3, 0]]), seq([2, 0]), seq("ca")
+    ),
+    "validate_grid": lambda seq: validate_grid(
+        seq("ab"),
+        (2, _rows(seq, [[0, 1], [1, 0]])),
+        _rows(seq, [[0, F(1, 2)], [F(1, 2), 0]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TWIN_BUILDERS))
+def test_list_built_spaces_equal_and_hash_like_their_tuple_twins(kind):
+    space, twin = _TWIN_BUILDERS[kind](tuple), _TWIN_BUILDERS[kind](list)
+    assert type(twin.labels) is tuple and type(twin.grid[1]) is tuple
+    assert all(type(row) is tuple for row in twin.grid[1])
+    assert twin == space and space == twin
+    assert hash(twin) == hash(space)
+
+
+def test_from_grid_reads_one_shot_labels_once_and_keeps_tuple_rows():
+    rows = ((0, 1), (1, 0))
+    space = from_grid(("a", "b"), 1, rows)
+    assert all(kept is given for kept, given in zip(space.grid[1], rows))
+    once = from_grid((c for c in "ab"), 1, [[0, 1], [1, 0]])
+    assert once == space and hash(once) == hash(space)

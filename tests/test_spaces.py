@@ -671,6 +671,29 @@ def test_restrict_repeats_points_in_a_pseudo_space():
     assert cut == validate(matrix, PSEUDO, ("b", "a", "b2"))
 
 
+def test_restrict_reads_one_shot_indices_once():
+    space = validate([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+    once = spaces.restrict(space, (i for i in [0, 2]), ("a", "c"))
+    assert once == spaces.restrict(space, [0, 2], ("a", "c"))
+    assert once.grid == (1, ((0, 2), (2, 0)))
+
+
+@pytest.mark.parametrize(
+    "indices, mode, message",
+    [
+        ([-1, 0], STRICT, "index -1 is out of range for 3 points"),
+        ([0, 3], PSEUDO, "index 3 is out of range for 3 points"),
+        ([0, 0], STRICT, "index 0 is repeated, which needs 'pseudo' mode"),
+    ],
+    ids=["negative", "past the end", "repeated in strict mode"],
+)
+def test_restrict_refuses_indices_its_block_cannot_honour(indices, mode, message):
+    space = validate([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+    with pytest.raises(ValueError) as caught:
+        spaces.restrict(space, indices, ("a", "b"), mode)
+    assert str(caught.value) == message
+
+
 def test_no_module_but_spaces_reads_the_fraction_view():
     package = Path(spaces.__file__).parent
     readers = sorted(
