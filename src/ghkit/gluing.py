@@ -5,15 +5,19 @@ Two spaces joined by a correspondence R get the cross metric
 Hausdorff distance between the two copies is then exactly (1/2) dis R.
 Trees of spaces extend this edge metric along unique paths.
 
-The min-plus passes run on integers: every vertex grid is rescaled to one
-denominator 2L (L the lcm of the vertex denominators), on which each
-(1/2) dis R is integral too.  Attaching w to a placed vertex u along R gives
-each placed point z the distance |zq| = (1/2) dis R + min over x' of
-|zx'| + near[x'][q], near[x'][q] the least |y'q| over the partners y' of x':
-one C-level pass over the carrier.  It is exact because the carrier built so
-far is a metric whose u block is u's own rows (rows are only ever extended),
-so min over x in u of |zx| + |xx'| is |zx'|: >= by the triangle inequality,
-= at x = x'.  Exact `Fraction` distances are built once at the end.
+The min-plus passes run on integers, on the least denominator L on which
+every vertex grid and every weight (1/2) dis R is integral: the lcm of their
+denominators.  A vertex already on L is not rescaled, and the carrier needs
+no reduction: the full power of each prime p in L is in the denominator of a
+vertex grid, which is canonical, so one of its entries keeps no factor p on
+L, or of a weight, which is itself an entry (a matched pair's distance).
+Attaching w to a placed vertex u along R gives each placed point z the
+distance |zq| = (1/2) dis R + min over x' of |zx'| + near[x'][q], near[x'][q]
+the least |y'q| over the partners y' of x': one C-level pass over the carrier.
+It is exact because the carrier built so far is a metric whose u block is u's
+own rows (rows are only ever extended), so min over x in u of |zx| + |xx'| is
+|zx'|: >= by the triangle inequality, = at x = x'.  Exact `Fraction`
+distances are built once at the end.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from operator import add
 from typing import Sequence
 
 from .correspondences import Correspondence, distortion, rescaled
-from .errors import DistortionBudgetExceeded, NotATree, ZeroDistortion
+from .errors import DistortionBudgetExceeded, IndexOutOfRange, NotATree, ZeroDistortion
 from .spaces import (
     STRICT,
     FiniteMetricSpace,
@@ -75,14 +79,16 @@ class GluingTree:
                     "merged, not glued"
                 )
             weights.append(weight)
-            adjacency[u].append((w, rel.pairs, weight))
-            adjacency[w].append((u, frozenset((j, i) for i, j in rel.pairs), weight))
+            adjacency[u].append((w, rel.pairs, False, weight))
+            adjacency[w].append((u, rel.pairs, True, weight))
         order, placed, attach = [0], {0}, []
         for u in order:  # grows while it is read: a breadth-first queue
-            for w, pairs, weight in adjacency[u]:
+            for w, pairs, backwards, weight in adjacency[u]:
                 if w not in placed:
                     placed.add(w)
                     order.append(w)
+                    if backwards:  # the edge was given as (w, u)
+                        pairs = frozenset((j, i) for i, j in pairs)
                     attach.append((u, w, pairs, weight))
         if len(order) != v:
             raise NotATree("edge set is not connected")
@@ -90,6 +96,12 @@ class GluingTree:
         object.__setattr__(self, "_attach", tuple(attach))
 
     def weight(self, edge_index: int) -> Fraction:
+        """The edge's weight (1/2) dis R; `IndexOutOfRange` for an index
+        outside 0 .. len(edges) - 1."""
+        if not 0 <= edge_index < len(self.weights):
+            raise IndexOutOfRange(
+                f"edge must be in 0..{len(self.weights) - 1}, got {edge_index}"
+            )
         return self.weights[edge_index]
 
 
@@ -151,14 +163,14 @@ def glue_tree(tree: GluingTree) -> GluedSpace:
             raise ValueError("gluing is defined for strict spaces")
 
     grids = [space.grid for space in tree.vertices]
-    denom = 2 * math.lcm(*(d for d, _ in grids))
+    denom = math.lcm(*(d for d, _ in grids), *(w.denominator for w in tree.weights))
     rows = [rescaled(g, denom // d) for d, g in grids]
 
     provenance = [(0, p) for p in range(len(rows[0]))]
     offsets = {0: 0}
     dist: list[list[int]] = [list(row) for row in rows[0]]
     for u, w, pairs, weight in tree._attach:
-        # (1/2) dis R has a denominator dividing 2L, so omega is exact
+        # the weight's denominator divides L, so omega is exact
         omega = weight.numerator * (denom // weight.denominator)
         dw = rows[w]
         nu, nw = len(rows[u]), len(dw)
@@ -176,8 +188,8 @@ def glue_tree(tree: GluingTree) -> GluedSpace:
             [omega + min(map(add, block, near_q)) for block in blocks]
             for near_q in zip(*near)
         ]
-        for z, row in enumerate(dist):
-            row.extend(column[z] for column in columns)
+        for row, new in zip(dist, zip(*columns)):
+            row.extend(new)
         for q in range(nw):
             dist.append(columns[q] + list(dw[q]))
 

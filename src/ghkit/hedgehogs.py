@@ -232,7 +232,7 @@ def check_center_location(
             f"lengths >= 2M: {[str(x) for x, y in zip(a.expanded(), big) if y]}",
         )
 
-    glued = glue_pair(compiled_a, compiled_b, rel)
+    glued = glue_pair(rel.left, rel.right, rel)  # equal to the compilations
     na = len(compiled_a)
     denom, grid = glued.carrier.grid
     # the carrier lists the first copy, then the second (glue_tree's attach

@@ -76,8 +76,13 @@ Grid = tuple[int, tuple[tuple[int, ...], ...]]
 
 
 def _grid(rows: Sequence[Sequence[int | Fraction]]) -> Grid:
-    """(L, int rows) with rows[i][j] / L exact; L is the lcm of the denominators."""
-    if not {type(value) for row in rows for value in row} <= {int, Fraction}:
+    """(L, int rows) with rows[i][j] / L exact; L is the lcm of the denominators.
+
+    All-int rows, which `__init__` has frozen, come back as they are, on L = 1."""
+    types = {type(value) for row in rows for value in row}
+    if types <= {int}:
+        return 1, rows
+    if not types <= {int, Fraction}:
         rows = [[as_fraction(value) for value in row] for row in rows]  # or TypeError
     denom = math.lcm(*{value.denominator for row in rows for value in row})
     # Rows are frozen from lists, here and in every other row builder:

@@ -1,16 +1,31 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 
+from ghkit import gluing
 from ghkit.correspondences import (
     Correspondence,
     distortion,
     identity_correspondence,
 )
-from ghkit.errors import DistortionBudgetExceeded, NotATree, ZeroDistortion
-from ghkit.generate import random_correspondence, random_metric_space, rng_from_seed
+from ghkit.errors import (
+    DistortionBudgetExceeded,
+    IndexOutOfRange,
+    NotATree,
+    ZeroDistortion,
+)
+from ghkit.generate import (
+    dense_hedgehog_spec,
+    perturbed_hedgehog,
+    random_correspondence,
+    random_gluing_tree,
+    random_metric_space,
+    rng_from_seed,
+)
 from ghkit.gluing import GluingTree, glue_pair, glue_star, glue_tree
-from ghkit.spaces import PSEUDO, STRICT, hausdorff, scale, validate
+from ghkit.hedgehogs import HedgehogSpec, check_center_location
+from ghkit.spaces import PSEUDO, STRICT, from_grid, hausdorff, scale, validate
 
 
 @pytest.fixture
@@ -340,3 +355,124 @@ def test_glue_star_error_cases(gap_pair):
         glue_star(x, [(bigger, rel, distortion(rel) / 2)])
     with pytest.raises(ZeroDistortion):
         glue_star(x, [(x, identity_correspondence(x), F(1))])
+
+
+def test_weight_refuses_an_edge_the_tree_lacks():
+    tree = random_gluing_tree(rng_from_seed(1), 3)
+    assert tree.weight(1) == tree.weights[1] == distortion(tree.edges[1][2]) / 2
+    for index in (-1, 2):
+        message = f"^edge must be in 0..1, got {index}$"
+        with pytest.raises(IndexOutOfRange, match=message):
+            tree.weight(index)
+
+
+# Carriers are glued on the least denominator on which every vertex grid and
+# every weight is integral, so `from_grid` gets them canonical.  The
+# reference glues on 2 * lcm of the vertex denominators and lets `from_grid`
+# reduce.
+
+
+@pytest.fixture
+def glued_denominators(monkeypatch):
+    """(denominator handed to `from_grid`, carrier's denominator) per glue."""
+    calls = []
+
+    def spy(labels, denom, rows, mode):
+        space = from_grid(labels, denom, rows, mode)
+        calls.append((denom, space.grid[0]))
+        return space
+
+    monkeypatch.setattr(gluing, "from_grid", spy)
+    return calls
+
+
+def reference_carrier(tree, provenance):
+    """Shortest paths over the disjoint union on D = 2 * lcm of the vertex
+    denominators (each matched pair at its weight), in carrier order,
+    reduced by `from_grid`."""
+    denom = 2 * math.lcm(*(space.grid[0] for space in tree.vertices))
+    at = {point: g for g, point in enumerate(provenance)}
+    dist = [[math.inf] * len(provenance) for _ in provenance]
+    for v, space in enumerate(tree.vertices):
+        for p, row in enumerate(space.grid[1]):
+            for q, value in enumerate(row):
+                dist[at[v, p]][at[v, q]] = value * (denom // space.grid[0])
+    for (u, w, rel), weight in zip(tree.edges, tree.weights):
+        omega = weight * denom
+        assert omega.denominator == 1
+        for i, j in rel.pairs:
+            dist[at[u, i]][at[w, j]] = dist[at[w, j]][at[u, i]] = omega.numerator
+    for k in range(len(dist)):
+        for row in dist:
+            for j, through in enumerate(dist[k]):
+                row[j] = min(row[j], row[k] + through)
+    labels = [f"{v}.{tree.vertices[v].labels[p]}" for v, p in provenance]
+    return from_grid(labels, denom, dist, STRICT)
+
+
+def assert_unreduced(calls, count):
+    assert len(calls) == count
+    assert all(handed == kept for handed, kept in calls), calls
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_glue_pair_hands_from_grid_a_canonical_carrier(seed, glued_denominators):
+    rng = rng_from_seed(seed)
+    x = random_metric_space(rng, rng.randint(1, 5), denominator=rng.choice([1, 4, 6]))
+    y = random_metric_space(rng, rng.randint(1, 5), denominator=rng.choice([3, 4, 10]))
+    rel = random_correspondence(rng, x, y)
+    glued = glue_pair(x, y, rel)
+    assert_unreduced(glued_denominators, 1)
+    tree = GluingTree((x, y), ((0, 1, rel),))
+    assert glued.carrier == reference_carrier(tree, glued.provenance)
+
+
+def test_a_tree_with_a_backward_edge_hands_from_grid_a_canonical_carrier(
+    glued_denominators,
+):
+    rng = rng_from_seed(1)
+    x, y, z = (
+        random_metric_space(rng, n, denominator=d, label_prefix=prefix)
+        for n, d, prefix in ((4, 4, "x"), (5, 6, "y"), (3, 10, "z"))
+    )
+    # vertex 2 is attached from vertex 0 along an edge written (2, 0)
+    tree = GluingTree(
+        (x, y, z),
+        (
+            (0, 1, random_correspondence(rng, x, y)),
+            (2, 0, random_correspondence(rng, z, x)),
+        ),
+    )
+    glued = glue_tree(tree)
+    assert_unreduced(glued_denominators, 1)
+    assert glued.carrier == reference_carrier(tree, glued.provenance)
+    assert hausdorff(glued.part(2), glued.part(0)) == tree.weight(1)
+
+
+def test_glue_star_hands_from_grid_a_canonical_carrier(glued_denominators):
+    rng = rng_from_seed(3)
+    center = random_metric_space(rng, 3, denominator=4, label_prefix="c")
+    leaves = []
+    for k, denominator in enumerate((6, 10, 1)):
+        leaf = random_metric_space(rng, 2 + k, denominator=denominator)
+        leaves.append((leaf, random_correspondence(rng, center, leaf), 10**6))
+    glued = glue_star(center, leaves)
+    assert_unreduced(glued_denominators, 1)
+    tree = GluingTree(
+        (center, *(leaf for leaf, _, _ in leaves)),
+        tuple((0, k + 1, rel) for k, (_, rel, _) in enumerate(leaves)),
+    )
+    assert glued.carrier == reference_carrier(tree, glued.provenance)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_center_location_hands_from_grid_a_canonical_carrier(seed, glued_denominators):
+    rng, m = rng_from_seed(seed), F(1, 4)
+    base = dense_hedgehog_spec(rng, count=4, max_length=3)
+    spec = HedgehogSpec.from_pairs(tuple(base.needles) + ((F(2), 1), (F(5, 2), 1)))
+    other, rel = perturbed_hedgehog(rng, spec, m)
+    assert check_center_location(spec, other, rel, m).passed
+    assert_unreduced(glued_denominators, 1)
+    glued = glue_pair(rel.left, rel.right, rel)
+    tree = GluingTree((rel.left, rel.right), ((0, 1, rel),))
+    assert glued.carrier == reference_carrier(tree, glued.provenance)

@@ -459,7 +459,7 @@ def _derived_spaces():
     hedgehog = compile_hedgehog(HedgehogSpec.of(F(3, 4), F(5, 4), 2, 3))
     x = validate([[0, 1], [1, 0]])
     y = validate([[0, 3], [3, 0]])
-    # dis R = 2, so the carrier's 2L grid has only even entries to reduce
+    # dis R = 2, so the weight 1 keeps the carrier on its spaces' grid L = 1
     glued = glue_pair(x, y, Correspondence(x, y, frozenset({(0, 0), (1, 1)})))
     base = validate([[0, 1, F(1, 2)], [1, 0, F(3, 4)], [F(1, 2), F(3, 4), 0]])
     layers = tuple(scale(base, F(1, 2**n)) for n in range(1, 5))
