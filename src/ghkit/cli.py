@@ -227,13 +227,11 @@ def _cmd_hedgehog(args) -> int:
     if args.hh_command == "compile":
         _emit(io.dump_space(compile_hedgehog(io.load_hedgehog(args.spec))), args.out)
         return PASS
-    if args.hh_command == "iso":
-        a = io.load_hedgehog(args.left)
-        b = io.load_hedgehog(args.right)
-        print("isometric" if hedgehog_isometric(a, b) else "not isometric")
-        return PASS
     a = io.load_hedgehog(args.left)
     b = io.load_hedgehog(args.right)
+    if args.hh_command == "iso":
+        print("isometric" if hedgehog_isometric(a, b) else "not isometric")
+        return PASS
     try:
         rel = bucket_correspondence(a, b, args.eps)
     except BucketMismatch as exc:

@@ -60,7 +60,7 @@ class Correspondence:
             raise ValueError("not surjective onto the left space")
         if {j for _, j in pairs} != set(range(m)):
             raise ValueError("not surjective onto the right space")
-        object.__setattr__(self, "pairs", frozenset(pairs))
+        self.__dict__.update(pairs=frozenset(pairs))
 
     def sorted_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.pairs))

@@ -51,19 +51,18 @@ class ThreadChain:
     budget_checked: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        self.__dict__.update(spaces=tuple(self.spaces), links=tuple(self.links))
-        if not self.spaces:
+        spaces, links = tuple(self.spaces), tuple(self.links)
+        if not spaces:
             raise ValueError("a chain needs at least one space")
-        if len(self.links) != len(self.spaces) - 1:
+        if len(links) != len(spaces) - 1:
             raise ValueError("a chain of k spaces needs k-1 links")
-        for n, link in enumerate(self.links):
-            if link.left != self.spaces[n] or link.right != self.spaces[n + 1]:
+        for n, link in enumerate(links):
+            if link.left != spaces[n] or link.right != spaces[n + 1]:
                 raise ValueError(f"link {n + 1} does not join spaces {n + 1} and {n + 2}")
         budget = all(
-            distortion(link) < Fraction(1, 2 ** (n + 1))
-            for n, link in enumerate(self.links)
+            distortion(link) < Fraction(1, 2 ** (n + 1)) for n, link in enumerate(links)
         )
-        object.__setattr__(self, "budget_checked", budget)
+        self.__dict__.update(spaces=spaces, links=links, budget_checked=budget)
 
     @property
     def depth(self) -> int:

@@ -58,19 +58,18 @@ class GluingTree:
 
     def __post_init__(self) -> None:
         vertices, edges = tuple(self.vertices), tuple(map(tuple, self.edges))
-        self.__dict__.update(vertices=vertices, edges=edges)
-        v = len(self.vertices)
+        v = len(vertices)
         if v == 0:
             raise ValueError("a gluing tree needs at least one vertex")
-        check_points("gluing tree has", sum(map(len, self.vertices)))
-        if len(self.edges) != v - 1:
-            raise NotATree(f"{v} vertices need {v - 1} edges, got {len(self.edges)}")
+        check_points("gluing tree has", sum(map(len, vertices)))
+        if len(edges) != v - 1:
+            raise NotATree(f"{v} vertices need {v - 1} edges, got {len(edges)}")
         weights = []
         adjacency: list[list] = [[] for _ in range(v)]
-        for u, w, rel in self.edges:
+        for u, w, rel in edges:
             if not (0 <= u < v and 0 <= w < v) or u == w:
                 raise NotATree(f"bad edge ({u}, {w})")
-            if rel.left != self.vertices[u] or rel.right != self.vertices[w]:
+            if rel.left != vertices[u] or rel.right != vertices[w]:
                 raise ValueError(f"edge ({u}, {w}): correspondence spaces do not match")
             weight = distortion(rel) / 2
             if weight == 0:
@@ -92,12 +91,15 @@ class GluingTree:
                     attach.append((u, w, pairs, weight))
         if len(order) != v:
             raise NotATree("edge set is not connected")
-        object.__setattr__(self, "weights", tuple(weights))
-        object.__setattr__(self, "_attach", tuple(attach))
+        self.__dict__.update(
+            vertices=vertices, edges=edges, weights=tuple(weights), _attach=tuple(attach)
+        )
 
     def weight(self, edge_index: int) -> Fraction:
         """The edge's weight (1/2) dis R; `IndexOutOfRange` for an index
-        outside 0 .. len(edges) - 1."""
+        outside 0 .. len(edges) - 1, or for any on a tree with no edges."""
+        if not self.weights:
+            raise IndexOutOfRange(f"the tree has no edges, got edge {edge_index}")
         if not 0 <= edge_index < len(self.weights):
             raise IndexOutOfRange(
                 f"edge must be in 0..{len(self.weights) - 1}, got {edge_index}"
@@ -110,11 +112,15 @@ class GluedSpace:
     """One ambient space containing an isometric copy of every glued vertex.
 
     The carrier lists each vertex as one block, in `glue_tree`'s attach order
-    (for `glue_pair`: the first space, then the second).
+    (for `glue_pair`: the first space, then the second).  The provenance is
+    read once and kept as a tuple of tuples, whatever iterable it was given as.
     """
 
     carrier: FiniteMetricSpace
     provenance: tuple[tuple[int, int], ...]  # carrier index -> (vertex, local index)
+
+    def __post_init__(self) -> None:
+        self.__dict__.update(provenance=tuple(map(tuple, self.provenance)))
 
     @cached_property
     def _index(self) -> dict[tuple[int, int], int]:
@@ -197,7 +203,7 @@ def glue_tree(tree: GluingTree) -> GluedSpace:
         f"{vtx}.{tree.vertices[vtx].labels[p]}" for vtx, p in provenance
     )
     carrier = from_grid(labels, denom, dist, STRICT)
-    return GluedSpace(carrier, tuple(provenance))
+    return GluedSpace(carrier, provenance)
 
 
 def glue_star(

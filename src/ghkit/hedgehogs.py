@@ -45,20 +45,20 @@ class HedgehogSpec:
     grid: tuple[int, tuple[int, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.__dict__.update(needles=tuple(map(tuple, self.needles)))
-        if not self.needles:
+        needles = tuple(map(tuple, self.needles))
+        if not needles:
             raise ValueError("a hedgehog needs at least one needle")
-        denom = math.lcm(*(as_fraction(x).denominator for x, _ in self.needles))
-        lengths = [x.numerator * (denom // x.denominator) for x, _ in self.needles]
+        denom = math.lcm(*(as_fraction(x).denominator for x, _ in needles))
+        lengths = [x.numerator * (denom // x.denominator) for x, _ in needles]
         if any(length <= 0 for length in lengths):
             raise ValueError("needle lengths must be positive")
-        if not all(isinstance(mult, int) for _, mult in self.needles):
+        if not all(isinstance(mult, int) for _, mult in needles):
             raise ValueError("multiplicities must be integers")
-        if any(mult < 1 for _, mult in self.needles):
+        if any(mult < 1 for _, mult in needles):
             raise ValueError("multiplicities must be positive")
         if any(a >= b for a, b in pairwise(lengths)):
             raise ValueError("needles must be sorted with distinct lengths")
-        object.__setattr__(self, "grid", (denom, tuple(lengths)))
+        self.__dict__.update(needles=needles, grid=(denom, tuple(lengths)))
 
     @classmethod
     def of(cls, *lengths: int | Fraction) -> "HedgehogSpec":

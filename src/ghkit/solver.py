@@ -190,15 +190,14 @@ class _Search:
     ys[j] holds dy[j][l], in the order of the cell bits; nbytes is the bytes
     of all n*m fields, and `top`, the largest entry of dx and dy, sets a
     width that keeps every mask at a level 0 <= t <= top exact, see
-    `_Compat`); `everything`, the mask of all cells; the line masks; the
-    node count; and the node budget, NODE_BUDGET as it stood when the solve
-    started.  `probe(t)` sets `compat` to the masks at t and makes the one
+    `_Compat`); `everything`, the mask of all cells; the line masks; and the
+    node count.  `probe(t)` sets `compat` to the masks at t and makes the one
     root call of `_extend`; the witness scan and the per-cell isometry
     searches read the `compat` it leaves."""
 
     __slots__ = (
         *("xs", "ys", "m", "width", "nbytes", "ones"),
-        *("everything", "lines", "compat", "nodes", "budget"),
+        *("everything", "lines", "compat", "nodes"),
     )
 
     def __init__(self, dx: IntRows, dy: IntRows, top: int) -> None:
@@ -207,7 +206,7 @@ class _Search:
         self.ys = pack_rows(dy, top, tiling=n)[1]
         self.m, self.nbytes = m, n * m * self.width
         self.everything, self.lines = (1 << n * m) - 1, line_masks(n, m)
-        self.nodes, self.budget = 0, NODE_BUDGET
+        self.nodes = 0
 
     def probe(self, t: int) -> int:
         """A correspondence of distortion <= t, as a cell mask, else 0."""
@@ -223,7 +222,7 @@ def _extend(search: _Search, chosen: int, avail: int) -> int:
     column with the fewest candidates and fails as soon as one has none; a
     candidate that fails is dropped for its siblings.  Returns the
     correspondence's cell mask and counts one node per branch in
-    `search.nodes`, raising `TooLarge` past `search.budget`.
+    `search.nodes`, raising `TooLarge` past NODE_BUDGET.
     """
     compat = search.compat
     fewest, count = 0, 0
@@ -240,8 +239,8 @@ def _extend(search: _Search, chosen: int, avail: int) -> int:
         bit = fewest & -fewest
         fewest ^= bit
         search.nodes += 1
-        if search.nodes > search.budget:
-            raise TooLarge(f"the search passed its budget of {search.budget} nodes")
+        if search.nodes > NODE_BUDGET:
+            raise TooLarge(f"the search passed its budget of {NODE_BUDGET} nodes")
         narrowed = avail & compat[bit.bit_length() - 1]
         found = _extend(search, chosen | bit, narrowed)
         if found:

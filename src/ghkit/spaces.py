@@ -135,7 +135,9 @@ class FiniteMetricSpace:
         return len(self.labels)
 
     def d(self, i: int, j: int) -> Fraction:
-        return self.dist[i][j]
+        """One distance, read off the grid: `dist` is not built."""
+        denom, rows = self.grid
+        return Fraction(rows[i][j], denom)
 
     @cached_property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -383,11 +385,12 @@ class SubsetRef:
     indices: frozenset[int]
 
     def __post_init__(self) -> None:
-        self.__dict__.update(indices=frozenset(self.indices))
-        if not self.indices:
+        indices = frozenset(self.indices)
+        if not indices:
             raise ValueError("subset must be nonempty")
-        if min(self.indices) < 0 or max(self.indices) >= len(self.space):
+        if min(indices) < 0 or max(indices) >= len(self.space):
             raise ValueError("subset index out of range")
+        self.__dict__.update(indices=indices)
 
 
 def subset(space: FiniteMetricSpace, indices: Iterable[int]) -> SubsetRef:

@@ -220,8 +220,8 @@ def tuzhilin_isometry(cfg: TuzhilinConfig, m: int) -> TuzhilinEmbedding:
     needle `_slot` sends it to, and the distance check compares the
     second space's rows in full with the ambient's rows and columns there.
     """
-    if not (1 <= m <= cfg.n):
-        raise IndexOutOfRange(f"m must be in 1..{cfg.n}, got {m}")
+    if type(m) is not int or not 1 <= m <= cfg.n:  # a bool or a float passes 1 <= m
+        raise IndexOutOfRange(f"m must be an int in 1..{cfg.n}, got {m!r}")
     tables = cfg._tables
     x, y = cfg._sides
     slot = str(m)

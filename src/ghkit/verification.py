@@ -78,7 +78,13 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class SuiteReport:
+    """The results read once and kept as a tuple, whatever iterable they
+    were given as."""
+
     results: tuple[CheckResult, ...]
+
+    def __post_init__(self) -> None:
+        self.__dict__.update(results=tuple(self.results))
 
     @property
     def passed(self) -> bool:
@@ -525,4 +531,4 @@ def suite_names(selector: str = "all") -> list[str]:
 
 
 def run_suite(selector: str = "all", seed: int = DEFAULT_SEED) -> SuiteReport:
-    return SuiteReport(tuple(run_check(name, seed) for name in suite_names(selector)))
+    return SuiteReport(run_check(name, seed) for name in suite_names(selector))

@@ -23,7 +23,7 @@ from ghkit.generate import (
     random_metric_space,
     rng_from_seed,
 )
-from ghkit.gluing import GluingTree, glue_pair, glue_star, glue_tree
+from ghkit.gluing import GluedSpace, GluingTree, glue_pair, glue_star, glue_tree
 from ghkit.hedgehogs import HedgehogSpec, check_center_location
 from ghkit.spaces import PSEUDO, STRICT, from_grid, hausdorff, scale, validate
 
@@ -56,6 +56,18 @@ def test_a_tree_built_from_lists_equals_its_tuple_twin(gap_pair, gap_bijection):
     assert tree == twin and hash(tree) == hash(twin)
     assert tree.vertices == (x, y) and tree.edges == ((0, 1, gap_bijection),)
     assert glue_tree(tree).carrier == glue_tree(twin).carrier
+
+
+@pytest.mark.parametrize("one_shot", [list, iter], ids=["list", "iterator"])
+def test_a_glued_space_built_from_lists_equals_its_tuple_twin(
+    gap_pair, gap_bijection, one_shot
+):
+    glued = glue_pair(*gap_pair, gap_bijection)
+    twin = GluedSpace(glued.carrier, one_shot([list(p) for p in glued.provenance]))
+    assert twin == glued and hash(twin) == hash(glued)
+    assert type(twin.provenance) is tuple
+    assert all(type(point) is tuple for point in twin.provenance)
+    assert twin.locate(1, 0) == glued.locate(1, 0)
 
 
 def test_glue_pair_cross_distances(gap_pair, gap_bijection):
@@ -362,6 +374,14 @@ def test_weight_refuses_an_edge_the_tree_lacks():
     assert tree.weight(1) == tree.weights[1] == distortion(tree.edges[1][2]) / 2
     for index in (-1, 2):
         message = f"^edge must be in 0..1, got {index}$"
+        with pytest.raises(IndexOutOfRange, match=message):
+            tree.weight(index)
+
+
+def test_weight_on_a_tree_with_no_edges_says_so(gap_pair):
+    tree = GluingTree(gap_pair[:1], ())
+    for index in (0, -1):
+        message = f"^the tree has no edges, got edge {index}$"
         with pytest.raises(IndexOutOfRange, match=message):
             tree.weight(index)
 

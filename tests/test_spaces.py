@@ -101,6 +101,15 @@ def test_a_space_keeps_only_its_grid_until_dist_is_read(matrix):
         assert "dist" in vars(space) and space.dist == expected
 
 
+def test_d_reads_one_entry_off_the_grid_without_building_dist():
+    space = random_metric_space(rng_from_seed(7), 9, denominator=6)
+    n = len(space)
+    values = [space.d(i, j) for i in range(n) for j in range(n)]
+    assert "dist" not in vars(space)
+    assert all(type(value) is F for value in values)
+    assert values == [space.dist[i][j] for i in range(n) for j in range(n)]
+
+
 def test_one_point_space_is_its_grid():
     point = one_point_space()
     assert "dist" not in vars(point)

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -99,6 +100,16 @@ def test_isometry_index_range():
         tuzhilin_isometry(cfg, 0)
     with pytest.raises(IndexOutOfRange):
         tuzhilin_isometry(cfg, 4)
+
+
+@pytest.mark.parametrize(
+    "m", [1.0, True, F(1), 0, 4], ids=["float", "bool", "fraction", "low", "high"]
+)
+def test_isometry_refuses_an_m_that_is_not_an_int_in_range(m):
+    # the first three pass 1 <= m <= n; the needle table is keyed by the int's text
+    message = f"^m must be an int in 1..3, got {re.escape(repr(m))}$"
+    with pytest.raises(IndexOutOfRange, match=message):
+        tuzhilin_isometry(TuzhilinConfig(3, 4), m)
 
 
 def test_common_needle_hausdorff_formula():

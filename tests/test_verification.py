@@ -12,7 +12,7 @@ from ghkit.dynamics import DEFAULT_SAMPLED_FACTORS, ThreadChain
 from ghkit.gluing import GluedSpace
 from ghkit.hedgehogs import HedgehogSpec, compile_hedgehog
 from ghkit.spaces import STRICT, diameter, from_grid, scale
-from ghkit.verification import CHECKS, run_check, suite_names
+from ghkit.verification import CHECKS, SuiteReport, run_check, suite_names
 
 
 def test_suite_names_selection():
@@ -36,6 +36,15 @@ def test_check_results_carry_claims():
     assert result.passed
     assert result.claim
     assert result.witness is None
+
+
+@pytest.mark.parametrize("one_shot", [list, iter], ids=["list", "iterator"])
+def test_a_report_built_from_a_list_equals_its_tuple_twin(one_shot):
+    results = [run_check(name, seed=7) for name in ("stabilizers", "bucket-construction")]
+    report = SuiteReport(one_shot(results))
+    twin = SuiteReport(tuple(results))
+    assert report == twin and hash(report) == hash(twin)
+    assert type(report.results) is tuple and report.passed
 
 
 def test_crashing_check_is_reported_not_raised(monkeypatch):
