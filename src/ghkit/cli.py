@@ -199,18 +199,6 @@ def _emit(text: str, out: Path | None) -> None:
         print(f"wrote {out}")
 
 
-def _emit_glued(glued, out: Path | None) -> None:
-    text = io.dump_space(glued.carrier)
-    if out is None:
-        sys.stdout.write(text)
-        for line in io.provenance_lines(glued):
-            print(f"# {line}")
-    else:
-        out.write_text(text)
-        out.with_suffix(".prov").write_text(io.dump_provenance(glued))
-        print(f"wrote {out} and {out.with_suffix('.prov')}")
-
-
 def _cmd_glue(args) -> int:
     if args.pair is not None:
         x = io.load_space(args.pair[0])
@@ -219,7 +207,15 @@ def _cmd_glue(args) -> int:
         glued = glue_pair(x, y, rel)
     else:
         glued = glue_tree(io.load_gluing_tree(args.tree))
-    _emit_glued(glued, args.out)
+    text, out = io.dump_space(glued.carrier), args.out
+    if out is None:
+        sys.stdout.write(text)
+        for line in io.provenance_lines(glued):
+            print(f"# {line}")
+    else:
+        out.write_text(text)
+        out.with_suffix(".prov").write_text(io.dump_provenance(glued))
+        print(f"wrote {out} and {out.with_suffix('.prov')}")
     return PASS
 
 

@@ -53,8 +53,8 @@ class Correspondence:
         if not pairs:
             raise ValueError("a correspondence needs at least one pair")
         n, m = len(self.left), len(self.right)
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < m):
+        for i, j in pairs:  # a bool or a float passes the range test alone
+            if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < m):
                 raise ValueError(f"pair ({i}, {j}) out of range")
         if {i for i, _ in pairs} != set(range(n)):
             raise ValueError("not surjective onto the left space")
@@ -119,15 +119,6 @@ def rescaled(rows: IntRows, factor: int) -> IntRows:
     return tuple([tuple([value * factor for value in row]) for row in rows])
 
 
-def _guard_cells(n: int, m: int) -> None:
-    if n < 1 or m < 1:
-        raise ValueError("sizes must be positive")
-    if n * m > ENUMERATION_CELL_GUARD:
-        raise TooLarge(
-            f"{n}x{m} grid has {n * m} cells, guard is {ENUMERATION_CELL_GUARD}"
-        )
-
-
 @lru_cache(maxsize=256)
 def line_masks(n: int, m: int) -> tuple[int, ...]:
     """Cell masks of the rows, then of the columns, of the n x m grid."""
@@ -158,7 +149,12 @@ def _set_bits(n: int, m: int) -> tuple[int, tuple[int, ...]]:
     16 shapes: a few hundred KiB for shapes up to 4 x 4, and about 22 MB in
     the worst case of 16 shapes at or near the 20-cell guard.
     """
-    _guard_cells(n, m)
+    if n < 1 or m < 1:
+        raise ValueError("sizes must be positive")
+    if n * m > ENUMERATION_CELL_GUARD:
+        raise TooLarge(
+            f"{n}x{m} grid has {n * m} cells, guard is {ENUMERATION_CELL_GUARD}"
+        )
     size = 1 << (n * m)
     has = []
     for c in range(n * m):

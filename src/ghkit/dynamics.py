@@ -151,16 +151,16 @@ class ThreadLimitResult:
 
     def layer_distance(self, t1: int, t2: int, layer: int) -> Fraction:
         """Pseudodistance between two threads read off at a 1-based layer;
-        `IndexOutOfRange` for a layer or a thread the chain does not have."""
+        `IndexOutOfRange` for a layer or a thread the chain does not have, and
+        for an index that is not an `int` (a bool or a float passes the range)."""
         depth, count = self.chain.depth, len(self.threads)
-        if not 1 <= layer <= depth:
+        if type(layer) is not int or not 1 <= layer <= depth:
             raise IndexOutOfRange(f"layer must be in 1..{depth}, got {layer}")
         for t in (t1, t2):
-            if not 0 <= t < count:
+            if type(t) is not int or not 0 <= t < count:
                 raise IndexOutOfRange(f"thread must be in 0..{count - 1}, got {t}")
-        denom, rows = self.chain.spaces[layer - 1].grid
         a, b = self.threads[t1][layer - 1], self.threads[t2][layer - 1]
-        return Fraction(rows[a][b], denom)
+        return self.chain.spaces[layer - 1].d(a, b)
 
     def thread_space(self) -> FiniteMetricSpace:
         """The pre-quotient pseudometric space of all threads (small chains only)."""
@@ -265,13 +265,6 @@ def d_lambda_probe(
     return LambdaProbe(space, tuple(samples))
 
 
-def _check_power_bits(lam: Fraction, n: int) -> None:
-    # p^n and q^n have at most n * bit_length bits each
-    bits = n * max(lam.numerator.bit_length(), lam.denominator.bit_length())
-    if bits > CENTER_POWER_BITS:
-        raise TooLarge(f"lambda^n may need {bits} bits, cap is {CENTER_POWER_BITS}")
-
-
 @dataclass(frozen=True)
 class CenterIterate:
     iterate: FiniteMetricSpace  # scale(X, lam^n)
@@ -292,7 +285,10 @@ def center_iterate(
         raise ValueError("lambda must lie strictly between 0 and 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _check_power_bits(lam, n)
+    # p^n and q^n have at most n * bit_length bits each
+    bits = n * max(lam.numerator.bit_length(), lam.denominator.bit_length())
+    if bits > CENTER_POWER_BITS:
+        raise TooLarge(f"lambda^n may need {bits} bits, cap is {CENTER_POWER_BITS}")
     base = d_lambda(space, lam)
     return CenterIterate(
         iterate=scale(space, lam**n),

@@ -97,10 +97,11 @@ class GluingTree:
 
     def weight(self, edge_index: int) -> Fraction:
         """The edge's weight (1/2) dis R; `IndexOutOfRange` for an index
-        outside 0 .. len(edges) - 1, or for any on a tree with no edges."""
+        outside 0 .. len(edges) - 1 or not an `int`, or for any on a tree with
+        no edges."""
         if not self.weights:
             raise IndexOutOfRange(f"the tree has no edges, got edge {edge_index}")
-        if not 0 <= edge_index < len(self.weights):
+        if type(edge_index) is not int or not 0 <= edge_index < len(self.weights):
             raise IndexOutOfRange(
                 f"edge must be in 0..{len(self.weights) - 1}, got {edge_index}"
             )

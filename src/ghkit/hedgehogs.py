@@ -45,12 +45,12 @@ class HedgehogSpec:
     grid: tuple[int, tuple[int, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        needles = tuple(map(tuple, self.needles))
+        needles = tuple([(as_fraction(x), mult) for x, mult in self.needles])
         if not needles:
             raise ValueError("a hedgehog needs at least one needle")
-        denom = math.lcm(*(as_fraction(x).denominator for x, _ in needles))
+        denom = math.lcm(*[x.denominator for x, _ in needles])
         lengths = [x.numerator * (denom // x.denominator) for x, _ in needles]
-        if any(length <= 0 for length in lengths):
+        if min(lengths) <= 0:
             raise ValueError("needle lengths must be positive")
         if not all(isinstance(mult, int) for _, mult in needles):
             raise ValueError("multiplicities must be integers")

@@ -56,6 +56,13 @@ def check_points(what: str, count: int) -> None:
         raise TooLarge(f"{what} {count} points, cap is {POINT_CAP}")
 
 
+def check_index(index: int, n: int) -> None:
+    """`ValueError` unless `index` is an `int` in 0 .. n - 1: a bool or a
+    float passes the range test alone, and a negative one would wrap."""
+    if type(index) is not int or not 0 <= index < n:
+        raise ValueError(f"index {index} is out of range for {n} points")
+
+
 def as_fraction(value: int | Fraction) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -126,8 +133,9 @@ class FiniteMetricSpace:
         self.__dict__.update(vars(from_grid(labels, *grid, mode)))
 
     def __repr__(self) -> str:
+        dist = FiniteMetricSpace.dist.func(self)  # built for the text, not cached
         return (
-            f"FiniteMetricSpace(labels={self.labels!r}, dist={self.dist!r}, "
+            f"FiniteMetricSpace(labels={self.labels!r}, dist={dist!r}, "
             f"mode={self.mode!r})"
         )
 
@@ -135,8 +143,11 @@ class FiniteMetricSpace:
         return len(self.labels)
 
     def d(self, i: int, j: int) -> Fraction:
-        """One distance, read off the grid: `dist` is not built."""
+        """One distance, read off the grid: `dist` is not built.  An index
+        `restrict` refuses is refused with its `ValueError`."""
         denom, rows = self.grid
+        check_index(i, len(rows))
+        check_index(j, len(rows))
         return Fraction(rows[i][j], denom)
 
     @cached_property
@@ -193,14 +204,13 @@ def restrict(
     """The points at `indices`, in that order (repeats only in `PSEUDO` mode),
     as a space: their block of `space.grid`, reduced by `from_grid`.
 
-    The indices are read once; one outside 0 .. n - 1 is a `ValueError`
+    The indices are read once; one `check_index` refuses is a `ValueError`
     naming it, and so is a repeated one in `STRICT` mode.
     """
     denom, rows = space.grid
     indices, seen = tuple(indices), set()
     for index in indices:
-        if not 0 <= index < len(rows):
-            raise ValueError(f"index {index} is out of range for {len(rows)} points")
+        check_index(index, len(rows))
         if mode == STRICT and index in seen:
             raise ValueError(f"index {index} is repeated, which needs {PSEUDO!r} mode")
         seen.add(index)
@@ -388,7 +398,8 @@ class SubsetRef:
         indices = frozenset(self.indices)
         if not indices:
             raise ValueError("subset must be nonempty")
-        if min(indices) < 0 or max(indices) >= len(self.space):
+        typed = set(map(type, indices)) == {int}  # a float passes the range test
+        if not typed or min(indices) < 0 or max(indices) >= len(self.space):
             raise ValueError("subset index out of range")
         self.__dict__.update(indices=indices)
 

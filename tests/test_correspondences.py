@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 from fractions import Fraction as F
 from math import comb
 from pathlib import Path
@@ -108,7 +109,7 @@ def _reference_check(pairs, n, m):
     if not pairs:
         raise ValueError("a correspondence needs at least one pair")
     for i, j in pairs:
-        if not (0 <= i < n and 0 <= j < m):
+        if type(i) is not int or type(j) is not int or not (0 <= i < n and 0 <= j < m):
             raise ValueError(f"pair ({i}, {j}) out of range")
     if {i for i, _ in pairs} != set(range(n)):
         raise ValueError("not surjective onto the left space")
@@ -181,6 +182,21 @@ def test_correspondence_errors_on_malformed_pairs_equal_the_reference_loop(pairs
     pairs = frozenset(pairs)
     expected = _outcome(_reference_check, pairs, 2, 2)
     assert _outcome(Correspondence, _SIDES[2], _SIDES[2], pairs) == expected
+
+
+@pytest.mark.parametrize(
+    "pairs, bad",
+    [
+        ({(0, 0), (1.0, 1), (2, 2)}, "(1.0, 1)"),
+        ({(0, 0), (1, 0), (1.0, 1), (2, 2)}, "(1.0, 1)"),
+        ({(0, 0), (1, True), (2, 2)}, "(1, True)"),
+        ({(0, 0), (1, 1), (2, F(2))}, "(2, 2)"),
+    ],
+)
+def test_correspondence_refuses_an_index_that_is_not_an_int(pairs, bad):
+    x = validate([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    with pytest.raises(ValueError, match=f"^pair {re.escape(bad)} out of range$"):
+        Correspondence(x, x, pairs)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (4, 1), (3, 5), (32, 32)])

@@ -374,6 +374,10 @@ def test_thread_space_and_layer_distances_read_the_grids(base_space, make):
         (0, 1, 3, "layer must be in 1..2, got 3"),
         (-1, 0, 1, "thread must be in 0..2, got -1"),
         (0, 3, 1, "thread must be in 0..2, got 3"),
+        (0, 1, 1.0, "layer must be in 1..2, got 1.0"),
+        (0, 1, True, "layer must be in 1..2, got True"),
+        (0, 1.0, 1, "thread must be in 0..2, got 1.0"),
+        (True, 1, 1, "thread must be in 0..2, got True"),
     ],
 )
 def test_layer_distance_refuses_a_layer_or_thread_the_chain_lacks(

@@ -372,7 +372,7 @@ def test_glue_star_error_cases(gap_pair):
 def test_weight_refuses_an_edge_the_tree_lacks():
     tree = random_gluing_tree(rng_from_seed(1), 3)
     assert tree.weight(1) == tree.weights[1] == distortion(tree.edges[1][2]) / 2
-    for index in (-1, 2):
+    for index in (-1, 2, True, 1.0):
         message = f"^edge must be in 0..1, got {index}$"
         with pytest.raises(IndexOutOfRange, match=message):
             tree.weight(index)

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from freeze_center_golden import outcome, spec_from_record
 
-from ghkit import hedgehogs
+from ghkit import hedgehogs, io
 from ghkit.correspondences import Correspondence, distortion
 from ghkit.errors import (
     BucketMismatch,
@@ -160,6 +160,17 @@ def test_a_spec_built_from_lists_equals_its_tuple_twin():
         assert spec == twin and hash(spec) == hash(twin)
         assert spec.needles == ((F(1, 2), 1), (F(2), 3))
     assert HedgehogSpec(pair for pair in twin.needles) == twin
+
+
+def test_a_direct_spec_stores_int_and_bool_lengths_as_fractions():
+    spec = HedgehogSpec(((True, 1), (2, 1), (F(5, 2), 2)))
+    twin = HedgehogSpec.from_pairs([(1, 1), (2, 1), (F(5, 2), 2)])
+    assert spec == twin and hash(spec) == hash(twin)
+    assert all(type(x) is F for x, _ in spec.needles)
+    assert all(type(x) is F for x in spec.expanded())
+    assert spec.expanded() == twin.expanded()
+    assert compile_hedgehog(spec).labels == ("0", "1", "2", "5/2#1", "5/2#2")
+    assert io.parse_hedgehog(io.dump_hedgehog(spec)) == spec
 
 
 def test_non_integer_multiplicities_are_refused():

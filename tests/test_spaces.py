@@ -98,7 +98,7 @@ def test_a_space_keeps_only_its_grid_until_dist_is_read(matrix):
         assert repr(space) == (
             f"FiniteMetricSpace(labels={labels!r}, dist={expected!r}, mode='strict')"
         )
-        assert "dist" in vars(space) and space.dist == expected
+        assert space.dist == expected and "dist" in vars(space)
 
 
 def test_d_reads_one_entry_off_the_grid_without_building_dist():
@@ -108,6 +108,39 @@ def test_d_reads_one_entry_off_the_grid_without_building_dist():
     assert "dist" not in vars(space)
     assert all(type(value) is F for value in values)
     assert values == [space.dist[i][j] for i in range(n) for j in range(n)]
+
+
+_PATH3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+
+
+@pytest.mark.parametrize(
+    "i, j, index",
+    [(-1, 0, -1), (0, 3, 3), (1.0, 0, 1.0), (0, True, True), (F(1), 0, F(1))],
+    ids=["negative", "past the end", "float", "bool", "Fraction"],
+)
+def test_d_refuses_an_index_with_restricts_message(i, j, index):
+    message = f"^index {index} is out of range for 3 points$"
+    with pytest.raises(ValueError, match=message):
+        validate(_PATH3).d(i, j)
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [{1.0}, {True}, {0, 2.0}, {0, F(1)}],
+    ids=["float", "bool", "mixed", "Fraction"],
+)
+def test_a_subset_refuses_an_index_that_is_not_an_int(indices):
+    x = validate(_PATH3)
+    with pytest.raises(ValueError, match="^subset index out of range$"):
+        subset(x, indices)
+
+
+def test_repr_builds_the_fraction_view_without_keeping_it():
+    space = random_metric_space(rng_from_seed(7), 9, denominator=6)
+    twin = random_metric_space(rng_from_seed(7), 9, denominator=6)
+    assert twin.dist and "dist" in vars(twin)  # the twin holds its view
+    assert repr(space) == repr(twin)
+    assert "dist" not in vars(space)
 
 
 def test_one_point_space_is_its_grid():
@@ -693,8 +726,10 @@ def test_restrict_reads_one_shot_indices_once():
         ([-1, 0], STRICT, "index -1 is out of range for 3 points"),
         ([0, 3], PSEUDO, "index 3 is out of range for 3 points"),
         ([0, 0], STRICT, "index 0 is repeated, which needs 'pseudo' mode"),
+        ([1.0, 0], STRICT, "index 1.0 is out of range for 3 points"),
+        ([True, 0], PSEUDO, "index True is out of range for 3 points"),
     ],
-    ids=["negative", "past the end", "repeated in strict mode"],
+    ids=["negative", "past the end", "repeated in strict mode", "float", "bool"],
 )
 def test_restrict_refuses_indices_its_block_cannot_honour(indices, mode, message):
     space = validate([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
